@@ -28,10 +28,10 @@ from .models import (ModelHandle, copairing, fdhilb, pairing, random_unitary,
                      verify_model_axioms, weight_model)
 from .wproj import (WMorphism, WProjModel, canonical_rep, check_prep_state,
                     lift, wcompose, wdagger, wequal, wtensor)
-from .born import (Valuation, check_born_decomposition, check_diagonal_axiom,
+from .born import (check_born_decomposition, check_diagonal_axiom,
                    check_ortho_bornian, check_theorem_equivalence,
                    check_trace_linearity, corrupted_trace, is_positive,
-                   pseudo_diagonal, scalar_sum, valuation_norm)
+                   scalar_sum, valuation_norm)
 from .protocols import (BranchTuple, MeasurementSpec, cc_map,
                         measurement_probabilities, nondestructive_measurement,
                         qubit, run_teleportation, weighted_bit_collapse_witness)

@@ -12,7 +12,6 @@ is what makes the equivalence theorem testable as a negative control.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -21,21 +20,11 @@ import numpy as np
 
 from . import ortho
 from .errors import TypeMismatch
-from .morphisms import Morphism, direct_sum, equal, scalar
+from .morphisms import Morphism, equal, scalar
 from .objects import Gen, dim
-from .report import CheckResult, serialize_morphism
+from .report import PER_TRIAL, Check, CheckResult, CheckRunner, serialize_morphism
 from .semirings import COMPLEX
 from .wproj import WProjModel
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """A rational power of the squared norm, nu = 1 being the norm itself."""
-
-    nu: Fraction
-
-    def evaluate(self, model, f, trace_fn=None):
-        return valuation_norm(model, f, self.nu, trace_fn)
 
 
 def valuation_norm(model, f, nu=Fraction(1), trace_fn=None):
@@ -129,17 +118,11 @@ def is_positive(h: Morphism) -> tuple[bool, Morphism | None]:
     return False, None
 
 
-def pseudo_diagonal(h: Morphism, decomp: ortho.OplusDecomposition) -> Morphism:
-    """h_11 (+) ... (+) h_nn, the block sum of the diagonal components."""
-    blocks = [ortho.pseudo_component(h, decomp, decomp, i, i)
-              for i in range(len(decomp))]
-    return reduce(direct_sum, blocks)
-
-
 # -- axiom checks -------------------------------------------------------------
 
 def check_born_decomposition(model, f, decomp: ortho.OplusDecomposition,
-                             nu=Fraction(1), trace_fn=None) -> bool:
+                             nu=Fraction(1), trace_fn=None,
+                             tolerance=None) -> bool:
     """||f||^nu equals the nu-sum of the component valuations ||f_i||^nu."""
     parts = [model.compose(model.projection(decomp, i), f)
              for i in range(len(decomp))]
@@ -147,7 +130,7 @@ def check_born_decomposition(model, f, decomp: ortho.OplusDecomposition,
     folded = scalar_sum_many(
         model, [valuation_norm(model, p, nu, trace_fn) for p in parts],
         nu, trace_fn)
-    return model.equal(total, folded)
+    return model.equal(total, folded, tolerance)
 
 
 def _sample_split(model, rng, n_parts: int = 2):
@@ -157,105 +140,118 @@ def _sample_split(model, rng, n_parts: int = 2):
     return a, decomp
 
 
-def check_diagonal_axiom(model, trials: int = 50, seed: int = 0,
-                         trace_fn=None) -> list[CheckResult]:
-    """Tr(h) = Tr(h_11) + Tr(h_22) for positive h on a split object.
+def leg_checks(model, tol, trace_fn=None) -> list[Check]:
+    """The axiom legs as per-trial check entries, in born-suite order.
 
-    The sum on the right is the trace-of-block-sum scalar sum, which is what
-    the derived sum restricts to on positive scalars.
+    Every trace use goes through ``trace_fn`` (the model's own trace when
+    None), so an injected corrupted trace reaches every leg.
     """
     tr = trace_fn if trace_fn is not None else model.trace
-    results = []
-    failure = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, 71, trial])
+
+    def diagonal_blocks(decomp, h):
+        return [model.compose(model.compose(model.projection(decomp, i), h),
+                              model.injection(decomp, i)) for i in range(2)]
+
+    def diagonal(rng):
         _, decomp = _sample_split(model, rng)
         h = model.sample_positive(rng, decomp.whole)
-        blocks = [model.compose(
-            model.compose(model.projection(decomp, i), h),
-            model.injection(decomp, i)) for i in range(2)]
-        lhs = tr(h)
+        blocks = diagonal_blocks(decomp, h)
         rhs = scalar_sum(model, tr(blocks[0]), tr(blocks[1]), Fraction(1), trace_fn)
-        if not model.equal(lhs, rhs):
-            failure = {"h": serialize_morphism(h), "trial": trial}
-            break
-    results.append(_verdict("diagonal-axiom",
-                            "Tr(h) = Tr(h_11) + Tr(h_22) for positive h",
-                            failure))
-    # same-shape split so the derived sum of the diagonal blocks also types
-    failure = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, 72, trial])
+        if not model.equal(tr(h), rhs, tol):
+            return {"h": serialize_morphism(h)}
+        return None
+
+    def diagonal_derived(rng):
+        # same-shape split so the derived sum of the diagonal blocks also types
         part = Gen("A1", int(rng.integers(1, 4)))
         decomp = ortho.OplusDecomposition.from_parts([part, part])
         h = model.sample_positive(rng, decomp.whole)
-        blocks = [model.compose(
-            model.compose(model.projection(decomp, i), h),
-            model.injection(decomp, i)) for i in range(2)]
-        lhs = tr(h)
-        rhs = tr(model.derived_sum(blocks[0], blocks[1]))
-        if not model.equal(lhs, rhs):
-            failure = {"h": serialize_morphism(h), "trial": trial}
-            break
-    results.append(_verdict("diagonal-axiom-derived-sum",
-                            "Tr(h) = Tr(h_11 + h_22) when both blocks share a type",
-                            failure))
-    return results
+        blocks = diagonal_blocks(decomp, h)
+        if not model.equal(tr(h), tr(model.derived_sum(blocks[0], blocks[1])), tol):
+            return {"h": serialize_morphism(h)}
+        return None
 
-
-def check_trace_linearity(model, trials: int = 50, seed: int = 0,
-                          trace_fn=None) -> list[CheckResult]:
-    """Tr(h) + Tr(h') = Tr(h + h'), plus the block-sum route Tr(h (+) h')."""
-    tr = trace_fn if trace_fn is not None else model.trace
-    lin_failure = block_failure = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, 73, trial])
+    def positive_pair(rng):
         a = Gen("A", int(rng.integers(1, 4)))
-        h = model.sample_positive(rng, a)
-        h2 = model.sample_positive(rng, a)
-        summed = model.derived_sum(h, h2)
+        return model.sample_positive(rng, a), model.sample_positive(rng, a)
+
+    def linearity(rng):
+        h, h2 = positive_pair(rng)
         lhs = scalar_sum(model, tr(h), tr(h2), Fraction(1), trace_fn)
-        if lin_failure is None and not model.equal(lhs, tr(summed)):
-            lin_failure = {"h": serialize_morphism(h),
-                           "h_prime": serialize_morphism(h2), "trial": trial}
-        if block_failure is None and not model.equal(tr(summed),
-                                                     tr(model.oplus(h, h2))):
-            block_failure = {"h": serialize_morphism(h),
-                             "h_prime": serialize_morphism(h2), "trial": trial}
-        if lin_failure is not None and block_failure is not None:
-            break
-    return [
-        _verdict("trace-linearity",
-                 "Tr(h) + Tr(h') = Tr(h + h') on positive morphisms",
-                 lin_failure),
-        _verdict("sum-trace-vs-block-trace",
-                 "Tr(h + h') = Tr(h (+) h') on positive morphisms",
-                 block_failure),
-    ]
+        if not model.equal(lhs, tr(model.derived_sum(h, h2)), tol):
+            return {"h": serialize_morphism(h), "h_prime": serialize_morphism(h2)}
+        return None
 
+    def block_trace(rng):
+        h, h2 = positive_pair(rng)
+        if not model.equal(tr(model.derived_sum(h, h2)), tr(model.oplus(h, h2)), tol):
+            return {"h": serialize_morphism(h), "h_prime": serialize_morphism(h2)}
+        return None
 
-def check_ortho_bornian(model, trials: int = 50, seed: int = 0,
-                        trace_fn=None) -> list[CheckResult]:
-    """||f|| = Tr(||f_1|| (+) ||f_2||) for f into a two-part split."""
-    tr = trace_fn if trace_fn is not None else model.trace
-    failure = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, 74, trial])
+    def norm_blocks(rng):
         a, decomp = _sample_split(model, rng)
         f = model.sample_morphism(rng, a, decomp.whole)
         parts = [model.compose(model.projection(decomp, i), f) for i in range(2)]
         lhs = valuation_norm(model, f, Fraction(1), trace_fn)
         norms = [valuation_norm(model, p, Fraction(1), trace_fn) for p in parts]
-        rhs = tr(model.oplus(norms[0], norms[1]))
-        if not model.equal(lhs, rhs):
-            failure = {"f": serialize_morphism(f), "trial": trial}
-            break
-    return [_verdict("norm-block-decomposition",
-                     "||f|| = Tr(||f_1|| (+) ||f_2||)", failure)]
+        if not model.equal(lhs, tr(model.oplus(norms[0], norms[1])), tol):
+            return {"f": serialize_morphism(f)}
+        return None
+
+    return [
+        Check("diagonal-axiom", "Tr(h) = Tr(h_11) + Tr(h_22) for positive h",
+              PER_TRIAL, diagonal),
+        Check("diagonal-axiom-derived-sum",
+              "Tr(h) = Tr(h_11 + h_22) when both blocks share a type",
+              PER_TRIAL, diagonal_derived),
+        Check("trace-linearity", "Tr(h) + Tr(h') = Tr(h + h') on positive morphisms",
+              PER_TRIAL, linearity),
+        Check("sum-trace-vs-block-trace",
+              "Tr(h + h') = Tr(h (+) h') on positive morphisms",
+              PER_TRIAL, block_trace),
+        Check("norm-block-decomposition", "||f|| = Tr(||f_1|| (+) ||f_2||)",
+              PER_TRIAL, norm_blocks),
+    ]
 
 
-def check_theorem_equivalence(model, trials: int = 30,
-                              seed: int = 0) -> list[CheckResult]:
+def _run_legs(names, model, trials, seed, trace_fn, tolerance) -> list[CheckResult]:
+    runner = CheckRunner(trials, seed, tolerance)
+    return runner.run([c for c in leg_checks(model, runner.tol, trace_fn)
+                       if c.name in names])
+
+
+def check_diagonal_axiom(model, trials: int = 50, seed: int = 0, trace_fn=None,
+                         tolerance=None) -> list[CheckResult]:
+    """Tr(h) = Tr(h_11) + Tr(h_22) for positive h on a split object.
+
+    The sum on the right is the trace-of-block-sum scalar sum, which is what
+    the derived sum restricts to on positive scalars.
+    """
+    return _run_legs(("diagonal-axiom", "diagonal-axiom-derived-sum"),
+                     model, trials, seed, trace_fn, tolerance)
+
+
+def check_trace_linearity(model, trials: int = 50, seed: int = 0, trace_fn=None,
+                          tolerance=None) -> list[CheckResult]:
+    """Tr(h) + Tr(h') = Tr(h + h'), plus the block-sum route Tr(h (+) h')."""
+    return _run_legs(("trace-linearity", "sum-trace-vs-block-trace"),
+                     model, trials, seed, trace_fn, tolerance)
+
+
+def check_ortho_bornian(model, trials: int = 50, seed: int = 0, trace_fn=None,
+                        tolerance=None) -> list[CheckResult]:
+    """||f|| = Tr(||f_1|| (+) ||f_2||) for f into a two-part split."""
+    return _run_legs(("norm-block-decomposition",),
+                     model, trials, seed, trace_fn, tolerance)
+
+
+# the legs the equivalence theorem relates, by the key of its verdict vectors
+_EQUIVALENCE_LEGS = {"norm-block-decomposition": "norm_block_decomposition",
+                     "diagonal-axiom": "diagonal", "trace-linearity": "linearity"}
+
+
+def check_theorem_equivalence(model, trials: int = 30, seed: int = 0,
+                              tolerance=None) -> list[CheckResult]:
     """The three axiom legs must agree: all pass honestly, all fail corrupted.
 
     Runs the block-decomposition, diagonal and linearity legs twice, once
@@ -263,45 +259,23 @@ def check_theorem_equivalence(model, trials: int = 30,
     the verdict vectors are constant in each run.
     """
     def leg_verdicts(trace_fn) -> dict[str, bool]:
-        ob = check_ortho_bornian(model, trials, seed, trace_fn)
-        di = check_diagonal_axiom(model, trials, seed, trace_fn)
-        li = check_trace_linearity(model, trials, seed, trace_fn)
-        return {
-            "norm_block_decomposition": ob[0].status == "pass",
-            "diagonal": di[0].status == "pass",
-            "linearity": li[0].status == "pass",
-        }
+        results = _run_legs(_EQUIVALENCE_LEGS, model, trials, seed, trace_fn,
+                            tolerance)
+        return {_EQUIVALENCE_LEGS[r.check_name]: r.status == "pass"
+                for r in results}
 
     honest = leg_verdicts(None)
     corrupt = leg_verdicts(corrupted_trace(model))
-    results = []
-    if all(honest.values()):
-        results.append(CheckResult(
-            "axiom-legs-agree", "norm decomposition <=> diagonal + linearity",
-            "pass", {"verdicts": honest}))
-    else:
-        results.append(CheckResult(
-            "axiom-legs-agree", "norm decomposition <=> diagonal + linearity",
-            "fail", {"verdicts": honest}))
     # the equivalence must survive the corruption while the corruption must
     # visibly break the norm leg; over an idempotent semiring the linearity
     # leg can absorb an entry-dropping trace, the biconditional cannot
     biconditional = corrupt["norm_block_decomposition"] == (
         corrupt["diagonal"] and corrupt["linearity"])
-    if biconditional and not corrupt["norm_block_decomposition"]:
-        results.append(CheckResult(
-            "axiom-legs-agree-corrupted-control",
-            "the legs break consistently under an entry-dropping trace",
-            "expected-fail", {"verdicts": corrupt}))
-    else:
-        results.append(CheckResult(
-            "axiom-legs-agree-corrupted-control",
-            "the legs break consistently under an entry-dropping trace",
-            "fail", {"verdicts": corrupt}))
-    return results
-
-
-def _verdict(check_name: str, law: str, failure) -> CheckResult:
-    if failure is None:
-        return CheckResult(check_name, law, "pass", None)
-    return CheckResult(check_name, law, "fail", failure)
+    control_ok = biconditional and not corrupt["norm_block_decomposition"]
+    return [
+        CheckResult("axiom-legs-agree", "norm decomposition <=> diagonal + linearity",
+                    "pass" if all(honest.values()) else "fail", {"verdicts": honest}),
+        CheckResult("axiom-legs-agree-corrupted-control",
+                    "the legs break consistently under an entry-dropping trace",
+                    "expected-fail" if control_ok else "fail", {"verdicts": corrupt}),
+    ]

@@ -31,20 +31,12 @@ from .suites import SUITE_NAMES, run_suite
 NU_CHOICES = {"1": Fraction(1), "1/2": Fraction(1, 2), "2": Fraction(2)}
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SCCCKIT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="fdhilb",
                    help="fdhilb, rel, weights, or wproj:<base> (default fdhilb)")
     p.add_argument("--trials", type=int, default=100,
                    help="random trials per check (default 100)")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int, default=None,
                    help="base seed; defaults to $SCCCKIT_SEED or 0")
     p.add_argument("--tolerance", type=float, default=None,
                    help="relative tolerance for approximate equality")
@@ -84,9 +76,31 @@ def _parse_state(text: str) -> Morphism:
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad --state literal: {exc}")
     if column.shape != (2, 1):
-        raise ValueError("teleportation takes a two-level state, "
+        raise ValueError("--state: teleportation takes a two-level state, "
                          f"got {column.shape[0]} amplitude pairs")
+    if not np.all(np.isfinite(column)):
+        raise ValueError("--state: amplitudes must be finite")
+    if not np.any(column):
+        raise ValueError("--state: the zero vector is not a state")
     return Morphism(UNIT, Oplus(UNIT, UNIT), column, COMPLEX)
+
+
+def _checked_inputs(args):
+    """The seed, input state and model, or ValueError naming the bad input."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.max_dim < 1:
+        raise ValueError(f"--max-dim must be at least 1, got {args.max_dim}")
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("SCCCKIT_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"SCCCKIT_SEED must be an integer, got {raw!r}") from None
+    state = getattr(args, "state", None)
+    psi = _parse_state(state) if state is not None else None
+    return seed, psi, resolve_model(args.model)
 
 
 def _emit(report: VerificationReport, json_path: str | None) -> int:
@@ -103,7 +117,7 @@ def _emit(report: VerificationReport, json_path: str | None) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        model = resolve_model(args.model)
+        seed, psi, model = _checked_inputs(args)
     except ValueError as exc:
         print(f"sccckit: {exc}", file=sys.stderr)
         return 2
@@ -111,11 +125,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             report = run_suite(args.suite, model, trials=args.trials,
-                               seed=args.seed, tolerance=args.tolerance,
+                               seed=seed, tolerance=args.tolerance,
                                max_dim=args.max_dim, nu=NU_CHOICES[args.nu])
         else:
-            psi = _parse_state(args.state) if args.state is not None else None
-            report = run_teleportation(psi, model, seed=args.seed)
+            report = run_teleportation(psi, model, seed=seed)
     except ValueError as exc:
         print(f"sccckit: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (AbsorptionMismatch, InvariantViolation, NotProjector,
-                     TypeMismatch)
+from .errors import (AbsorptionMismatch, InvariantViolation, NotPhaseEquivalent,
+                     NotProjector, TypeMismatch)
 from .morphisms import (Morphism, compose, dagger, duals, equal, identity,
                         scalar_value, tensor)
 from .objects import ObjectExpr, Tensor, UNIT, dim, dual, format_object, normalize

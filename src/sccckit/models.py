@@ -28,7 +28,6 @@ class ModelHandle:
 
     name: str
     semiring: InvolutiveSemiring
-    has_biproducts: bool = True
 
     # -- constructors --------------------------------------------------------
 

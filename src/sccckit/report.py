@@ -3,16 +3,21 @@
 Reports serialize deterministically: same suite, model, seed, trials and
 tolerance must produce byte-identical JSON.  Witness morphisms are embedded
 as flat row-major lists of [re, im] pairs together with their end objects.
+
+Every suite runs its checks through ``CheckRunner``: a check is one row of a
+table, and the runner owns the random stream, the tolerance and the status.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, SccckitError
 from .objects import dim, format_object, parse_object
+from .semirings import REL_TOL
 
 STATUSES = ("pass", "fail", "expected-fail")
 
@@ -85,6 +90,91 @@ class VerificationReport:
         lines.append(f"  {c['pass']} pass, {c['fail']} fail, "
                      f"{c['expected-fail']} expected-fail")
         return "\n".join(lines) + "\n"
+
+
+PER_TRIAL, WHOLE, EXPECTED_FAIL = "per-trial", "whole", "expected-fail"
+
+# returned by a conditional check on a trial whose antecedent did not hold
+VACUOUS = "vacuous"
+
+
+class Held(NamedTuple):
+    """A passing outcome of a whole check that still carries a witness."""
+
+    witness: dict
+
+
+class Check(NamedTuple):
+    """One row of a check table.
+
+    ``fn(rng)`` returns None when the law held and a witness dict when it
+    failed; a whole check may return ``Held(witness)`` to pass with one.  A
+    conditional per-trial check returns VACUOUS on trials whose antecedent
+    did not hold and passes with the count of those where it did.  An
+    expected-fail check returns (violated, witness): the violation is the
+    healthy outcome.
+    """
+
+    name: str
+    law: str
+    kind: str
+    fn: Callable
+    conditional: bool = False
+
+
+class CheckRunner:
+    """Runs check tables under one seeding, tolerance and status policy.
+
+    Trial t of the check at position i of a table draws from the numpy
+    stream seeded with [seed, i, t], and a failure's witness records t, so
+    the report alone names everything needed to replay it.  A whole or
+    expected-fail check runs once, as trial 0.  A ``SccckitError`` raised by
+    any check is that check's failure.
+    """
+
+    def __init__(self, trials: int, seed: int, tolerance: float | None = None):
+        self.trials = trials
+        self.seed = seed
+        self.tol = REL_TOL if tolerance is None else tolerance
+
+    def run(self, checks) -> list[CheckResult]:
+        return [self._run(idx, check) for idx, check in enumerate(checks)]
+
+    def report(self, suite: str, model, results) -> VerificationReport:
+        return VerificationReport(suite=suite, model=model.name, seed=self.seed,
+                                  tolerance=self.tol, trials=self.trials,
+                                  results=results)
+
+    def _run(self, idx: int, check: Check) -> CheckResult:
+        name, law, kind, fn, conditional = check
+        held = 0
+        for trial in range(self.trials if kind == PER_TRIAL else 1):
+            rng = np.random.default_rng([self.seed, idx, trial])
+            try:
+                outcome = fn(rng)
+            except SccckitError as exc:
+                return _failed(name, law, {"error": str(exc)}, trial)
+            if kind == EXPECTED_FAIL:
+                violated, witness = outcome
+                if violated:
+                    return CheckResult(name, law, "expected-fail", witness)
+                witness = dict(witness or {})
+                witness.setdefault("note", "the law unexpectedly held")
+                return _failed(name, law, witness, trial)
+            if isinstance(outcome, Held):
+                return CheckResult(name, law, "pass", outcome.witness)
+            if outcome is VACUOUS:
+                continue
+            if outcome is not None:
+                return _failed(name, law, outcome, trial)
+            held += 1
+        return CheckResult(name, law, "pass",
+                           {"antecedent_pairs": held} if conditional else None)
+
+
+def _failed(name: str, law: str, witness: dict, trial: int) -> CheckResult:
+    witness.setdefault("trial", trial)
+    return CheckResult(name, law, "fail", witness)
 
 
 def from_json(text: str) -> VerificationReport:

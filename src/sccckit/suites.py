@@ -1,10 +1,11 @@
 """Randomized law suites over the concrete models.
 
-Each suite turns a family of categorical laws into seeded property checks
-against a model facade and folds the outcomes into a VerificationReport.
-Check order is load-bearing: the per-check random stream is seeded with
-(seed, check_index, trial), so inserting a check in the middle of a suite
-shifts every stream after it.
+Each suite turns a family of categorical laws into a table of seeded
+property checks against a model facade; ``report.CheckRunner`` runs the
+table and folds the outcomes into a VerificationReport.  Check order is
+load-bearing: the runner seeds each check's random stream with
+(seed, position in the table, trial), so inserting a check in the middle of
+a suite shifts every stream after it.
 """
 from __future__ import annotations
 
@@ -14,13 +15,13 @@ from functools import reduce
 import numpy as np
 
 from . import born, core, ortho
-from .errors import SccckitError
 from .models import ModelHandle, copairing, pairing, random_unitary
 from .morphisms import (compose, dagger, direct_sum, distance, equal,
                         identity, lower_star, morphism, scalar, scalar_value,
                         star, tensor)
 from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
-from .report import CheckResult, VerificationReport, serialize_morphism
+from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner,
+                     VerificationReport, serialize_morphism)
 from .semirings import COMPLEX
 from .wproj import (WProjModel, canonical_rep, check_prep_state, lift,
                     wcompose, wdagger, wequal, wtensor)
@@ -36,77 +37,25 @@ def run_suite(suite: str, model, trials: int = 100, seed: int = 0,
     if suite == "prep-state":
         return check_prep_state(model, trials=trials, seed=seed,
                                 tolerance=tolerance)
+    runner = CheckRunner(trials, seed, tolerance)
     if suite == "wproj":
-        w = model if isinstance(model, WProjModel) else WProjModel(model)
-        results = _wproj_results(w, trials, seed, tolerance, max_dim)
-        return _report(suite, w, seed, tolerance, trials, results)
-    if suite in ("sccc", "ortho"):
+        model = model if isinstance(model, WProjModel) else WProjModel(model)
+        results = runner.run(_wproj_checks(model, runner.tol, max_dim))
+    elif suite in ("sccc", "ortho"):
         if isinstance(model, WProjModel):
             raise ValueError(
                 f"the {suite} suite runs on plain matrix models; "
                 "use the wproj suite for the quotient")
-        fn = _sccc_results if suite == "sccc" else _ortho_results
-        results = fn(model, trials, seed, tolerance, max_dim)
-        return _report(suite, model, seed, tolerance, trials, results)
-    if suite == "born":
-        results = _born_results(model, trials, seed, tolerance, Fraction(nu))
-        return _report(suite, model, seed, tolerance, trials, results)
-    if suite == "equivalence":
+        table = _sccc_checks if suite == "sccc" else _ortho_checks
+        results = runner.run(table(model, runner.tol, max_dim))
+    elif suite == "born":
+        results = runner.run(_born_checks(model, runner.tol, Fraction(nu)))
+    elif suite == "equivalence":
         results = born.check_theorem_equivalence(model, trials=min(trials, 30),
-                                                 seed=seed)
-        return _report(suite, model, seed, tolerance, trials, results)
-    raise ValueError(f"unknown suite {suite!r}; choose one of {SUITE_NAMES}")
-
-
-def _report(suite, model, seed, tolerance, trials, results):
-    return VerificationReport(suite=suite, model=model.name, seed=seed,
-                              tolerance=tolerance, trials=trials,
-                              results=list(results))
-
-
-class _Recorder:
-    """Collects check results and hands out the per-check random streams."""
-
-    def __init__(self, trials: int, seed: int):
-        self.trials = trials
-        self.seed = seed
-        self.results: list[CheckResult] = []
-
-    def per_trial(self, name: str, law: str, fn, trials: int | None = None) -> None:
-        """fn(rng) -> witness dict on failure, None on success; first hit wins."""
-        idx = len(self.results)
-        failure = None
-        for t in range(trials if trials is not None else self.trials):
-            rng = np.random.default_rng([self.seed, idx, t])
-            try:
-                failure = fn(rng)
-            except SccckitError as exc:
-                failure = {"error": str(exc)}
-            if failure is not None:
-                failure.setdefault("trial", t)
-                break
-        status = "pass" if failure is None else "fail"
-        self.results.append(CheckResult(name, law, status, failure))
-
-    def whole(self, name: str, law: str, fn) -> None:
-        """fn(rng) runs once over a deterministic sweep."""
-        rng = np.random.default_rng([self.seed, len(self.results), 0])
-        try:
-            failure = fn(rng)
-        except SccckitError as exc:
-            failure = {"error": str(exc)}
-        self.results.append(CheckResult(
-            name, law, "pass" if failure is None else "fail", failure))
-
-    def expected_fail(self, name: str, law: str, fn) -> None:
-        """fn(rng) -> (violated, witness); violation is the healthy outcome."""
-        rng = np.random.default_rng([self.seed, len(self.results), 0])
-        violated, witness = fn(rng)
-        status = "expected-fail" if violated else "fail"
-        if not violated:
-            witness = dict(witness or {})
-            witness.setdefault("note", "the law unexpectedly held")
-        self.results.append(CheckResult(name, law, status, witness))
+                                                 seed=seed, tolerance=runner.tol)
+    else:
+        raise ValueError(f"unknown suite {suite!r}; choose one of {SUITE_NAMES}")
+    return runner.report(suite, model, results)
 
 
 def _gen(rng, label: str, hi: int) -> Gen:
@@ -142,9 +91,8 @@ def _obj_witness(a) -> dict:
 
 # -- the sccc suite ------------------------------------------------------------
 
-def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
+def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     s = model.semiring
-    rec = _Recorder(trials, seed)
     eq = lambda f, g: equal(f, g, rel=tol)
 
     def yanking(rng):
@@ -153,10 +101,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
                 return _obj_witness(a)
         return None
 
-    rec.whole("yanking",
-              "lam(dagger) o (eta*(dagger) (x) 1) o assoc o (1 (x) eta) o rho = 1",
-              yanking)
-
     def unit_coherence(rng):
         for a in _yanking_objects(max_dim):
             lhs = core.unit(dual(a), s)
@@ -164,8 +108,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             if not eq(lhs, rhs):
                 return _obj_witness(a)
         return None
-
-    rec.whole("unit-coherence", "eta_{A*} = swap o eta_A", unit_coherence)
 
     def isos_unitary(rng):
         a = _structured_object(rng, max_dim, "A")
@@ -180,16 +122,10 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
                 return {"iso": tag, "object": format_object(a)}
         return None
 
-    rec.per_trial("structural-isos-unitary",
-                  "lam, rho, alpha and sigma are unitary", isos_unitary)
-
     def name_unfoldings(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
         core.name(model.sample_morphism(rng, a, b))  # raises on disagreement
         return None
-
-    rec.per_trial("name-unfoldings-agree",
-                  "(1 (x) f) o eta_A = (f* (x) 1) o eta_B", name_unfoldings)
 
     def name_identity(rng):
         for d in range(1, max_dim + 1):
@@ -197,8 +133,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             if not eq(core.name(identity(a, s)), core.unit(a, s)):
                 return _obj_witness(a)
         return None
-
-    rec.whole("name-of-identity", "name(1_A) = eta_A", name_identity)
 
     def scalars(rng):
         return (model.sample_morphism(rng, UNIT, UNIT),
@@ -215,9 +149,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"distance": distance(lhs, rhs)}
         return None
 
-    rec.per_trial("scalar-through-compose",
-                  "(s . f) o (t . g) = (s o t) . (f o g)", scalar_compose)
-
     def scalar_tensor(rng):
         u, v = scalars(rng)
         f = model.sample_morphism(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
@@ -227,9 +158,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(lhs, rhs):
             return {"distance": distance(lhs, rhs)}
         return None
-
-    rec.per_trial("scalar-through-tensor",
-                  "(s . f) (x) (t . g) = (s o t) . (f (x) g)", scalar_tensor)
 
     def interchange(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
@@ -244,9 +172,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"distance": distance(lhs, rhs)}
         return None
 
-    rec.per_trial("tensor-interchange",
-                  "(f (x) g) o (h (x) k) = (f o h) (x) (g o k)", interchange)
-
     def dagger_laws(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
         f = model.sample_morphism(rng, a, b)
@@ -257,10 +182,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"law": "contravariance"}
         return None
 
-    rec.per_trial("dagger-involutive-contravariant",
-                  "f(dagger)(dagger) = f and (g o f)(dagger) = f(dagger) o g(dagger)",
-                  dagger_laws)
-
     def dagger_factors(rng):
         f = model.sample_morphism(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
         if not eq(dagger(f), star(lower_star(f))):
@@ -268,9 +189,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(dagger(f), lower_star(star(f))):
             return {"route": "lower_star o star"}
         return None
-
-    rec.per_trial("dagger-factorization",
-                  "f(dagger) = (f_*)* = (f*)_*", dagger_factors)
 
     def sigma_natural(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -283,16 +201,11 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"distance": distance(lhs, rhs)}
         return None
 
-    rec.per_trial("swap-naturality",
-                  "sigma o (f (x) g) = (g (x) f) o sigma", sigma_natural)
-
     def scalar_comm(rng):
         u, v = scalars(rng)
         if not eq(compose(u, v), compose(v, u)):
             return {"s": serialize_morphism(u), "t": serialize_morphism(v)}
         return None
-
-    rec.per_trial("scalar-commutativity", "s o t = t o s", scalar_comm)
 
     def hs_two_routes(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -304,18 +217,12 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"lhs": serialize_morphism(lhs), "rhs": serialize_morphism(rhs)}
         return None
 
-    rec.per_trial("inner-product-two-routes",
-                  "name(f)(dagger) o name(g) = Tr(f(dagger) o g)", hs_two_routes)
-
     def hs_norm_positive(rng):
         f = model.sample_morphism(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
         v = complex(scalar_value(core.hs_norm_sq(f)))
         if abs(v.imag) > 1e-9 or v.real < -1e-9:
             return {"value": v}
         return None
-
-    rec.per_trial("norm-scalar-positive",
-                  "||f|| is a nonnegative real scalar", hs_norm_positive)
 
     def hs_states(rng):
         a = _gen(rng, "A", 4)
@@ -325,9 +232,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"psi": serialize_morphism(psi)}
         return None
 
-    rec.per_trial("inner-product-on-states",
-                  "<psi|phi> = psi(dagger) o phi", hs_states)
-
     if s is COMPLEX:
         def double_phase(rng):
             f = model.sample_morphism(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
@@ -336,10 +240,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             if not eq(lhs, core.double(f)):
                 return {"unit": serialize_morphism(u)}
             return None
-
-        rec.per_trial("double-ignores-phase",
-                      "(u . f) (x) (u . f)(dagger) = f (x) f(dagger) for unit u",
-                      double_phase)
 
         def witnesses(rng):
             f = model.sample_morphism(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
@@ -352,19 +252,11 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
                 return {"s": serialize_morphism(sw), "t": serialize_morphism(tw)}
             return None
 
-        rec.per_trial("phase-witnesses",
-                      "equal doubles yield scalars with s . f = t . g and "
-                      "s o s(dagger) = t o t(dagger)", witnesses)
-
     def density(rng):
         psi = model.sample_state(rng, _gen(rng, "A", 4))
         if not core.state_density_identity_holds(psi, rel=tol):
             return {"psi": serialize_morphism(psi)}
         return None
-
-    rec.per_trial("state-density-identity",
-                  "psi o psi(dagger) = rho(dagger) o (psi (x) psi(dagger)) o lam",
-                  density)
 
     def born_loop(rng):
         parts = [_gen(rng, "A1", 2), _gen(rng, "A2", 2)]
@@ -378,17 +270,12 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"probability": scalar_value(prob)}
         return None
 
-    rec.per_trial("born-probability-loop",
-                  "psi(dagger) o P o psi = Tr(P o psi o psi(dagger))", born_loop)
-
     def trace_swap(rng):
         for d in range(1, min(3, max_dim) + 1):
             a = Gen("A", d)
             if not eq(core.partial_trace(core.sigma(a, a, s), a), identity(a, s)):
                 return _obj_witness(a)
         return None
-
-    rec.whole("partial-trace-of-swap", "Tr_A(sigma_{A,A}) = 1_A", trace_swap)
 
     def trace_dim(rng):
         for d in range(1, max_dim + 1):
@@ -399,9 +286,6 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             if not eq(core.trace(identity(a, s)), scalar(acc, s)):
                 return _obj_witness(a)
         return None
-
-    rec.whole("trace-counts-dimension",
-              "Tr(1_A) = 1 + ... + 1, dim(A) summands", trace_dim)
 
     def traced_factor(rng):
         a = _gen(rng, "A", 3)
@@ -414,19 +298,69 @@ def _sccc_results(model: ModelHandle, trials, seed, tol, max_dim):
             return _obj_witness(a)
         return None
 
-    rec.per_trial("partial-trace-splits-identity",
-                  "Tr_A(1_A (x) g) = dim(A) . g", traced_factor)
-
-    return rec.results
+    table = [
+        Check("yanking",
+              "lam(dagger) o (eta*(dagger) (x) 1) o assoc o (1 (x) eta) o rho = 1",
+              WHOLE, yanking),
+        Check("unit-coherence", "eta_{A*} = swap o eta_A", WHOLE, unit_coherence),
+        Check("structural-isos-unitary", "lam, rho, alpha and sigma are unitary",
+              PER_TRIAL, isos_unitary),
+        Check("name-unfoldings-agree", "(1 (x) f) o eta_A = (f* (x) 1) o eta_B",
+              PER_TRIAL, name_unfoldings),
+        Check("name-of-identity", "name(1_A) = eta_A", WHOLE, name_identity),
+        Check("scalar-through-compose", "(s . f) o (t . g) = (s o t) . (f o g)",
+              PER_TRIAL, scalar_compose),
+        Check("scalar-through-tensor", "(s . f) (x) (t . g) = (s o t) . (f (x) g)",
+              PER_TRIAL, scalar_tensor),
+        Check("tensor-interchange", "(f (x) g) o (h (x) k) = (f o h) (x) (g o k)",
+              PER_TRIAL, interchange),
+        Check("dagger-involutive-contravariant",
+              "f(dagger)(dagger) = f and (g o f)(dagger) = f(dagger) o g(dagger)",
+              PER_TRIAL, dagger_laws),
+        Check("dagger-factorization", "f(dagger) = (f_*)* = (f*)_*",
+              PER_TRIAL, dagger_factors),
+        Check("swap-naturality", "sigma o (f (x) g) = (g (x) f) o sigma",
+              PER_TRIAL, sigma_natural),
+        Check("scalar-commutativity", "s o t = t o s", PER_TRIAL, scalar_comm),
+        Check("inner-product-two-routes",
+              "name(f)(dagger) o name(g) = Tr(f(dagger) o g)",
+              PER_TRIAL, hs_two_routes),
+        Check("norm-scalar-positive", "||f|| is a nonnegative real scalar",
+              PER_TRIAL, hs_norm_positive),
+        Check("inner-product-on-states", "<psi|phi> = psi(dagger) o phi",
+              PER_TRIAL, hs_states),
+    ]
+    if s is COMPLEX:
+        table += [
+            Check("double-ignores-phase",
+                  "(u . f) (x) (u . f)(dagger) = f (x) f(dagger) for unit u",
+                  PER_TRIAL, double_phase),
+            Check("phase-witnesses",
+                  "equal doubles yield scalars with s . f = t . g and "
+                  "s o s(dagger) = t o t(dagger)", PER_TRIAL, witnesses),
+        ]
+    table += [
+        Check("state-density-identity",
+              "psi o psi(dagger) = rho(dagger) o (psi (x) psi(dagger)) o lam",
+              PER_TRIAL, density),
+        Check("born-probability-loop",
+              "psi(dagger) o P o psi = Tr(P o psi o psi(dagger))",
+              PER_TRIAL, born_loop),
+        Check("partial-trace-of-swap", "Tr_A(sigma_{A,A}) = 1_A", WHOLE, trace_swap),
+        Check("trace-counts-dimension", "Tr(1_A) = 1 + ... + 1, dim(A) summands",
+              WHOLE, trace_dim),
+        Check("partial-trace-splits-identity", "Tr_A(1_A (x) g) = dim(A) . g",
+              PER_TRIAL, traced_factor),
+    ]
+    return table
 
 
 # -- the wproj suite -----------------------------------------------------------
 
-def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
+def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
     base = w.base
     s = base.semiring
     boolean = s.dtype == np.bool_
-    rec = _Recorder(trials, seed)
 
     def sample(rng, a=None, b=None):
         a = a if a is not None else _gen(rng, "A", 3)
@@ -456,10 +390,6 @@ def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
                 return {"pair": "weight-doubled", "note": "classes collapsed"}
         return None
 
-    rec.per_trial("equality-criteria-agree",
-                  "doubled forms, f (x) f_* and the name projectors give one "
-                  "verdict", criteria)
-
     def compose_functorial(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
         f = sample(rng, a, b)
@@ -471,9 +401,6 @@ def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
             return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
         return None
 
-    rec.per_trial("quotient-respects-compose",
-                  "[g] o [f] = [g o f] whatever the representatives", compose_functorial)
-
     def tensor_functorial(rng):
         f, g = sample(rng), sample(rng, _gen(rng, "C", 3), _gen(rng, "D", 3))
         u = base.sample_unit_scalar(rng)
@@ -483,18 +410,11 @@ def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
             return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
         return None
 
-    rec.per_trial("quotient-respects-tensor",
-                  "[f] (x) [g] = [f (x) g] whatever the representatives",
-                  tensor_functorial)
-
     def dagger_involution(rng):
         fw = lift(sample(rng))
         if not wequal(wdagger(wdagger(fw)), fw, tol).equal:
             return {"f": serialize_morphism(fw)}
         return None
-
-    rec.per_trial("quotient-dagger-involutive",
-                  "[f](dagger)(dagger) = [f]", dagger_involution)
 
     def lifted_yanking(rng):
         for d in range(1, min(4, max_dim) + 1):
@@ -509,9 +429,6 @@ def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
                 return _obj_witness(a)
         return None
 
-    rec.whole("quotient-yanking",
-              "the yanking composite is the identity class", lifted_yanking)
-
     def interchange(rng):
         a, b, c = _gen(rng, "A", 2), _gen(rng, "B", 2), _gen(rng, "C", 2)
         d, e, x = _gen(rng, "D", 2), _gen(rng, "E", 2), _gen(rng, "F", 2)
@@ -525,10 +442,6 @@ def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
             return {"distance": distance(lhs.rep, rhs.rep)}
         return None
 
-    rec.per_trial("quotient-interchange",
-                  "([f] (x) [g]) o ([h] (x) [k]) = ([f] o [h]) (x) ([g] o [k])",
-                  interchange)
-
     def canon_idempotent(rng):
         f = sample(rng)
         c1 = canonical_rep(f)
@@ -536,20 +449,13 @@ def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
             return {"f": serialize_morphism(f)}
         return None
 
-    rec.per_trial("canonical-representative-idempotent",
-                  "canonicalizing twice changes nothing", canon_idempotent)
-
     def canon_phase(rng):
         f = sample(rng)
         u = base.sample_unit_scalar(rng)
         if not equal(canonical_rep(core.scalar_mult(u, f)), canonical_rep(f),
-                     rel=max(tol or 0.0, 1e-9)):
+                     rel=max(tol, 1e-9)):
             return {"unit": serialize_morphism(u)}
         return None
-
-    rec.per_trial("canonical-representative-phase-free",
-                  "every representative of a class canonicalizes the same way",
-                  canon_phase)
 
     def canon_in_class(rng):
         f = sample(rng)
@@ -557,19 +463,12 @@ def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
             return {"f": serialize_morphism(f)}
         return None
 
-    rec.per_trial("canonical-representative-in-class",
-                  "[canonical(f)] = [f]", canon_in_class)
-
     def doubled_scalar(rng):
         c = base.sample_morphism(rng, UNIT, UNIT)
         v = w.scalar_value(lift(c))
         if float(v) < -1e-9:
             return {"value": float(v)}
         return None
-
-    rec.per_trial("quotient-scalars-nonnegative",
-                  "a quotient scalar is c o c(dagger), a nonnegative real",
-                  doubled_scalar)
 
     if not boolean:
         def separates(rng):
@@ -584,18 +483,45 @@ def _wproj_results(w: WProjModel, trials, seed, tol, max_dim):
                 return {"note": "phases were separated"}
             return None
 
-        rec.per_trial("quotient-separates-weight-from-phase",
-                      "scaling by 2 leaves the class, a unit phase does not",
-                      separates)
-
-    return rec.results
+    table = [
+        Check("equality-criteria-agree",
+              "doubled forms, f (x) f_* and the name projectors give one verdict",
+              PER_TRIAL, criteria),
+        Check("quotient-respects-compose",
+              "[g] o [f] = [g o f] whatever the representatives",
+              PER_TRIAL, compose_functorial),
+        Check("quotient-respects-tensor",
+              "[f] (x) [g] = [f (x) g] whatever the representatives",
+              PER_TRIAL, tensor_functorial),
+        Check("quotient-dagger-involutive", "[f](dagger)(dagger) = [f]",
+              PER_TRIAL, dagger_involution),
+        Check("quotient-yanking", "the yanking composite is the identity class",
+              WHOLE, lifted_yanking),
+        Check("quotient-interchange",
+              "([f] (x) [g]) o ([h] (x) [k]) = ([f] o [h]) (x) ([g] o [k])",
+              PER_TRIAL, interchange),
+        Check("canonical-representative-idempotent",
+              "canonicalizing twice changes nothing", PER_TRIAL, canon_idempotent),
+        Check("canonical-representative-phase-free",
+              "every representative of a class canonicalizes the same way",
+              PER_TRIAL, canon_phase),
+        Check("canonical-representative-in-class", "[canonical(f)] = [f]",
+              PER_TRIAL, canon_in_class),
+        Check("quotient-scalars-nonnegative",
+              "a quotient scalar is c o c(dagger), a nonnegative real",
+              PER_TRIAL, doubled_scalar),
+    ]
+    if not boolean:
+        table.append(Check("quotient-separates-weight-from-phase",
+                           "scaling by 2 leaves the class, a unit phase does not",
+                           PER_TRIAL, separates))
+    return table
 
 
 # -- the ortho suite -----------------------------------------------------------
 
-def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
+def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     s = model.semiring
-    rec = _Recorder(trials, seed)
     eq = lambda f, g: equal(f, g, rel=tol)
 
     def zero_diagram(rng):
@@ -606,9 +532,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
                 if z.array.shape != (db, da) or np.count_nonzero(z.array) != 0:
                     return {"object": f"{format_object(a)} -> {format_object(b)}"}
         return None
-
-    rec.whole("zero-through-zero-object",
-              "the composite through 0 is the zero matrix, exactly", zero_diagram)
 
     def annihilation(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
@@ -621,17 +544,12 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"side": "pre"}
         return None
 
-    rec.per_trial("zero-annihilates", "f o 0 = 0 and 0 o f = 0", annihilation)
-
     def oplus_dagger(rng):
         f = model.sample_morphism(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
         g = model.sample_morphism(rng, _gen(rng, "C", 3), _gen(rng, "D", 3))
         if not eq(dagger(direct_sum(f, g)), direct_sum(dagger(f), dagger(g))):
             return {"f": serialize_morphism(f)}
         return None
-
-    rec.per_trial("block-sum-commutes-with-dagger",
-                  "(f (+) g)(dagger) = f(dagger) (+) g(dagger)", oplus_dagger)
 
     def oplus_functorial(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
@@ -642,9 +560,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(lhs, direct_sum(compose(f, h), compose(g, k))):
             return {"distance": distance(lhs, direct_sum(compose(f, h), compose(g, k)))}
         return None
-
-    rec.per_trial("block-sum-functorial",
-                  "(f (+) g) o (h (+) k) = (f o h) (+) (g o k)", oplus_functorial)
 
     def oplus_isos(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
@@ -659,9 +574,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
                 return {"iso": tag}
         return None
 
-    rec.per_trial("additive-isos-unitary",
-                  "unitors, symmetry, associator and DIST are unitary", oplus_isos)
-
     def dist_natural(rng):
         a, b, c = _gen(rng, "A", 2), _gen(rng, "B", 2), _gen(rng, "C", 2)
         a2, b2, c2 = _gen(rng, "A2", 2), _gen(rng, "B2", 2), _gen(rng, "C2", 2)
@@ -675,10 +587,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(lhs, rhs):
             return {"distance": distance(lhs, rhs)}
         return None
-
-    rec.per_trial("distributivity-natural",
-                  "DIST o (h (x) (f (+) g)) = ((h (x) f) (+) (h (x) g)) o DIST",
-                  dist_natural)
 
     def _decomp(rng, n):
         return ortho.OplusDecomposition.from_parts(
@@ -696,9 +604,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
                     return {"i": i, "j": j}
         return None
 
-    rec.per_trial("pseudo-maps-orthonormal",
-                  "p_i o q_i = 1 and p_i o q_j = 0 for i /= j", pseudo_orthogonality)
-
     def pseudo_dagger(rng):
         decomp = _decomp(rng, int(rng.integers(2, 4)))
         for i in range(len(decomp)):
@@ -706,10 +611,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
                       ortho.pseudo_projection(decomp, i, s)):
                 return {"i": i}
         return None
-
-    rec.per_trial("pseudo-injection-adjoint",
-                  "q_i(dagger) = p_i even though both are built separately",
-                  pseudo_dagger)
 
     def pseudo_symmetry(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -721,9 +622,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(lhs, rhs):
             return {"a": format_object(a), "b": format_object(b)}
         return None
-
-    rec.per_trial("pseudo-projection-swaps",
-                  "p over A equals p after the block swap", pseudo_symmetry)
 
     def pseudo_natural(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -737,9 +635,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(lhs, rhs):
             return {"distance": distance(lhs, rhs)}
         return None
-
-    rec.per_trial("pseudo-projection-natural",
-                  "p o (f (+) g) = f o p", pseudo_natural)
 
     def pseudo_assoc(rng):
         a, b, c = _gen(rng, "A", 2), _gen(rng, "B", 2), _gen(rng, "C", 2)
@@ -759,10 +654,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(lhs2, rhs2):
             return {"law": "p o p = p o assoc(dagger)"}
         return None
-
-    rec.per_trial("pseudo-projection-reassociates",
-                  "nested projections agree across the additive associator",
-                  pseudo_assoc)
 
     if s is COMPLEX:
         def components(rng):
@@ -792,10 +683,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
                         return {"kind": "normal", "i": i, "j": j}
             return None
 
-        rec.per_trial("unitary-components-orthonormal",
-                      "p_i o U conormalized and coorthogonal; U o q_i "
-                      "normalized and orthogonal", components)
-
     def reassembly(rng):
         dom = _decomp(rng, 2)
         cod = _decomp(rng, 2)
@@ -811,9 +698,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"distance": distance(total, f)}
         return None
 
-    rec.per_trial("blocks-reassemble",
-                  "summing q_j o f_ij o p_i over all blocks returns f", reassembly)
-
     def entrywise(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
         f = model.sample_morphism(rng, a, b)
@@ -825,10 +709,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
             return {"distance": distance(got, morphism(a, b, want_arr, s))}
         return None
 
-    rec.per_trial("derived-sum-is-entrywise",
-                  "the composite through 2 = I (+) I adds matrices entrywise",
-                  entrywise)
-
     def biproduct_route(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
         f = model.sample_morphism(rng, a, b)
@@ -839,10 +719,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(ortho.derived_sum(f, g), via_biproduct):
             return {"distance": distance(ortho.derived_sum(f, g), via_biproduct)}
         return None
-
-    rec.per_trial("derived-sum-matches-biproduct-sum",
-                  "the unit-object route agrees with codiagonal o (f (+) g) o "
-                  "diagonal", biproduct_route)
 
     def cmon(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -857,10 +733,6 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
         if not eq(ortho.derived_sum(f, ortho.zero_morphism(a, b, s)), f):
             return {"law": "unit"}
         return None
-
-    rec.per_trial("derived-sum-commutative-monoid",
-                  "the derived sum is associative and commutative with unit 0",
-                  cmon)
 
     if s is COMPLEX:
         def no_go(rng):
@@ -877,19 +749,63 @@ def _ortho_results(model: ModelHandle, trials, seed, tol, max_dim):
                                    "oplus_gap": cold["oplus_gap"]}}
             return violated, witness
 
-        rec.expected_fail("block-sum-on-phase-classes",
-                          "extending (+) to phase classes of morphisms is "
-                          "inconsistent", no_go)
-
-    return rec.results
+    table = [
+        Check("zero-through-zero-object",
+              "the composite through 0 is the zero matrix, exactly",
+              WHOLE, zero_diagram),
+        Check("zero-annihilates", "f o 0 = 0 and 0 o f = 0", PER_TRIAL, annihilation),
+        Check("block-sum-commutes-with-dagger",
+              "(f (+) g)(dagger) = f(dagger) (+) g(dagger)", PER_TRIAL, oplus_dagger),
+        Check("block-sum-functorial", "(f (+) g) o (h (+) k) = (f o h) (+) (g o k)",
+              PER_TRIAL, oplus_functorial),
+        Check("additive-isos-unitary",
+              "unitors, symmetry, associator and DIST are unitary",
+              PER_TRIAL, oplus_isos),
+        Check("distributivity-natural",
+              "DIST o (h (x) (f (+) g)) = ((h (x) f) (+) (h (x) g)) o DIST",
+              PER_TRIAL, dist_natural),
+        Check("pseudo-maps-orthonormal", "p_i o q_i = 1 and p_i o q_j = 0 for i /= j",
+              PER_TRIAL, pseudo_orthogonality),
+        Check("pseudo-injection-adjoint",
+              "q_i(dagger) = p_i even though both are built separately",
+              PER_TRIAL, pseudo_dagger),
+        Check("pseudo-projection-swaps", "p over A equals p after the block swap",
+              PER_TRIAL, pseudo_symmetry),
+        Check("pseudo-projection-natural", "p o (f (+) g) = f o p",
+              PER_TRIAL, pseudo_natural),
+        Check("pseudo-projection-reassociates",
+              "nested projections agree across the additive associator",
+              PER_TRIAL, pseudo_assoc),
+    ]
+    if s is COMPLEX:
+        table.append(Check("unitary-components-orthonormal",
+                           "p_i o U conormalized and coorthogonal; U o q_i "
+                           "normalized and orthogonal", PER_TRIAL, components))
+    table += [
+        Check("blocks-reassemble", "summing q_j o f_ij o p_i over all blocks returns f",
+              PER_TRIAL, reassembly),
+        Check("derived-sum-is-entrywise",
+              "the composite through 2 = I (+) I adds matrices entrywise",
+              PER_TRIAL, entrywise),
+        Check("derived-sum-matches-biproduct-sum",
+              "the unit-object route agrees with codiagonal o (f (+) g) o diagonal",
+              PER_TRIAL, biproduct_route),
+        Check("derived-sum-commutative-monoid",
+              "the derived sum is associative and commutative with unit 0",
+              PER_TRIAL, cmon),
+    ]
+    if s is COMPLEX:
+        table.append(Check("block-sum-on-phase-classes",
+                           "extending (+) to phase classes of morphisms is "
+                           "inconsistent", EXPECTED_FAIL, no_go))
+    return table
 
 
 # -- the born suite ------------------------------------------------------------
 
-def _born_results(model, trials, seed, tol, nu: Fraction):
+def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     boolean = model.semiring.dtype == np.bool_
     quotient = isinstance(model, WProjModel)
-    rec = _Recorder(trials, seed)
     zeta = Fraction(1, 2) / nu
 
     def sample(rng, a=None, b=None):
@@ -906,23 +822,16 @@ def _born_results(model, trials, seed, tol, nu: Fraction):
     def binary(rng):
         a, decomp = born._sample_split(model, rng, 2)
         f = model.sample_morphism(rng, a, decomp.whole)
-        if not born.check_born_decomposition(model, f, decomp, nu):
+        if not born.check_born_decomposition(model, f, decomp, nu, tolerance=tol):
             return {"f": serialize_morphism(f)}
         return None
-
-    rec.per_trial("valuation-splits-binary",
-                  "|f| = |f_1| + |f_2| against a two-block codomain", binary)
 
     def ternary(rng):
         a, decomp = born._sample_split(model, rng, 3)
         f = model.sample_morphism(rng, a, decomp.whole)
-        if not born.check_born_decomposition(model, f, decomp, nu):
+        if not born.check_born_decomposition(model, f, decomp, nu, tolerance=tol):
             return {"f": serialize_morphism(f)}
         return None
-
-    rec.per_trial("valuation-splits-ternary",
-                  "|f| = |f_1| + |f_2| + |f_3| by folding the binary rule",
-                  ternary)
 
     def dagger_invariant(rng):
         f = sample(rng)
@@ -930,17 +839,12 @@ def _born_results(model, trials, seed, tol, nu: Fraction):
             return {"f": serialize_morphism(f)}
         return None
 
-    rec.per_trial("valuation-fixed-by-dagger", "|f(dagger)| = |f|",
-                  dagger_invariant)
-
     def zero_val(rng):
         a, b = Gen("A", int(rng.integers(1, 4))), Gen("B", int(rng.integers(1, 4)))
         z = model.zero(a, b)
         if not meq(val(z), model.scalar(0)):
             return {"value": model.scalar_value(val(z))}
         return None
-
-    rec.per_trial("valuation-kills-zero", "|0| = 0", zero_val)
 
     def oplus_additive(rng):
         f, g = sample(rng), sample(rng, Gen("C", int(rng.integers(1, 4))),
@@ -950,9 +854,6 @@ def _born_results(model, trials, seed, tol, nu: Fraction):
         if not meq(lhs, rhs):
             return {"lhs": model.scalar_value(lhs), "rhs": model.scalar_value(rhs)}
         return None
-
-    rec.per_trial("valuation-additive-on-blocks",
-                  "|f (+) g| = |f| + |g|", oplus_additive)
 
     def assoc(rng):
         vals = [val(sample(rng)) for _ in range(3)]
@@ -964,16 +865,12 @@ def _born_results(model, trials, seed, tol, nu: Fraction):
             return {"lhs": model.scalar_value(lhs), "rhs": model.scalar_value(rhs)}
         return None
 
-    rec.per_trial("scalar-sum-associative", "(s + t) + u = s + (t + u)", assoc)
-
     def comm(rng):
         sv, tv = val(sample(rng)), val(sample(rng))
         if not meq(born.scalar_sum(model, sv, tv, nu),
                            born.scalar_sum(model, tv, sv, nu)):
             return {"s": model.scalar_value(sv), "t": model.scalar_value(tv)}
         return None
-
-    rec.per_trial("scalar-sum-commutative", "s + t = t + s", comm)
 
     def distributive(rng):
         c = val(model.sample_morphism(rng, UNIT, UNIT))
@@ -985,18 +882,12 @@ def _born_results(model, trials, seed, tol, nu: Fraction):
             return {"lhs": model.scalar_value(lhs), "rhs": model.scalar_value(rhs)}
         return None
 
-    rec.per_trial("scalar-sum-distributive",
-                  "|c| o (s + t) = (|c| o s) + (|c| o t)", distributive)
-
     def zeta_roundtrip(rng):
         sv = val(sample(rng))
         root = model.scalar_power(sv, zeta)
         if not meq(val(root), sv):
             return {"s": model.scalar_value(sv)}
         return None
-
-    rec.per_trial("valuation-root-roundtrip",
-                  "|s^zeta| = s for zeta = 1/(2 nu)", zeta_roundtrip)
 
     def oplus_route(rng):
         sv, tv = val(sample(rng)), val(sample(rng))
@@ -1007,13 +898,6 @@ def _born_results(model, trials, seed, tol, nu: Fraction):
             return {"sum": model.scalar_value(via_sum),
                     "valuation": model.scalar_value(via_val)}
         return None
-
-    rec.per_trial("scalar-sum-as-block-valuation",
-                  "s + t = |s^zeta (+) t^zeta|", oplus_route)
-
-    rec.results.extend(born.check_diagonal_axiom(model, trials=trials, seed=seed))
-    rec.results.extend(born.check_trace_linearity(model, trials=trials, seed=seed))
-    rec.results.extend(born.check_ortho_bornian(model, trials=trials, seed=seed))
 
     def two(rng):
         one = model.scalar(1)
@@ -1028,10 +912,6 @@ def _born_results(model, trials, seed, tol, nu: Fraction):
             return {"got": [got.real, got.imag], "want": want}
         return None
 
-    rec.whole("one-plus-one",
-              "1 + 1 = (Tr(1^(1/nu) (+) 1^(1/nu)))^nu lands on the model's 2",
-              two)
-
     def sqrt_decomposition(rng):
         f = sample(rng)
         norm = model.norm_sq(f)
@@ -1040,8 +920,30 @@ def _born_results(model, trials, seed, tol, nu: Fraction):
             return {"norm": model.scalar_value(norm)}
         return None
 
-    rec.per_trial("norm-scalar-has-positive-root",
-                  "||f|| = x o x(dagger) for the nonnegative root x",
-                  sqrt_decomposition)
-
-    return rec.results
+    return [
+        Check("valuation-splits-binary",
+              "|f| = |f_1| + |f_2| against a two-block codomain", PER_TRIAL, binary),
+        Check("valuation-splits-ternary",
+              "|f| = |f_1| + |f_2| + |f_3| by folding the binary rule",
+              PER_TRIAL, ternary),
+        Check("valuation-fixed-by-dagger", "|f(dagger)| = |f|",
+              PER_TRIAL, dagger_invariant),
+        Check("valuation-kills-zero", "|0| = 0", PER_TRIAL, zero_val),
+        Check("valuation-additive-on-blocks", "|f (+) g| = |f| + |g|",
+              PER_TRIAL, oplus_additive),
+        Check("scalar-sum-associative", "(s + t) + u = s + (t + u)", PER_TRIAL, assoc),
+        Check("scalar-sum-commutative", "s + t = t + s", PER_TRIAL, comm),
+        Check("scalar-sum-distributive", "|c| o (s + t) = (|c| o s) + (|c| o t)",
+              PER_TRIAL, distributive),
+        Check("valuation-root-roundtrip", "|s^zeta| = s for zeta = 1/(2 nu)",
+              PER_TRIAL, zeta_roundtrip),
+        Check("scalar-sum-as-block-valuation", "s + t = |s^zeta (+) t^zeta|",
+              PER_TRIAL, oplus_route),
+        *born.leg_checks(model, tol),
+        Check("one-plus-one",
+              "1 + 1 = (Tr(1^(1/nu) (+) 1^(1/nu)))^nu lands on the model's 2",
+              WHOLE, two),
+        Check("norm-scalar-has-positive-root",
+              "||f|| = x o x(dagger) for the nonnegative root x",
+              PER_TRIAL, sqrt_decomposition),
+    ]

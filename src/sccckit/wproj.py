@@ -9,6 +9,7 @@ once and the answers must agree or we refuse to answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -18,7 +19,9 @@ from .models import ModelHandle
 from .morphisms import (Morphism, compose, dagger, direct_sum, equal,
                         identity, lower_star, scalar, scalar_value, tensor,
                         zeros)
-from .objects import ObjectExpr, UNIT
+from .objects import Gen, ObjectExpr, UNIT
+from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
+                     CheckRunner, Held, VerificationReport, serialize_morphism)
 from .semirings import COMPLEX
 
 
@@ -144,8 +147,6 @@ class WProjModel:
     representative, the square root of the value.
     """
 
-    has_biproducts = False
-
     def __init__(self, base: ModelHandle):
         self.base = base
         self.name = f"wproj:{base.name}"
@@ -240,7 +241,7 @@ class WProjModel:
 
 
 def check_prep_state(model, trials: int = 100, seed: int = 0,
-                     tolerance: float | None = None):
+                     tolerance: float | None = None) -> VerificationReport:
     """Test whether equal doubled forms force equal morphisms, three ways.
 
     Over complex matrices the answer is no (any nontrivial phase is a
@@ -248,88 +249,65 @@ def check_prep_state(model, trials: int = 100, seed: int = 0,
     quotient the implication must hold.  Phase-free models are checked both
     on random samples and, at small dimensions, by exhaustive enumeration.
     """
-    from .report import CheckResult, VerificationReport, serialize_morphism
-    from .objects import Gen
-
-    results: list[CheckResult] = []
-    is_quotient = isinstance(model, WProjModel)
-    is_complex_plain = (not is_quotient) and model.semiring is COMPLEX
-
-    def rep_of(x):
-        return x.rep if isinstance(x, WMorphism) else x
-
-    def witness_pair(f, g, extra=None):
-        w = {"f": serialize_morphism(rep_of(f)), "g": serialize_morphism(rep_of(g))}
-        if extra:
-            w.update(extra)
-        return w
-
+    runner = CheckRunner(trials, seed, tolerance)
+    tol = runner.tol
+    quotient = isinstance(model, WProjModel)
     a = Gen("A", 2)
-    formulations = [
-        ("doubles-determine-morphisms",
-         "f(x)f(dagger) = g(x)g(dagger)  =>  f = g",
-         lambda m, f, g: (m.equal(m.tensor(f, m.dagger(f)), m.tensor(g, m.dagger(g))),
-                          m.equal(f, g))),
-        ("projectors-determine-names",
-         "P_f = P_g  =>  name(f) = name(g)",
-         lambda m, f, g: (_projector_equal(m, f, g), _name_equal(m, f, g))),
-        ("densities-determine-states",
-         "psi o psi(dagger) = phi o phi(dagger)  =>  psi = phi",
-         lambda m, f, g: (m.equal(m.compose(f, m.dagger(f)), m.compose(g, m.dagger(g))),
-                          m.equal(f, g))),
-    ]
 
-    for check_idx, (check_name, law, run) in enumerate(formulations):
-        states_only = check_name == "densities-determine-states"
-        violation = None
-        held = 0
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, check_idx, trial])
-            f = (model.sample_state(rng, a) if states_only
-                 else model.sample_morphism(rng, a, a))
-            u = model.sample_unit_scalar(rng)
-            g = _scale(model, u, f)
-            antecedent, consequent = run(model, f, g)
-            if not antecedent:
-                continue
-            held += 1
-            if not consequent:
-                violation = witness_pair(f, g)
-                break
-        if is_complex_plain:
+    def eq(x, y) -> bool:
+        return model.equal(x, y, tol)
+
+    def via_rep(build, f):
+        return model.lift(build(_rep(f)))
+
+    def scaled(u, f):
+        return model.lift(core.scalar_mult(_rep(u), _rep(f)))
+
+    def pair(f, g, **extra) -> dict:
+        return {"f": serialize_morphism(f), "g": serialize_morphism(g), **extra}
+
+    def entry(name, law, dom, implication) -> Check:
+        """implication(f, g) -> (antecedent, consequent) for f, g: dom -> A."""
+        if not quotient and model.semiring is COMPLEX:
             # the axiom must be violated here; exhibit the canonical witness
-            f = model.morphism(UNIT if states_only else a,
-                               a, _unit_witness_array(states_only))
-            g = _scale(model, model.scalar(1j), f)
-            antecedent, consequent = run(model, f, g)
-            if antecedent and not consequent:
-                results.append(CheckResult(
-                    check_name, law, "expected-fail",
-                    witness_pair(f, g, {"phase": "i"})))
-            else:
-                results.append(CheckResult(
-                    check_name, law, "fail",
-                    witness_pair(f, g, {"note": "axiom unexpectedly held"})))
-        elif violation is not None:
-            results.append(CheckResult(check_name, law, "fail", violation))
-        else:
-            results.append(CheckResult(
-                check_name, law, "pass", {"antecedent_pairs": held}))
+            def phase_counterexample(rng):
+                f = model.morphism(dom, a, _unit_witness_array(dom == UNIT))
+                g = scaled(model.scalar(1j), f)
+                antecedent, consequent = implication(f, g)
+                return antecedent and not consequent, pair(f, g, phase="i")
 
-    if (not is_quotient) and model.semiring is not COMPLEX:
-        results.append(_grid_check(model))
+            return Check(name, law, EXPECTED_FAIL, phase_counterexample)
 
-    return VerificationReport(
-        suite="prep-state", model=model.name, seed=seed,
-        tolerance=tolerance if tolerance is not None else 1e-9,
-        trials=trials, results=results)
+        def sampled(rng):
+            f = model.sample_morphism(rng, dom, a)
+            g = scaled(model.sample_unit_scalar(rng), f)
+            antecedent, consequent = implication(f, g)
+            if not antecedent:
+                return VACUOUS
+            return None if consequent else pair(f, g)
 
+        return Check(name, law, PER_TRIAL, sampled, conditional=True)
 
-def _scale(model, u, f):
-    """u-scaled f inside whatever model we were handed."""
-    if isinstance(f, WMorphism):
-        return lift(core.scalar_mult(u.rep, f.rep))
-    return core.scalar_mult(u, f)
+    checks = [
+        entry("doubles-determine-morphisms",
+              "f(x)f(dagger) = g(x)g(dagger)  =>  f = g", a,
+              lambda f, g: (eq(model.tensor(f, model.dagger(f)),
+                               model.tensor(g, model.dagger(g))), eq(f, g))),
+        entry("projectors-determine-names",
+              "P_f = P_g  =>  name(f) = name(g)", a,
+              lambda f, g: (eq(via_rep(core.bipartite_projector, f),
+                               via_rep(core.bipartite_projector, g)),
+                            eq(via_rep(core.name, f), via_rep(core.name, g)))),
+        entry("densities-determine-states",
+              "psi o psi(dagger) = phi o phi(dagger)  =>  psi = phi", UNIT,
+              lambda f, g: (eq(model.compose(f, model.dagger(f)),
+                               model.compose(g, model.dagger(g))), eq(f, g))),
+    ]
+    if not quotient and model.semiring is not COMPLEX:
+        checks.append(Check("doubles-determine-morphisms-exhaustive",
+                            "f(x)f(dagger) = g(x)g(dagger)  =>  f = g  (grid)",
+                            WHOLE, lambda rng: _grid_check(model, tol)))
+    return runner.report("prep-state", model, runner.run(checks))
 
 
 def _unit_witness_array(states_only: bool):
@@ -338,34 +316,16 @@ def _unit_witness_array(states_only: bool):
     return np.array([[1.0, 2.0], [3.0, 4.0]])
 
 
-def _projector_equal(m, f, g) -> bool:
-    pf, pg = core.bipartite_projector(_rep(f)), core.bipartite_projector(_rep(g))
-    if isinstance(f, WMorphism):
-        return m.equal(lift(pf), lift(pg))
-    return m.equal(pf, pg)
-
-
-def _name_equal(m, f, g) -> bool:
-    nf, ng = core.name(_rep(f)), core.name(_rep(g))
-    if isinstance(f, WMorphism):
-        return m.equal(lift(nf), lift(ng))
-    return m.equal(nf, ng)
-
-
 def _rep(x) -> Morphism:
     return x.rep if isinstance(x, WMorphism) else x
 
 
-def _grid_check(model):
+def _grid_check(model, tol):
     """Exhaustively confirm the implication on small matrices.
 
     Every matrix over the entry grid is paired with every other of the same
     shape; any pair with equal doubled forms must be equal.
     """
-    from itertools import product
-    from .report import CheckResult, serialize_morphism
-    from .objects import Gen
-
     entries = [0, 1] if model.semiring.dtype == np.bool_ else [0.0, 1.0, 2.0]
     shapes = [(1, 1), (1, 2), (2, 1), (2, 2)]
     checked = 0
@@ -378,14 +338,8 @@ def _grid_check(model):
         doubles = [core.double(f) for f in mats]
         for i, f in enumerate(mats):
             for j, g in enumerate(mats):
-                if equal(doubles[i], doubles[j]) and not equal(f, g):
-                    return CheckResult(
-                        "doubles-determine-morphisms-exhaustive",
-                        "f(x)f(dagger) = g(x)g(dagger)  =>  f = g  (grid)",
-                        "fail",
-                        {"f": serialize_morphism(f), "g": serialize_morphism(g)})
+                if (model.equal(doubles[i], doubles[j], tol)
+                        and not model.equal(f, g, tol)):
+                    return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
                 checked += 1
-    return CheckResult(
-        "doubles-determine-morphisms-exhaustive",
-        "f(x)f(dagger) = g(x)g(dagger)  =>  f = g  (grid)",
-        "pass", {"pairs_checked": checked})
+    return Held({"pairs_checked": checked})

@@ -86,10 +86,36 @@ def test_cli_env_seed(monkeypatch, capsys):
                  "--json"]) == 0
     seeded = json.loads(capsys.readouterr().out)
     assert seeded["seed"] == 42
-    monkeypatch.setenv("SCCCKIT_SEED", "oops")  # garbage falls back to 0
+
+
+def test_cli_rejects_non_integer_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("SCCCKIT_SEED", "banana")
+    assert main(["verify", "born", "--trials", "4", "--max-dim", "2"]) == 2
+    assert "SCCCKIT_SEED" in capsys.readouterr().err
+    # an explicit --seed does not read the environment
     assert main(["verify", "born", "--trials", "4", "--max-dim", "2",
-                 "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 0
+                 "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_rejects_trials_below_one(capsys, trials):
+    assert main(["verify", "sccc", "--trials", trials]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_dim", ["0", "-1"])
+def test_cli_rejects_max_dim_below_one(capsys, max_dim):
+    assert main(["verify", "ortho", "--max-dim", max_dim]) == 2
+    assert "--max-dim" in capsys.readouterr().err
+
+
+def test_cli_report_echoes_effective_tolerance(capsys):
+    args = ["verify", "born", "--trials", "2", "--max-dim", "2", "--json"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-9
+    assert main(args + ["--tolerance", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-6
 
 
 def test_cli_rejects_unknown_model(capsys):
@@ -119,8 +145,10 @@ def test_cli_teleport_with_custom_state(capsys):
 
 
 def test_cli_teleport_rejects_bad_state(capsys):
-    assert main(["protocol", "teleport", "--state", "[[1,0]]"]) == 2
-    assert main(["protocol", "teleport", "--state", "not json"]) == 2
+    for state in ("[[1,0]]", "not json", "[[NaN,0],[1,0]]",
+                  "[[1,0],[0,Infinity]]", "[[0,0],[0,0]]"):
+        assert main(["protocol", "teleport", "--state", state]) == 2, state
+        assert "--state" in capsys.readouterr().err, state
 
 
 def test_module_entry_point_smoke():

@@ -42,7 +42,7 @@ from sccckit import (
     zeros,
 )
 from sccckit import core
-from sccckit.errors import NotProjector, TypeMismatch
+from sccckit.errors import NotPhaseEquivalent, NotProjector, TypeMismatch
 
 Q = Gen("Q", 2)
 M = fdhilb()
@@ -210,6 +210,13 @@ def test_phase_witness_oracle():
     # s.f = t.g and the witnesses carry equal weight
     assert equal(scalar_mult(s, f), scalar_mult(t, g))
     assert equal(compose(s, dagger(s)), compose(t, dagger(t)))
+
+
+def test_phase_witnesses_refuse_inequivalent_pair():
+    # 1_A and 2.1_A differ by a weight, not a phase: their doubles differ
+    one = identity(Q, COMPLEX)
+    with pytest.raises(NotPhaseEquivalent):
+        phase_witnesses(one, scalar_mult(scalar(2, COMPLEX), one))
 
 
 def test_trace_counts_dimension():

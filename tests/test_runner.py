@@ -1,0 +1,137 @@
+"""The one check runner: stream keys, error capture, status and tolerance."""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+
+from sccckit import (COMPLEX, NONNEG, ModelHandle, TypeMismatch, WProjModel,
+                     check_diagonal_axiom, corrupted_trace, fdhilb, run_suite)
+from sccckit.born import leg_checks
+from sccckit.report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
+                            CheckRunner)
+from sccckit.semirings import REL_TOL, corrupted_complex
+from sccckit.suites import _sccc_checks
+
+
+def _raise_on(trial_to_fail):
+    calls = []
+
+    def fn(rng):
+        calls.append(rng)
+        if len(calls) - 1 == trial_to_fail:
+            raise TypeMismatch("boom")
+        return None
+
+    return fn
+
+
+@pytest.mark.parametrize("kind, trial", [(PER_TRIAL, 2), (WHOLE, 0),
+                                         (EXPECTED_FAIL, 0)])
+def test_library_error_becomes_failure_with_trial(kind, trial):
+    runner = CheckRunner(trials=5, seed=11)
+    [result] = runner.run([Check("raises", "law", kind, _raise_on(trial))])
+    assert result.status == "fail"
+    assert result.witness == {"error": "boom", "trial": trial}
+
+
+def test_other_exceptions_are_not_swallowed():
+    def fn(rng):
+        raise ZeroDivisionError("a bug, not a verdict")
+
+    with pytest.raises(ZeroDivisionError):
+        CheckRunner(trials=3, seed=0).run([Check("bug", "law", PER_TRIAL, fn)])
+
+
+def test_statuses_and_conditional_counts():
+    def held(rng):
+        return None
+
+    def sometimes_vacuous(rng):
+        return VACUOUS if rng.random() < 0.5 else None
+
+    table = [
+        Check("held", "law", PER_TRIAL, held),
+        Check("conditional", "law", PER_TRIAL, sometimes_vacuous, conditional=True),
+        Check("violated", "law", EXPECTED_FAIL, lambda rng: (True, {"w": 1})),
+        Check("unexpectedly-held", "law", EXPECTED_FAIL, lambda rng: (False, None)),
+    ]
+    results = CheckRunner(trials=40, seed=5).run(table)
+    assert [r.status for r in results] == ["pass", "pass", "expected-fail", "fail"]
+    assert results[0].witness is None
+    hits = sum(np.random.default_rng([5, 1, t]).random() >= 0.5 for t in range(40))
+    assert results[1].witness == {"antecedent_pairs": hits}
+    assert results[2].witness == {"w": 1}
+    assert results[3].witness == {"note": "the law unexpectedly held", "trial": 0}
+
+
+def test_failing_witness_replays_from_its_stream_key():
+    m, seed = fdhilb(), 3
+    tr = corrupted_trace(m)
+    results = check_diagonal_axiom(m, trials=15, seed=seed, trace_fn=tr)
+    legs = [c for c in leg_checks(m, REL_TOL, tr)
+            if c.name in ("diagonal-axiom", "diagonal-axiom-derived-sum")]
+    replayed = 0
+    for idx, (result, leg) in enumerate(zip(results, legs)):
+        assert result.check_name == leg.name
+        if result.status != "fail":
+            continue
+        witness = dict(result.witness)
+        trial = witness.pop("trial")
+        assert leg.fn(np.random.default_rng([seed, idx, trial])) == witness
+        # every earlier trial of that stream held
+        assert all(leg.fn(np.random.default_rng([seed, idx, t])) is None
+                   for t in range(trial))
+        replayed += 1
+    assert replayed >= 1
+
+
+def test_failing_suite_check_replays_from_report():
+    """A broken involution fails a sccc check; the report alone replays it."""
+    broken = ModelHandle("broken", corrupted_complex())
+    report = run_suite("sccc", broken, trials=10, seed=9, max_dim=2)
+    table = _sccc_checks(broken, report.tolerance, 2)
+    failures = [(i, r) for i, r in enumerate(report.results) if r.status == "fail"]
+    assert failures
+    for idx, result in failures:
+        witness = dict(result.witness)
+        trial = witness.pop("trial")
+        outcome = table[idx].fn(np.random.default_rng([report.seed, idx, trial]))
+        assert outcome == witness
+
+
+@dataclass(frozen=True)
+class _RecordingModel(ModelHandle):
+    rels: list = field(default_factory=list, compare=False)
+
+    def equal(self, f, g, rel=None):
+        self.rels.append(rel)
+        return super().equal(f, g, rel)
+
+
+class _RecordingQuotient(WProjModel):
+    def __init__(self, base):
+        super().__init__(base)
+        self.rels = []
+
+    def equal(self, f, g, rel=None):
+        self.rels.append(rel)
+        return super().equal(f, g, rel)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _RecordingModel("fdhilb", COMPLEX),
+    lambda: _RecordingModel("weights", NONNEG),
+    lambda: _RecordingQuotient(fdhilb()),
+])
+@pytest.mark.parametrize("suite", ["born", "prep-state", "equivalence"])
+def test_tolerance_reaches_every_equality(make, suite):
+    model = make()
+    report = run_suite(suite, model, trials=3, seed=1, max_dim=2, tolerance=1e-7)
+    assert report.tolerance == 1e-7
+    assert model.rels and set(model.rels) == {1e-7}
+
+    model.rels.clear()
+    report = run_suite(suite, model, trials=3, seed=1, max_dim=2)
+    assert report.tolerance == REL_TOL
+    assert model.rels and set(model.rels) == {REL_TOL}
