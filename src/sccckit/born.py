@@ -24,7 +24,6 @@ from .morphisms import Morphism, equal, scalar
 from .objects import Gen, dim
 from .report import PER_TRIAL, Check, CheckResult, CheckRunner, serialize_morphism
 from .semirings import COMPLEX
-from .wproj import WProjModel
 
 
 def valuation_norm(model, f, nu=Fraction(1), trace_fn=None):
@@ -61,17 +60,14 @@ def corrupted_trace(model):
     Used as a negative control: with this trace injected everywhere, the
     valuation, the scalar sum and all three axiom legs go wrong together.
     """
-    if isinstance(model, WProjModel):
-        inner = corrupted_trace(model.base)
-        return lambda f: model.lift(inner(f.rep))
+    s = model.semiring
 
-    def tr(f: Morphism) -> Morphism:
+    def tr(f):
+        f = model.rep(f)
         if f.dom != f.cod:
             raise TypeMismatch("trace needs an endomorphism")
         diag = np.diagonal(f.array)[:-1]
-        s = model.semiring
-        value = reduce(s.add, list(diag), s.zero)
-        return scalar(value, s)
+        return model.lift(scalar(reduce(s.add, list(diag), s.zero), s))
 
     return tr
 

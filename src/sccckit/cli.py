@@ -7,12 +7,15 @@ Two families of commands:
 
 Reports print as text on stdout; ``--json PATH`` additionally writes the
 canonical JSON form (PATH ``-`` prints JSON instead of text).  The exit code
-is 0 exactly when no check failed; expected failures do not fail a run.
+is 0 exactly when no check failed (expected failures do not fail a run), 1
+when a check failed or the library raised an error, and 2 when an input was
+refused before anything ran.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -34,14 +37,8 @@ NU_CHOICES = {"1": Fraction(1), "1/2": Fraction(1, 2), "2": Fraction(2)}
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="fdhilb",
                    help="fdhilb, rel, weights, or wproj:<base> (default fdhilb)")
-    p.add_argument("--trials", type=int, default=100,
-                   help="random trials per check (default 100)")
     p.add_argument("--seed", type=int, default=None,
                    help="base seed; defaults to $SCCCKIT_SEED or 0")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="relative tolerance for approximate equality")
-    p.add_argument("--max-dim", type=int, default=4, dest="max_dim",
-                   help="largest generator dimension swept (default 4)")
     p.add_argument("--json", nargs="?", const="-", default=None, dest="json_path",
                    metavar="PATH", help="write the JSON report to PATH (- for stdout)")
 
@@ -56,6 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a law suite against a model")
     verify.add_argument("suite", choices=list(SUITE_NAMES))
     _common_flags(verify)
+    verify.add_argument("--trials", type=int, default=100,
+                        help="random trials per check (default 100)")
+    verify.add_argument("--tolerance", type=float, default=None,
+                        help="relative tolerance for approximate equality")
+    verify.add_argument("--max-dim", type=int, default=4, dest="max_dim",
+                        help="largest generator dimension swept (default 4)")
     verify.add_argument("--nu", choices=sorted(NU_CHOICES), default="1",
                         help="valuation exponent for the born suite")
 
@@ -87,10 +90,15 @@ def _parse_state(text: str) -> Morphism:
 
 def _checked_inputs(args):
     """The seed, input state and model, or ValueError naming the bad input."""
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.max_dim < 1:
-        raise ValueError(f"--max-dim must be at least 1, got {args.max_dim}")
+    verify = args.command == "verify"
+    if verify:
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        if args.max_dim < 1:
+            raise ValueError(f"--max-dim must be at least 1, got {args.max_dim}")
+        if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+            raise ValueError("--tolerance must be a finite number >= 0, "
+                             f"got {args.tolerance}")
     seed = args.seed
     if seed is None:
         raw = os.environ.get("SCCCKIT_SEED", "0")
@@ -100,7 +108,14 @@ def _checked_inputs(args):
             raise ValueError(f"SCCCKIT_SEED must be an integer, got {raw!r}") from None
     state = getattr(args, "state", None)
     psi = _parse_state(state) if state is not None else None
-    return seed, psi, resolve_model(args.model)
+    model = resolve_model(args.model)
+    if verify and args.suite in ("sccc", "ortho") and model.quotient:
+        raise ValueError(f"--model {args.model}: the {args.suite} suite runs on "
+                         "plain matrix models; use the wproj suite for the quotient")
+    if not verify and model.semiring is not COMPLEX:
+        raise ValueError(f"--model {args.model}: teleportation runs over the "
+                         "complex model (fdhilb or wproj:fdhilb)")
+    return seed, psi, model
 
 
 def _emit(report: VerificationReport, json_path: str | None) -> int:
@@ -129,12 +144,10 @@ def main(argv=None) -> int:
                                max_dim=args.max_dim, nu=NU_CHOICES[args.nu])
         else:
             report = run_teleportation(psi, model, seed=seed)
-    except ValueError as exc:
-        print(f"sccckit: {exc}", file=sys.stderr)
-        return 2
-    except SccckitError as exc:
+    except (SccckitError, ValueError) as exc:
+        # the inputs were checked above, so this is a defect, not bad arguments
         print(f"sccckit: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
     return _emit(report, args.json_path)
 

@@ -1,8 +1,12 @@
 """Concrete matrix models and seeded sampling.
 
 A ``ModelHandle`` bundles a semiring with the operations the verification
-suites need, so the same checker code can also run against the phase quotient
-(which exposes the identical surface).  Three models ship: ``fdhilb`` (complex
+suites need.  Every structural operation is written once, as
+``lift(op(rep(...)))``: ``rep`` reads the matrix representative of an arrow
+and ``lift`` turns a matrix back into an arrow.  On a plain model both are
+the identity; the phase quotient (``wproj.WProjModel``) is a subclass that
+overrides only ``rep``/``lift`` and the operations that change on the
+quotient, equality and scalars.  Three models ship: ``fdhilb`` (complex
 matrices), ``rel`` (boolean matrices, i.e. relations) and ``weights``
 (nonnegative reals, a phase-free toy model).
 """
@@ -13,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSample, TypeMismatch
+from .errors import DegenerateSample, RootUnavailable, TypeMismatch
 from .morphisms import (Morphism, compose, dagger, direct_sum, equal, identity,
                         morphism, scalar, scalar_value, tensor, zeros)
 from .objects import Gen, ObjectExpr, UNIT, ZERO, dim
@@ -29,39 +33,63 @@ class ModelHandle:
     name: str
     semiring: InvolutiveSemiring
 
+    # arrows are matrices themselves; the phase quotient sets this
+    quotient = False
+
+    def rep(self, x):
+        """The matrix representative of an arrow (identity here)."""
+        return x
+
+    def lift(self, f: Morphism):
+        """The arrow a matrix represents (identity here)."""
+        return f
+
     # -- constructors --------------------------------------------------------
 
-    def identity(self, a: ObjectExpr) -> Morphism:
-        return identity(a, self.semiring)
+    def identity(self, a: ObjectExpr):
+        return self.lift(identity(a, self.semiring))
 
-    def zero(self, a: ObjectExpr, b: ObjectExpr) -> Morphism:
-        return zeros(a, b, self.semiring)
+    def zero(self, a: ObjectExpr, b: ObjectExpr):
+        return self.lift(zeros(a, b, self.semiring))
 
-    def morphism(self, dom: ObjectExpr, cod: ObjectExpr, array) -> Morphism:
-        return morphism(dom, cod, array, self.semiring)
+    def morphism(self, dom: ObjectExpr, cod: ObjectExpr, array):
+        return self.lift(morphism(dom, cod, array, self.semiring))
 
-    def scalar(self, value) -> Morphism:
+    def scalar(self, value):
         return scalar(value, self.semiring)
 
-    # -- structural operations (plain model: direct delegation) ---------------
+    # -- structural operations, computed on representatives -------------------
 
-    def compose(self, g: Morphism, f: Morphism) -> Morphism:
-        return compose(g, f)
+    def compose(self, g, f):
+        return self.lift(compose(self.rep(g), self.rep(f)))
 
-    def tensor(self, f: Morphism, g: Morphism) -> Morphism:
-        return tensor(f, g)
+    def tensor(self, f, g):
+        return self.lift(tensor(self.rep(f), self.rep(g)))
 
-    def dagger(self, f: Morphism) -> Morphism:
-        return dagger(f)
+    def dagger(self, f):
+        return self.lift(dagger(self.rep(f)))
 
-    def oplus(self, f: Morphism, g: Morphism) -> Morphism:
-        return direct_sum(f, g)
+    def oplus(self, f, g):
+        # not well defined on phase classes in general; the Born checks only
+        # sum canonical positive representatives, where it is
+        return self.lift(direct_sum(self.rep(f), self.rep(g)))
 
-    def trace(self, f: Morphism) -> Morphism:
-        return core.trace(f)
+    def trace(self, f):
+        return self.lift(core.trace(self.rep(f)))
 
-    def norm_sq(self, f: Morphism) -> Morphism:
-        return core.hs_norm_sq(f)
+    def norm_sq(self, f):
+        return self.lift(core.hs_norm_sq(self.rep(f)))
+
+    def projection(self, decomp: ortho.OplusDecomposition, i: int):
+        return self.lift(ortho.pseudo_projection(decomp, i, self.semiring))
+
+    def injection(self, decomp: ortho.OplusDecomposition, i: int):
+        return self.lift(ortho.pseudo_injection(decomp, i, self.semiring))
+
+    def derived_sum(self, f, g):
+        return self.lift(ortho.derived_sum(self.rep(f), self.rep(g)))
+
+    # -- equality and scalars -------------------------------------------------
 
     def equal(self, f: Morphism, g: Morphism, rel: float | None = None) -> bool:
         return equal(f, g, rel)
@@ -72,7 +100,6 @@ class ModelHandle:
     def scalar_power(self, s: Morphism, exponent) -> Morphism:
         """s raised to a rational power; needs a nonneg real value unless the
         exponent is an integer or the semiring is idempotent (boolean)."""
-        from .errors import RootUnavailable
         v = scalar_value(s)
         if self.semiring is BOOLEAN:
             # x*x = x, so every positive power of a boolean scalar is itself
@@ -85,25 +112,20 @@ class ModelHandle:
                 f"cannot take power {exponent} of non-positive scalar {v}")
         return self.scalar(max(complex(v).real, 0.0) ** q)
 
-    def projection(self, decomp: ortho.OplusDecomposition, i: int) -> Morphism:
-        return ortho.pseudo_projection(decomp, i, self.semiring)
+    # -- sampling: draw a plain matrix, lift it once ---------------------------
 
-    def injection(self, decomp: ortho.OplusDecomposition, i: int) -> Morphism:
-        return ortho.pseudo_injection(decomp, i, self.semiring)
-
-    def derived_sum(self, f: Morphism, g: Morphism) -> Morphism:
-        return ortho.derived_sum(f, g)
-
-    # -- sampling -------------------------------------------------------------
-
-    def sample_morphism(self, rng: np.random.Generator, dom: ObjectExpr,
-                        cod: ObjectExpr) -> Morphism:
+    def _draw(self, rng: np.random.Generator, dom: ObjectExpr,
+              cod: ObjectExpr) -> Morphism:
         arr = self.semiring.sample(rng, (dim(cod), dim(dom)))
         return Morphism(dom, cod, arr, self.semiring)
 
+    def sample_morphism(self, rng: np.random.Generator, dom: ObjectExpr,
+                        cod: ObjectExpr):
+        return self.lift(self._draw(rng, dom, cod))
+
     def sample_state(self, rng: np.random.Generator, a: ObjectExpr,
-                     normalized: bool = False) -> Morphism:
-        psi = self.sample_morphism(rng, UNIT, a)
+                     normalized: bool = False):
+        psi = self._draw(rng, UNIT, a)
         if normalized:
             if self.semiring is not COMPLEX:
                 raise TypeMismatch("normalization is only meaningful in fdhilb")
@@ -111,22 +133,20 @@ class ModelHandle:
             if n < 1e-12:
                 raise DegenerateSample("sampled a near-zero state")
             psi = Morphism(UNIT, a, psi.array / n, self.semiring)
-        return psi
+        return self.lift(psi)
 
-    def sample_positive(self, rng: np.random.Generator, a: ObjectExpr) -> Morphism:
+    def sample_positive(self, rng: np.random.Generator, a: ObjectExpr):
         """A positive endomorphism h = f(dagger) o f of a."""
-        f = self.sample_morphism(rng, a, a)
-        return compose(dagger(f), f)
+        f = self._draw(rng, a, a)
+        return self.lift(compose(dagger(f), f))
 
-    def sample_unit_scalar(self, rng: np.random.Generator) -> Morphism:
+    def sample_unit_scalar(self, rng: np.random.Generator):
         """A scalar u with u o u(dagger) = 1 (a phase when the model has them)."""
         if self.semiring is COMPLEX:
-            return self.scalar(np.exp(2j * np.pi * rng.random()))
-        return self.scalar(self.semiring.one)
-
-    def lift(self, f: Morphism) -> Morphism:
-        """Plain models are their own quotient-free home; identity."""
-        return f
+            u = np.exp(2j * np.pi * rng.random())
+        else:
+            u = self.semiring.one
+        return self.lift(scalar(u, self.semiring))
 
 
 @lru_cache(maxsize=None)

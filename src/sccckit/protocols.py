@@ -21,7 +21,7 @@ from .morphisms import (Morphism, compose, dagger, direct_sum, equal,
 from .objects import ObjectExpr, Oplus, UNIT
 from .report import CheckResult, VerificationReport, serialize_morphism
 from .semirings import COMPLEX
-from .wproj import WProjModel, lift, wequal
+from .wproj import lift, wequal
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,7 @@ def run_teleportation(psi: Morphism | None = None,
     if model is None:
         from .models import fdhilb
         model = fdhilb()
-    base = model.base if isinstance(model, WProjModel) else model
-    if base.semiring is not COMPLEX:
+    if model.semiring is not COMPLEX:
         raise TypeMismatch("teleportation runs over the complex model")
     if psi is None:
         psi = Morphism(UNIT, qubit(), np.array([[1.0], [0.0]]), COMPLEX)

@@ -39,10 +39,10 @@ def run_suite(suite: str, model, trials: int = 100, seed: int = 0,
                                 tolerance=tolerance)
     runner = CheckRunner(trials, seed, tolerance)
     if suite == "wproj":
-        model = model if isinstance(model, WProjModel) else WProjModel(model)
+        model = model if model.quotient else WProjModel(model)
         results = runner.run(_wproj_checks(model, runner.tol, max_dim))
     elif suite in ("sccc", "ortho"):
-        if isinstance(model, WProjModel):
+        if model.quotient:
             raise ValueError(
                 f"the {suite} suite runs on plain matrix models; "
                 "use the wproj suite for the quotient")
@@ -805,7 +805,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 
 def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     boolean = model.semiring.dtype == np.bool_
-    quotient = isinstance(model, WProjModel)
+    quotient = model.quotient
     zeta = Fraction(1, 2) / nu
 
     def sample(rng, a=None, b=None):

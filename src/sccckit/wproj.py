@@ -3,8 +3,12 @@
 Arrows of the quotient are morphisms taken up to a unit-modulus scalar
 factor.  Concretely a ``WMorphism`` keeps a representative together with its
 doubled form f(x)f(dagger); the doubled form is the semantic identity of the
-arrow, the representative is bookkeeping.  Equality is decided three ways at
-once and the answers must agree or we refuse to answer.
+arrow, the representative is bookkeeping.  ``WProjModel`` is a
+``ModelHandle`` whose ``rep``/``lift`` read and build ``WMorphism``s, so
+composition, tensor, dagger, trace and the block sum are the base model's,
+computed on representatives.  It overrides only what changes in the
+quotient: scalars and equality.  Equality is decided three ways at once and
+the answers must agree or we refuse to answer.
 """
 from __future__ import annotations
 
@@ -13,12 +17,11 @@ from itertools import product
 
 import numpy as np
 
-from . import core, ortho
+from . import core
 from .errors import CriterionDisagreement, TypeMismatch
 from .models import ModelHandle
-from .morphisms import (Morphism, compose, dagger, direct_sum, equal,
-                        identity, lower_star, scalar, scalar_value, tensor,
-                        zeros)
+from .morphisms import (Morphism, compose, dagger, equal, lower_star, scalar,
+                        scalar_value, tensor)
 from .objects import Gen, ObjectExpr, UNIT
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
                      CheckRunner, Held, VerificationReport, serialize_morphism)
@@ -45,10 +48,6 @@ class WMorphism:
     def cod(self) -> ObjectExpr:
         return self.rep.cod
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.rep.is_scalar
-
     def __repr__(self) -> str:
         return f"WMorphism({self.rep!r})"
 
@@ -68,16 +67,6 @@ def wtensor(f: WMorphism, g: WMorphism) -> WMorphism:
 
 def wdagger(f: WMorphism) -> WMorphism:
     return lift(dagger(f.rep))
-
-
-def woplus(f: WMorphism, g: WMorphism) -> WMorphism:
-    """Block sum on representatives.
-
-    This is NOT well defined on phase classes (the choice of representatives
-    leaks into the answer); it is exposed because block sums of canonical
-    positive representatives are well defined and the Born checks need them.
-    """
-    return lift(direct_sum(f.rep, g.rep))
 
 
 @dataclass(frozen=True)
@@ -138,30 +127,25 @@ def canonical_rep(f: Morphism) -> Morphism:
     return Morphism(f.dom, f.cod, f.array * np.conjugate(phase), f.semiring)
 
 
-class WProjModel:
-    """The quotient of a base model, presented with the same surface as
-    ``ModelHandle`` so every suite can run on either.
+class WProjModel(ModelHandle):
+    """The quotient of a base model: arrows are ``WMorphism`` phase classes.
 
     Scalars of the quotient are the doubled values (nonnegative reals over
     the complex base); scalar constructors pick the canonical nonnegative
     representative, the square root of the value.
     """
 
+    quotient = True
+
     def __init__(self, base: ModelHandle):
+        object.__setattr__(self, "name", f"wproj:{base.name}")
+        object.__setattr__(self, "semiring", base.semiring)
         self.base = base
-        self.name = f"wproj:{base.name}"
-        self.semiring = base.semiring
 
-    # -- constructors --------------------------------------------------------
+    def rep(self, x: WMorphism) -> Morphism:
+        return x.rep
 
-    def identity(self, a: ObjectExpr) -> WMorphism:
-        return lift(identity(a, self.semiring))
-
-    def zero(self, a: ObjectExpr, b: ObjectExpr) -> WMorphism:
-        return lift(zeros(a, b, self.semiring))
-
-    def morphism(self, dom: ObjectExpr, cod: ObjectExpr, array) -> WMorphism:
-        return lift(self.base.morphism(dom, cod, array))
+    lift = staticmethod(lift)
 
     def scalar(self, value) -> WMorphism:
         v = complex(value)
@@ -171,26 +155,6 @@ class WProjModel:
         if self.semiring.dtype == np.bool_:
             root = 1 if v.real > 0 else 0
         return lift(scalar(root, self.semiring))
-
-    # -- structural operations on representatives -----------------------------
-
-    def compose(self, g: WMorphism, f: WMorphism) -> WMorphism:
-        return wcompose(g, f)
-
-    def tensor(self, f: WMorphism, g: WMorphism) -> WMorphism:
-        return wtensor(f, g)
-
-    def dagger(self, f: WMorphism) -> WMorphism:
-        return wdagger(f)
-
-    def oplus(self, f: WMorphism, g: WMorphism) -> WMorphism:
-        return woplus(f, g)
-
-    def trace(self, f: WMorphism) -> WMorphism:
-        return lift(core.trace(f.rep))
-
-    def norm_sq(self, f: WMorphism) -> WMorphism:
-        return lift(core.hs_norm_sq(f.rep))
 
     def equal(self, f: WMorphism, g: WMorphism, rel: float | None = None) -> bool:
         return wequal(f, g, rel).equal
@@ -209,33 +173,6 @@ class WProjModel:
         v = float(self.scalar_value(s))
         return self.scalar(v ** float(exponent))
 
-    def projection(self, decomp: ortho.OplusDecomposition, i: int) -> WMorphism:
-        return lift(ortho.pseudo_projection(decomp, i, self.semiring))
-
-    def injection(self, decomp: ortho.OplusDecomposition, i: int) -> WMorphism:
-        return lift(ortho.pseudo_injection(decomp, i, self.semiring))
-
-    def derived_sum(self, f: WMorphism, g: WMorphism) -> WMorphism:
-        return lift(ortho.derived_sum(f.rep, g.rep))
-
-    # -- sampling (delegates to the base model, then lifts) --------------------
-
-    def sample_morphism(self, rng, dom, cod) -> WMorphism:
-        return lift(self.base.sample_morphism(rng, dom, cod))
-
-    def sample_state(self, rng, a, normalized: bool = False) -> WMorphism:
-        return lift(self.base.sample_state(rng, a, normalized))
-
-    def sample_positive(self, rng, a) -> WMorphism:
-        return lift(self.base.sample_positive(rng, a))
-
-    def sample_unit_scalar(self, rng) -> WMorphism:
-        # every unit-modulus scalar collapses to the class of 1
-        return lift(self.base.sample_unit_scalar(rng))
-
-    def lift(self, f: Morphism) -> WMorphism:
-        return lift(f)
-
     def canonical(self, f: WMorphism) -> Morphism:
         return canonical_rep(f.rep)
 
@@ -251,17 +188,17 @@ def check_prep_state(model, trials: int = 100, seed: int = 0,
     """
     runner = CheckRunner(trials, seed, tolerance)
     tol = runner.tol
-    quotient = isinstance(model, WProjModel)
+    quotient = model.quotient
     a = Gen("A", 2)
 
     def eq(x, y) -> bool:
         return model.equal(x, y, tol)
 
     def via_rep(build, f):
-        return model.lift(build(_rep(f)))
+        return model.lift(build(model.rep(f)))
 
     def scaled(u, f):
-        return model.lift(core.scalar_mult(_rep(u), _rep(f)))
+        return model.lift(core.scalar_mult(model.rep(u), model.rep(f)))
 
     def pair(f, g, **extra) -> dict:
         return {"f": serialize_morphism(f), "g": serialize_morphism(g), **extra}
@@ -314,10 +251,6 @@ def _unit_witness_array(states_only: bool):
     if states_only:
         return np.array([[1.0], [1.0]]) / np.sqrt(2)
     return np.array([[1.0, 2.0], [3.0, 4.0]])
-
-
-def _rep(x) -> Morphism:
-    return x.rep if isinstance(x, WMorphism) else x
 
 
 def _grid_check(model, tol):

@@ -158,3 +158,47 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "suite=born" in proc.stdout
+
+
+def test_cli_teleport_refuses_non_complex_model(capsys):
+    for model in ("rel", "weights", "wproj:rel"):
+        assert main(["protocol", "teleport", "--model", model]) == 2, model
+        assert "--model" in capsys.readouterr().err, model
+    assert main(["protocol", "teleport", "--model", "wproj:fdhilb"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["sccc", "ortho"])
+def test_cli_refuses_quotient_model_naming_the_flag(capsys, suite):
+    assert main(["verify", suite, "--model", "wproj:rel"]) == 2
+    assert "--model" in capsys.readouterr().err
+
+
+def test_cli_library_error_inside_a_run_exits_one(monkeypatch, capsys):
+    def broken(*a, **kw):
+        raise InvariantViolation("forced defect")
+    monkeypatch.setattr("sccckit.cli.run_suite", broken)
+    assert main(["verify", "born"]) == 1
+    err = capsys.readouterr().err
+    assert "InvariantViolation" in err and "forced defect" in err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "-1e-9", "nan", "inf", "-inf"])
+def test_cli_rejects_bad_tolerance(capsys, tolerance):
+    assert main(["verify", "sccc", "--model", "rel", "--trials", "2",
+                 f"--tolerance={tolerance}"]) == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_cli_accepts_zero_tolerance(capsys):
+    assert main(["verify", "prep-state", "--model", "rel", "--trials", "2",
+                 "--tolerance", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("flag", [["--trials", "7"], ["--tolerance", "0.5"],
+                                  ["--max-dim", "9"]])
+def test_cli_teleport_has_no_verify_only_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "teleport"] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
