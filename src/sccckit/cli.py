@@ -108,7 +108,10 @@ def _checked_inputs(args):
             raise ValueError(f"SCCCKIT_SEED must be an integer, got {raw!r}") from None
     state = getattr(args, "state", None)
     psi = _parse_state(state) if state is not None else None
-    model = resolve_model(args.model)
+    try:
+        model = resolve_model(args.model)
+    except ValueError as exc:
+        raise ValueError(f"--model: {exc}") from None
     if verify and args.suite in ("sccc", "ortho") and model.quotient:
         raise ValueError(f"--model {args.model}: the {args.suite} suite runs on "
                          "plain matrix models; use the wproj suite for the quotient")

@@ -177,7 +177,10 @@ def semiring_model(s: InvolutiveSemiring, name: str | None = None) -> ModelHandl
 
 
 def resolve_model(selector: str):
-    """Map a CLI selector (fdhilb, rel, weights, wproj:<base>) to a handle."""
+    """Map a CLI selector (fdhilb, rel, weights, wproj:<base>) to a handle.
+
+    <base> is one of the three plain models; a nested quotient is refused.
+    """
     if selector.startswith("wproj:"):
         from .wproj import WProjModel
         return WProjModel(resolve_model(selector[len("wproj:"):]))

@@ -11,6 +11,16 @@ Basis conventions, fixed once and used everywhere:
 Objects attached to a morphism are always kept in normal form, so a dual
 appears only as a flagged generator and type equality is plain structural
 equality of the stored expressions.
+
+The public ``Morphism(...)`` constructor normalizes both ends, copies the
+array into the semiring's dtype, checks its shape and freezes it.  The
+results of ``compose``, ``tensor``, ``dagger`` and ``direct_sum`` take a
+trusted internal path instead (``_derived``): their ends are built from ends
+already in normal form and their arrays are fresh kernel outputs (or, for a
+phase-free dagger, a transposed view of a frozen array), so it skips the
+re-normalization and the copy.  It still coerces the array to the
+semiring's dtype, checks the shape the operands imply (a guard for user
+semirings whose kernels misbehave) and freezes the array.
 """
 from __future__ import annotations
 
@@ -19,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TypeMismatch
-from .objects import ObjectExpr, Oplus, UNIT, dim, normalize, format_object
+from .objects import (Dual, ObjectExpr, Oplus, Tensor, UNIT, dim, format_object,
+                      normalize)
 from .semirings import InvolutiveSemiring, max_abs
 
 
@@ -48,6 +59,22 @@ class Morphism:
     @property
     def is_scalar(self) -> bool:
         return self.array.shape == (1, 1)
+
+
+def _derived(dom: ObjectExpr, cod: ObjectExpr, array, s: InvolutiveSemiring,
+             shape: tuple[int, int]) -> Morphism:
+    """Trusted constructor: ends already normal, array fresh (see module doc)."""
+    arr = np.asarray(array, dtype=s.dtype)
+    if arr.shape != shape:
+        raise TypeMismatch(
+            f"{s.name} kernel returned shape {arr.shape}, expected {shape}")
+    arr.setflags(write=False)
+    f = object.__new__(Morphism)
+    object.__setattr__(f, "dom", dom)
+    object.__setattr__(f, "cod", cod)
+    object.__setattr__(f, "array", arr)
+    object.__setattr__(f, "semiring", s)
+    return f
 
 
 def morphism(dom: ObjectExpr, cod: ObjectExpr, array, semiring: InvolutiveSemiring) -> Morphism:
@@ -103,31 +130,31 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if f.cod != g.dom:
         raise TypeMismatch(
             f"cannot compose: {format_object(f.cod)} != {format_object(g.dom)}")
-    return Morphism(f.dom, g.cod, g.semiring.matmul(g.array, f.array), f.semiring)
+    return _derived(f.dom, g.cod, g.semiring.matmul(g.array, f.array), f.semiring,
+                    (g.array.shape[0], f.array.shape[1]))
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
     if f.semiring is not g.semiring:
         raise TypeMismatch("cannot tensor morphisms over different semirings")
-    from .objects import Tensor as TensorObj
-    return Morphism(TensorObj(f.dom, g.dom), TensorObj(f.cod, g.cod),
-                    f.semiring.kron(f.array, g.array), f.semiring)
+    (m, n), (p, q) = f.array.shape, g.array.shape
+    return _derived(Tensor(f.dom, g.dom), Tensor(f.cod, g.cod),
+                    f.semiring.kron(f.array, g.array), f.semiring, (m * p, n * q))
 
 
 def dagger(f: Morphism) -> Morphism:
     """Adjoint: conjugate transpose, swapping the ends."""
-    return Morphism(f.cod, f.dom, f.semiring.involution(f.array.T), f.semiring)
+    return _derived(f.cod, f.dom, f.semiring.involution(f.array.T), f.semiring,
+                    f.array.shape[::-1])
 
 
 def star(f: Morphism) -> Morphism:
     """Contravariant transpose f*: B* -> A* (no conjugation)."""
-    from .objects import Dual
     return Morphism(Dual(f.cod), Dual(f.dom), f.array.T.copy(), f.semiring)
 
 
 def lower_star(f: Morphism) -> Morphism:
     """Covariant entrywise conjugate f_*: A* -> B*."""
-    from .objects import Dual
     return Morphism(Dual(f.dom), Dual(f.cod), f.semiring.involution(f.array), f.semiring)
 
 
@@ -145,4 +172,4 @@ def direct_sum(f: Morphism, g: Morphism) -> Morphism:
     arr = np.zeros((fa.shape[0] + ga.shape[0], fa.shape[1] + ga.shape[1]), dtype=s.dtype)
     arr[: fa.shape[0], : fa.shape[1]] = fa
     arr[fa.shape[0]:, fa.shape[1]:] = ga
-    return Morphism(Oplus(f.dom, g.dom), Oplus(f.cod, g.cod), arr, s)
+    return _derived(Oplus(f.dom, g.dom), Oplus(f.cod, g.cod), arr, s, arr.shape)

@@ -65,8 +65,16 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
 
 
-def _bool_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a.astype(np.uint8), b.astype(np.uint8)) > 0
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices as one broadcast product.
+
+    Each entry is the single product a[i, j] * b[k, l] that ``np.kron`` also
+    forms, so results are bit-identical; over booleans ``*`` is AND.  It
+    skips ``np.kron``'s general n-d wrapper, which dominates at small sizes.
+    """
+    m, n = a.shape
+    p, q = b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 COMPLEX = InvolutiveSemiring(
@@ -78,7 +86,7 @@ COMPLEX = InvolutiveSemiring(
     mul=lambda x, y: x * y,
     involution=np.conjugate,
     matmul=np.matmul,
-    kron=np.kron,
+    kron=_kron,
     scale=lambda c, arr: c * arr,
     sample=lambda rng, shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
 )
@@ -92,7 +100,7 @@ BOOLEAN = InvolutiveSemiring(
     mul=lambda x, y: bool(x) and bool(y),
     involution=lambda x: x,
     matmul=_bool_matmul,
-    kron=_bool_kron,
+    kron=_kron,
     scale=lambda c, arr: np.logical_and(bool(c), arr),
     sample=lambda rng, shape: rng.random(shape) < 0.5,
     exact=True,
@@ -107,7 +115,7 @@ NONNEG = InvolutiveSemiring(
     mul=lambda x, y: x * y,
     involution=lambda x: x,
     matmul=np.matmul,
-    kron=np.kron,
+    kron=_kron,
     scale=lambda c, arr: c * arr,
     sample=lambda rng, shape: rng.random(shape),
 )

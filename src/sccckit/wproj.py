@@ -1,9 +1,13 @@
 """Global-phase quotient of a matrix model.
 
 Arrows of the quotient are morphisms taken up to a unit-modulus scalar
-factor.  Concretely a ``WMorphism`` keeps a representative together with its
+factor.  Concretely a ``WMorphism`` is a representative together with its
 doubled form f(x)f(dagger); the doubled form is the semantic identity of the
-arrow, the representative is bookkeeping.  ``WProjModel`` is a
+arrow, the representative is bookkeeping.  ``lift`` stores only the
+representative: the doubled form is computed on first read and cached on
+the instance, since most intermediate arrows are never compared.  A doubled
+form given explicitly at construction is kept as given, so a tampered class
+still surfaces as a criterion disagreement in ``wequal``.  ``WProjModel`` is a
 ``ModelHandle`` whose ``rep``/``lift`` read and build ``WMorphism``s, so
 composition, tensor, dagger, trace and the block sum are the base model's,
 computed on representatives.  It overrides only what changes in the
@@ -28,17 +32,33 @@ from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
 from .semirings import COMPLEX
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WMorphism:
-    """A phase class: representative plus cached doubled form.
+    """A phase class: representative plus its doubled form.
 
-    Constructors keep ``doubled == tensor(rep, dagger(rep))``; the field is
-    stored rather than recomputed so that a corrupted pipeline shows up as a
+    ``doubled`` is ``tensor(rep, dagger(rep))``, computed from ``rep`` on
+    first read and then cached on the instance.  One passed as
+    ``WMorphism(rep, doubled)`` (or through ``dataclasses.replace``) is kept
+    as given and never recomputed, so a corrupted pipeline shows up as a
     criterion disagreement instead of being silently repaired.
     """
 
     rep: Morphism
     doubled: Morphism
+
+    def __init__(self, rep: Morphism, doubled: Morphism | None = None):
+        object.__setattr__(self, "rep", rep)
+        if doubled is not None:
+            object.__setattr__(self, "doubled", doubled)
+
+    def __getattr__(self, attr: str):
+        # reached only while ``doubled`` is unset: compute it once
+        if attr != "doubled":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {attr!r}")
+        doubled = core.double(self.rep)
+        object.__setattr__(self, "doubled", doubled)
+        return doubled
 
     @property
     def dom(self) -> ObjectExpr:
@@ -53,8 +73,8 @@ class WMorphism:
 
 
 def lift(f: Morphism) -> WMorphism:
-    """Send a morphism to its phase class."""
-    return WMorphism(f, core.double(f))
+    """Send a morphism to its phase class (its doubled form comes on demand)."""
+    return WMorphism(f)
 
 
 def wcompose(g: WMorphism, f: WMorphism) -> WMorphism:
@@ -138,6 +158,10 @@ class WProjModel(ModelHandle):
     quotient = True
 
     def __init__(self, base: ModelHandle):
+        if base.quotient:
+            # its rep/lift would bypass the inner quotient's; refuse, do not nest
+            raise ValueError("the phase quotient takes a plain base model, "
+                             f"not the quotient {base.name}")
         object.__setattr__(self, "name", f"wproj:{base.name}")
         object.__setattr__(self, "semiring", base.semiring)
         self.base = base

@@ -120,7 +120,9 @@ def test_cli_report_echoes_effective_tolerance(capsys):
 
 def test_cli_rejects_unknown_model(capsys):
     assert main(["verify", "sccc", "--model", "nope"]) == 2
-    assert "nope" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nope" in err
+    assert "--model" in err
 
 
 def test_cli_rejects_quotient_model_for_plain_suites(capsys):
@@ -202,3 +204,22 @@ def test_cli_teleport_has_no_verify_only_flags(capsys, flag):
         main(["protocol", "teleport"] + flag)
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selector", ["wproj:nope", "wproj:"])
+def test_cli_rejects_unknown_quotient_base(capsys, selector):
+    assert main(["verify", "wproj", "--model", selector]) == 2
+    assert "--model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "born", "--model", "wproj:wproj:fdhilb", "--trials", "2",
+     "--max-dim", "2"],
+    ["verify", "wproj", "--model", "wproj:wproj:rel"],
+    ["protocol", "teleport", "--model", "wproj:wproj:fdhilb"],
+])
+def test_cli_refuses_nested_quotient(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--model" in captured.err
+    assert captured.out == ""

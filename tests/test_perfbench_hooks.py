@@ -1,0 +1,31 @@
+"""The traced benchmark's hooks into the package.
+
+``perfbench/layers.py`` counts calls by the code objects of named functions
+and reads the ``normalize``/``dim`` caches.  Building its tracer fails as
+soon as one of them is renamed or removed, so a break shows up here rather
+than only in a ``--trace 1`` run.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+import sccckit
+from sccckit import COMPLEX, Gen, Morphism, lift, wequal
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_layer_tracer_finds_its_hooks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import LayerTracer
+
+    tracer = LayerTracer(sccckit)
+    q = Gen("Q", 2)
+    f = Morphism(q, q, np.array([[1, 2], [3, 4]]), COMPLEX)
+    assert tracer.call(wequal, lift(f), lift(f)).equal
+    metrics = tracer.metrics()
+    assert metrics["wproj.wequal_calls"][0] == 1
+    assert metrics["morphisms.tensor_calls"][0] > 0
+    assert metrics["semirings.kernel_calls"][0] > 0
+    assert metrics["objects.cache_hit_ratio"][0] > 0

@@ -12,6 +12,7 @@ from sccckit import (
     Gen,
     Morphism,
     TypeMismatch,
+    WMorphism,
     WProjModel,
     canonical_rep,
     check_prep_state,
@@ -136,3 +137,54 @@ def test_prep_state_holds_in_the_quotient_and_in_rel():
         report = check_prep_state(model, trials=50, seed=2)
         assert report.ok
         assert all(r.status == "pass" for r in report.results)
+
+
+@pytest.fixture
+def double_calls(monkeypatch):
+    """Counts calls to core.double, the doubled form's only builder."""
+    from sccckit import core
+    calls = []
+    real = core.double
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(core, "double", counting)
+    return calls
+
+
+def test_lift_defers_the_doubled_form(double_calls):
+    f = cmor([[1, 2], [3, 4]])
+    w = lift(f)
+    assert double_calls == []
+    first = w.doubled
+    assert w.doubled is first
+    assert len(double_calls) == 1
+    assert equal(first, double(f))
+
+
+def test_lazy_doubles_give_the_eager_answers():
+    rng = np.random.default_rng(34)
+    w = WProjModel(fdhilb())
+    for _ in range(10):
+        f = M.sample_morphism(rng, Q, Q)
+        for g in (scalar_mult(phase(rng.uniform(0, 2 * np.pi)), f),
+                  M.sample_morphism(rng, Q, Q)):
+            eager = wequal(WMorphism(f, double(f)), WMorphism(g, double(g)))
+            assert wequal(lift(f), lift(g)) == eager
+        s = scalar(complex(*rng.standard_normal(2)), COMPLEX)
+        assert w.scalar_value(lift(s)) == w.scalar_value(WMorphism(s, double(s)))
+
+
+def test_explicit_doubled_form_is_kept(double_calls):
+    f = cmor([[1, 2], [3, 4]])
+    forged = double(cmor([[1, 0], [0, 1]]))
+    for w in (WMorphism(f, forged),
+              dataclasses.replace(lift(f), doubled=forged)):
+        assert w.doubled is forged
+        with pytest.raises(CriterionDisagreement):
+            wequal(w, lift(f))
+        assert w.doubled is forged
+    # one per pass, for the honest lift(f); the forged forms were never rebuilt
+    assert len(double_calls) == 2
