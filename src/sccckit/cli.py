@@ -32,6 +32,7 @@ from .semirings import COMPLEX
 from .suites import SUITE_NAMES, run_suite
 
 NU_CHOICES = {"1": Fraction(1), "1/2": Fraction(1, 2), "2": Fraction(2)}
+_FLOAT = np.finfo(np.float64)
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -83,8 +84,15 @@ def _parse_state(text: str) -> Morphism:
                          f"got {column.shape[0]} amplitude pairs")
     if not np.all(np.isfinite(column)):
         raise ValueError("--state: amplitudes must be finite")
-    if not np.any(column):
-        raise ValueError("--state: the zero vector is not a state")
+    # Teleportation compares the branch weights with this weight: one that
+    # overflows makes every comparison fail, one that underflows (like the
+    # zero vector's) makes every comparison hold vacuously.
+    with np.errstate(over="ignore", under="ignore"):
+        weight = float(np.vdot(column, column).real)
+    if not _FLOAT.tiny <= weight <= _FLOAT.max:
+        raise ValueError("--state: the weight |a|^2 + |b|^2 must be a normal "
+                         f"positive float in [{_FLOAT.tiny:.4g}, {_FLOAT.max:.4g}], "
+                         f"got {weight:.4g}")
     return Morphism(UNIT, Oplus(UNIT, UNIT), column, COMPLEX)
 
 

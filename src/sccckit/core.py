@@ -12,36 +12,53 @@ exercises them:
   lexicographic basis order is associative),
 * sigma(A,B): A @ B -> B @ A is the transposition permutation,
 * the dual of the unit is realized strictly by object normalization.
+
+These structure maps and the unit eta_A are canonical once their objects are
+fixed, so ``lam``, ``rho``, ``alpha``, ``sigma`` and ``unit`` are memoized per
+(objects, semiring) in one bounded cache each.  That is sound because each is
+a deterministic function of hashable, immutable arguments (semirings hash by
+identity) that takes no array and checks nothing, and returns a morphism
+whose array is frozen: a shared result is indistinguishable from a fresh
+one, and a broken constructor is cached broken, so every check that catches
+it still does.  Nothing that reads arrays or performs a check is memoized:
+``name`` builds and compares both unfoldings on every call, and ``trace``,
+``scalar_mult`` and ``double`` compute afresh.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (AbsorptionMismatch, InvariantViolation, NotPhaseEquivalent,
                      NotProjector, TypeMismatch)
-from .morphisms import (Morphism, compose, dagger, duals, equal, identity,
+from .morphisms import (Morphism, adopt, compose, dagger, duals, equal, identity,
                         scalar_value, tensor)
 from .objects import ObjectExpr, Tensor, UNIT, dim, dual, format_object, normalize
 from .semirings import InvolutiveSemiring
 
 
+@lru_cache(maxsize=4096)
 def lam(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """Left unitor A -> I @ A."""
-    return Morphism(a, Tensor(UNIT, a), np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, Tensor(UNIT, a), np.eye(dim(a), dtype=s.dtype), s)
 
 
+@lru_cache(maxsize=4096)
 def rho(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """Right unitor A -> A @ I."""
-    return Morphism(a, Tensor(a, UNIT), np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, Tensor(a, UNIT), np.eye(dim(a), dtype=s.dtype), s)
 
 
+@lru_cache(maxsize=4096)
 def alpha(a: ObjectExpr, b: ObjectExpr, c: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """Associator A @ (B @ C) -> (A @ B) @ C."""
     n = dim(a) * dim(b) * dim(c)
-    return Morphism(Tensor(a, Tensor(b, c)), Tensor(Tensor(a, b), c),
-                    np.eye(n, dtype=s.dtype), s)
+    return adopt(Tensor(a, Tensor(b, c)), Tensor(Tensor(a, b), c),
+                 np.eye(n, dtype=s.dtype), s)
 
 
+@lru_cache(maxsize=4096)
 def sigma(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """Symmetry A @ B -> B @ A, as the basis transposition permutation."""
     da, db = dim(a), dim(b)
@@ -49,9 +66,10 @@ def sigma(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     cols = np.arange(da * db)
     i, j = divmod(cols, db)
     arr[j * da + i, cols] = s.one
-    return Morphism(Tensor(a, b), Tensor(b, a), arr, s)
+    return adopt(Tensor(a, b), Tensor(b, a), arr, s)
 
 
+@lru_cache(maxsize=4096)
 def unit(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """The unit eta_A: I -> A* @ A, the column vector of the identity.
 
@@ -61,7 +79,7 @@ def unit(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     arr = np.zeros((d * d, 1), dtype=s.dtype)
     idx = np.arange(d)
     arr[idx * d + idx, 0] = s.one
-    return Morphism(UNIT, Tensor(dual(a), a), arr, s)
+    return adopt(UNIT, Tensor(dual(a), a), arr, s)
 
 
 def name(f: Morphism) -> Morphism:

@@ -20,11 +20,19 @@ already in normal form and their arrays are fresh kernel outputs (or, for a
 phase-free dagger, a transposed view of a frozen array), so it skips the
 re-normalization and the copy.  It still coerces the array to the
 semiring's dtype, checks the shape the operands imply (a guard for user
-semirings whose kernels misbehave) and freezes the array.
+semirings whose kernels misbehave) and freezes the array.  ``adopt`` is the
+public constructor minus the copy, for an array its caller has just built.
+
+``identity`` is memoized per (object, semiring), like the structure maps of
+``core`` and ``ortho``: its result is a function of those hashable,
+immutable arguments alone and its array is frozen, so a shared result is
+indistinguishable from a fresh one.  Semirings hash by identity, so two
+semirings never share an entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,12 +85,24 @@ def _derived(dom: ObjectExpr, cod: ObjectExpr, array, s: InvolutiveSemiring,
     return f
 
 
+def adopt(dom: ObjectExpr, cod: ObjectExpr, array, s: InvolutiveSemiring) -> Morphism:
+    """``Morphism(...)`` for an array the caller has just built and hands over.
+
+    Every check of the public constructor runs (ends normalized, dtype
+    coerced, shape checked, array frozen) except the defensive copy, which
+    only guards arrays someone else still holds.
+    """
+    dom, cod = normalize(dom), normalize(cod)
+    return _derived(dom, cod, array, s, (dim(cod), dim(dom)))
+
+
 def morphism(dom: ObjectExpr, cod: ObjectExpr, array, semiring: InvolutiveSemiring) -> Morphism:
     return Morphism(dom, cod, array, semiring)
 
 
+@lru_cache(maxsize=4096)
 def identity(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
-    return Morphism(a, a, np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, a, np.eye(dim(a), dtype=s.dtype), s)
 
 
 def zeros(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:

@@ -13,15 +13,26 @@ plain matrix constructions in the tests:
 Monoidal naturality of the coherence family is verified on random samples
 (DIST unitarity and naturality squares); the remaining coherence diagrams are
 not separately tested.
+
+The unitors, symmetry, associator, DIST, ``zero_collapse``,
+``zero_morphism``, ``_spread`` and the pseudo-projections and
+pseudo-injections are canonical once their objects are fixed, so each is
+memoized per (objects, semiring) in one bounded cache, as in ``core`` and
+for the same reason: it takes no array, checks nothing and returns a frozen
+morphism, so a shared result is indistinguishable from a fresh one.
+``derived_sum`` reads its operands' arrays and runs afresh on every call.
+``pseudo_projection`` and ``pseudo_injection`` stay plain functions that
+delegate to cached helpers, so their calls can still be counted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import TypeMismatch
-from .morphisms import (Morphism, compose, dagger, direct_sum, identity,
+from .morphisms import (Morphism, adopt, compose, dagger, direct_sum, identity,
                         tensor)
 from .objects import (ObjectExpr, Oplus, Tensor, UNIT, ZERO, dim, dual,
                       format_object, normalize)
@@ -67,34 +78,39 @@ def decomposition(*parts: ObjectExpr) -> OplusDecomposition:
 
 # -- oplus-side unitors, symmetry, associator -------------------------------
 
+@lru_cache(maxsize=4096)
 def l_unitor(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A -> 0 + A."""
-    return Morphism(a, Oplus(ZERO, a), np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, Oplus(ZERO, a), np.eye(dim(a), dtype=s.dtype), s)
 
 
+@lru_cache(maxsize=4096)
 def r_unitor(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A -> A + 0."""
-    return Morphism(a, Oplus(a, ZERO), np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, Oplus(a, ZERO), np.eye(dim(a), dtype=s.dtype), s)
 
 
+@lru_cache(maxsize=4096)
 def oplus_symmetry(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A + B -> B + A, swapping the blocks."""
     da, db = dim(a), dim(b)
     arr = np.zeros((da + db, da + db), dtype=s.dtype)
     arr[db:, :da] = np.eye(da, dtype=s.dtype)
     arr[:db, da:] = np.eye(db, dtype=s.dtype)
-    return Morphism(Oplus(a, b), Oplus(b, a), arr, s)
+    return adopt(Oplus(a, b), Oplus(b, a), arr, s)
 
 
+@lru_cache(maxsize=4096)
 def oplus_assoc(a: ObjectExpr, b: ObjectExpr, c: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A + (B + C) -> (A + B) + C (identity matrix, retyped ends)."""
     n = dim(a) + dim(b) + dim(c)
-    return Morphism(Oplus(a, Oplus(b, c)), Oplus(Oplus(a, b), c),
-                    np.eye(n, dtype=s.dtype), s)
+    return adopt(Oplus(a, Oplus(b, c)), Oplus(Oplus(a, b), c),
+                 np.eye(n, dtype=s.dtype), s)
 
 
 # -- distributivity ----------------------------------------------------------
 
+@lru_cache(maxsize=4096)
 def dist_left(a: ObjectExpr, b: ObjectExpr, c: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A @ (B + C) -> (A @ B) + (A @ C), an explicit permutation."""
     da, db, dc = dim(a), dim(b), dim(c)
@@ -104,9 +120,10 @@ def dist_left(a: ObjectExpr, b: ObjectExpr, c: ObjectExpr, s: InvolutiveSemiring
     i, x = divmod(cols, db + dc)
     rows = np.where(x < db, i * db + x, da * db + i * dc + (x - db))
     arr[rows, cols] = s.one
-    return Morphism(Tensor(a, Oplus(b, c)), Oplus(Tensor(a, b), Tensor(a, c)), arr, s)
+    return adopt(Tensor(a, Oplus(b, c)), Oplus(Tensor(a, b), Tensor(a, c)), arr, s)
 
 
+@lru_cache(maxsize=4096)
 def dist_right(b: ObjectExpr, c: ObjectExpr, a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """(B + C) @ A -> (B @ A) + (C @ A), an explicit permutation."""
     da, db, dc = dim(a), dim(b), dim(c)
@@ -116,18 +133,20 @@ def dist_right(b: ObjectExpr, c: ObjectExpr, a: ObjectExpr, s: InvolutiveSemirin
     x, k = divmod(cols, da)
     rows = np.where(x < db, x * da + k, db * da + (x - db) * da + k)
     arr[rows, cols] = s.one
-    return Morphism(Tensor(Oplus(b, c), a), Oplus(Tensor(b, a), Tensor(c, a)), arr, s)
+    return adopt(Tensor(Oplus(b, c), a), Oplus(Tensor(b, a), Tensor(c, a)), arr, s)
 
 
+@lru_cache(maxsize=4096)
 def zero_collapse(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """The unique isomorphism a -> 0 for a zero-dimensional object."""
     if dim(a) != 0:
         raise TypeMismatch(f"{format_object(a)} has positive dimension")
-    return Morphism(a, ZERO, np.zeros((0, 0), dtype=s.dtype), s)
+    return adopt(a, ZERO, np.zeros((0, 0), dtype=s.dtype), s)
 
 
 # -- zero morphisms through the zero object ----------------------------------
 
+@lru_cache(maxsize=4096)
 def zero_morphism(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """0_{A,B}: A -> B built by factoring through the zero object.
 
@@ -168,6 +187,12 @@ def _inj_right(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
 
 def pseudo_projection(decomp: OplusDecomposition, i: int, s: InvolutiveSemiring) -> Morphism:
     """p_i: whole -> parts[i], built from the binary composites."""
+    return _pseudo_projection(decomp, i, s)
+
+
+@lru_cache(maxsize=4096)
+def _pseudo_projection(decomp: OplusDecomposition, i: int,
+                       s: InvolutiveSemiring) -> Morphism:
     n = len(decomp)
     if not 0 <= i < n:
         raise IndexError(f"block index {i} out of range for {n} parts")
@@ -177,11 +202,17 @@ def pseudo_projection(decomp: OplusDecomposition, i: int, s: InvolutiveSemiring)
     last = decomp.parts[-1]
     if i == n - 1:
         return _proj_right(left.whole, last, s)
-    return compose(pseudo_projection(left, i, s), _proj_left(left.whole, last, s))
+    return compose(_pseudo_projection(left, i, s), _proj_left(left.whole, last, s))
 
 
 def pseudo_injection(decomp: OplusDecomposition, i: int, s: InvolutiveSemiring) -> Morphism:
     """q_i: parts[i] -> whole, built from the binary composites."""
+    return _pseudo_injection(decomp, i, s)
+
+
+@lru_cache(maxsize=4096)
+def _pseudo_injection(decomp: OplusDecomposition, i: int,
+                      s: InvolutiveSemiring) -> Morphism:
     n = len(decomp)
     if not 0 <= i < n:
         raise IndexError(f"block index {i} out of range for {n} parts")
@@ -191,7 +222,7 @@ def pseudo_injection(decomp: OplusDecomposition, i: int, s: InvolutiveSemiring) 
     last = decomp.parts[-1]
     if i == n - 1:
         return _inj_right(left.whole, last, s)
-    return compose(_inj_left(left.whole, last, s), pseudo_injection(left, i, s))
+    return compose(_inj_left(left.whole, last, s), _pseudo_injection(left, i, s))
 
 
 def pseudo_maps(decomp: OplusDecomposition, i: int,
@@ -212,6 +243,7 @@ def pseudo_component(f: Morphism, dom_decomp: OplusDecomposition,
 
 # -- the derived sum ----------------------------------------------------------
 
+@lru_cache(maxsize=4096)
 def _spread(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """(I + I) @ A -> A + A via DIST and the left unitors."""
     return compose(oplus(dagger(lam(a, s)), dagger(lam(a, s))),

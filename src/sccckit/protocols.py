@@ -5,11 +5,18 @@ common domain, one per outcome.  Measurements come from unitaries into block
 sums; teleportation composes a Bell state, a four-outcome destructive
 measurement and per-branch unitary corrections, and is checked end to end
 against the literal matrix pipeline.
+
+The teleportation measurement T and its corrections are fixed, like the
+structure maps of ``core`` and ``ortho``, so ``bell_teleportation_setup``
+builds them once per process (its unitarity check runs on that build) and
+``run_teleportation`` reads them once per teleport.  Sharing them is sound
+because the set-up takes no argument, returns frozen morphisms in a tuple,
+and nothing downstream writes to them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -161,18 +168,24 @@ def qubit() -> ObjectExpr:
     return Oplus(UNIT, UNIT)
 
 
-def bell_teleportation_setup() -> tuple[Morphism, list[Morphism]]:
+def bell_teleportation_setup() -> tuple[Morphism, tuple[Morphism, ...]]:
     """The four-outcome measurement unitary T and the correction unitaries.
 
     The corrections are 1, X, Z, XZ; row i of T is the conjugated
     vectorization of correction i scaled by 1/sqrt(2), which makes T unitary
-    and T(dagger) o q_i equal to (1/sqrt(2)) name(beta_i).
+    and T(dagger) o q_i equal to (1/sqrt(2)) name(beta_i).  Built once per
+    process (see the module docstring).
     """
+    return _bell_teleportation_setup()
+
+
+@lru_cache(maxsize=1)
+def _bell_teleportation_setup() -> tuple[Morphism, tuple[Morphism, ...]]:
     q = qubit()
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
     mats = [np.eye(2), x, z, x @ z]
-    betas = [Morphism(q, q, m, COMPLEX) for m in mats]
+    betas = tuple(Morphism(q, q, m, COMPLEX) for m in mats)
     rows = [core.name(b).array[:, 0].conj() / np.sqrt(2) for b in betas]
     four = ortho.decomposition(UNIT, UNIT, UNIT, UNIT)
     t = Morphism(q @ q, four.whole, np.vstack(rows), COMPLEX)
@@ -181,17 +194,20 @@ def bell_teleportation_setup() -> tuple[Morphism, list[Morphism]]:
     return t, betas
 
 
-def _teleport_branches(psi: Morphism) -> tuple[list[Morphism], Morphism]:
+def _teleport_branches(psi: Morphism,
+                       t: Morphism | None = None) -> tuple[list[Morphism], Morphism]:
     """Run the pipeline; returns raw branch states and the Bell state used.
 
     Pipeline: pair the input with a normalized Bell state, reassociate,
     swap the receiving factor to the front, distribute it over the four
-    measurement outcomes with the classical-communication map, and strip
-    the scalar leg with a unitor.
+    measurement outcomes (the unitary ``t``, by default the one of
+    ``bell_teleportation_setup``) with the classical-communication map, and
+    strip the scalar leg with a unitor.
     """
     q = qubit()
     s = COMPLEX
-    t, _ = bell_teleportation_setup()
+    if t is None:
+        t, _ = bell_teleportation_setup()
     bell = core.scalar_mult(scalar(1 / np.sqrt(2), s),
                             core.name(identity(q, s)))
     four = ortho.decomposition(UNIT, UNIT, UNIT, UNIT)
@@ -225,10 +241,10 @@ def run_teleportation(psi: Morphism | None = None,
     if psi.dom != UNIT or psi.cod != qubit():
         raise TypeMismatch("the input must be a state of I(+)I")
 
-    _, betas = bell_teleportation_setup()
-    outs, _ = _teleport_branches(psi)
+    t, betas = bell_teleportation_setup()
+    outs, _ = _teleport_branches(psi, t)
     shifted_outs, _ = _teleport_branches(
-        core.scalar_mult(scalar(1.0j, COMPLEX), psi))
+        core.scalar_mult(scalar(1.0j, COMPLEX), psi), t)
     target = core.scalar_mult(scalar(0.5, COMPLEX), psi)
     total = float(core.hs_norm_sq(psi).array[0, 0].real)
 

@@ -24,9 +24,15 @@ def max_abs(arr: np.ndarray) -> float:
     return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvolutiveSemiring:
-    """Scalar laws plus matrix kernels for one coefficient semiring."""
+    """Scalar laws plus matrix kernels for one coefficient semiring.
+
+    Semirings compare and hash by identity, as every operation that mixes
+    morphisms already checks (``f.semiring is g.semiring``): a copy made with
+    ``replace`` is another semiring, and the memoized structure maps keyed on
+    a semiring never hand one semiring's morphisms to another's caller.
+    """
 
     name: str
     dtype: Any

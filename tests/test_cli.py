@@ -223,3 +223,16 @@ def test_cli_refuses_nested_quotient(capsys, argv):
     captured = capsys.readouterr()
     assert "--model" in captured.err
     assert captured.out == ""
+
+
+def test_cli_teleport_refuses_weights_outside_the_float_range(capsys):
+    # |1e200|^2 overflows to inf, so every branch comparison was NaN (exit 1);
+    # |1e-200|^2 underflows to 0, so every comparison held as 0 = 0 (exit 0)
+    for state in ("[[0,0],[1e200,0]]", "[[1e-200,0],[0,0]]", "[[1e-160,0],[0,0]]"):
+        assert main(["protocol", "teleport", "--state", state]) == 2, state
+        assert "--state" in capsys.readouterr().err, state
+
+
+def test_cli_teleport_runs_weights_near_the_float_limits(capsys):
+    for state in ("[[1.3e154,0],[0,0]]", "[[1.5e-154,0],[0,0]]"):
+        assert main(["protocol", "teleport", "--state", state]) == 0, state

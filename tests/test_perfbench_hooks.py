@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import sccckit
-from sccckit import COMPLEX, Gen, Morphism, lift, wequal
+from sccckit import COMPLEX, UNIT, Gen, Morphism, lift, ortho, protocols, wequal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,3 +29,18 @@ def test_layer_tracer_finds_its_hooks(monkeypatch):
     assert metrics["morphisms.tensor_calls"][0] > 0
     assert metrics["semirings.kernel_calls"][0] > 0
     assert metrics["objects.cache_hit_ratio"][0] > 0
+
+
+def test_layer_tracer_still_counts_memoized_entry_points(monkeypatch):
+    # pseudo_projection, pseudo_injection and bell_teleportation_setup are
+    # counted by their code objects, so a cache wrapper around one of them
+    # would hide its calls; the teleport builds its set-up exactly once
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import LayerTracer
+
+    tracer = LayerTracer(sccckit)
+    assert tracer.call(protocols.run_teleportation).ok
+    tracer.call(ortho.pseudo_projection, ortho.decomposition(UNIT, UNIT), 0, COMPLEX)
+    metrics = tracer.metrics()
+    assert metrics["ortho.pseudo_map_calls"][0] > 0
+    assert metrics["protocols.setup_per_teleport"][0] == 1.0
