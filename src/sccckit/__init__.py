@@ -27,7 +27,7 @@ from .models import (ModelHandle, copairing, fdhilb, pairing, random_unitary,
                      rel_model, resolve_model, semiring_model,
                      verify_model_axioms, weight_model)
 from .wproj import (WMorphism, WProjModel, canonical_rep, check_prep_state,
-                    lift, wcompose, wdagger, wequal, wtensor)
+                    lift, wequal)
 from .born import (check_born_decomposition, check_diagonal_axiom,
                    check_ortho_bornian, check_theorem_equivalence,
                    check_trace_linearity, corrupted_trace, is_positive,

@@ -76,9 +76,10 @@ def is_positive(h: Morphism) -> tuple[bool, Morphism | None]:
     """Does h factor as f(dagger) o f?  Returns the witness f when found.
 
     Complex matrices are decided spectrally, with the witness the symmetric
-    square root.  Exact models are decided by bounded search over small entry
-    grids, so a miss at larger dimensions means no witness was found in the
-    grid, not a proof of negativity.
+    square root.  Other models are decided by bounded search over the entry
+    grid 0, 1, 1 + 1, 1 + 1 + 1 of the semiring, at dimensions small enough
+    that the grid has at most 512 matrices; a miss means no witness was found
+    in the grid, not a proof of negativity.
     """
     if h.dom != h.cod:
         raise TypeMismatch("positivity is a property of endomorphisms")
@@ -96,10 +97,9 @@ def is_positive(h: Morphism) -> tuple[bool, Morphism | None]:
         root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
         return True, Morphism(h.dom, h.cod, root, COMPLEX)
     # bounded entrywise search in exact / phase-free models
-    if h.semiring.dtype == np.bool_:
-        grid, limit = [0, 1], 3
-    else:
-        grid, limit = [0.0, 1.0, 2.0, 3.0], 2
+    grid = h.semiring.multiples(4)
+    # the largest dimension whose grid holds at most 512 matrices
+    limit = max(n for n in range(1, 9) if len(grid) ** (n * n) <= 512)
     if d > limit:
         raise TypeMismatch(
             f"positivity search supports dimension <= {limit} in {h.semiring.name}")

@@ -99,11 +99,12 @@ class ModelHandle:
 
     def scalar_power(self, s: Morphism, exponent) -> Morphism:
         """s raised to a rational power; needs a nonneg real value unless the
-        exponent is an integer or the semiring is idempotent (boolean)."""
-        v = scalar_value(s)
-        if self.semiring is BOOLEAN:
-            # x*x = x, so every positive power of a boolean scalar is itself
+        exponent is an integer or the semiring is idempotent."""
+        if self.semiring.idempotent:
+            # as over the booleans, where x*x = x too, a positive power of a
+            # scalar is the scalar itself
             return s if float(exponent) != 0 else self.scalar(self.semiring.one)
+        v = self.scalar_value(s)
         q = float(exponent)
         if q == int(q):
             return self.scalar(v ** int(q))
@@ -142,10 +143,8 @@ class ModelHandle:
 
     def sample_unit_scalar(self, rng: np.random.Generator):
         """A scalar u with u o u(dagger) = 1 (a phase when the model has them)."""
-        if self.semiring is COMPLEX:
-            u = np.exp(2j * np.pi * rng.random())
-        else:
-            u = self.semiring.one
+        phase = self.semiring.phase
+        u = self.semiring.one if phase is None else phase(rng)
         return self.lift(scalar(u, self.semiring))
 
 
@@ -212,10 +211,11 @@ def random_unitary(m: ModelHandle, dims, seed, dom: ObjectExpr | None = None) ->
     """A seeded Haar-ish unitary dom -> (+)_i A_i with dim(A_i) = dims[i].
 
     Built by orthonormalizing a seeded complex sample; resamples up to 8 times
-    before giving up with ``DegenerateSample``.  Only defined over fdhilb.
+    before giving up with ``DegenerateSample``.  Only defined over a complex
+    semiring with phases, such as fdhilb's.
     """
-    if m.semiring is not COMPLEX:
-        raise TypeMismatch("random unitaries are sampled in fdhilb only")
+    if m.semiring.phase is None:
+        raise TypeMismatch("random unitaries are sampled over a semiring with phases")
     dims = list(dims)
     total = sum(dims)
     if total < 1 or any(d < 0 for d in dims):

@@ -225,12 +225,6 @@ def _pseudo_injection(decomp: OplusDecomposition, i: int,
     return compose(_inj_left(left.whole, last, s), _pseudo_injection(left, i, s))
 
 
-def pseudo_maps(decomp: OplusDecomposition, i: int,
-                s: InvolutiveSemiring) -> tuple[Morphism, Morphism]:
-    """(p_i, q_i) for one block; q_i equals p_i(dagger) as a law, not by fiat."""
-    return pseudo_projection(decomp, i, s), pseudo_injection(decomp, i, s)
-
-
 def pseudo_component(f: Morphism, dom_decomp: OplusDecomposition,
                      cod_decomp: OplusDecomposition, i: int, j: int) -> Morphism:
     """f_ij := p_j o f o q_i, the block of f from dom part i to cod part j."""

@@ -50,9 +50,6 @@ class BranchTuple:
     def dom(self) -> ObjectExpr:
         return self.branches[0].dom
 
-    def project(self, i: int) -> Morphism:
-        return self.branches[i]
-
     def __len__(self) -> int:
         return len(self.branches)
 
@@ -112,7 +109,7 @@ def measurement_oplus_style(spec: MeasurementSpec) -> Morphism:
     """((+)_i u(dagger)) o ((+)_i q_i) o u, typed A -> (+)_i A.
 
     With biproducts around, this coincides with stacking the projectors
-    <P_1, ..., P_n>, which is checked by the suites rather than assumed.
+    <P_1, ..., P_n>; no suite checks that, only ``tests/test_protocols.py``.
     """
     s = spec.u.semiring
     qs = [ortho.pseudo_injection(spec.decomp, i, s) for i in range(len(spec))]

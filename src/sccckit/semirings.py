@@ -10,6 +10,7 @@ a scale-aware approximate equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -27,6 +28,13 @@ def max_abs(arr: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class InvolutiveSemiring:
     """Scalar laws plus matrix kernels for one coefficient semiring.
+
+    A semiring declares its scalar operations, its matrix kernels, whether
+    equality is ``exact``, and ``phase``: a sampler ``rng -> unit scalar``
+    drawing u with u o u(dagger) = 1, or None when the model has no phases
+    worth drawing.  Everything else the suites branch on is derived from
+    ``zero``, ``one`` and ``add`` and set by nobody: ``idempotent`` and
+    ``multiples(n)``, and the entrywise-sum oracle is ``add`` itself.
 
     Semirings compare and hash by identity, as every operation that mixes
     morphisms already checks (``f.semiring is g.semiring``): a copy made with
@@ -46,12 +54,28 @@ class InvolutiveSemiring:
     scale: Callable[[Any, np.ndarray], np.ndarray]
     sample: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
     exact: bool = False                       # exact equality instead of tolerances
+    phase: Callable[[np.random.Generator], Any] | None = None
     approx_equal: Callable[..., bool] = field(default=None)  # set in __post_init__
 
     def __post_init__(self) -> None:
         if self.approx_equal is None:
             fn = _exact_equal if self.exact else _tolerant_equal
             object.__setattr__(self, "approx_equal", fn)
+
+    @cached_property
+    def idempotent(self) -> bool:
+        """1 + 1 = 1, so x + x = x for every x."""
+        return self.add(self.one, self.one) == self.one
+
+    def multiples(self, n: int) -> list:
+        """0, 1, 1 + 1, ... up to n elements, stopping at the first repeat."""
+        out = [self.zero]
+        while len(out) < n:
+            nxt = self.add(out[-1], self.one)
+            if nxt in out:
+                break
+            out.append(nxt)
+        return out
 
 
 def _tolerant_equal(a: np.ndarray, b: np.ndarray, rel: float | None = None) -> bool:
@@ -95,6 +119,7 @@ COMPLEX = InvolutiveSemiring(
     kron=_kron,
     scale=lambda c, arr: c * arr,
     sample=lambda rng, shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+    phase=lambda rng: np.exp(2j * np.pi * rng.random()),
 )
 
 BOOLEAN = InvolutiveSemiring(
@@ -131,10 +156,11 @@ def corrupted_complex() -> InvolutiveSemiring:
     """Complex semiring with the involution deliberately broken (identity).
 
     The scalar laws still hold, so this passes ``check_semiring_laws`` but
-    breaks adjoint-dependent coherence; used as a negative control.
+    breaks adjoint-dependent coherence; used as a negative control.  It has
+    no phases: under the identity involution u o u(dagger) = u^2, not 1.
     """
     return replace(COMPLEX, name="complex-corrupted-involution", involution=lambda x: +x,
-                   approx_equal=COMPLEX.approx_equal)
+                   phase=None, approx_equal=COMPLEX.approx_equal)
 
 
 def check_semiring_laws(s: InvolutiveSemiring, rng: np.random.Generator, samples: int = 24) -> None:

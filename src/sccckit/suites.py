@@ -22,9 +22,7 @@ from .morphisms import (compose, dagger, direct_sum, distance, equal,
 from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner,
                      VerificationReport, serialize_morphism)
-from .semirings import COMPLEX
-from .wproj import (WProjModel, canonical_rep, check_prep_state, lift,
-                    wcompose, wdagger, wequal, wtensor)
+from .wproj import WProjModel, canonical_rep, check_prep_state, lift, wequal
 
 
 SUITE_NAMES = ("sccc", "wproj", "prep-state", "ortho", "born", "equivalence")
@@ -232,7 +230,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
             return {"psi": serialize_morphism(psi)}
         return None
 
-    if s is COMPLEX:
+    if s.phase is not None:
         def double_phase(rng):
             f = model.sample_morphism(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
             u = model.sample_unit_scalar(rng)
@@ -266,7 +264,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                     ortho.pseudo_projection(decomp, i, s))
         psi = model.sample_state(rng, decomp.whole)
         prob = core.born_prob(psi, p)  # cross-checks the trace route itself
-        if s is COMPLEX and complex(scalar_value(prob)).real < -1e-9:
+        if complex(scalar_value(prob)).real < -1e-9:
             return {"probability": scalar_value(prob)}
         return None
 
@@ -330,7 +328,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         Check("inner-product-on-states", "<psi|phi> = psi(dagger) o phi",
               PER_TRIAL, hs_states),
     ]
-    if s is COMPLEX:
+    if s.phase is not None:
         table += [
             Check("double-ignores-phase",
                   "(u . f) (x) (u . f)(dagger) = f (x) f(dagger) for unit u",
@@ -360,7 +358,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
     base = w.base
     s = base.semiring
-    boolean = s.dtype == np.bool_
+    two = s.add(s.one, s.one)
 
     def sample(rng, a=None, b=None):
         a = a if a is not None else _gen(rng, "A", 3)
@@ -381,10 +379,10 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         if not r2.agree:
             return {"pair": "independent",
                     "verdicts": [r2.by_double, r2.by_lower, r2.by_projector]}
-        if not boolean:
+        if not s.idempotent:
             if float(np.max(np.abs(np.asarray(f.array, dtype=complex)))) < 1e-6:
                 return None  # degenerate draw, nothing to separate
-            doubled_weight = core.scalar_mult(scalar(s.one + s.one, s), f)
+            doubled_weight = core.scalar_mult(scalar(two, s), f)
             r3 = wequal(lift(f), lift(doubled_weight), tol)
             if r3.equal:
                 return {"pair": "weight-doubled", "note": "classes collapsed"}
@@ -396,7 +394,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         g = sample(rng, b, c)
         u = base.sample_unit_scalar(rng)
         v = base.sample_unit_scalar(rng)
-        lhs = wcompose(lift(core.scalar_mult(u, g)), lift(core.scalar_mult(v, f)))
+        lhs = w.compose(lift(core.scalar_mult(u, g)), lift(core.scalar_mult(v, f)))
         if not wequal(lhs, lift(compose(g, f)), tol).equal:
             return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
         return None
@@ -405,14 +403,14 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         f, g = sample(rng), sample(rng, _gen(rng, "C", 3), _gen(rng, "D", 3))
         u = base.sample_unit_scalar(rng)
         v = base.sample_unit_scalar(rng)
-        lhs = wtensor(lift(core.scalar_mult(u, f)), lift(core.scalar_mult(v, g)))
+        lhs = w.tensor(lift(core.scalar_mult(u, f)), lift(core.scalar_mult(v, g)))
         if not wequal(lhs, lift(tensor(f, g)), tol).equal:
             return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
         return None
 
     def dagger_involution(rng):
         fw = lift(sample(rng))
-        if not wequal(wdagger(wdagger(fw)), fw, tol).equal:
+        if not wequal(w.dagger(w.dagger(fw)), fw, tol).equal:
             return {"f": serialize_morphism(fw)}
         return None
 
@@ -421,10 +419,10 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
             a = Gen("A", d)
             e = core.unit(a, s)
             e_dual = core.unit(dual(a), s)
-            m = wcompose(lift(tensor(identity(a, s), e)), lift(core.rho(a, s)))
-            m = wcompose(lift(core.alpha(a, dual(a), a, s)), m)
-            m = wcompose(lift(tensor(dagger(e_dual), identity(a, s))), m)
-            m = wcompose(lift(dagger(core.lam(a, s))), m)
+            m = w.compose(lift(tensor(identity(a, s), e)), lift(core.rho(a, s)))
+            m = w.compose(lift(core.alpha(a, dual(a), a, s)), m)
+            m = w.compose(lift(tensor(dagger(e_dual), identity(a, s))), m)
+            m = w.compose(lift(dagger(core.lam(a, s))), m)
             if not wequal(m, w.identity(a), tol).equal:
                 return _obj_witness(a)
         return None
@@ -435,9 +433,9 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         u = base.sample_unit_scalar(rng)
         f, h = sample(rng, b, c), sample(rng, a, b)
         g, k = sample(rng, e, x), sample(rng, d, e)
-        lhs = wcompose(wtensor(lift(core.scalar_mult(u, f)), lift(g)),
-                       wtensor(lift(h), lift(k)))
-        rhs = wtensor(wcompose(lift(f), lift(h)), wcompose(lift(g), lift(k)))
+        lhs = w.compose(w.tensor(lift(core.scalar_mult(u, f)), lift(g)),
+                        w.tensor(lift(h), lift(k)))
+        rhs = w.tensor(w.compose(lift(f), lift(h)), w.compose(lift(g), lift(k)))
         if not wequal(lhs, rhs, tol).equal:
             return {"distance": distance(lhs.rep, rhs.rep)}
         return None
@@ -470,12 +468,12 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
             return {"value": float(v)}
         return None
 
-    if not boolean:
+    if not s.idempotent:
         def separates(rng):
             f = sample(rng)
             if float(np.max(np.abs(np.asarray(f.array, dtype=complex)))) < 1e-6:
                 return None
-            heavier = core.scalar_mult(scalar(s.one + s.one, s), f)
+            heavier = core.scalar_mult(scalar(two, s), f)
             if wequal(lift(f), lift(heavier), tol).equal:
                 return {"note": "weights were identified"}
             u = base.sample_unit_scalar(rng)
@@ -511,7 +509,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
               "a quotient scalar is c o c(dagger), a nonnegative real",
               PER_TRIAL, doubled_scalar),
     ]
-    if not boolean:
+    if not s.idempotent:
         table.append(Check("quotient-separates-weight-from-phase",
                            "scaling by 2 leaves the class, a unit phase does not",
                            PER_TRIAL, separates))
@@ -655,7 +653,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
             return {"law": "p o p = p o assoc(dagger)"}
         return None
 
-    if s is COMPLEX:
+    if s.phase is not None:
         def components(rng):
             dims = [int(rng.integers(1, 3)) for _ in range(2)]
             u = random_unitary(model, dims, rng)
@@ -703,8 +701,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         f = model.sample_morphism(rng, a, b)
         g = model.sample_morphism(rng, a, b)
         got = ortho.derived_sum(f, g)
-        want_arr = (np.maximum(f.array, g.array) if s.dtype == np.bool_
-                    else f.array + g.array)
+        want_arr = np.frompyfunc(s.add, 2, 1)(f.array, g.array)
         if not eq(got, morphism(a, b, want_arr, s)):
             return {"distance": distance(got, morphism(a, b, want_arr, s))}
         return None
@@ -734,7 +731,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
             return {"law": "unit"}
         return None
 
-    if s is COMPLEX:
+    if s.phase is not None:
         def no_go(rng):
             hot = ortho.oplus_illdefined_witness(np.pi / 2)
             cold = ortho.oplus_illdefined_witness(0.0)
@@ -777,7 +774,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
               "nested projections agree across the additive associator",
               PER_TRIAL, pseudo_assoc),
     ]
-    if s is COMPLEX:
+    if s.phase is not None:
         table.append(Check("unitary-components-orthonormal",
                            "p_i o U conormalized and coorthogonal; U o q_i "
                            "normalized and orthogonal", PER_TRIAL, components))
@@ -794,7 +791,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
               "the derived sum is associative and commutative with unit 0",
               PER_TRIAL, cmon),
     ]
-    if s is COMPLEX:
+    if s.phase is not None:
         table.append(Check("block-sum-on-phase-classes",
                            "extending (+) to phase classes of morphisms is "
                            "inconsistent", EXPECTED_FAIL, no_go))
@@ -804,8 +801,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 # -- the born suite ------------------------------------------------------------
 
 def _born_checks(model, tol, nu: Fraction) -> list[Check]:
-    boolean = model.semiring.dtype == np.bool_
-    quotient = model.quotient
+    s = model.semiring
     zeta = Fraction(1, 2) / nu
 
     def sample(rng, a=None, b=None):
@@ -902,12 +898,9 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     def two(rng):
         one = model.scalar(1)
         got = complex(model.scalar_value(born.scalar_sum(model, one, one, nu)))
-        if boolean:
-            want = 1.0
-        elif quotient:
-            want = 4.0 ** float(nu)
-        else:
-            want = 2.0 ** float(nu)
+        # the model's 2 is 1 + 1; a quotient scalar c has the value c o c(dagger)
+        v = s.add(s.one, s.one)
+        want = complex(s.mul(v, v) if model.quotient else v).real ** float(nu)
         if abs(got.imag) > 1e-9 or abs(got.real - want) > 1e-9:
             return {"got": [got.real, got.imag], "want": want}
         return None

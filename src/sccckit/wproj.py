@@ -24,12 +24,11 @@ import numpy as np
 from . import core
 from .errors import CriterionDisagreement, TypeMismatch
 from .models import ModelHandle
-from .morphisms import (Morphism, compose, dagger, equal, lower_star, scalar,
-                        scalar_value, tensor)
+from .morphisms import (Morphism, equal, lower_star, scalar, scalar_value,
+                        tensor)
 from .objects import Gen, ObjectExpr, UNIT
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
                      CheckRunner, Held, VerificationReport, serialize_morphism)
-from .semirings import COMPLEX
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -75,18 +74,6 @@ class WMorphism:
 def lift(f: Morphism) -> WMorphism:
     """Send a morphism to its phase class (its doubled form comes on demand)."""
     return WMorphism(f)
-
-
-def wcompose(g: WMorphism, f: WMorphism) -> WMorphism:
-    return lift(compose(g.rep, f.rep))
-
-
-def wtensor(f: WMorphism, g: WMorphism) -> WMorphism:
-    return lift(tensor(f.rep, g.rep))
-
-
-def wdagger(f: WMorphism) -> WMorphism:
-    return lift(dagger(f.rep))
 
 
 @dataclass(frozen=True)
@@ -136,7 +123,7 @@ def canonical_rep(f: Morphism) -> Morphism:
     unchanged.  Models without phases (identity involution, booleans) are
     already canonical.
     """
-    if f.semiring is not COMPLEX or f.array.size == 0:
+    if f.semiring.phase is None or f.array.size == 0:
         return f
     flat = np.abs(f.array).ravel(order="C")
     idx = int(np.argmax(flat))
@@ -175,10 +162,7 @@ class WProjModel(ModelHandle):
         v = complex(value)
         if abs(v.imag) > 1e-9 or v.real < -1e-9:
             raise TypeMismatch(f"quotient scalars are nonnegative reals, got {value}")
-        root = np.sqrt(max(v.real, 0.0))
-        if self.semiring.dtype == np.bool_:
-            root = 1 if v.real > 0 else 0
-        return lift(scalar(root, self.semiring))
+        return lift(scalar(np.sqrt(max(v.real, 0.0)), self.semiring))
 
     def equal(self, f: WMorphism, g: WMorphism, rel: float | None = None) -> bool:
         return wequal(f, g, rel).equal
@@ -190,12 +174,6 @@ class WProjModel(ModelHandle):
                 raise TypeMismatch(f"doubled scalar came out non-real: {v}")
             return float(v.real)
         return v
-
-    def scalar_power(self, s: WMorphism, exponent) -> WMorphism:
-        if self.semiring.dtype == np.bool_:
-            return s if float(exponent) != 0 else self.scalar(1)
-        v = float(self.scalar_value(s))
-        return self.scalar(v ** float(exponent))
 
     def canonical(self, f: WMorphism) -> Morphism:
         return canonical_rep(f.rep)
@@ -229,7 +207,7 @@ def check_prep_state(model, trials: int = 100, seed: int = 0,
 
     def entry(name, law, dom, implication) -> Check:
         """implication(f, g) -> (antecedent, consequent) for f, g: dom -> A."""
-        if not quotient and model.semiring is COMPLEX:
+        if not quotient and model.semiring.phase is not None:
             # the axiom must be violated here; exhibit the canonical witness
             def phase_counterexample(rng):
                 f = model.morphism(dom, a, _unit_witness_array(dom == UNIT))
@@ -264,7 +242,7 @@ def check_prep_state(model, trials: int = 100, seed: int = 0,
               lambda f, g: (eq(model.compose(f, model.dagger(f)),
                                model.compose(g, model.dagger(g))), eq(f, g))),
     ]
-    if not quotient and model.semiring is not COMPLEX:
+    if not quotient and model.semiring.phase is None:
         checks.append(Check("doubles-determine-morphisms-exhaustive",
                             "f(x)f(dagger) = g(x)g(dagger)  =>  f = g  (grid)",
                             WHOLE, lambda rng: _grid_check(model, tol)))
@@ -280,10 +258,11 @@ def _unit_witness_array(states_only: bool):
 def _grid_check(model, tol):
     """Exhaustively confirm the implication on small matrices.
 
-    Every matrix over the entry grid is paired with every other of the same
-    shape; any pair with equal doubled forms must be equal.
+    Every matrix over the entry grid 0, 1, 1 + 1 of the semiring is paired
+    with every other of the same shape; any pair with equal doubled forms
+    must be equal.
     """
-    entries = [0, 1] if model.semiring.dtype == np.bool_ else [0.0, 1.0, 2.0]
+    entries = model.semiring.multiples(3)
     shapes = [(1, 1), (1, 2), (2, 1), (2, 2)]
     checked = 0
     for rows, cols in shapes:

@@ -25,10 +25,7 @@ from sccckit import (
     scalar,
     scalar_mult,
     tensor,
-    wcompose,
-    wdagger,
     wequal,
-    wtensor,
 )
 from sccckit.report import deserialize_morphism
 
@@ -65,9 +62,10 @@ def test_class_operations_commute_with_lift():
     g = M.sample_morphism(rng, Q, Q)
     gf = scalar_mult(phase(1.1), f)
     gg = scalar_mult(phase(2.3), g)
-    assert wequal(wcompose(lift(gg), lift(gf)), lift(compose(g, f))).equal
-    assert wequal(wtensor(lift(gf), lift(gg)), lift(tensor(f, g))).equal
-    assert wequal(wdagger(wdagger(lift(gf))), lift(f)).equal
+    w = WProjModel(M)
+    assert wequal(w.compose(lift(gg), lift(gf)), lift(compose(g, f))).equal
+    assert wequal(w.tensor(lift(gf), lift(gg)), lift(tensor(f, g))).equal
+    assert wequal(w.dagger(w.dagger(lift(gf))), lift(f)).equal
 
 
 def test_canonical_rep_is_a_class_invariant():
