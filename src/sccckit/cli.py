@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +45,10 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    metavar="PATH", help="write the JSON report to PATH (- for stdout)")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes
+    it, and each ``parse_args`` call returns a fresh ``Namespace``."""
     parser = argparse.ArgumentParser(
         prog="sccckit",
         description="Verify compact closed structure, phase quotients, "
@@ -96,6 +100,19 @@ def _parse_state(text: str) -> Morphism:
     return Morphism(UNIT, Oplus(UNIT, UNIT), column, COMPLEX)
 
 
+def _check_json_path(path: str | None) -> None:
+    """Refuse a ``--json`` PATH the report could not be written to."""
+    if path is None or path == "-":
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"--json {path}: is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"--json {path}: directory {parent} does not exist")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"--json {path}: not writable")
+
+
 def _checked_inputs(args):
     """The seed, input state and model, or ValueError naming the bad input."""
     verify = args.command == "verify"
@@ -114,6 +131,7 @@ def _checked_inputs(args):
             seed = int(raw)
         except ValueError:
             raise ValueError(f"SCCCKIT_SEED must be an integer, got {raw!r}") from None
+    _check_json_path(args.json_path)
     state = getattr(args, "state", None)
     psi = _parse_state(state) if state is not None else None
     try:

@@ -22,7 +22,9 @@ whose array is frozen: a shared result is indistinguishable from a fresh
 one, and a broken constructor is cached broken, so every check that catches
 it still does.  Nothing that reads arrays or performs a check is memoized:
 ``name`` builds and compares both unfoldings on every call, and ``trace``,
-``scalar_mult`` and ``double`` compute afresh.
+``scalar_mult`` and ``double`` compute afresh.  No call builds anything
+twice either: ``hs_norm_sq`` names its argument once, and ``name`` and
+``coname`` build only the one dual (``f*``, ``f_*``) they use.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ import numpy as np
 
 from .errors import (AbsorptionMismatch, InvariantViolation, NotPhaseEquivalent,
                      NotProjector, TypeMismatch)
-from .morphisms import (Morphism, adopt, compose, dagger, duals, equal, identity,
-                        scalar_value, tensor)
+from .morphisms import (Morphism, adopt, compose, dagger, equal, identity,
+                        lower_star, scalar_value, star, tensor)
 from .objects import ObjectExpr, Tensor, UNIT, dim, dual, format_object, normalize
 from .semirings import InvolutiveSemiring
 
@@ -91,8 +93,7 @@ def name(f: Morphism) -> Morphism:
     """
     s = f.semiring
     via_dom = compose(tensor(identity(dual(f.dom), s), f), unit(f.dom, s))
-    f_star, _ = duals(f)
-    via_cod = compose(tensor(f_star, identity(f.cod, s)), unit(f.cod, s))
+    via_cod = compose(tensor(star(f), identity(f.cod, s)), unit(f.cod, s))
     if not equal(via_dom, via_cod):
         raise AbsorptionMismatch(
             f"name unfoldings disagree for {f!r}")
@@ -104,8 +105,7 @@ def coname(f: Morphism) -> Morphism:
 
     For f = 1_A this is the counit eta_{A*}(dagger): A @ A* -> I.
     """
-    _, f_lower = duals(f)
-    return dagger(name(f_lower))
+    return dagger(name(lower_star(f)))
 
 
 def scalar_mult(s_mor: Morphism, f: Morphism) -> Morphism:
@@ -168,7 +168,8 @@ def hs_inner(f: Morphism, g: Morphism) -> Morphism:
 
 def hs_norm_sq(f: Morphism) -> Morphism:
     """The squared Hilbert-Schmidt norm ||f|| := name(f)(dagger) o name(f)."""
-    return hs_inner(f, f)
+    n = name(f)
+    return compose(dagger(n), n)
 
 
 def phase_witnesses(f: Morphism, g: Morphism) -> tuple[Morphism, Morphism]:

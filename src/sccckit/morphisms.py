@@ -14,14 +14,16 @@ equality of the stored expressions.
 
 The public ``Morphism(...)`` constructor normalizes both ends, copies the
 array into the semiring's dtype, checks its shape and freezes it.  The
-results of ``compose``, ``tensor``, ``dagger`` and ``direct_sum`` take a
-trusted internal path instead (``_derived``): their ends are built from ends
-already in normal form and their arrays are fresh kernel outputs (or, for a
-phase-free dagger, a transposed view of a frozen array), so it skips the
-re-normalization and the copy.  It still coerces the array to the
-semiring's dtype, checks the shape the operands imply (a guard for user
-semirings whose kernels misbehave) and freezes the array.  ``adopt`` is the
-public constructor minus the copy, for an array its caller has just built.
+results of ``compose``, ``tensor``, ``dagger``, ``star``, ``lower_star``,
+``direct_sum`` and ``scalar`` take a trusted internal path instead
+(``_derived``): their ends are built from ends already in normal form (the
+dual ends by ``objects.dual``) and their arrays are fresh kernel outputs, a
+fresh 1 x 1 array, or a transposed view of a frozen array (``star``, and a
+phase-free ``dagger``), so it skips the re-normalization and the copy.  It
+still coerces the array to the semiring's dtype, checks the shape the
+operands imply (a guard for user semirings whose kernels misbehave) and
+freezes the array.  ``adopt`` is the public constructor minus the copy, for
+an array its caller has just built.
 
 ``identity`` is memoized per (object, semiring), like the structure maps of
 ``core`` and ``ortho``: its result is a function of those hashable,
@@ -37,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TypeMismatch
-from .objects import (Dual, ObjectExpr, Oplus, Tensor, UNIT, dim, format_object,
+from .objects import (ObjectExpr, Oplus, Tensor, UNIT, dim, dual, format_object,
                       normalize)
 from .semirings import InvolutiveSemiring, max_abs
 
@@ -111,7 +113,7 @@ def zeros(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
 
 
 def scalar(value, s: InvolutiveSemiring) -> Morphism:
-    return Morphism(UNIT, UNIT, np.asarray([[value]], dtype=s.dtype), s)
+    return _derived(UNIT, UNIT, [[value]], s, (1, 1))
 
 
 def scalar_value(f: Morphism):
@@ -170,17 +172,13 @@ def dagger(f: Morphism) -> Morphism:
 
 def star(f: Morphism) -> Morphism:
     """Contravariant transpose f*: B* -> A* (no conjugation)."""
-    return Morphism(Dual(f.cod), Dual(f.dom), f.array.T.copy(), f.semiring)
+    return _derived(dual(f.cod), dual(f.dom), f.array.T, f.semiring, f.array.shape[::-1])
 
 
 def lower_star(f: Morphism) -> Morphism:
     """Covariant entrywise conjugate f_*: A* -> B*."""
-    return Morphism(Dual(f.dom), Dual(f.cod), f.semiring.involution(f.array), f.semiring)
-
-
-def duals(f: Morphism) -> tuple[Morphism, Morphism]:
-    """(f*, f_*); the adjoint factors as dagger(f) = lower_star(star(f)) = star(lower_star(f))."""
-    return star(f), lower_star(f)
+    return _derived(dual(f.dom), dual(f.cod), f.semiring.involution(f.array), f.semiring,
+                    f.array.shape)
 
 
 def direct_sum(f: Morphism, g: Morphism) -> Morphism:

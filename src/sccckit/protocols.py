@@ -9,9 +9,11 @@ against the literal matrix pipeline.
 The teleportation measurement T and its corrections are fixed, like the
 structure maps of ``core`` and ``ortho``, so ``bell_teleportation_setup``
 builds them once per process (its unitarity check runs on that build) and
-``run_teleportation`` reads them once per teleport.  Sharing them is sound
-because the set-up takes no argument, returns frozen morphisms in a tuple,
-and nothing downstream writes to them.
+``run_teleportation`` reads them once per teleport.  The normalized Bell
+state (1/sqrt(2)) name(1_Q) is fixed too and is built once per process the
+same way (its name's unfoldings are compared on that build).  Sharing them
+is sound because neither build takes an argument, each returns frozen
+morphisms, and nothing downstream writes to them.
 """
 from __future__ import annotations
 
@@ -191,6 +193,13 @@ def _bell_teleportation_setup() -> tuple[Morphism, tuple[Morphism, ...]]:
     return t, betas
 
 
+@lru_cache(maxsize=1)
+def _bell_state() -> Morphism:
+    """(1/sqrt(2)) name(1_Q): I -> Q* @ Q, built once per process."""
+    return core.scalar_mult(scalar(1 / np.sqrt(2), COMPLEX),
+                            core.name(identity(qubit(), COMPLEX)))
+
+
 def _teleport_branches(psi: Morphism,
                        t: Morphism | None = None) -> tuple[list[Morphism], Morphism]:
     """Run the pipeline; returns raw branch states and the Bell state used.
@@ -205,8 +214,7 @@ def _teleport_branches(psi: Morphism,
     s = COMPLEX
     if t is None:
         t, _ = bell_teleportation_setup()
-    bell = core.scalar_mult(scalar(1 / np.sqrt(2), s),
-                            core.name(identity(q, s)))
+    bell = _bell_state()
     four = ortho.decomposition(UNIT, UNIT, UNIT, UNIT)
     paired = compose(tensor(psi, bell), core.lam(UNIT, s))
     joint = compose(core.sigma(q @ q, q, s),

@@ -22,7 +22,7 @@ REL_TOL = 1e-9
 
 
 def max_abs(arr: np.ndarray) -> float:
-    return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
+    return 0.0 if arr.size == 0 else float(np.abs(arr).max())
 
 
 @dataclass(frozen=True, eq=False)

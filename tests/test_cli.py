@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from sccckit import from_json, run_suite, fdhilb
-from sccckit.cli import main
+from sccckit.cli import build_parser, main
 from sccckit.report import CheckResult, VerificationReport
 from sccckit.errors import InvariantViolation
 
@@ -236,3 +236,41 @@ def test_cli_teleport_refuses_weights_outside_the_float_range(capsys):
 def test_cli_teleport_runs_weights_near_the_float_limits(capsys):
     for state in ("[[1.3e154,0],[0,0]]", "[[1.5e-154,0],[0,0]]"):
         assert main(["protocol", "teleport", "--state", state]) == 0, state
+
+
+def test_cli_refuses_a_directory_as_json_path(tmp_path, capsys):
+    assert main(["verify", "sccc", "--model", "rel", "--trials", "2",
+                 "--json", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "--json" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_refuses_a_json_path_in_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert main(["protocol", "teleport", "--json", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "--json" in captured.err
+    assert captured.out == ""
+    assert not target.parent.exists()
+
+
+def test_cli_parser_is_reused_without_carrying_state(capsys):
+    assert build_parser() is build_parser()
+    base = ["verify", "born", "--model", "wproj:fdhilb", "--trials", "3", "--json", "-"]
+    assert main(base[:4] + ["--nu", "2", "--tolerance", "1e-6"] + base[4:]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["tolerance"] == 1e-6
+    # the flags of the first call do not leak into the second
+    assert main(base) == 0
+    warm = capsys.readouterr().out
+    fresh = subprocess.run([sys.executable, "-m", "sccckit", *base],
+                           capture_output=True, text=True, timeout=300)
+    assert fresh.returncode == 0, fresh.stderr
+    assert warm == fresh.stdout
+    assert json.loads(warm)["tolerance"] == 1e-9
+    # and verify-only flags stay refused on protocol after a verify run
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "teleport", "--trials", "3"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err

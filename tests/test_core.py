@@ -42,7 +42,9 @@ from sccckit import (
     zeros,
 )
 from sccckit import core
-from sccckit.errors import NotPhaseEquivalent, NotProjector, TypeMismatch
+from sccckit.errors import (AbsorptionMismatch, NotPhaseEquivalent, NotProjector,
+                            TypeMismatch)
+from sccckit.semirings import BOOLEAN, NONNEG, corrupted_complex
 
 Q = Gen("Q", 2)
 M = fdhilb()
@@ -79,6 +81,33 @@ def test_hs_norm_oracle():
     # |1|^2+|2|^2+|3|^2+|4|^2 = 30
     f = mor([[1, 2], [3, 4]], Q, Q)
     assert scalar_value(hs_norm_sq(f)) == pytest.approx(30)
+
+
+@pytest.mark.parametrize("s", [COMPLEX, BOOLEAN, NONNEG, corrupted_complex()],
+                         ids=lambda s: s.name)
+def test_hs_norm_sq_is_hs_inner_with_itself(s):
+    # hs_norm_sq names f once; the result is exactly the two-name inner product
+    rng = np.random.default_rng(23)
+    for dom, cod in ((Q, Q), (UNIT, Q), (Q, Gen("B", 3)), (Tensor(Q, Q), UNIT)):
+        f = Morphism(dom, cod, s.sample(rng, (dim(cod), dim(dom))), s)
+        got, want = hs_norm_sq(f), hs_inner(f, f)
+        assert got.dom == want.dom == UNIT and got.cod == want.cod == UNIT
+        assert np.array_equal(got.array, want.array), (s.name, dom, cod)
+
+
+def test_name_still_compares_its_unfoldings(monkeypatch):
+    # a transpose that also conjugates spoils the absorption unfolding on
+    # any non-real f, and name must notice on every call
+    def conjugating_star(f):
+        return Morphism(dual(f.cod), dual(f.dom), f.array.T.conj(), f.semiring)
+
+    f = mor([[1, 2j], [3, 4]], Q, Q)
+    name(f)
+    monkeypatch.setattr(core, "star", conjugating_star)
+    with pytest.raises(AbsorptionMismatch):
+        name(f)
+    with pytest.raises(AbsorptionMismatch):
+        hs_norm_sq(f)
 
 
 def test_hs_inner_equals_trace_route():

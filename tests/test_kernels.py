@@ -1,8 +1,9 @@
 """The broadcast Kronecker kernel and the trusted constructor of derived morphisms.
 
 ``np.kron`` is kept here as the reference the shipped kernel must reproduce
-bit for bit; the results of compose, tensor, dagger and direct_sum must be
-exactly what the checked ``Morphism(...)`` constructor would have built.
+bit for bit; the results of compose, tensor, dagger, star, lower_star,
+direct_sum and scalar must be exactly what the checked ``Morphism(...)``
+constructor would have built.
 """
 
 import dataclasses
@@ -27,7 +28,10 @@ from sccckit import (
     dim,
     direct_sum,
     equal,
+    lower_star,
     normalize,
+    scalar,
+    star,
     tensor,
 )
 from sccckit.semirings import corrupted_complex
@@ -78,6 +82,10 @@ def _derived_results(s):
         tensor(f, g), tensor(f, h), tensor(u, f), tensor(z, u),
         dagger(f), dagger(g), dagger(h), dagger(dagger(f)),
         direct_sum(f, h), direct_sum(z, f), direct_sum(z, z), direct_sum(u, g),
+        star(f), star(g), star(h), star(z), star(u), star(star(g)),
+        lower_star(f), lower_star(g), lower_star(h), lower_star(z), lower_star(u),
+        lower_star(star(f)), star(lower_star(g)),
+        scalar(s.zero, s), scalar(s.one, s), scalar(f.array[1, 0].item(), s),
     ]
 
 
@@ -90,6 +98,18 @@ def test_trusted_results_equal_checked_construction(s):
         assert not r.array.flags.writeable, r
         assert r.semiring is s
         assert equal(r, Morphism(r.dom, r.cod, r.array, s)), r
+
+
+@pytest.mark.parametrize("s", [COMPLEX, BOOLEAN, NONNEG, corrupted_complex()],
+                         ids=lambda s: s.name)
+def test_dagger_factors_bit_for_bit_through_the_dual_constructors(s):
+    # f(dagger) = (f*)_* = (f_*)*, with the same ends and the same bits
+    for f in _operands(s):
+        want = dagger(f)
+        for got in (lower_star(star(f)), star(lower_star(f))):
+            assert got.dom == want.dom and got.cod == want.cod, f
+            assert got.array.dtype == want.array.dtype, f
+            assert np.array_equal(got.array, want.array), f
 
 
 def test_checked_constructor_still_normalizes_copies_and_freezes():

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from sccckit import (BOOLEAN, COMPLEX, NONNEG, UNIT, ZERO, Dual, Gen, Morphism,
-                     Oplus, Tensor, compose, core, dim, identity, ortho, protocols)
+                     Oplus, Tensor, compose, core, dim, identity, ortho, protocols,
+                     scalar)
 from sccckit.cli import main
 from sccckit.semirings import corrupted_complex
 
@@ -101,6 +102,16 @@ def test_bell_setup_is_built_once_and_matches_a_fresh_build():
     assert_same(t, fresh_t)
     for got, want in zip(betas, fresh_betas):
         assert_same(got, want)
+
+
+def test_bell_state_is_built_once_and_matches_a_fresh_build():
+    bell = protocols._bell_state()
+    assert protocols._bell_state() is bell
+    q = protocols.qubit()
+    fresh = core.scalar_mult(scalar(1 / np.sqrt(2), COMPLEX),
+                             core.name(identity(q, COMPLEX)))
+    assert_same(bell, fresh)
+    assert_same(bell, protocols._bell_state.__wrapped__())
 
 
 # -- reports do not depend on what ran before them ---------------------------
