@@ -4,18 +4,62 @@ Objects are immutable expression trees.  ``normalize`` pushes duals down to the
 leaves (a dual generator is just a flagged generator, the unit and zero objects
 are self-dual) and is idempotent; association of ``@`` and ``+`` is left alone,
 so the associators stay honest isomorphisms rather than identities of syntax.
+
+Every node is interned: each class keeps one node per argument tuple, and its
+constructor returns that node.  Identity is therefore structural equality.
+Leaves are interned by their fields, and inner nodes by the identities of
+their children, which are interned already; so by induction on the tree two
+structurally equal trees are one node, and two different nodes differ
+somewhere.  An identity in a key is never reused, because the table keeps the
+node and the node keeps its children alive.  Equality is identity, and each
+node stores its hash, computed once from its class and arguments.  Nodes
+refuse attribute assignment, and copying or pickling goes through the
+constructor, so no second copy of a node can exist.  The table keeps every
+node for the life of the process; the ``normalize`` and ``dim`` caches below
+already kept every tree that reaches them.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+
+_GEN_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class ObjectExpr:
-    """Base class for object expressions."""
+    """Base class for object expressions: interned, hashed once, compared by identity."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __new__(cls):
+        # the leaves without fields, I and 0: one node each
+        node = cls._nodes.get(())
+        return node if node is not None else cls._intern((), ())
+
+    @classmethod
+    def _intern(cls, key, fields: tuple) -> "ObjectExpr":
+        node = object.__new__(cls)
+        for field, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, field, value)
+        object.__setattr__(node, "_hash", hash((cls.__name__,) + fields))
+        # setdefault: if two threads build the same node, both get the first
+        return cls._nodes.setdefault(key, node)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned object")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an interned object")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field) for field in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __matmul__(self, other: "ObjectExpr") -> "Tensor":
         return Tensor(self, other)
@@ -24,49 +68,71 @@ class ObjectExpr:
         return Oplus(self, other)
 
 
-@dataclass(frozen=True)
 class Unit(ObjectExpr):
     """The monoidal unit I."""
 
+    __slots__ = ()
+    _nodes: dict = {}
 
-@dataclass(frozen=True)
+
 class Zero(ObjectExpr):
     """The zero object 0 (dimension zero)."""
 
+    __slots__ = ()
+    _nodes: dict = {}
 
-@dataclass(frozen=True)
+
 class Gen(ObjectExpr):
     """A named generator of fixed positive dimension.
 
-    ``dualized`` flags the dual copy; it has the same ordered basis.
+    ``dualized`` flags the dual copy; it has the same ordered basis.  The
+    name and dimension are checked once per distinct generator; a refused
+    generator is not interned, so it is refused again on every attempt.
     """
 
-    name: str
-    dim: int
-    dualized: bool = False
+    __slots__ = ("name", "dim", "dualized")
+    _nodes: dict = {}
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"generator dimension must be >= 1, got {self.dim}")
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", self.name) or self.name in ("I",):
-            raise ValueError(f"bad generator name {self.name!r}")
+    def __new__(cls, name: str, dim: int, dualized: bool = False) -> "Gen":
+        key = (name, dim, dualized)
+        node = cls._nodes.get(key)
+        if node is not None:
+            return node
+        if dim < 1:
+            raise ValueError(f"generator dimension must be >= 1, got {dim}")
+        if not _GEN_NAME.fullmatch(name) or name in ("I",):
+            raise ValueError(f"bad generator name {name!r}")
+        return cls._intern(key, key)
 
 
-@dataclass(frozen=True)
 class Dual(ObjectExpr):
-    base: ObjectExpr
+    __slots__ = ("base",)
+    _nodes: dict = {}
+
+    def __new__(cls, base: ObjectExpr) -> "Dual":
+        key = id(base)
+        node = cls._nodes.get(key)
+        return node if node is not None else cls._intern(key, (base,))
 
 
-@dataclass(frozen=True)
 class Tensor(ObjectExpr):
-    left: ObjectExpr
-    right: ObjectExpr
+    __slots__ = ("left", "right")
+    _nodes: dict = {}
+
+    def __new__(cls, left: ObjectExpr, right: ObjectExpr) -> "Tensor":
+        key = (id(left), id(right))
+        node = cls._nodes.get(key)
+        return node if node is not None else cls._intern(key, (left, right))
 
 
-@dataclass(frozen=True)
 class Oplus(ObjectExpr):
-    left: ObjectExpr
-    right: ObjectExpr
+    __slots__ = ("left", "right")
+    _nodes: dict = {}
+
+    def __new__(cls, left: ObjectExpr, right: ObjectExpr) -> "Oplus":
+        key = (id(left), id(right))
+        node = cls._nodes.get(key)
+        return node if node is not None else cls._intern(key, (left, right))
 
 
 UNIT = Unit()

@@ -13,10 +13,13 @@ builds them once per process (its unitarity check runs on that build) and
 state (1/sqrt(2)) name(1_Q) is fixed too and is built once per process the
 same way (its name's unfoldings are compared on that build).  Sharing them
 is sound because neither build takes an argument, each returns frozen
-morphisms, and nothing downstream writes to them.
+morphisms, and nothing downstream writes to them.  The weighted-bit collapse
+witness takes no argument either and is built once per process; since it is
+a dict that lands in a report, each caller gets its own copy.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -144,8 +147,14 @@ def weighted_bit_collapse_witness() -> dict:
     The destructive measurement of the identity unitary reads off the two
     scalar components; their squared moduli cannot see relative phase, so
     the map from states to probability tuples is not injective and the block
-    sum of units is not isomorphic to a classical pair of weights.
+    sum of units is not isomorphic to a classical pair of weights.  Built
+    once per process; each call returns its own copy.
     """
+    return copy.deepcopy(_weighted_bit_collapse_witness())
+
+
+@lru_cache(maxsize=1)
+def _weighted_bit_collapse_witness() -> dict:
     two = ortho.decomposition(UNIT, UNIT)
     psi = Morphism(UNIT, two.whole, np.array([[1.0], [1.0]]) / np.sqrt(2), COMPLEX)
     phi = Morphism(UNIT, two.whole, np.array([[1.0], [1.0j]]) / np.sqrt(2), COMPLEX)
@@ -278,10 +287,14 @@ def run_teleportation(psi: Morphism | None = None,
         "each branch weighs ||psi||/4 and the four weigh ||psi|| together",
         "pass" if (quarter_ok and conserve_ok) else "fail",
         {"probabilities": probs, "total": total}))
+    # the collapse is expected only when the probabilities agree on two
+    # states that are not even phase-equivalent
+    witness = weighted_bit_collapse_witness()
+    collapses = witness["probabilities_agree"] and not witness["states_phase_equivalent"]
     results.append(CheckResult(
         "weighted-bit-collapse",
         "branch probabilities cannot distinguish relative phase",
-        "expected-fail", weighted_bit_collapse_witness()))
+        "expected-fail" if collapses else "fail", witness))
     return VerificationReport(
         suite="teleport", model=model.name, seed=seed, tolerance=1e-9,
         trials=1, results=results)

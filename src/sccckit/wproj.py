@@ -26,7 +26,7 @@ from .errors import CriterionDisagreement, TypeMismatch
 from .models import ModelHandle
 from .morphisms import (Morphism, equal, lower_star, scalar, scalar_value,
                         tensor)
-from .objects import Gen, ObjectExpr, UNIT
+from .objects import Gen, ObjectExpr, UNIT, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
                      CheckRunner, Held, VerificationReport, serialize_morphism)
 
@@ -102,7 +102,9 @@ def wequal(a: WMorphism, b: WMorphism, rel: float | None = None) -> WEqualResult
     surfaces as a disagreement.
     """
     if a.dom != b.dom or a.cod != b.cod:
-        raise TypeMismatch(f"cannot compare {a.dom}->{a.cod} with {b.dom}->{b.cod}")
+        raise TypeMismatch(
+            f"cannot compare {format_object(a.dom)}->{format_object(a.cod)} "
+            f"with {format_object(b.dom)}->{format_object(b.cod)}")
     by_double = equal(a.doubled, b.doubled, rel)
     by_lower = equal(tensor(a.rep, lower_star(a.rep)),
                      tensor(b.rep, lower_star(b.rep)), rel)

@@ -1,4 +1,7 @@
-"""Object expression laws: dimensions, duals, and the text round trip."""
+"""Object expression laws: dimensions, duals, the text round trip, interning."""
+
+import copy
+import pickle
 
 import hypothesis.strategies as st
 from hypothesis import given
@@ -94,3 +97,55 @@ def test_gen_rejects_bad_names():
         Gen("", 2)
     with pytest.raises(ValueError):
         Gen("A", 0)
+
+
+def rebuild(a):
+    """A second, independent build of the same tree through the constructors."""
+    if isinstance(a, Gen):
+        return Gen(a.name, a.dim, a.dualized)
+    if isinstance(a, Dual):
+        return Dual(rebuild(a.base))
+    if isinstance(a, (Tensor, Oplus)):
+        return type(a)(rebuild(a.left), rebuild(a.right))
+    return type(a)()
+
+
+@given(objects())
+def test_equal_trees_are_one_node(a):
+    assert rebuild(a) is a
+    assert hash(rebuild(a)) == hash(a)
+    assert normalize(parse_object(format_object(a))) is normalize(a)
+
+
+def test_gen_default_flag_is_the_same_node():
+    assert Gen("A", 2) is Gen("A", 2, False)
+    assert Gen("A", 2) is not Gen("A", 2, True)
+    assert Gen("A", 2) != Gen("A", 3)
+    assert Tensor(Gen("A", 2), UNIT) is not Oplus(Gen("A", 2), UNIT)
+
+
+def test_nodes_are_immutable_and_copy_to_themselves():
+    a = Tensor(Dual(Gen("A", 2)), Oplus(UNIT, ZERO))
+    with pytest.raises(AttributeError):
+        a.left = UNIT
+    with pytest.raises(AttributeError):
+        Gen("A", 2).dim = 3
+    with pytest.raises(AttributeError):
+        del a.right
+    assert Gen("A", 2).dim == 2
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+@pytest.mark.parametrize("name, d", [("A'", 2), ("", 2), ("I", 1), ("A", 0), ("A", -1)])
+def test_refused_gen_is_refused_every_time(name, d):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            Gen(name, d)
+
+
+def test_repr_stays_readable():
+    a = Tensor(Gen("A", 2), Dual(Oplus(UNIT, ZERO)))
+    assert repr(a) == ("Tensor(left=Gen(name='A', dim=2, dualized=False), "
+                       "right=Dual(base=Oplus(left=Unit(), right=Zero())))")

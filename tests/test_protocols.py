@@ -150,3 +150,32 @@ def test_qubit_and_weighted_bit_differ():
     assert w["probabilities_agree"]
     assert not w["states_equal"]
     assert not w["states_phase_equivalent"]
+
+
+def _collapse_status(report):
+    (result,) = [r for r in report.results if r.check_name == "weighted-bit-collapse"]
+    return result.status
+
+
+def test_weighted_bit_collapse_is_judged(monkeypatch):
+    # expected-fail only while the probabilities agree on two states that are
+    # not phase-equivalent; a witness that breaks either condition fails
+    healthy = protocols.weighted_bit_collapse_witness()
+    assert _collapse_status(run_teleportation()) == "expected-fail"
+    for key, value in (("states_phase_equivalent", True), ("probabilities_agree", False)):
+        monkeypatch.setattr(protocols, "weighted_bit_collapse_witness",
+                            lambda key=key, value=value: {**healthy, key: value})
+        report = run_teleportation()
+        assert _collapse_status(report) == "fail"
+        assert not report.ok
+
+
+def test_weighted_bit_collapse_witness_is_built_once_and_copied():
+    first = protocols.weighted_bit_collapse_witness()
+    built = protocols._weighted_bit_collapse_witness.cache_info().misses
+    first["psi"]["entries"].clear()
+    first["states_equal"] = True
+    second = protocols.weighted_bit_collapse_witness()
+    assert second is not first
+    assert second == protocols._weighted_bit_collapse_witness.__wrapped__()
+    assert protocols._weighted_bit_collapse_witness.cache_info().misses == built <= 1

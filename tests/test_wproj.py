@@ -56,6 +56,14 @@ def test_lift_identifies_exactly_the_phases():
     assert not wequal(lift(f), lift(cmor([[1, 2], [3, 5]]))).equal
 
 
+def test_wequal_type_mismatch_names_the_ends_in_object_syntax():
+    # the ends are printed as in the CLI (A[2]), not as raw node reprs
+    f = cmor([[1, 2], [3, 4]])
+    g = cmor([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(TypeMismatch, match=r"cannot compare A\[2\]->B\[2\] with A\[3\]->B\[2\]"):
+        wequal(lift(f), lift(g))
+
+
 def test_class_operations_commute_with_lift():
     rng = np.random.default_rng(32)
     f = M.sample_morphism(rng, Q, Q)
