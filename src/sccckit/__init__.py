@@ -24,14 +24,13 @@ from .ortho import (OplusDecomposition, decomposition, derived_sum, dist_left,
                     dist_right, oplus_illdefined_witness, pseudo_component,
                     pseudo_injection, pseudo_projection, zero_morphism)
 from .models import (ModelHandle, copairing, fdhilb, pairing, random_unitary,
-                     rel_model, resolve_model, semiring_model,
-                     verify_model_axioms, weight_model)
+                     rel_model, resolve_model, semiring_model, weight_model)
 from .wproj import (WMorphism, WProjModel, canonical_rep, check_prep_state,
                     lift, wequal)
 from .born import (check_born_decomposition, check_diagonal_axiom,
                    check_ortho_bornian, check_theorem_equivalence,
-                   check_trace_linearity, corrupted_trace, is_positive,
-                   scalar_sum, valuation_norm)
+                   check_trace_linearity, corrupted_trace, scalar_sum,
+                   valuation_norm)
 from .protocols import (BranchTuple, MeasurementSpec, cc_map,
                         measurement_probabilities, nondestructive_measurement,
                         qubit, run_teleportation, weighted_bit_collapse_witness)

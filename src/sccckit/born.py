@@ -8,22 +8,24 @@ rational powers ||f||^nu, together with the scalar sum
 manufactured from the trace and the block sum.  Every check in this module
 routes ALL trace uses through one injectable trace function, so a corrupted
 trace corrupts the valuation, the scalar sum and the axioms coherently; that
-is what makes the equivalence theorem testable as a negative control.
+is what makes the equivalence theorem testable as a negative control.  The
+legs are per-trial rows of the born suite's table, and the theorem is a
+two-row table of whole checks that run the legs honestly and corrupted;
+``report.CheckRunner`` runs both tables and decides every status.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
 from . import ortho
 from .errors import TypeMismatch
-from .morphisms import Morphism, equal, scalar
-from .objects import Gen, dim
-from .report import PER_TRIAL, Check, CheckResult, CheckRunner, serialize_morphism
-from .semirings import COMPLEX
+from .morphisms import scalar
+from .objects import Gen
+from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckResult,
+                     CheckRunner, Held, serialize_morphism)
 
 
 def valuation_norm(model, f, nu=Fraction(1), trace_fn=None):
@@ -70,48 +72,6 @@ def corrupted_trace(model):
         return model.lift(scalar(reduce(s.add, list(diag), s.zero), s))
 
     return tr
-
-
-def is_positive(h: Morphism) -> tuple[bool, Morphism | None]:
-    """Does h factor as f(dagger) o f?  Returns the witness f when found.
-
-    Complex matrices are decided spectrally, with the witness the symmetric
-    square root.  Other models are decided by bounded search over the entry
-    grid 0, 1, 1 + 1, 1 + 1 + 1 of the semiring, at dimensions small enough
-    that the grid has at most 512 matrices; a miss means no witness was found
-    in the grid, not a proof of negativity.
-    """
-    if h.dom != h.cod:
-        raise TypeMismatch("positivity is a property of endomorphisms")
-    d = dim(h.dom)
-    if h.semiring is COMPLEX:
-        if d == 0:
-            return True, h
-        arr = h.array
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if np.max(np.abs(arr - arr.conj().T)) > 1e-9 * scale:
-            return False, None
-        w, v = np.linalg.eigh(arr)
-        if float(np.min(w)) < -1e-9 * scale:
-            return False, None
-        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        return True, Morphism(h.dom, h.cod, root, COMPLEX)
-    # bounded entrywise search in exact / phase-free models
-    grid = h.semiring.multiples(4)
-    # the largest dimension whose grid holds at most 512 matrices
-    limit = max(n for n in range(1, 9) if len(grid) ** (n * n) <= 512)
-    if d > limit:
-        raise TypeMismatch(
-            f"positivity search supports dimension <= {limit} in {h.semiring.name}")
-    for cells in product(grid, repeat=d * d):
-        f = Morphism(h.dom, h.cod,
-                     np.array(cells, dtype=h.semiring.dtype).reshape(d, d),
-                     h.semiring)
-        cand = Morphism(h.dom, h.cod,
-                        h.semiring.matmul(f.array.T, f.array), h.semiring)
-        if equal(cand, h):
-            return True, f
-    return False, None
 
 
 # -- axiom checks -------------------------------------------------------------
@@ -246,32 +206,45 @@ _EQUIVALENCE_LEGS = {"norm-block-decomposition": "norm_block_decomposition",
                      "diagonal-axiom": "diagonal", "trace-linearity": "linearity"}
 
 
-def check_theorem_equivalence(model, trials: int = 30, seed: int = 0,
-                              tolerance=None) -> list[CheckResult]:
-    """The three axiom legs must agree: all pass honestly, all fail corrupted.
+def equivalence_checks(model, trials: int, seed: int, tol) -> list[Check]:
+    """The equivalence theorem as a two-row table of whole checks.
 
-    Runs the block-decomposition, diagonal and linearity legs twice, once
-    with the real trace and once with the entry-dropping trace, and checks
-    the verdict vectors are constant in each run.
+    Each row runs the block-decomposition, diagonal and linearity legs over
+    min(trials, 30) trials, the first with the real trace and the second
+    with the entry-dropping one: the honest verdicts must all hold, and the
+    corrupted ones must break consistently.
     """
     def leg_verdicts(trace_fn) -> dict[str, bool]:
-        results = _run_legs(_EQUIVALENCE_LEGS, model, trials, seed, trace_fn,
-                            tolerance)
-        return {_EQUIVALENCE_LEGS[r.check_name]: r.status == "pass"
-                for r in results}
+        results = _run_legs(_EQUIVALENCE_LEGS, model, min(trials, 30), seed,
+                            trace_fn, tol)
+        return {_EQUIVALENCE_LEGS[r.check_name]: r.passed for r in results}
 
-    honest = leg_verdicts(None)
-    corrupt = leg_verdicts(corrupted_trace(model))
-    # the equivalence must survive the corruption while the corruption must
-    # visibly break the norm leg; over an idempotent semiring the linearity
-    # leg can absorb an entry-dropping trace, the biconditional cannot
-    biconditional = corrupt["norm_block_decomposition"] == (
-        corrupt["diagonal"] and corrupt["linearity"])
-    control_ok = biconditional and not corrupt["norm_block_decomposition"]
+    def honest(_):
+        witness = {"verdicts": leg_verdicts(None)}
+        return Held(witness) if all(witness["verdicts"].values()) else witness
+
+    def corrupted(_):
+        corrupt = leg_verdicts(corrupted_trace(model))
+        # the equivalence must survive the corruption while the corruption
+        # must visibly break the norm leg; over an idempotent semiring the
+        # linearity leg can absorb an entry-dropping trace, the biconditional
+        # cannot
+        biconditional = corrupt["norm_block_decomposition"] == (
+            corrupt["diagonal"] and corrupt["linearity"])
+        return (biconditional and not corrupt["norm_block_decomposition"],
+                {"verdicts": corrupt})
+
     return [
-        CheckResult("axiom-legs-agree", "norm decomposition <=> diagonal + linearity",
-                    "pass" if all(honest.values()) else "fail", {"verdicts": honest}),
-        CheckResult("axiom-legs-agree-corrupted-control",
-                    "the legs break consistently under an entry-dropping trace",
-                    "expected-fail" if control_ok else "fail", {"verdicts": corrupt}),
+        Check("axiom-legs-agree", "norm decomposition <=> diagonal + linearity",
+              WHOLE, honest),
+        Check("axiom-legs-agree-corrupted-control",
+              "the legs break consistently under an entry-dropping trace",
+              EXPECTED_FAIL, corrupted),
     ]
+
+
+def check_theorem_equivalence(model, trials: int = 30, seed: int = 0,
+                              tolerance=None) -> list[CheckResult]:
+    """The three axiom legs must agree: all pass honestly, all fail corrupted."""
+    runner = CheckRunner(trials, seed, tolerance)
+    return runner.run(equivalence_checks(model, trials, seed, runner.tol))

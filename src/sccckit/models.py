@@ -267,9 +267,3 @@ def copairing(fs) -> Morphism:
     dom = ortho.OplusDecomposition.from_parts([f.dom for f in fs]).whole
     return Morphism(dom, cod, np.hstack([f.array for f in fs]), s)
 
-
-def verify_model_axioms(m: ModelHandle, max_dim: int = 6, trials: int = 50,
-                        seed: int = 0):
-    """Run the full structural axiom suite against a model; returns the report."""
-    from .suites import run_suite
-    return run_suite("sccc", m, trials=trials, seed=seed, max_dim=max_dim)

@@ -4,7 +4,9 @@ Classical branching is a freely added product: a tuple of morphisms out of a
 common domain, one per outcome.  Measurements come from unitaries into block
 sums; teleportation composes a Bell state, a four-outcome destructive
 measurement and per-branch unitary corrections, and is checked end to end
-against the literal matrix pipeline.
+against the literal matrix pipeline.  Its six checks are one table that
+``report.CheckRunner`` runs as whole checks, trial 0 of one trial, drawing no
+random stream; the runner decides every status and builds the report.
 
 The teleportation measurement T and its corrections are fixed, like the
 structure maps of ``core`` and ``ortho``, so ``bell_teleportation_setup``
@@ -28,10 +30,11 @@ import numpy as np
 from . import core, ortho
 from .errors import NotUnitary, TypeMismatch
 from .models import pairing
-from .morphisms import (Morphism, compose, dagger, direct_sum, equal,
-                        identity, scalar, tensor)
+from .morphisms import (Morphism, compose, dagger, direct_sum, distance,
+                        equal, identity, scalar, tensor)
 from .objects import ObjectExpr, Oplus, UNIT
-from .report import CheckResult, VerificationReport, serialize_morphism
+from .report import (EXPECTED_FAIL, WHOLE, Check, CheckRunner, Held,
+                     VerificationReport, serialize_morphism)
 from .semirings import COMPLEX
 from .wproj import lift, wequal
 
@@ -60,10 +63,6 @@ class BranchTuple:
 
     def __iter__(self):
         return iter(self.branches)
-
-
-def branch_pairing(fs) -> BranchTuple:
-    return BranchTuple(tuple(fs))
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,10 @@ def run_teleportation(psi: Morphism | None = None,
     Each corrected branch must equal the input scaled by 1/2 (the two
     1/sqrt(2) normalizations), each branch probability must be a quarter of
     the input weight, the probabilities must sum to that weight, and a
-    phase-rotated input must land in the same phase class per branch.
+    phase-rotated input must land in the same phase class per branch.  The
+    pipeline runs once; the checks are one table for ``CheckRunner``, and
+    every verdict is relative to the input's weight, so a state of any
+    weight is judged alike.
     """
     if model is None:
         from .models import fdhilb
@@ -254,47 +256,58 @@ def run_teleportation(psi: Morphism | None = None,
         psi = Morphism(UNIT, qubit(), np.array([[1.0], [0.0]]), COMPLEX)
     if psi.dom != UNIT or psi.cod != qubit():
         raise TypeMismatch("the input must be a state of I(+)I")
+    total = float(core.hs_norm_sq(psi).array[0, 0].real)
+    if not total > 0:
+        raise TypeMismatch(f"the input must have positive weight, got {total}")
 
+    runner = CheckRunner(trials=1, seed=seed)
+    tol = runner.tol
     t, betas = bell_teleportation_setup()
     outs, _ = _teleport_branches(psi, t)
-    shifted_outs, _ = _teleport_branches(
-        core.scalar_mult(scalar(1.0j, COMPLEX), psi), t)
+    norm = float(np.sqrt(total))
+    probs = [float(core.hs_norm_sq(out).array[0, 0].real) for out in outs]
     target = core.scalar_mult(scalar(0.5, COMPLEX), psi)
-    total = float(core.hs_norm_sq(psi).array[0, 0].real)
+    # the phase-rotated run and its target at unit weight, where the
+    # quotient's equality has no absolute floor to hide behind
+    shifted_outs, _ = _teleport_branches(
+        core.scalar_mult(scalar(1.0j / norm, COMPLEX), psi), t)
+    unit_target = lift(core.scalar_mult(scalar(0.5 / norm, COMPLEX), psi))
 
-    results = []
-    probs = []
-    for i, out in enumerate(outs):
-        corrected = compose(dagger(betas[i]), out)
-        prob = float(core.hs_norm_sq(out).array[0, 0].real)
-        probs.append(prob)
-        ok = equal(corrected, target)
-        phase_ok = wequal(lift(compose(dagger(betas[i]), shifted_outs[i])),
-                          lift(target)).equal
-        status = "pass" if (ok and phase_ok) else "fail"
-        results.append(CheckResult(
-            f"branch-{i}",
-            "corrected branch = (1/2) . input, robust to input phase",
-            status,
-            {"output": serialize_morphism(out),
-             "corrected": serialize_morphism(corrected),
-             "probability": prob,
-             "phase_class_stable": phase_ok}))
-    quarter_ok = all(abs(p - total / 4) <= 1e-9 * max(1.0, total) for p in probs)
-    conserve_ok = abs(sum(probs) - total) <= 1e-9 * max(1.0, total)
-    results.append(CheckResult(
-        "probability-conservation",
-        "each branch weighs ||psi||/4 and the four weigh ||psi|| together",
-        "pass" if (quarter_ok and conserve_ok) else "fail",
-        {"probabilities": probs, "total": total}))
-    # the collapse is expected only when the probabilities agree on two
-    # states that are not even phase-equivalent
-    witness = weighted_bit_collapse_witness()
-    collapses = witness["probabilities_agree"] and not witness["states_phase_equivalent"]
-    results.append(CheckResult(
-        "weighted-bit-collapse",
-        "branch probabilities cannot distinguish relative phase",
-        "expected-fail" if collapses else "fail", witness))
-    return VerificationReport(
-        suite="teleport", model=model.name, seed=seed, tolerance=1e-9,
-        trials=1, results=results)
+    def branch(i):
+        def check(_):
+            corrected = compose(dagger(betas[i]), outs[i])
+            phase_ok = wequal(lift(compose(dagger(betas[i]), shifted_outs[i])),
+                              unit_target, tol).equal
+            witness = {"output": serialize_morphism(outs[i]),
+                       "corrected": serialize_morphism(corrected),
+                       "probability": probs[i],
+                       "phase_class_stable": phase_ok}
+            ok = phase_ok and distance(corrected, target) <= tol * norm
+            return Held(witness) if ok else witness
+
+        return Check(f"branch-{i}",
+                     "corrected branch = (1/2) . input, robust to input phase",
+                     WHOLE, check)
+
+    def conservation(_):
+        witness = {"probabilities": probs, "total": total}
+        ok = (all(abs(p - total / 4) <= tol * total for p in probs)
+              and abs(sum(probs) - total) <= tol * total)
+        return Held(witness) if ok else witness
+
+    def collapse(_):
+        # the collapse is expected only when the probabilities agree on two
+        # states that are not even phase-equivalent
+        witness = weighted_bit_collapse_witness()
+        return (witness["probabilities_agree"]
+                and not witness["states_phase_equivalent"]), witness
+
+    table = [branch(i) for i in range(4)] + [
+        Check("probability-conservation",
+              "each branch weighs ||psi||/4 and the four weigh ||psi|| together",
+              WHOLE, conservation),
+        Check("weighted-bit-collapse",
+              "branch probabilities cannot distinguish relative phase",
+              EXPECTED_FAIL, collapse),
+    ]
+    return runner.report("teleport", model, runner.run(table))

@@ -4,8 +4,10 @@ Reports serialize deterministically: same suite, model, seed, trials and
 tolerance must produce byte-identical JSON.  Witness morphisms are embedded
 as flat row-major lists of [re, im] pairs together with their end objects.
 
-Every suite runs its checks through ``CheckRunner``: a check is one row of a
-table, and the runner owns the random stream, the tolerance and the status.
+Every report comes from ``CheckRunner``: each suite, the equivalence theorem
+and teleportation are tables of checks, and the runner alone owns the random
+streams, the tolerance and the status.  No other module builds a
+``CheckResult`` or a ``VerificationReport``, or writes a status.
 """
 from __future__ import annotations
 
@@ -34,6 +36,10 @@ class CheckResult:
             raise InvariantViolation(f"unknown status {self.status!r}")
         if self.status == "fail" and self.witness is None:
             raise InvariantViolation(f"{self.check_name}: a failure needs a witness")
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,8 @@ class Check(NamedTuple):
     """One row of a check table.
 
     ``fn(rng)`` returns None when the law held and a witness dict when it
-    failed; a whole check may return ``Held(witness)`` to pass with one.  A
+    failed; a whole check, whose ``rng`` is None, may return
+    ``Held(witness)`` to pass with one.  A
     conditional per-trial check returns VACUOUS on trials whose antecedent
     did not hold and passes with the count of those where it did.  An
     expected-fail check returns (violated, witness): the violation is the
@@ -125,11 +132,12 @@ class Check(NamedTuple):
 class CheckRunner:
     """Runs check tables under one seeding, tolerance and status policy.
 
-    Trial t of the check at position i of a table draws from the numpy
-    stream seeded with [seed, i, t], and a failure's witness records t, so
-    the report alone names everything needed to replay it.  A whole or
-    expected-fail check runs once, as trial 0.  A ``SccckitError`` raised by
-    any check is that check's failure.
+    Trial t of the per-trial check at position i of a table draws from the
+    numpy stream seeded with [seed, i, t], and a failure's witness records t,
+    so the report alone names everything needed to replay it.  A whole or
+    expected-fail check runs once, as trial 0, and is called with None: it
+    draws nothing, so the runner seeds no stream for it.  A ``SccckitError``
+    raised by any check is that check's failure.
     """
 
     def __init__(self, trials: int, seed: int, tolerance: float | None = None):
@@ -148,8 +156,9 @@ class CheckRunner:
     def _run(self, idx: int, check: Check) -> CheckResult:
         name, law, kind, fn, conditional = check
         held = 0
-        for trial in range(self.trials if kind == PER_TRIAL else 1):
-            rng = np.random.default_rng([self.seed, idx, trial])
+        per_trial = kind == PER_TRIAL
+        for trial in range(self.trials if per_trial else 1):
+            rng = np.random.default_rng([self.seed, idx, trial]) if per_trial else None
             try:
                 outcome = fn(rng)
             except SccckitError as exc:

@@ -3,7 +3,7 @@
 Each suite turns a family of categorical laws into a table of seeded
 property checks against a model facade; ``report.CheckRunner`` runs the
 table and folds the outcomes into a VerificationReport.  Check order is
-load-bearing: the runner seeds each check's random stream with
+load-bearing: the runner seeds each per-trial check's random stream with
 (seed, position in the table, trial), so inserting a check in the middle of
 a suite shifts every stream after it.
 """
@@ -22,7 +22,7 @@ from .morphisms import (compose, dagger, direct_sum, distance, equal,
 from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner,
                      VerificationReport, serialize_morphism)
-from .wproj import WProjModel, canonical_rep, check_prep_state, lift, wequal
+from .wproj import WProjModel, canonical_rep, lift, prep_state_checks, wequal
 
 
 SUITE_NAMES = ("sccc", "wproj", "prep-state", "ortho", "born", "equivalence")
@@ -32,28 +32,24 @@ def run_suite(suite: str, model, trials: int = 100, seed: int = 0,
               tolerance: float | None = None, max_dim: int = 4,
               nu=Fraction(1)) -> VerificationReport:
     """Run one named suite against a model and return its report."""
-    if suite == "prep-state":
-        return check_prep_state(model, trials=trials, seed=seed,
-                                tolerance=tolerance)
-    runner = CheckRunner(trials, seed, tolerance)
-    if suite == "wproj":
-        model = model if model.quotient else WProjModel(model)
-        results = runner.run(_wproj_checks(model, runner.tol, max_dim))
-    elif suite in ("sccc", "ortho"):
-        if model.quotient:
-            raise ValueError(
-                f"the {suite} suite runs on plain matrix models; "
-                "use the wproj suite for the quotient")
-        table = _sccc_checks if suite == "sccc" else _ortho_checks
-        results = runner.run(table(model, runner.tol, max_dim))
-    elif suite == "born":
-        results = runner.run(_born_checks(model, runner.tol, Fraction(nu)))
-    elif suite == "equivalence":
-        results = born.check_theorem_equivalence(model, trials=min(trials, 30),
-                                                 seed=seed, tolerance=runner.tol)
-    else:
+    if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose one of {SUITE_NAMES}")
-    return runner.report(suite, model, results)
+    if suite in ("sccc", "ortho") and model.quotient:
+        raise ValueError(f"the {suite} suite runs on plain matrix models; "
+                         "use the wproj suite for the quotient")
+    if suite == "wproj" and not model.quotient:
+        model = WProjModel(model)
+    runner = CheckRunner(trials, seed, tolerance)
+    tol = runner.tol
+    table = {
+        "sccc": lambda: _sccc_checks(model, tol, max_dim),
+        "wproj": lambda: _wproj_checks(model, tol, max_dim),
+        "prep-state": lambda: prep_state_checks(model, tol),
+        "ortho": lambda: _ortho_checks(model, tol, max_dim),
+        "born": lambda: _born_checks(model, tol, Fraction(nu)),
+        "equivalence": lambda: born.equivalence_checks(model, trials, seed, tol),
+    }[suite]()
+    return runner.report(suite, model, runner.run(table))
 
 
 def _gen(rng, label: str, hi: int) -> Gen:
@@ -93,13 +89,13 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     s = model.semiring
     eq = lambda f, g: equal(f, g, rel=tol)
 
-    def yanking(rng):
+    def yanking(_):
         for a in _yanking_objects(max_dim):
             if not eq(core.yanking_composite(a, s), identity(a, s)):
                 return _obj_witness(a)
         return None
 
-    def unit_coherence(rng):
+    def unit_coherence(_):
         for a in _yanking_objects(max_dim):
             lhs = core.unit(dual(a), s)
             rhs = compose(core.sigma(dual(a), a, s), core.unit(a, s))
@@ -125,7 +121,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         core.name(model.sample_morphism(rng, a, b))  # raises on disagreement
         return None
 
-    def name_identity(rng):
+    def name_identity(_):
         for d in range(1, max_dim + 1):
             a = Gen("A", d)
             if not eq(core.name(identity(a, s)), core.unit(a, s)):
@@ -268,14 +264,14 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
             return {"probability": scalar_value(prob)}
         return None
 
-    def trace_swap(rng):
+    def trace_swap(_):
         for d in range(1, min(3, max_dim) + 1):
             a = Gen("A", d)
             if not eq(core.partial_trace(core.sigma(a, a, s), a), identity(a, s)):
                 return _obj_witness(a)
         return None
 
-    def trace_dim(rng):
+    def trace_dim(_):
         for d in range(1, max_dim + 1):
             a = Gen("A", d)
             acc = s.zero
@@ -414,7 +410,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
             return {"f": serialize_morphism(fw)}
         return None
 
-    def lifted_yanking(rng):
+    def lifted_yanking(_):
         for d in range(1, min(4, max_dim) + 1):
             a = Gen("A", d)
             e = core.unit(a, s)
@@ -522,7 +518,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     s = model.semiring
     eq = lambda f, g: equal(f, g, rel=tol)
 
-    def zero_diagram(rng):
+    def zero_diagram(_):
         for da in range(1, min(3, max_dim) + 1):
             for db in range(1, min(3, max_dim) + 1):
                 a, b = Gen("A", da), Gen("B", db)
@@ -732,7 +728,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         return None
 
     if s.phase is not None:
-        def no_go(rng):
+        def no_go(_):
             hot = ortho.oplus_illdefined_witness(np.pi / 2)
             cold = ortho.oplus_illdefined_witness(0.0)
             violated = (hot["pairing_gap"] > 0.25 and hot["oplus_gap"] > 0.25
@@ -895,7 +891,7 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
                     "valuation": model.scalar_value(via_val)}
         return None
 
-    def two(rng):
+    def two(_):
         one = model.scalar(1)
         got = complex(model.scalar_value(born.scalar_sum(model, one, one, nu)))
         # the model's 2 is 1 + 1; a quotient scalar c has the value c o c(dagger)

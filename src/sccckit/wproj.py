@@ -183,6 +183,13 @@ class WProjModel(ModelHandle):
 
 def check_prep_state(model, trials: int = 100, seed: int = 0,
                      tolerance: float | None = None) -> VerificationReport:
+    """The prep-state suite's report; see ``prep_state_checks``."""
+    runner = CheckRunner(trials, seed, tolerance)
+    return runner.report("prep-state", model,
+                         runner.run(prep_state_checks(model, runner.tol)))
+
+
+def prep_state_checks(model, tol) -> list[Check]:
     """Test whether equal doubled forms force equal morphisms, three ways.
 
     Over complex matrices the answer is no (any nontrivial phase is a
@@ -190,8 +197,6 @@ def check_prep_state(model, trials: int = 100, seed: int = 0,
     quotient the implication must hold.  Phase-free models are checked both
     on random samples and, at small dimensions, by exhaustive enumeration.
     """
-    runner = CheckRunner(trials, seed, tolerance)
-    tol = runner.tol
     quotient = model.quotient
     a = Gen("A", 2)
 
@@ -211,7 +216,7 @@ def check_prep_state(model, trials: int = 100, seed: int = 0,
         """implication(f, g) -> (antecedent, consequent) for f, g: dom -> A."""
         if not quotient and model.semiring.phase is not None:
             # the axiom must be violated here; exhibit the canonical witness
-            def phase_counterexample(rng):
+            def phase_counterexample(_):
                 f = model.morphism(dom, a, _unit_witness_array(dom == UNIT))
                 g = scaled(model.scalar(1j), f)
                 antecedent, consequent = implication(f, g)
@@ -247,8 +252,8 @@ def check_prep_state(model, trials: int = 100, seed: int = 0,
     if not quotient and model.semiring.phase is None:
         checks.append(Check("doubles-determine-morphisms-exhaustive",
                             "f(x)f(dagger) = g(x)g(dagger)  =>  f = g  (grid)",
-                            WHOLE, lambda rng: _grid_check(model, tol)))
-    return runner.report("prep-state", model, runner.run(checks))
+                            WHOLE, lambda _: _grid_check(model, tol)))
+    return checks
 
 
 def _unit_witness_array(states_only: bool):

@@ -1,4 +1,4 @@
-"""Trace valuations, scalar sums, positivity, and the axiom equivalences."""
+"""Trace valuations, scalar sums, and the axiom equivalences."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from sccckit import (
     Gen,
     Morphism,
     Oplus,
-    TypeMismatch,
     UNIT,
     WProjModel,
     check_born_decomposition,
@@ -18,14 +17,10 @@ from sccckit import (
     check_ortho_bornian,
     check_theorem_equivalence,
     check_trace_linearity,
-    compose,
     corrupted_trace,
-    dagger,
     decomposition,
-    equal,
     fdhilb,
     identity,
-    is_positive,
     rel_model,
     scalar_sum,
     scalar_value,
@@ -39,39 +34,6 @@ M = fdhilb()
 
 def cmor(arr, dom=Q, cod=Q):
     return Morphism(dom, cod, np.asarray(arr, dtype=complex), COMPLEX)
-
-
-def test_positive_complex_with_witness():
-    rng = np.random.default_rng(51)
-    for _ in range(20):
-        h = M.sample_positive(rng, Q)
-        ok, w = is_positive(h)
-        assert ok
-        # the witness actually factors h
-        assert equal(compose(dagger(w), w), h)
-
-
-def test_non_positive_is_rejected():
-    ok, w = is_positive(cmor([[1, 0], [0, -1]]))
-    assert not ok and w is None
-    ok, w = is_positive(cmor([[0, 1], [0, 0]]))  # not even self-adjoint
-    assert not ok and w is None
-
-
-def test_boolean_positivity_by_search():
-    m = rel_model()
-    sym = Morphism(Q, Q, np.array([[1, 1], [1, 1]], dtype=np.bool_), m.semiring)
-    ok, w = is_positive(sym)
-    assert ok
-    assert np.array_equal(m.semiring.matmul(w.array.T, w.array), sym.array)
-    anti = Morphism(Q, Q, np.array([[0, 1], [1, 0]], dtype=np.bool_), m.semiring)
-    ok, _ = is_positive(anti)
-    assert not ok
-
-
-def test_positivity_needs_endomorphism():
-    with pytest.raises(TypeMismatch):
-        is_positive(cmor([[1, 0]], dom=Q, cod=Gen("B", 1)))
 
 
 def test_valuation_norm_oracle():

@@ -78,7 +78,6 @@ ALLOWED_SWITCHES = Counter({
     ("cli.py", "_checked_inputs"): 1,          # teleport refuses other models
     ("protocols.py", "run_teleportation"): 1,  # teleport refuses other models
     ("models.py", "ModelHandle.sample_state"): 1,  # normalized=True refuses
-    ("born.py", "is_positive"): 1,             # spectral route
     ("report.py", "deserialize_morphism"): 1,  # JSON stores complex pairs
 })
 

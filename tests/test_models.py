@@ -24,9 +24,9 @@ from sccckit import (
     random_unitary,
     rel_model,
     resolve_model,
+    run_suite,
     scalar_value,
     semiring_model,
-    verify_model_axioms,
     weight_model,
 )
 from sccckit import models
@@ -48,7 +48,7 @@ def test_corrupted_involution_breaks_dagger_coherence():
     m = semiring_model(s)
     f = m.morphism(UNIT, UNIT, np.array([[1j]]))
     assert complex(scalar_value(hs_inner(f, f))).real < 0  # a negative "norm"
-    report = verify_model_axioms(m, max_dim=2, trials=10, seed=0)
+    report = run_suite("sccc", m, trials=10, seed=0, max_dim=2)
     assert not report.ok
 
 
@@ -168,5 +168,5 @@ def test_boolean_scalar_power_is_idempotent():
 
 @pytest.mark.parametrize("make", [fdhilb, rel_model, weight_model])
 def test_model_axiom_smoke(make):
-    report = verify_model_axioms(make(), max_dim=2, trials=5, seed=0)
+    report = run_suite("sccc", make(), trials=5, seed=0, max_dim=2)
     assert report.ok

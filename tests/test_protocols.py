@@ -24,6 +24,7 @@ from sccckit import (
     scalar_value,
 )
 from sccckit import protocols
+from sccckit.cli import main
 from sccckit.errors import NotUnitary
 
 M = fdhilb()
@@ -139,7 +140,7 @@ def test_classical_communication_tensors_each_branch():
     a = Gen("A", 2)
     t0 = M.sample_morphism(rng, Gen("D", 2), Gen("B", 2))
     t1 = M.sample_morphism(rng, Gen("D", 2), Gen("C", 3))
-    bt = protocols.branch_pairing([t0, t1])
+    bt = protocols.BranchTuple((t0, t1))
     out = protocols.cc_map(a, bt)
     for before, after in zip(bt, out):
         assert np.allclose(after.array, np.kron(np.eye(2), before.array))
@@ -179,3 +180,31 @@ def test_weighted_bit_collapse_witness_is_built_once_and_copied():
     assert second is not first
     assert second == protocols._weighted_bit_collapse_witness.__wrapped__()
     assert protocols._weighted_bit_collapse_witness.cache_info().misses == built <= 1
+
+
+def _corrections_rotated(setup=protocols.bell_teleportation_setup):
+    # every branch gets the next branch's Pauli correction
+    t, betas = setup()
+    return t, betas[1:] + betas[:1]
+
+
+@pytest.mark.parametrize("state", ["[[1,0],[0.5,0]]", "[[1e-100,0],[5e-101,0]]",
+                                   "[[1.5e-154,0],[0,0]]"])
+def test_wrong_corrections_fail_at_any_weight(monkeypatch, capsys, state):
+    # verdicts are relative to the input's weight, so no absolute floor lets
+    # a light state pass whatever the pipeline computes
+    monkeypatch.setattr(protocols, "bell_teleportation_setup", _corrections_rotated)
+    assert main(["protocol", "teleport", "--state", state]) == 1
+    assert capsys.readouterr().out.count(" fail  branch-") == 4
+
+
+@pytest.mark.parametrize("state", ["[[1.5e-154,0],[0,0]]", "[[0,1.1e-154],[1.1e-154,3e-160]]",
+                                   "[[1.34e154,0],[0,0]]", "[[0,9.4e153],[9.4e153,0]]"])
+def test_healthy_states_at_both_ends_of_the_accepted_weights_pass(capsys, state):
+    assert main(["protocol", "teleport", "--state", state]) == 0
+    assert "5 pass, 0 fail, 1 expected-fail" in capsys.readouterr().out
+
+
+def test_teleportation_refuses_a_weightless_input():
+    with pytest.raises(TypeMismatch):
+        run_teleportation(Morphism(UNIT, qubit(), np.zeros((2, 1)), COMPLEX))

@@ -1,12 +1,16 @@
 """The one check runner: stream keys, error capture, status and tolerance."""
 
+import ast
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sccckit import (COMPLEX, NONNEG, ModelHandle, TypeMismatch, WProjModel,
-                     check_diagonal_axiom, corrupted_trace, fdhilb, run_suite)
+                     check_diagonal_axiom, corrupted_trace, fdhilb,
+                     run_suite, run_teleportation)
+from sccckit import protocols, report
 from sccckit.born import leg_checks
 from sccckit.report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
                             CheckRunner)
@@ -135,3 +139,63 @@ def test_tolerance_reaches_every_equality(make, suite):
     report = run_suite(suite, model, trials=3, seed=1, max_dim=2)
     assert report.tolerance == REL_TOL
     assert model.rels and set(model.rels) == {REL_TOL}
+
+
+def test_whole_and_expected_fail_checks_draw_no_stream():
+    seen = []
+
+    def whole(rng):
+        seen.append(rng)
+        return None
+
+    def expected(rng):
+        seen.append(rng)
+        return True, {"w": 1}
+
+    CheckRunner(trials=4, seed=2).run([Check("whole", "law", WHOLE, whole),
+                                        Check("expected", "law", EXPECTED_FAIL, expected)])
+    assert seen == [None, None]
+
+
+def test_a_teleport_seeds_no_generator(monkeypatch):
+    seeded = []
+    default_rng = report.np.random.default_rng
+
+    def counting(*args, **kwargs):
+        seeded.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(report.np.random, "default_rng", counting)
+    assert run_teleportation().ok
+    assert seeded == []
+
+
+def test_a_failing_teleport_check_names_its_trial(monkeypatch):
+    t, betas = protocols.bell_teleportation_setup()
+    monkeypatch.setattr(protocols, "bell_teleportation_setup",
+                        lambda: (t, betas[::-1]))
+    failures = [r for r in run_teleportation().results if r.status == "fail"]
+    assert failures
+    assert all(r.witness["trial"] == 0 for r in failures)
+
+
+def _sources():
+    for path in sorted(Path(report.__file__).parent.glob("*.py")):
+        if path.name != "report.py":
+            yield path.name, ast.parse(path.read_text())
+
+
+def test_only_the_runner_builds_results_and_reports():
+    built = [(name, node.lineno) for name, tree in _sources()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+             in ("CheckResult", "VerificationReport")]
+    assert built == []
+
+
+def test_only_the_runner_writes_a_status():
+    written = [(name, node.lineno) for name, tree in _sources()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value in report.STATUSES]
+    assert written == []
