@@ -64,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative tolerance for approximate equality")
     verify.add_argument("--max-dim", type=int, default=4, dest="max_dim",
                         help="largest generator dimension swept (default 4)")
-    verify.add_argument("--nu", choices=sorted(NU_CHOICES), default="1",
-                        help="valuation exponent for the born suite")
+    verify.add_argument("--nu", choices=sorted(NU_CHOICES), default=None,
+                        help="valuation exponent for the born suite (default 1)")
 
     protocol = sub.add_parser("protocol", help="run an end-to-end protocol")
     psub = protocol.add_subparsers(dest="protocol", required=True)
@@ -124,6 +124,8 @@ def _checked_inputs(args):
         if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
             raise ValueError("--tolerance must be a finite number >= 0, "
                              f"got {args.tolerance}")
+        if args.nu is not None and args.suite != "born":
+            raise ValueError(f"--nu is read only by the born suite, not {args.suite}")
     seed = args.seed
     if seed is None:
         raw = os.environ.get("SCCCKIT_SEED", "0")
@@ -170,7 +172,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             report = run_suite(args.suite, model, trials=args.trials,
                                seed=seed, tolerance=args.tolerance,
-                               max_dim=args.max_dim, nu=NU_CHOICES[args.nu])
+                               max_dim=args.max_dim, nu=NU_CHOICES[args.nu or "1"])
         else:
             report = run_teleportation(psi, model, seed=seed)
     except (SccckitError, ValueError) as exc:

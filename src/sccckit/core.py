@@ -13,18 +13,20 @@ exercises them:
 * sigma(A,B): A @ B -> B @ A is the transposition permutation,
 * the dual of the unit is realized strictly by object normalization.
 
-These structure maps and the unit eta_A are canonical once their objects are
-fixed, so ``lam``, ``rho``, ``alpha``, ``sigma`` and ``unit`` are memoized per
-(objects, semiring) in one bounded cache each.  That is sound because each is
-a deterministic function of hashable, immutable arguments (semirings hash by
-identity) that takes no array and checks nothing, and returns a morphism
-whose array is frozen: a shared result is indistinguishable from a fresh
-one, and a broken constructor is cached broken, so every check that catches
-it still does.  Nothing that reads arrays or performs a check is memoized:
-``name`` builds and compares both unfoldings on every call, and ``trace``,
-``scalar_mult`` and ``double`` compute afresh.  No call builds anything
-twice either: ``hs_norm_sq`` names its argument once, and ``name`` and
-``coname`` build only the one dual (``f*``, ``f_*``) they use.
+These structure maps, the unit eta_A, the counit eta_A(dagger) and the two
+legs of ``partial_trace`` around 1 (x) f are canonical once their objects
+are fixed, so each is memoized per (objects, semiring) in one bounded cache.
+That is sound because each is a deterministic function of hashable,
+immutable arguments (semirings hash by identity) that takes no array and
+checks nothing, and returns a morphism whose array is frozen: a shared
+result is indistinguishable from a fresh one.  Each is built
+diagrammatically from the primitives, so a broken primitive is cached
+broken and every check that catches it still does.  Nothing that reads
+arrays or performs a check is memoized: ``name`` builds and compares both
+unfoldings on every call, and ``trace``, ``partial_trace``, ``scalar_mult``
+and ``double`` apply their argument afresh.  No call builds anything twice
+either: ``hs_norm_sq`` names its argument once, and ``name`` and ``coname``
+build only the one dual (``f*``, ``f_*``) they use.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import (AbsorptionMismatch, InvariantViolation, NotPhaseEquivalent,
                      NotProjector, TypeMismatch)
-from .morphisms import (Morphism, adopt, compose, dagger, equal, identity,
+from .morphisms import (Morphism, adopt, compose, dagger, equal, eye, identity,
                         lower_star, scalar_value, star, tensor)
 from .objects import ObjectExpr, Tensor, UNIT, dim, dual, format_object, normalize
 from .semirings import InvolutiveSemiring
@@ -43,21 +45,20 @@ from .semirings import InvolutiveSemiring
 @lru_cache(maxsize=4096)
 def lam(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """Left unitor A -> I @ A."""
-    return adopt(a, Tensor(UNIT, a), np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, Tensor(UNIT, a), eye(dim(a), s), s)
 
 
 @lru_cache(maxsize=4096)
 def rho(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """Right unitor A -> A @ I."""
-    return adopt(a, Tensor(a, UNIT), np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, Tensor(a, UNIT), eye(dim(a), s), s)
 
 
 @lru_cache(maxsize=4096)
 def alpha(a: ObjectExpr, b: ObjectExpr, c: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """Associator A @ (B @ C) -> (A @ B) @ C."""
     n = dim(a) * dim(b) * dim(c)
-    return adopt(Tensor(a, Tensor(b, c)), Tensor(Tensor(a, b), c),
-                 np.eye(n, dtype=s.dtype), s)
+    return adopt(Tensor(a, Tensor(b, c)), Tensor(Tensor(a, b), c), eye(n, s), s)
 
 
 @lru_cache(maxsize=4096)
@@ -82,6 +83,12 @@ def unit(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     idx = np.arange(d)
     arr[idx * d + idx, 0] = s.one
     return adopt(UNIT, Tensor(dual(a), a), arr, s)
+
+
+@lru_cache(maxsize=4096)
+def counit(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
+    """The counit eta_A(dagger): A* @ A -> I."""
+    return dagger(unit(a, s))
 
 
 def name(f: Morphism) -> Morphism:
@@ -132,16 +139,31 @@ def trace(f: Morphism) -> Morphism:
     if f.dom != f.cod:
         raise TypeMismatch(f"trace needs an endomorphism, got {f!r}")
     s = f.semiring
-    e = unit(f.dom, s)
-    return compose(dagger(e), compose(tensor(identity(dual(f.dom), s), f), e))
+    return compose(counit(f.dom, s),
+                   compose(tensor(identity(dual(f.dom), s), f), unit(f.dom, s)))
+
+
+@lru_cache(maxsize=4096)
+def _partial_trace_down(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
+    """B -> I @ B -> (A* @ A) @ B -> A* @ (A @ B)."""
+    down = compose(tensor(unit(a, s), identity(b, s)), lam(b, s))
+    return compose(dagger(alpha(dual(a), a, b, s)), down)
+
+
+@lru_cache(maxsize=4096)
+def _partial_trace_up(a: ObjectExpr, c: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
+    """A* @ (A @ C) -> (A* @ A) @ C -> I @ C -> C."""
+    up = compose(tensor(counit(a, s), identity(c, s)), alpha(dual(a), a, c, s))
+    return compose(dagger(lam(c, s)), up)
 
 
 def partial_trace(f: Morphism, traced: ObjectExpr) -> Morphism:
     """Trace out a leading tensor factor of f: traced @ B -> traced @ C.
 
-    Executes the composite lam(dagger) o (eta(dagger) (x) 1) o (1 (x) f) o
-    (eta (x) 1) o lam with explicit associators.  For B = C = I this is the
-    matrix trace as a scalar.
+    The composite lam(dagger) o (eta(dagger) (x) 1) o (1 (x) f) o
+    (eta (x) 1) o lam, with explicit associators.  Its legs before and after
+    1 (x) f read no array and are memoized, so a call runs one tensor and two
+    composes.  For B = C = I this is the matrix trace as a scalar.
     """
     a = normalize(traced)
     s = f.semiring
@@ -149,14 +171,8 @@ def partial_trace(f: Morphism, traced: ObjectExpr) -> Morphism:
             and f.dom.left == a and f.cod.left == a):
         raise TypeMismatch(
             f"partial trace over {format_object(a)} needs matching leading factors, got {f!r}")
-    b, c = f.dom.right, f.cod.right
-    e = unit(a, s)
-    down = compose(tensor(e, identity(b, s)), lam(b, s))            # B -> (A* @ A) @ B
-    down = compose(dagger(alpha(dual(a), a, b, s)), down)           # -> A* @ (A @ B)
-    mid = compose(tensor(identity(dual(a), s), f), down)            # -> A* @ (A @ C)
-    up = compose(alpha(dual(a), a, c, s), mid)                      # -> (A* @ A) @ C
-    up = compose(tensor(dagger(e), identity(c, s)), up)             # -> I @ C
-    return compose(dagger(lam(c, s)), up)                           # -> C
+    mid = compose(tensor(identity(dual(a), s), f), _partial_trace_down(a, f.dom.right, s))
+    return compose(_partial_trace_up(a, f.cod.right, s), mid)
 
 
 def hs_inner(f: Morphism, g: Morphism) -> Morphism:
@@ -224,12 +240,10 @@ def yanking_composite(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
 
     The yanking axiom says this equals the identity on A.
     """
-    e = unit(a, s)
-    e_dual = unit(dual(a), s)
-    m = compose(tensor(identity(a, s), e), rho(a, s))        # A -> A @ (A* @ A)
-    m = compose(alpha(a, dual(a), a, s), m)                  # -> (A @ A*) @ A
-    m = compose(tensor(dagger(e_dual), identity(a, s)), m)   # -> I @ A
-    return compose(dagger(lam(a, s)), m)                     # -> A
+    m = compose(tensor(identity(a, s), unit(a, s)), rho(a, s))  # A -> A @ (A* @ A)
+    m = compose(alpha(a, dual(a), a, s), m)                     # -> (A @ A*) @ A
+    m = compose(tensor(counit(dual(a), s), identity(a, s)), m)  # -> I @ A
+    return compose(dagger(lam(a, s)), m)                        # -> A
 
 
 def born_probability_value(psi: Morphism, p: Morphism) -> float:

@@ -29,7 +29,8 @@ an array its caller has just built.
 ``core`` and ``ortho``: its result is a function of those hashable,
 immutable arguments alone and its array is frozen, so a shared result is
 indistinguishable from a fresh one.  Semirings hash by identity, so two
-semirings never share an entry.
+semirings never share an entry.  Its array, and that of every other
+identity-matrix structure map, is the one frozen ``eye(n, s)``.
 """
 from __future__ import annotations
 
@@ -103,8 +104,17 @@ def morphism(dom: ObjectExpr, cod: ObjectExpr, array, semiring: InvolutiveSemiri
 
 
 @lru_cache(maxsize=4096)
+def eye(n: int, s: InvolutiveSemiring) -> np.ndarray:
+    """The frozen n x n identity array over s, shared by every memoized map
+    whose matrix it is, so their bytes grow with the dimensions, not the objects."""
+    arr = np.eye(n, dtype=s.dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=4096)
 def identity(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
-    return adopt(a, a, np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, a, eye(dim(a), s), s)
 
 
 def zeros(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:

@@ -15,12 +15,12 @@ Monoidal naturality of the coherence family is verified on random samples
 not separately tested.
 
 The unitors, symmetry, associator, DIST, ``zero_collapse``,
-``zero_morphism``, ``_spread`` and the pseudo-projections and
-pseudo-injections are canonical once their objects are fixed, so each is
-memoized per (objects, semiring) in one bounded cache, as in ``core`` and
-for the same reason: it takes no array, checks nothing and returns a frozen
-morphism, so a shared result is indistinguishable from a fresh one.
-``derived_sum`` reads its operands' arrays and runs afresh on every call.
+``zero_morphism``, ``_spread``, the pseudo-projections and -injections, and
+the two legs of ``derived_sum`` around 1 (x) (f + g) are canonical once
+their objects are fixed, so each is memoized per (objects, semiring) in one
+bounded cache, as in ``core`` and for the same reason: it takes no array,
+checks nothing and returns a frozen morphism, built from the primitives.
+``derived_sum`` applies its operands' arrays afresh on every call.
 ``pseudo_projection`` and ``pseudo_injection`` stay plain functions that
 delegate to cached helpers, so their calls can still be counted.
 """
@@ -32,12 +32,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TypeMismatch
-from .morphisms import (Morphism, adopt, compose, dagger, direct_sum, identity,
-                        tensor)
-from .objects import (ObjectExpr, Oplus, Tensor, UNIT, ZERO, dim, dual,
-                      format_object, normalize)
+from .morphisms import (Morphism, adopt, compose, dagger, direct_sum, eye,
+                        identity, tensor)
+from .objects import (ObjectExpr, Oplus, Tensor, UNIT, ZERO, dim, format_object,
+                      normalize)
 from .semirings import InvolutiveSemiring
-from .core import alpha, lam, unit
+from .core import alpha, counit, lam, unit
 
 oplus = direct_sum
 
@@ -81,13 +81,13 @@ def decomposition(*parts: ObjectExpr) -> OplusDecomposition:
 @lru_cache(maxsize=4096)
 def l_unitor(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A -> 0 + A."""
-    return adopt(a, Oplus(ZERO, a), np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, Oplus(ZERO, a), eye(dim(a), s), s)
 
 
 @lru_cache(maxsize=4096)
 def r_unitor(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A -> A + 0."""
-    return adopt(a, Oplus(a, ZERO), np.eye(dim(a), dtype=s.dtype), s)
+    return adopt(a, Oplus(a, ZERO), eye(dim(a), s), s)
 
 
 @lru_cache(maxsize=4096)
@@ -104,8 +104,7 @@ def oplus_symmetry(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morph
 def oplus_assoc(a: ObjectExpr, b: ObjectExpr, c: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A + (B + C) -> (A + B) + C (identity matrix, retyped ends)."""
     n = dim(a) + dim(b) + dim(c)
-    return adopt(Oplus(a, Oplus(b, c)), Oplus(Oplus(a, b), c),
-                 np.eye(n, dtype=s.dtype), s)
+    return adopt(Oplus(a, Oplus(b, c)), Oplus(Oplus(a, b), c), eye(n, s), s)
 
 
 # -- distributivity ----------------------------------------------------------
@@ -244,31 +243,42 @@ def _spread(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
                    dist_right(UNIT, UNIT, a, s))
 
 
+TWO = Oplus(UNIT, UNIT)  # 2 := I + I, its own dual after normalization
+
+
+@lru_cache(maxsize=4096)
+def _sum_down(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
+    """A -> I @ A -> (2* @ 2) @ A -> 2* @ (2 @ A) -> 2* @ (A + A)."""
+    down = compose(tensor(unit(TWO, s), identity(a, s)), lam(a, s))
+    down = compose(dagger(alpha(TWO, TWO, a, s)), down)
+    return compose(tensor(identity(TWO, s), _spread(a, s)), down)
+
+
+@lru_cache(maxsize=4096)
+def _sum_up(b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
+    """2* @ (B + B) -> 2* @ (2 @ B) -> (2* @ 2) @ B -> I @ B -> B."""
+    up = compose(alpha(TWO, TWO, b, s), tensor(identity(TWO, s), dagger(_spread(b, s))))
+    up = compose(tensor(counit(TWO, s), identity(b, s)), up)
+    return compose(dagger(lam(b, s)), up)
+
+
 def derived_sum(f: Morphism, g: Morphism) -> Morphism:
     """The sum of parallel morphisms induced by the two-dimensional unit.
 
-    Executes the composite through 2 := I + I:
+    The composite through 2 := I + I:
     A -> I @ A -> (2* @ 2) @ A -> 2* @ (A + A) -> 2* @ (B + B) ->
-    (2* @ 2) @ B -> I @ B -> B with the middle leg 1 (x) (f + g).
-    In every matrix model the result is the entrywise semiring sum.
+    (2* @ 2) @ B -> I @ B -> B with the middle leg 1 (x) (f + g).  The legs
+    before and after it read no array and are memoized, so a call runs
+    f + g, one tensor and two composes.  In every matrix model the result is
+    the entrywise semiring sum.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeMismatch("derived sum needs parallel morphisms")
     if f.semiring is not g.semiring:
         raise TypeMismatch("derived sum needs a common semiring")
     s = f.semiring
-    a, b = f.dom, f.cod
-    two = Oplus(UNIT, UNIT)
-    twod = dual(two)  # = two after normalization
-    eta2 = unit(two, s)
-    down = compose(tensor(eta2, identity(a, s)), lam(a, s))        # A -> (2* @ 2) @ A
-    down = compose(dagger(alpha(twod, two, a, s)), down)           # -> 2* @ (2 @ A)
-    down = compose(tensor(identity(twod, s), _spread(a, s)), down)  # -> 2* @ (A + A)
-    mid = compose(tensor(identity(twod, s), oplus(f, g)), down)    # -> 2* @ (B + B)
-    up = compose(tensor(identity(twod, s), dagger(_spread(b, s))), mid)  # -> 2* @ (2 @ B)
-    up = compose(alpha(twod, two, b, s), up)                       # -> (2* @ 2) @ B
-    up = compose(tensor(dagger(eta2), identity(b, s)), up)         # -> I @ B
-    return compose(dagger(lam(b, s)), up)                          # -> B
+    mid = compose(tensor(identity(TWO, s), oplus(f, g)), _sum_down(f.dom, s))
+    return compose(_sum_up(f.cod, s), mid)
 
 
 def oplus_illdefined_witness(theta: float = np.pi / 2) -> dict:

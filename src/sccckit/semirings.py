@@ -83,16 +83,16 @@ def _tolerant_equal(a: np.ndarray, b: np.ndarray, rel: float | None = None) -> b
         return False
     if a.size == 0:
         return True
-    scale = max(max_abs(a), max_abs(b))
-    return max_abs(a - b) <= max(ABS_TOL, (REL_TOL if rel is None else rel) * scale)
+    # gap <= max(ABS_TOL, rel * scale) holds whenever gap <= ABS_TOL, so the
+    # scale (two more reductions) is read only when that does not settle it
+    gap = max_abs(a - b)
+    if gap <= ABS_TOL:
+        return True
+    return gap <= (REL_TOL if rel is None else rel) * max(max_abs(a), max_abs(b))
 
 
 def _exact_equal(a: np.ndarray, b: np.ndarray, rel: float | None = None) -> bool:
-    return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+    return a.shape == b.shape and bool((a == b).all())
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ BOOLEAN = InvolutiveSemiring(
     add=lambda x, y: bool(x) or bool(y),
     mul=lambda x, y: bool(x) and bool(y),
     involution=lambda x: x,
-    matmul=_bool_matmul,
+    matmul=np.matmul,  # on bool_ arrays an OR of ANDs, with no counter to wrap
     kron=_kron,
     scale=lambda c, arr: np.logical_and(bool(c), arr),
     sample=lambda rng, shape: rng.random(shape) < 0.5,

@@ -413,11 +413,9 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
     def lifted_yanking(_):
         for d in range(1, min(4, max_dim) + 1):
             a = Gen("A", d)
-            e = core.unit(a, s)
-            e_dual = core.unit(dual(a), s)
-            m = w.compose(lift(tensor(identity(a, s), e)), lift(core.rho(a, s)))
+            m = w.compose(lift(tensor(identity(a, s), core.unit(a, s))), lift(core.rho(a, s)))
             m = w.compose(lift(core.alpha(a, dual(a), a, s)), m)
-            m = w.compose(lift(tensor(dagger(e_dual), identity(a, s))), m)
+            m = w.compose(lift(tensor(core.counit(dual(a), s), identity(a, s))), m)
             m = w.compose(lift(dagger(core.lam(a, s))), m)
             if not wequal(m, w.identity(a), tol).equal:
                 return _obj_witness(a)

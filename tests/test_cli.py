@@ -118,6 +118,23 @@ def test_cli_report_echoes_effective_tolerance(capsys):
     assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-6
 
 
+@pytest.mark.parametrize("suite", ["sccc", "wproj", "prep-state", "ortho", "equivalence"])
+def test_cli_refuses_nu_outside_born(capsys, suite):
+    # even the default value: a report cannot say it honoured a flag it never read
+    assert main(["verify", suite, "--model", "rel", "--trials", "2", "--nu", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "--nu" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_born_reads_a_missing_nu_as_one(capsys):
+    argv = ["verify", "born", "--model", "rel", "--trials", "2", "--max-dim", "2", "--json"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--nu", "1"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_cli_rejects_unknown_model(capsys):
     assert main(["verify", "sccc", "--model", "nope"]) == 2
     err = capsys.readouterr().err

@@ -1,9 +1,11 @@
-"""The broadcast Kronecker kernel and the trusted constructor of derived morphisms.
+"""The matrix kernels, tolerant equality and the trusted constructor of derived morphisms.
 
 ``np.kron`` is kept here as the reference the shipped kernel must reproduce
-bit for bit; the results of compose, tensor, dagger, star, lower_star,
-direct_sum and scalar must be exactly what the checked ``Morphism(...)``
-constructor would have built.
+bit for bit, an integer product as the reference for boolean composition,
+and the three-reduction formula as the reference for tolerant equality.  The
+results of compose, tensor, dagger, star, lower_star, direct_sum and scalar
+must be exactly what the checked ``Morphism(...)`` constructor would have
+built.
 """
 
 import dataclasses
@@ -34,7 +36,7 @@ from sccckit import (
     star,
     tensor,
 )
-from sccckit.semirings import corrupted_complex
+from sccckit.semirings import ABS_TOL, REL_TOL, _tolerant_equal, corrupted_complex, max_abs
 
 SHAPES = [(0, 3), (3, 0), (0, 0), (1, 4), (4, 1), (1, 1), (2, 3), (8, 8)]
 
@@ -56,6 +58,66 @@ def test_kron_matches_numpy_reference(s):
             got, want = s.kron(x, y), _reference_kron(s, x, y)
             assert got.dtype == want.dtype, (sa, sb)
             assert np.array_equal(got, want), (sa, sb)
+
+
+@pytest.mark.parametrize("n", [255, 256, 512])
+def test_boolean_compose_does_not_wrap_past_255_paths(n):
+    # n paths through A: a relation counted in a uint8 would read 0 at 256
+    a = Gen("A", n)
+    row = Morphism(a, UNIT, np.ones((1, n), dtype=bool), BOOLEAN)
+    col = Morphism(UNIT, a, np.ones((n, 1), dtype=bool), BOOLEAN)
+    assert compose(row, col).array.tolist() == [[True]]
+
+
+def test_boolean_matmul_matches_integer_reference():
+    rng = np.random.default_rng(11)
+    for m, k, n in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (6, 6, 6), (36, 36, 36)]:
+        for density in (0.1, 0.5, 0.9):
+            a, b = rng.random((m, k)) < density, rng.random((k, n)) < density
+            want = (a.astype(np.int64) @ b.astype(np.int64)) > 0
+            for x, y in ((a, b), (np.ascontiguousarray(a.T).T, b)):
+                got = BOOLEAN.matmul(x, y)
+                assert got.dtype == np.bool_, (m, k, n)
+                assert np.array_equal(got, want), (m, k, n, density)
+
+
+def _three_reduction_equal(a, b, rel=None):
+    """The tolerant equality as first written: scale, then threshold, then gap."""
+    if a.shape != b.shape:
+        return False
+    if a.size == 0:
+        return True
+    scale = max(max_abs(a), max_abs(b))
+    return max_abs(a - b) <= max(ABS_TOL, (REL_TOL if rel is None else rel) * scale)
+
+
+_INF, _NAN = float("inf"), float("nan")
+EQUALITY_TABLE = [
+    ([0.0], [ABS_TOL]),                      # gap == ABS_TOL
+    ([0.0], [np.nextafter(ABS_TOL, 1.0)]),   # just above it
+    ([1.0], [1.0 + 1e-9]), ([1.0], [1.0 + 2e-9]), ([1.0], [1.0 + 2e-3]),
+    ([1e300, -1e300], [1e300, -1e300 * (1 + 1e-10)]),   # huge scales
+    ([1e300], [-1e300]),                                 # a gap that overflows
+    ([1e-300], [2e-300]), ([1e-20, 0.0], [0.0, 3e-20]),  # tiny scales
+    ([_NAN], [_NAN]), ([_NAN], [1.0]), ([1.0, 2.0], [1.0, _NAN]),
+    ([_INF], [_INF]), ([_INF], [-_INF]), ([_INF], [1.0]), ([1.0], [-_INF]),
+    ([1 + 1j, 0j], [1 + 1j, 1e-13j]), ([1j * _INF], [1j]),
+    (np.zeros((0, 3)), np.zeros((0, 3))), (np.zeros((0, 3)), np.zeros((3, 0))),
+    ([[1.0, 2.0]], [[1.0], [2.0]]),
+]
+
+
+def test_one_reduction_equality_agrees_with_three_reductions():
+    verdicts = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x, y in EQUALITY_TABLE:
+            a, b = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+            for rel in (None, 0.0, -1.0, 1e-3):
+                for p, q in ((a, b), (b, a), (a.real, b.real)):
+                    want = _three_reduction_equal(p, q, rel)
+                    assert _tolerant_equal(p, q, rel) is want, (p, q, rel)
+                    verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 A, B = Gen("A", 2), Gen("B", 3)

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from sccckit import (BOOLEAN, COMPLEX, NONNEG, UNIT, ZERO, Dual, Gen, Morphism,
-                     Oplus, Tensor, compose, core, dim, identity, ortho, protocols,
-                     scalar)
+                     Oplus, Tensor, compose, core, dagger, derived_sum, dim,
+                     direct_sum, dual, identity, ortho, partial_trace, protocols,
+                     scalar, tensor)
 from sccckit.cli import main
 from sccckit.semirings import corrupted_complex
 
@@ -26,9 +27,10 @@ Q = Gen("Q", 2)
 OBJECTS = [UNIT, ZERO, Q, Dual(Gen("R", 3)),
            Oplus(Tensor(Q, UNIT), Dual(Q))]
 
-ONE = [identity, core.lam, core.rho, core.unit, ortho.l_unitor, ortho.r_unitor,
-       ortho._spread]
-TWO = [core.sigma, ortho.oplus_symmetry, ortho.zero_morphism]
+ONE = [identity, core.lam, core.rho, core.unit, core.counit, ortho.l_unitor,
+       ortho.r_unitor, ortho._spread, ortho._sum_down, ortho._sum_up]
+TWO = [core.sigma, ortho.oplus_symmetry, ortho.zero_morphism,
+       core._partial_trace_down, core._partial_trace_up]
 THREE = [core.alpha, ortho.oplus_assoc, ortho.dist_left, ortho.dist_right]
 DECOMPOSITIONS = [ortho.decomposition(Q),
                   ortho.decomposition(ZERO, Q),
@@ -81,6 +83,16 @@ def test_public_pseudo_maps_hand_out_the_cached_builds(s):
             assert ortho.pseudo_injection(d, i, s) is ortho._pseudo_injection(d, i, s)
 
 
+@pytest.mark.parametrize("s", SEMIRINGS, ids=lambda s: s.name)
+def test_identity_matrices_share_one_frozen_array_per_dimension(s):
+    r = Gen("R", 4)
+    maps = [identity(Tensor(Q, Q), s), core.lam(r, s), core.rho(r, s),
+            ortho.l_unitor(r, s), ortho.r_unitor(r, s), core.alpha(Q, UNIT, Q, s),
+            ortho.oplus_assoc(Q, ZERO, Q, s)]
+    assert all(m.array is maps[0].array for m in maps)
+    assert not maps[0].array.flags.writeable
+
+
 def test_semirings_never_share_an_entry():
     copy = dataclasses.replace(COMPLEX)
     rings = SEMIRINGS + [corrupted_complex(), copy]
@@ -92,6 +104,61 @@ def test_semirings_never_share_an_entry():
     # an entry built over the copy composes with the copy's own morphisms
     g = Morphism(Q, Q, np.eye(2), copy)
     assert np.array_equal(compose(identity(Q, copy), g).array, g.array)
+
+
+# -- the per-call chains the memoized legs replace ----------------------------
+
+def chain_derived_sum(f, g):
+    """derived_sum as one composite applied leg by leg, every leg built per call."""
+    s, a, b = f.semiring, f.dom, f.cod
+    two = Oplus(UNIT, UNIT)
+    eta2 = core.unit(two, s)
+    down = compose(tensor(eta2, identity(a, s)), core.lam(a, s))
+    down = compose(dagger(core.alpha(two, two, a, s)), down)
+    down = compose(tensor(identity(two, s), ortho._spread(a, s)), down)
+    mid = compose(tensor(identity(two, s), direct_sum(f, g)), down)
+    up = compose(tensor(identity(two, s), dagger(ortho._spread(b, s))), mid)
+    up = compose(core.alpha(two, two, b, s), up)
+    up = compose(tensor(dagger(eta2), identity(b, s)), up)
+    return compose(dagger(core.lam(b, s)), up)
+
+
+def chain_partial_trace(f, a):
+    """partial_trace as one composite applied leg by leg, every leg built per call."""
+    s, b, c = f.semiring, f.dom.right, f.cod.right
+    e = core.unit(a, s)
+    down = compose(tensor(e, identity(b, s)), core.lam(b, s))
+    down = compose(dagger(core.alpha(dual(a), a, b, s)), down)
+    mid = compose(tensor(identity(dual(a), s), f), down)
+    up = compose(core.alpha(dual(a), a, c, s), mid)
+    up = compose(tensor(dagger(e), identity(c, s)), up)
+    return compose(dagger(core.lam(c, s)), up)
+
+
+def sample(s, rng, dom, cod):
+    """Entries spread over twenty decades, so a sum taken in another order would round."""
+    shape = (dim(cod), dim(dom))
+    arr = s.sample(rng, shape)
+    if arr.dtype != np.bool_:
+        arr = arr * 10.0 ** rng.uniform(-10, 10, shape)
+    return Morphism(dom, cod, arr, s)
+
+
+def assert_bits(got, want):
+    assert got.dom == want.dom and got.cod == want.cod
+    assert got.array.dtype == want.array.dtype
+    assert np.array_equal(got.array, want.array)
+
+
+@pytest.mark.parametrize("s", SEMIRINGS, ids=lambda s: s.name)
+def test_memoized_legs_give_the_per_call_chains_bit_for_bit(s):
+    rng = np.random.default_rng(17)
+    for a, b in product(OBJECTS, repeat=2):
+        f, g = sample(s, rng, a, b), sample(s, rng, a, b)
+        assert_bits(derived_sum(f, g), chain_derived_sum(f, g))
+    for a, b, c in product(OBJECTS, repeat=3):
+        f = sample(s, rng, Tensor(a, b), Tensor(a, c))
+        assert_bits(partial_trace(f, a), chain_partial_trace(f, a))
 
 
 def test_bell_setup_is_built_once_and_matches_a_fresh_build():

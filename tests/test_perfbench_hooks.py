@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import sccckit
-from sccckit import COMPLEX, UNIT, Gen, Morphism, lift, ortho, protocols, wequal
+from sccckit import (COMPLEX, UNIT, Gen, Morphism, Tensor, core, lift, ortho,
+                     protocols, wequal)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +48,22 @@ def test_layer_tracer_still_counts_memoized_entry_points(monkeypatch):
     metrics = tracer.metrics()
     assert metrics["ortho.pseudo_map_calls"][0] > 0
     assert metrics["protocols.setup_per_teleport"][0] == 1.0
+
+
+def test_layer_tracer_counts_sums_and_traces_behind_their_cached_legs(monkeypatch):
+    # derived_sum and trace are counted by their code objects while their
+    # array-free legs come from caches; the calls must still show
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import LayerTracer
+
+    tracer = LayerTracer(sccckit)
+    q = Gen("Q", 2)
+    f = Morphism(q, q, np.array([[1, 2], [3, 4]]), COMPLEX)
+    tracer.call(ortho.derived_sum, f, f)
+    tracer.call(core.trace, f)
+    g = Morphism(Tensor(q, UNIT), Tensor(q, q), np.arange(8).reshape(4, 2), COMPLEX)
+    tracer.call(core.partial_trace, g, q)
+    metrics = tracer.metrics()
+    assert metrics["ortho.derived_sum_calls"][0] == 1
+    assert metrics["core.trace_calls"][0] == 1
+    assert metrics["morphisms.compose_calls"][0] > 0
