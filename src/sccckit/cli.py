@@ -126,13 +126,15 @@ def _checked_inputs(args):
                              f"got {args.tolerance}")
         if args.nu is not None and args.suite != "born":
             raise ValueError(f"--nu is read only by the born suite, not {args.suite}")
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     if seed is None:
-        raw = os.environ.get("SCCCKIT_SEED", "0")
+        raw, source = os.environ.get("SCCCKIT_SEED", "0"), "SCCCKIT_SEED"
         try:
             seed = int(raw)
         except ValueError:
             raise ValueError(f"SCCCKIT_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
     _check_json_path(args.json_path)
     state = getattr(args, "state", None)
     psi = _parse_state(state) if state is not None else None

@@ -13,13 +13,14 @@ exercises them:
 * sigma(A,B): A @ B -> B @ A is the transposition permutation,
 * the dual of the unit is realized strictly by object normalization.
 
-These structure maps, the unit eta_A, the counit eta_A(dagger) and the two
-legs of ``partial_trace`` around 1 (x) f are canonical once their objects
-are fixed, so each is memoized per (objects, semiring) in one bounded cache.
-That is sound because each is a deterministic function of hashable,
-immutable arguments (semirings hash by identity) that takes no array and
-checks nothing, and returns a morphism whose array is frozen: a shared
-result is indistinguishable from a fresh one.  Each is built
+These structure maps, the inverse left unitor lam_A(dagger) that
+``scalar_mult`` leaves through, the unit eta_A, the counit eta_A(dagger) and
+the two legs of ``partial_trace`` around 1 (x) f are canonical once their
+objects are fixed, so each is memoized per (objects, semiring) in one
+bounded cache.  That is sound because each is a deterministic function of
+hashable, immutable arguments (semirings hash by identity) that takes no
+array and checks nothing, and returns a morphism whose array is frozen: a
+shared result is indistinguishable from a fresh one.  Each is built
 diagrammatically from the primitives, so a broken primitive is cached
 broken and every check that catches it still does.  Nothing that reads
 arrays or performs a check is memoized: ``name`` builds and compares both
@@ -46,6 +47,12 @@ from .semirings import InvolutiveSemiring
 def lam(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """Left unitor A -> I @ A."""
     return adopt(a, Tensor(UNIT, a), eye(dim(a), s), s)
+
+
+@lru_cache(maxsize=4096)
+def lam_inv(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
+    """The inverse left unitor lam_A(dagger): I @ A -> A."""
+    return dagger(lam(a, s))
 
 
 @lru_cache(maxsize=4096)
@@ -119,8 +126,8 @@ def scalar_mult(s_mor: Morphism, f: Morphism) -> Morphism:
     """Scalar action s . f := lam_B(dagger) o (s (x) f) o lam_A."""
     if not s_mor.is_scalar:
         raise TypeMismatch("scalar action needs a scalar on the left")
-    return compose(dagger(lam(f.cod, f.semiring)),
-                   compose(tensor(s_mor, f), lam(f.dom, f.semiring)))
+    s = f.semiring
+    return compose(lam_inv(f.cod, s), compose(tensor(s_mor, f), lam(f.dom, s)))
 
 
 def bipartite_projector(f: Morphism) -> Morphism:
@@ -154,7 +161,7 @@ def _partial_trace_down(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> 
 def _partial_trace_up(a: ObjectExpr, c: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """A* @ (A @ C) -> (A* @ A) @ C -> I @ C -> C."""
     up = compose(tensor(counit(a, s), identity(c, s)), alpha(dual(a), a, c, s))
-    return compose(dagger(lam(c, s)), up)
+    return compose(lam_inv(c, s), up)
 
 
 def partial_trace(f: Morphism, traced: ObjectExpr) -> Morphism:
@@ -243,7 +250,7 @@ def yanking_composite(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     m = compose(tensor(identity(a, s), unit(a, s)), rho(a, s))  # A -> A @ (A* @ A)
     m = compose(alpha(a, dual(a), a, s), m)                     # -> (A @ A*) @ A
     m = compose(tensor(counit(dual(a), s), identity(a, s)), m)  # -> I @ A
-    return compose(dagger(lam(a, s)), m)                        # -> A
+    return compose(lam_inv(a, s), m)                            # -> A
 
 
 def born_probability_value(psi: Morphism, p: Morphism) -> float:

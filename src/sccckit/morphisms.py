@@ -12,18 +12,23 @@ Objects attached to a morphism are always kept in normal form, so a dual
 appears only as a flagged generator and type equality is plain structural
 equality of the stored expressions.
 
-The public ``Morphism(...)`` constructor normalizes both ends, copies the
-array into the semiring's dtype, checks its shape and freezes it.  The
-results of ``compose``, ``tensor``, ``dagger``, ``star``, ``lower_star``,
+``Morphism`` is a frozen dataclass with ``__slots__``: an arrow is four
+fields and no instance dict, and assigning a field raises
+``FrozenInstanceError``.  The public ``Morphism(...)`` constructor (and
+``dataclasses.replace``) normalizes both ends, copies the array into the
+semiring's dtype, checks its shape and freezes it.  The results of
+``compose``, ``tensor``, ``dagger``, ``star``, ``lower_star``,
 ``direct_sum`` and ``scalar`` take a trusted internal path instead
 (``_derived``): their ends are built from ends already in normal form (the
 dual ends by ``objects.dual``) and their arrays are fresh kernel outputs, a
 fresh 1 x 1 array, or a transposed view of a frozen array (``star``, and a
-phase-free ``dagger``), so it skips the re-normalization and the copy.  It
-still coerces the array to the semiring's dtype, checks the shape the
-operands imply (a guard for user semirings whose kernels misbehave) and
-freezes the array.  ``adopt`` is the public constructor minus the copy, for
-an array its caller has just built.
+phase-free ``dagger``), so it skips the re-normalization and the copy and
+fills the four slots directly.  It still coerces the array to the
+semiring's dtype, checks the shape the operands imply (a guard for user
+semirings whose kernels misbehave) and freezes the array.  ``adopt`` is the
+public constructor minus the copy, for an array its caller has just built.
+A copy, deep copy or unpickled morphism is rebuilt by the public
+constructor, so its array is frozen too.
 
 ``identity`` is memoized per (object, semiring), like the structure maps of
 ``core`` and ``ortho``: its result is a function of those hashable,
@@ -45,7 +50,7 @@ from .objects import (ObjectExpr, Oplus, Tensor, UNIT, dim, dual, format_object,
 from .semirings import InvolutiveSemiring, max_abs
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Morphism:
     dom: ObjectExpr
     cod: ObjectExpr
@@ -63,6 +68,9 @@ class Morphism:
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
+    def __reduce__(self):
+        return Morphism, (self.dom, self.cod, self.array, self.semiring)
+
     def __repr__(self) -> str:
         return (f"Morphism({format_object(self.dom)} -> {format_object(self.cod)}, "
                 f"{self.semiring.name})")
@@ -70,6 +78,11 @@ class Morphism:
     @property
     def is_scalar(self) -> bool:
         return self.array.shape == (1, 1)
+
+
+# the slot setters, which bypass the frozen ``__setattr__`` (see ``_derived``)
+_SET_DOM, _SET_COD, _SET_ARRAY, _SET_SEMIRING = (
+    vars(Morphism)[field].__set__ for field in ("dom", "cod", "array", "semiring"))
 
 
 def _derived(dom: ObjectExpr, cod: ObjectExpr, array, s: InvolutiveSemiring,
@@ -81,10 +94,10 @@ def _derived(dom: ObjectExpr, cod: ObjectExpr, array, s: InvolutiveSemiring,
             f"{s.name} kernel returned shape {arr.shape}, expected {shape}")
     arr.setflags(write=False)
     f = object.__new__(Morphism)
-    object.__setattr__(f, "dom", dom)
-    object.__setattr__(f, "cod", cod)
-    object.__setattr__(f, "array", arr)
-    object.__setattr__(f, "semiring", s)
+    _SET_DOM(f, dom)
+    _SET_COD(f, cod)
+    _SET_ARRAY(f, arr)
+    _SET_SEMIRING(f, s)
     return f
 
 

@@ -37,7 +37,7 @@ from .morphisms import (Morphism, adopt, compose, dagger, direct_sum, eye,
 from .objects import (ObjectExpr, Oplus, Tensor, UNIT, ZERO, dim, format_object,
                       normalize)
 from .semirings import InvolutiveSemiring
-from .core import alpha, counit, lam, unit
+from .core import alpha, counit, lam, lam_inv, unit
 
 oplus = direct_sum
 
@@ -239,7 +239,7 @@ def pseudo_component(f: Morphism, dom_decomp: OplusDecomposition,
 @lru_cache(maxsize=4096)
 def _spread(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """(I + I) @ A -> A + A via DIST and the left unitors."""
-    return compose(oplus(dagger(lam(a, s)), dagger(lam(a, s))),
+    return compose(oplus(lam_inv(a, s), lam_inv(a, s)),
                    dist_right(UNIT, UNIT, a, s))
 
 
@@ -259,7 +259,7 @@ def _sum_up(b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     """2* @ (B + B) -> 2* @ (2 @ B) -> (2* @ 2) @ B -> I @ B -> B."""
     up = compose(alpha(TWO, TWO, b, s), tensor(identity(TWO, s), dagger(_spread(b, s))))
     up = compose(tensor(counit(TWO, s), identity(b, s)), up)
-    return compose(dagger(lam(b, s)), up)
+    return compose(lam_inv(b, s), up)
 
 
 def derived_sum(f: Morphism, g: Morphism) -> Morphism:

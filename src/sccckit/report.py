@@ -100,6 +100,8 @@ class VerificationReport:
 
 PER_TRIAL, WHOLE, EXPECTED_FAIL = "per-trial", "whole", "expected-fail"
 
+_WORD = 2 ** 32  # a stream key word below this is one SeedSequence entropy word
+
 # returned by a conditional check on a trial whose antecedent did not hold
 VACUOUS = "vacuous"
 
@@ -133,11 +135,16 @@ class CheckRunner:
     """Runs check tables under one seeding, tolerance and status policy.
 
     Trial t of the per-trial check at position i of a table draws from the
-    numpy stream seeded with [seed, i, t], and a failure's witness records t,
-    so the report alone names everything needed to replay it.  A whole or
-    expected-fail check runs once, as trial 0, and is called with None: it
-    draws nothing, so the runner seeds no stream for it.  A ``SccckitError``
-    raised by any check is that check's failure.
+    numpy stream ``np.random.default_rng([seed, i, t])``, and a failure's
+    witness records t, so the report alone names everything needed to replay
+    it.  When seed, i and t each fit in 32 bits, ``stream`` hands
+    ``default_rng`` a ``PCG64`` over a ``SeedSequence`` of the uint32 array
+    [seed, i, t] instead.  That is the list form's stream, since each such
+    word is one entropy word of the list form, without its per-call
+    coercion of the list; a word outside [0, 2^32) keeps the list form.  A
+    whole or expected-fail check runs once, as trial 0, and is called with
+    None: it draws nothing, so the runner seeds no stream for it.  A
+    ``SccckitError`` raised by any check is that check's failure.
     """
 
     def __init__(self, trials: int, seed: int, tolerance: float | None = None):
@@ -147,6 +154,14 @@ class CheckRunner:
 
     def run(self, checks) -> list[CheckResult]:
         return [self._run(idx, check) for idx, check in enumerate(checks)]
+
+    def stream(self, idx: int, trial: int) -> np.random.Generator:
+        """The generator of trial ``trial`` of the check at position ``idx``."""
+        key = [self.seed, idx, trial]
+        if 0 <= min(key) and max(key) < _WORD:
+            key = np.random.PCG64(np.random.SeedSequence(
+                np.array(key, dtype=np.uint32)))
+        return np.random.default_rng(key)
 
     def report(self, suite: str, model, results) -> VerificationReport:
         return VerificationReport(suite=suite, model=model.name, seed=self.seed,
@@ -158,7 +173,7 @@ class CheckRunner:
         held = 0
         per_trial = kind == PER_TRIAL
         for trial in range(self.trials if per_trial else 1):
-            rng = np.random.default_rng([self.seed, idx, trial]) if per_trial else None
+            rng = self.stream(idx, trial) if per_trial else None
             try:
                 outcome = fn(rng)
             except SccckitError as exc:

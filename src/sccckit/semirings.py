@@ -39,7 +39,8 @@ class InvolutiveSemiring:
     Semirings compare and hash by identity, as every operation that mixes
     morphisms already checks (``f.semiring is g.semiring``): a copy made with
     ``replace`` is another semiring, and the memoized structure maps keyed on
-    a semiring never hand one semiring's morphisms to another's caller.
+    a semiring never hand one semiring's morphisms to another's caller.  For
+    the same reason ``copy``, ``deepcopy`` and ``pickle`` keep the identity.
     """
 
     name: str
@@ -66,6 +67,12 @@ class InvolutiveSemiring:
     def idempotent(self) -> bool:
         """1 + 1 = 1, so x + x = x for every x."""
         return self.add(self.one, self.one) == self.one
+
+    def __reduce__(self):
+        # a reference, never a copy: ``copy``/``deepcopy`` hand back the
+        # semiring itself, and ``pickle`` stores the shipped ones by their
+        # module name (one built elsewhere has no name and does not pickle)
+        return next((k for k, v in globals().items() if v is self), self.name)
 
     def multiples(self, n: int) -> list:
         """0, 1, 1 + 1, ... up to n elements, stopping at the first repeat."""

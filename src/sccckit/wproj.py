@@ -12,7 +12,11 @@ still surfaces as a criterion disagreement in ``wequal``.  ``WProjModel`` is a
 composition, tensor, dagger, trace and the block sum are the base model's,
 computed on representatives.  It overrides only what changes in the
 quotient: scalars and equality.  Equality is decided three ways at once and
-the answers must agree or we refuse to answer.
+the answers must agree or we refuse to answer.  The value of a quotient
+scalar is its doubled value c c(dagger): ``WProjModel.scalar_value`` reads
+it from the doubled form when the instance already holds one (computed or
+given), and otherwise from the same two kernel calls on the 1 x 1
+representative, without building the doubled morphism.
 """
 from __future__ import annotations
 
@@ -170,7 +174,21 @@ class WProjModel(ModelHandle):
         return wequal(f, g, rel).equal
 
     def scalar_value(self, s: WMorphism):
-        v = scalar_value(s.doubled)
+        """The doubled value c c(dagger) of the scalar class of c.
+
+        A doubled form already on the instance, computed or given, is the
+        one read.  Otherwise the value is the single entry of the kernels
+        ``core.double`` runs, applied to the 1 x 1 representative and
+        coerced to the semiring's dtype as it would coerce them, so no
+        doubled morphism is built just to read one entry.
+        """
+        a = s.rep.array
+        if "doubled" in vars(s) or a.shape != (1, 1):
+            v = scalar_value(s.doubled)
+        else:
+            ring = s.rep.semiring
+            conj = np.asarray(ring.involution(a.T), dtype=ring.dtype)
+            v = np.asarray(ring.kron(a, conj), dtype=ring.dtype).item()
         if np.issubdtype(type(v), np.complexfloating) or isinstance(v, complex):
             if abs(v.imag) > 1e-9:
                 raise TypeMismatch(f"doubled scalar came out non-real: {v}")

@@ -98,6 +98,30 @@ def test_cli_rejects_non_integer_env_seed(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 3
 
 
+NEGATIVE_SEED_RUNS = [["verify", "sccc", "--trials", "1", "--max-dim", "1"],
+                      ["verify", "ortho", "--trials", "1", "--max-dim", "1"],
+                      ["protocol", "teleport"]]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED_RUNS, ids=" ".join)
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_cli_refuses_a_negative_seed_naming_the_flag(capsys, argv, seed):
+    assert main(argv + ["--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and seed in err
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED_RUNS, ids=" ".join)
+def test_cli_refuses_a_negative_env_seed_naming_it(monkeypatch, capsys, argv):
+    monkeypatch.setenv("SCCCKIT_SEED", "-3")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "SCCCKIT_SEED" in err and "-3" in err
+    # an explicit non-negative --seed does not read the environment
+    assert main(argv + ["--seed", "0"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_cli_rejects_trials_below_one(capsys, trials):
     assert main(["verify", "sccc", "--trials", trials]) == 2

@@ -27,8 +27,8 @@ Q = Gen("Q", 2)
 OBJECTS = [UNIT, ZERO, Q, Dual(Gen("R", 3)),
            Oplus(Tensor(Q, UNIT), Dual(Q))]
 
-ONE = [identity, core.lam, core.rho, core.unit, core.counit, ortho.l_unitor,
-       ortho.r_unitor, ortho._spread, ortho._sum_down, ortho._sum_up]
+ONE = [identity, core.lam, core.lam_inv, core.rho, core.unit, core.counit,
+       ortho.l_unitor, ortho.r_unitor, ortho._spread, ortho._sum_down, ortho._sum_up]
 TWO = [core.sigma, ortho.oplus_symmetry, ortho.zero_morphism,
        core._partial_trace_down, core._partial_trace_up]
 THREE = [core.alpha, ortho.oplus_assoc, ortho.dist_left, ortho.dist_right]

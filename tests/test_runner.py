@@ -2,6 +2,7 @@
 
 import ast
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,44 @@ def test_whole_and_expected_fail_checks_draw_no_stream():
     CheckRunner(trials=4, seed=2).run([Check("whole", "law", WHOLE, whole),
                                         Check("expected", "law", EXPECTED_FAIL, expected)])
     assert seen == [None, None]
+
+
+STREAM_WORDS = [0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5]
+
+
+def _draws(rng):
+    return (rng.random(8).tobytes(),
+            rng.integers(0, 2 ** 63 - 1, size=8, dtype=np.int64).tobytes())
+
+
+def test_runner_streams_are_the_list_form_streams(monkeypatch):
+    keys = []
+    default_rng = report.np.random.default_rng
+
+    def recording(key):
+        keys.append(key)
+        return default_rng(key)
+
+    monkeypatch.setattr(report.np.random, "default_rng", recording)
+    for seed in STREAM_WORDS:
+        runner = CheckRunner(trials=1, seed=seed)
+        for row, trial in product(STREAM_WORDS, repeat=2):
+            got = _draws(runner.stream(row, trial))
+            assert got == _draws(default_rng([seed, row, trial])), (seed, row, trial)
+            # the uint32 words while every word fits, else the list form itself
+            fits = max(seed, row, trial) < 2 ** 32
+            assert isinstance(keys[-1], np.random.PCG64) == fits
+            assert fits or keys[-1] == [seed, row, trial]
+
+
+def test_run_draws_each_trial_from_its_stream():
+    drawn = []
+    runner = CheckRunner(trials=3, seed=2 ** 32 - 1)
+    runner.run([Check("first", "law", WHOLE, lambda rng: None),
+                Check("second", "law", PER_TRIAL,
+                      lambda rng: drawn.append(_draws(rng)))])
+    assert drawn == [_draws(np.random.default_rng([2 ** 32 - 1, 1, t]))
+                     for t in range(3)]
 
 
 def test_a_teleport_seeds_no_generator(monkeypatch):

@@ -26,7 +26,9 @@ from sccckit import (
     scalar_mult,
     tensor,
     wequal,
+    weight_model,
 )
+from sccckit import morphisms
 from sccckit.report import deserialize_morphism
 
 Q = Gen("Q", 2)
@@ -170,7 +172,36 @@ def test_lift_defers_the_doubled_form(double_calls):
     assert equal(first, double(f))
 
 
-def test_lazy_doubles_give_the_eager_answers():
+EDGES = [0.0, -0.0, 5e-324, 1e-200, 1e200, 1e308]  # 1e308 squared overflows
+
+
+def _scalar_entries(s, rng):
+    """1,000 random entries of s, then the signed zeros, the smallest
+    subnormal and the huge values (over the complex numbers also on the
+    imaginary axis and on both axes at once)."""
+    drawn = list(np.asarray(s.sample(rng, (1000,)), dtype=s.dtype))
+    if s.exact:
+        return drawn + [s.zero, s.one]
+    if s is COMPLEX:
+        return drawn + [c for e in EDGES
+                         for c in (complex(e, 0.0), complex(0.0, e), complex(e, e),
+                                   complex(-e, -e))]
+    return drawn + EDGES
+
+
+def _bits(v):
+    return type(v), np.asarray(v).tobytes()
+
+
+def _read(w, x):
+    """w.scalar_value(x) bit for bit, or the refusal it raised."""
+    try:
+        return _bits(w.scalar_value(x))
+    except TypeMismatch as exc:
+        return str(exc)
+
+
+def test_lazy_doubles_give_the_eager_answers(double_calls):
     rng = np.random.default_rng(34)
     w = WProjModel(fdhilb())
     for _ in range(10):
@@ -179,8 +210,31 @@ def test_lazy_doubles_give_the_eager_answers():
                   M.sample_morphism(rng, Q, Q)):
             eager = wequal(WMorphism(f, double(f)), WMorphism(g, double(g)))
             assert wequal(lift(f), lift(g)) == eager
-        s = scalar(complex(*rng.standard_normal(2)), COMPLEX)
-        assert w.scalar_value(lift(s)) == w.scalar_value(WMorphism(s, double(s)))
+    # a quotient scalar's value is read bit for bit as from its doubled form,
+    # and without building one
+    for base in (fdhilb(), rel_model(), weight_model()):
+        w, s = WProjModel(base), base.semiring
+        with np.errstate(over="ignore", invalid="ignore"):  # the huge entries
+            for c in _scalar_entries(s, rng):
+                x = scalar(c, s)
+                built = len(double_calls)
+                got = _read(w, lift(x))
+                assert len(double_calls) == built, (base.name, c)
+                assert got == _read(w, WMorphism(x, double(x))), (base.name, c)
+                doubled = morphisms.scalar_value(double(x))
+                if s is COMPLEX and abs(doubled.imag) <= 1e-9:
+                    doubled = doubled.real
+                if not isinstance(got, str):
+                    assert got == _bits(doubled), (base.name, c)
+        # a doubled form on the instance, forged or computed, is the one read
+        forged = WMorphism(scalar(s.zero, s), double(scalar(s.one, s)))
+        assert _bits(w.scalar_value(forged)) == _bits(w.scalar_value(lift(scalar(s.one, s))))
+        assert w.scalar_value(lift(scalar(s.zero, s))) != w.scalar_value(forged)
+        computed = lift(scalar(s.one, s))
+        computed.doubled
+        built = len(double_calls)
+        assert w.scalar_value(computed) == w.scalar_value(lift(scalar(s.one, s)))
+        assert len(double_calls) == built
 
 
 def test_explicit_doubled_form_is_kept(double_calls):
