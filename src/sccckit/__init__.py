@@ -11,29 +11,24 @@ from .errors import (AbsorptionMismatch, CriterionDisagreement,
                      NotProjector, NotUnitary, RootUnavailable, SccckitError,
                      SemiringLawViolation, TypeMismatch)
 from .objects import (Dual, Gen, ObjectExpr, Oplus, Tensor, UNIT, Unit, ZERO,
-                      Zero, dim, dual, format_object, normalize, obj_equal,
-                      parse_object)
+                      Zero, dim, dual, format_object, normalize, parse_object)
 from .semirings import BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring
 from .morphisms import (Morphism, compose, dagger, direct_sum, distance,
                         equal, identity, lower_star, morphism, scalar,
                         scalar_value, star, tensor, zeros)
-from .core import (born_prob, born_probability_value, bipartite_projector,
-                   coname, double, hs_inner, hs_norm_sq, name, partial_trace,
-                   phase_witnesses, scalar_mult, trace, unit, yanking_composite)
+from .core import (born_prob, bipartite_projector, double, hs_inner, hs_norm_sq,
+                   name, partial_trace, phase_witnesses, scalar_mult, trace,
+                   unit, yanking_composite)
 from .ortho import (OplusDecomposition, decomposition, derived_sum, dist_left,
                     dist_right, oplus_illdefined_witness, pseudo_component,
                     pseudo_injection, pseudo_projection, zero_morphism)
 from .models import (ModelHandle, copairing, fdhilb, pairing, random_unitary,
                      rel_model, resolve_model, semiring_model, weight_model)
-from .wproj import (WMorphism, WProjModel, canonical_rep, check_prep_state,
-                    lift, wequal)
-from .born import (check_born_decomposition, check_diagonal_axiom,
-                   check_ortho_bornian, check_theorem_equivalence,
-                   check_trace_linearity, corrupted_trace, scalar_sum,
+from .wproj import WMorphism, WProjModel, canonical_rep, lift, wequal
+from .born import (check_born_decomposition, corrupted_trace, scalar_sum,
                    valuation_norm)
-from .protocols import (BranchTuple, MeasurementSpec, cc_map,
-                        measurement_probabilities, nondestructive_measurement,
-                        qubit, run_teleportation, weighted_bit_collapse_witness)
+from .protocols import (BranchTuple, MeasurementSpec, cc_map, qubit,
+                        run_teleportation, weighted_bit_collapse_witness)
 from .report import CheckResult, VerificationReport, from_json
 from .suites import SUITE_NAMES, run_suite
 

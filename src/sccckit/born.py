@@ -176,31 +176,6 @@ def _run_legs(names, model, trials, seed, trace_fn, tolerance) -> list[CheckResu
                        if c.name in names])
 
 
-def check_diagonal_axiom(model, trials: int = 50, seed: int = 0, trace_fn=None,
-                         tolerance=None) -> list[CheckResult]:
-    """Tr(h) = Tr(h_11) + Tr(h_22) for positive h on a split object.
-
-    The sum on the right is the trace-of-block-sum scalar sum, which is what
-    the derived sum restricts to on positive scalars.
-    """
-    return _run_legs(("diagonal-axiom", "diagonal-axiom-derived-sum"),
-                     model, trials, seed, trace_fn, tolerance)
-
-
-def check_trace_linearity(model, trials: int = 50, seed: int = 0, trace_fn=None,
-                          tolerance=None) -> list[CheckResult]:
-    """Tr(h) + Tr(h') = Tr(h + h'), plus the block-sum route Tr(h (+) h')."""
-    return _run_legs(("trace-linearity", "sum-trace-vs-block-trace"),
-                     model, trials, seed, trace_fn, tolerance)
-
-
-def check_ortho_bornian(model, trials: int = 50, seed: int = 0, trace_fn=None,
-                        tolerance=None) -> list[CheckResult]:
-    """||f|| = Tr(||f_1|| (+) ||f_2||) for f into a two-part split."""
-    return _run_legs(("norm-block-decomposition",),
-                     model, trials, seed, trace_fn, tolerance)
-
-
 # the legs the equivalence theorem relates, by the key of its verdict vectors
 _EQUIVALENCE_LEGS = {"norm-block-decomposition": "norm_block_decomposition",
                      "diagonal-axiom": "diagonal", "trace-linearity": "linearity"}
@@ -242,9 +217,3 @@ def equivalence_checks(model, trials: int, seed: int, tol) -> list[Check]:
               EXPECTED_FAIL, corrupted),
     ]
 
-
-def check_theorem_equivalence(model, trials: int = 30, seed: int = 0,
-                              tolerance=None) -> list[CheckResult]:
-    """The three axiom legs must agree: all pass honestly, all fail corrupted."""
-    runner = CheckRunner(trials, seed, tolerance)
-    return runner.run(equivalence_checks(model, trials, seed, runner.tol))

@@ -5,7 +5,8 @@ Two families of commands:
     sccckit verify {sccc|wproj|prep-state|ortho|born|equivalence} [flags]
     sccckit protocol teleport [flags]
 
-Reports print as text on stdout; ``--json PATH`` additionally writes the
+Every suite runs on every model, the phase quotient ``wproj:<base>``
+included; teleport needs a complex one.  Reports print as text on stdout; ``--json PATH`` additionally writes the
 canonical JSON form (PATH ``-`` prints JSON instead of text).  The exit code
 is 0 exactly when no check failed (expected failures do not fail a run), 1
 when a check failed or the library raised an error, and 2 when an input was
@@ -142,9 +143,6 @@ def _checked_inputs(args):
         model = resolve_model(args.model)
     except ValueError as exc:
         raise ValueError(f"--model: {exc}") from None
-    if verify and args.suite in ("sccc", "ortho") and model.quotient:
-        raise ValueError(f"--model {args.model}: the {args.suite} suite runs on "
-                         "plain matrix models; use the wproj suite for the quotient")
     if not verify and model.semiring is not COMPLEX:
         raise ValueError(f"--model {args.model}: teleportation runs over the "
                          "complex model (fdhilb or wproj:fdhilb)")

@@ -26,8 +26,8 @@ broken and every check that catches it still does.  Nothing that reads
 arrays or performs a check is memoized: ``name`` builds and compares both
 unfoldings on every call, and ``trace``, ``partial_trace``, ``scalar_mult``
 and ``double`` apply their argument afresh.  No call builds anything twice
-either: ``hs_norm_sq`` names its argument once, and ``name`` and ``coname``
-build only the one dual (``f*``, ``f_*``) they use.
+either: ``hs_norm_sq`` names its argument once, and ``name`` builds only the
+one dual ``f*`` it uses.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (AbsorptionMismatch, InvariantViolation, NotPhaseEquivalent,
                      NotProjector, TypeMismatch)
 from .morphisms import (Morphism, adopt, compose, dagger, equal, eye, identity,
-                        lower_star, scalar_value, star, tensor)
+                        star, tensor)
 from .objects import ObjectExpr, Tensor, UNIT, dim, dual, format_object, normalize
 from .semirings import InvolutiveSemiring
 
@@ -112,14 +112,6 @@ def name(f: Morphism) -> Morphism:
         raise AbsorptionMismatch(
             f"name unfoldings disagree for {f!r}")
     return via_dom
-
-
-def coname(f: Morphism) -> Morphism:
-    """The coname A @ B* -> I, the dagger of the name of f_*.
-
-    For f = 1_A this is the counit eta_{A*}(dagger): A @ A* -> I.
-    """
-    return dagger(name(lower_star(f)))
 
 
 def scalar_mult(s_mor: Morphism, f: Morphism) -> Morphism:
@@ -252,8 +244,3 @@ def yanking_composite(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     m = compose(tensor(counit(dual(a), s), identity(a, s)), m)  # -> I @ A
     return compose(lam_inv(a, s), m)                            # -> A
 
-
-def born_probability_value(psi: Morphism, p: Morphism) -> float:
-    """Convenience: the loop value as a nonnegative float (complex model)."""
-    v = scalar_value(born_prob(psi, p))
-    return float(np.real(v))

@@ -188,11 +188,6 @@ def dual(a: ObjectExpr) -> ObjectExpr:
     return normalize(Dual(a))
 
 
-def obj_equal(a: ObjectExpr, b: ObjectExpr) -> bool:
-    """Structural equality of normal forms."""
-    return normalize(a) == normalize(b)
-
-
 # ---------------------------------------------------------------------------
 # Textual syntax: I, 0, Q[2], A*, A@B, A+B; * binds tightest, then @, then +.
 # Both binary operators associate to the left; parentheses group.

@@ -1,16 +1,17 @@
 """Measurement semantics and teleportation.
 
 Classical branching is a freely added product: a tuple of morphisms out of a
-common domain, one per outcome.  Measurements come from unitaries into block
-sums; teleportation composes a Bell state, a four-outcome destructive
-measurement and per-branch unitary corrections, and is checked end to end
-against the literal matrix pipeline.  Its six checks are one table that
-``report.CheckRunner`` runs as whole checks, trial 0 of one trial, drawing no
-random stream; the runner decides every status and builds the report.
+common domain, one per outcome.  A measurement is a unitary into a block sum
+(``MeasurementSpec``); teleportation composes a Bell state, the outcome arms
+of a four-outcome destructive measurement and per-branch unitary
+corrections, and is checked end to end against the literal matrix pipeline.
+Its six checks are one table that ``report.CheckRunner`` runs as whole
+checks, trial 0 of one trial, drawing no random stream; the runner decides
+every status and builds the report.
 
 The teleportation measurement T and its corrections are fixed, like the
 structure maps of ``core`` and ``ortho``, so ``bell_teleportation_setup``
-builds them once per process (its unitarity check runs on that build) and
+builds them once per process (``MeasurementSpec.from_unitary`` checks T) and
 ``run_teleportation`` reads them once per teleport.  The normalized Bell
 state (1/sqrt(2)) name(1_Q) is fixed too and is built once per process the
 same way (its name's unfoldings are compared on that build).  Sharing them
@@ -23,15 +24,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from . import core, ortho
 from .errors import NotUnitary, TypeMismatch
-from .models import pairing
-from .morphisms import (Morphism, compose, dagger, direct_sum, distance,
-                        equal, identity, scalar, tensor)
+from .morphisms import (Morphism, compose, dagger, distance, equal, identity,
+                        scalar, tensor)
 from .objects import ObjectExpr, Oplus, UNIT
 from .report import (EXPECTED_FAIL, WHOLE, Check, CheckRunner, Held,
                      VerificationReport, serialize_morphism)
@@ -89,42 +89,8 @@ class MeasurementSpec:
         p = ortho.pseudo_projection(self.decomp, i, self.u.semiring)
         return compose(p, self.u)
 
-    def projector(self, i: int) -> Morphism:
-        """P_i = pi_i(dagger) o pi_i."""
-        pi = self.branch_map(i)
-        return compose(dagger(pi), pi)
-
     def __len__(self) -> int:
         return len(self.decomp)
-
-
-def nondestructive_measurement(spec: MeasurementSpec, psi: Morphism) -> BranchTuple:
-    """Branch i holds P_i o psi; probabilities come from the Born loop."""
-    return BranchTuple(tuple(compose(spec.projector(i), psi)
-                             for i in range(len(spec))))
-
-
-def measurement_probabilities(spec: MeasurementSpec, psi: Morphism) -> list[float]:
-    return [core.born_probability_value(psi, spec.projector(i))
-            for i in range(len(spec))]
-
-
-def measurement_oplus_style(spec: MeasurementSpec) -> Morphism:
-    """((+)_i u(dagger)) o ((+)_i q_i) o u, typed A -> (+)_i A.
-
-    With biproducts around, this coincides with stacking the projectors
-    <P_1, ..., P_n>; no suite checks that, only ``tests/test_protocols.py``.
-    """
-    s = spec.u.semiring
-    qs = [ortho.pseudo_injection(spec.decomp, i, s) for i in range(len(spec))]
-    u_daggers = [dagger(spec.u)] * len(spec)
-    return compose(reduce(direct_sum, u_daggers),
-                   compose(reduce(direct_sum, qs), spec.u))
-
-
-def projector_pairing(spec: MeasurementSpec) -> Morphism:
-    """<P_1, ..., P_n>: A -> (+)_i A, the biproduct route."""
-    return pairing([spec.projector(i) for i in range(len(spec))])
 
 
 def cc_map(a: ObjectExpr, bt: BranchTuple) -> BranchTuple:
@@ -196,9 +162,7 @@ def _bell_teleportation_setup() -> tuple[Morphism, tuple[Morphism, ...]]:
     rows = [core.name(b).array[:, 0].conj() / np.sqrt(2) for b in betas]
     four = ortho.decomposition(UNIT, UNIT, UNIT, UNIT)
     t = Morphism(q @ q, four.whole, np.vstack(rows), COMPLEX)
-    if not equal(compose(dagger(t), t), identity(q @ q, COMPLEX)):
-        raise NotUnitary("teleportation measurement rows failed to be orthonormal")
-    return t, betas
+    return MeasurementSpec.from_unitary(t, four).u, betas
 
 
 @lru_cache(maxsize=1)
@@ -227,8 +191,8 @@ def _teleport_branches(psi: Morphism,
     paired = compose(tensor(psi, bell), core.lam(UNIT, s))
     joint = compose(core.sigma(q @ q, q, s),
                     compose(core.alpha(q, q, q, s), paired))
-    meas = BranchTuple(tuple(
-        compose(ortho.pseudo_projection(four, i, s), t) for i in range(4)))
+    spec = MeasurementSpec(t, four)
+    meas = BranchTuple(tuple(spec.branch_map(i) for i in range(4)))
     distributed = cc_map(q, meas)
     rho_back = dagger(core.rho(q, s))
     outs = [compose(rho_back, compose(m, joint)) for m in distributed]

@@ -31,8 +31,8 @@ from .models import ModelHandle
 from .morphisms import (Morphism, equal, lower_star, scalar, scalar_value,
                         tensor)
 from .objects import Gen, ObjectExpr, UNIT, format_object
-from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
-                     CheckRunner, Held, VerificationReport, serialize_morphism)
+from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
+                     serialize_morphism)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -194,17 +194,6 @@ class WProjModel(ModelHandle):
                 raise TypeMismatch(f"doubled scalar came out non-real: {v}")
             return float(v.real)
         return v
-
-    def canonical(self, f: WMorphism) -> Morphism:
-        return canonical_rep(f.rep)
-
-
-def check_prep_state(model, trials: int = 100, seed: int = 0,
-                     tolerance: float | None = None) -> VerificationReport:
-    """The prep-state suite's report; see ``prep_state_checks``."""
-    runner = CheckRunner(trials, seed, tolerance)
-    return runner.report("prep-state", model,
-                         runner.run(prep_state_checks(model, runner.tol)))
 
 
 def prep_state_checks(model, tol) -> list[Check]:

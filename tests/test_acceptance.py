@@ -19,13 +19,8 @@ from sccckit import (
     COMPLEX,
     Gen,
     WProjModel,
-    born_probability_value,
+    born_prob,
     check_born_decomposition,
-    check_diagonal_axiom,
-    check_ortho_bornian,
-    check_prep_state,
-    check_theorem_equivalence,
-    check_trace_linearity,
     compose,
     dagger,
     decomposition,
@@ -52,6 +47,7 @@ from sccckit import (
     wequal,
     zeros,
 )
+from sccckit.born import _run_legs
 from sccckit.objects import Oplus, UNIT
 from sccckit.report import deserialize_morphism
 
@@ -136,7 +132,7 @@ def test_criterion_03_hilbert_schmidt():
         v = M.sample_state(rng, a, normalized=True)
         p = compose(v, dagger(v))
         rho = compose(psi, dagger(psi))
-        got = born_probability_value(psi, p)
+        got = float(scalar_value(born_prob(psi, p)).real)
         want = complex(scalar_value(trace(compose(p, rho))))
         ok = ok and abs(got - want.real) <= 1e-9 and abs(want.imag) <= 1e-9
     record_criterion(3, desc, ok)
@@ -160,14 +156,14 @@ def test_criterion_04_quotient_equivalence_and_prep_state():
             g = M.sample_morphism(rng, a, b)
         r = wequal(lift(f), lift(g))
         ok = ok and (r.by_double == r.by_lower == r.by_projector)
-    prep_plain = check_prep_state(M, trials=100, seed=404)
+    prep_plain = run_suite("prep-state", M, trials=100, seed=404)
     names = {r.check_name: r for r in prep_plain.results}
     ok = ok and all(r.status == "expected-fail" for r in prep_plain.results)
     w = names["doubles-determine-morphisms"].witness
     f = deserialize_morphism(w["f"], M)
     g = deserialize_morphism(w["g"], M)
     ok = ok and equal(g, scalar_mult(scalar(1j, COMPLEX), f)) and not equal(f, g)
-    prep_quot = check_prep_state(WProjModel(fdhilb()), trials=100, seed=404)
+    prep_quot = run_suite("prep-state", WProjModel(fdhilb()), trials=100, seed=404)
     ok = ok and all(r.status == "pass" for r in prep_quot.results)
     laws = run_suite("wproj", fdhilb(), trials=100, seed=405, max_dim=4)
     ok = ok and laws.ok and laws.counts().get("fail", 0) == 0
@@ -236,12 +232,13 @@ def test_criterion_07_born_axioms_and_equivalence():
         ok = ok and check_born_decomposition(
             quot, quot.lift(f), d, Fraction(1, 2))
     for model in (M, quot):
-        for batch in (check_diagonal_axiom(model, trials=60, seed=77),
-                      check_trace_linearity(model, trials=60, seed=78),
-                      check_ortho_bornian(model, trials=60, seed=79)):
+        for legs, seed in ((("diagonal-axiom", "diagonal-axiom-derived-sum"), 77),
+                           (("trace-linearity", "sum-trace-vs-block-trace"), 78),
+                           (("norm-block-decomposition",), 79)):
+            batch = _run_legs(legs, model, 60, seed, None, None)
             ok = ok and all(r.status == "pass" for r in batch)
         results = {r.check_name: r for r in
-                   check_theorem_equivalence(model, trials=30, seed=80)}
+                   run_suite("equivalence", model, trials=30, seed=80).results}
         honest = results["axiom-legs-agree"]
         control = results["axiom-legs-agree-corrupted-control"]
         ok = ok and honest.status == "pass"

@@ -13,20 +13,23 @@ from sccckit import (
     UNIT,
     WProjModel,
     check_born_decomposition,
-    check_diagonal_axiom,
-    check_ortho_bornian,
-    check_theorem_equivalence,
-    check_trace_linearity,
     corrupted_trace,
     decomposition,
     fdhilb,
     identity,
     rel_model,
+    run_suite,
     scalar_sum,
     scalar_value,
     valuation_norm,
     weight_model,
 )
+from sccckit.born import _run_legs
+
+# the born suite's legs, run in groups by name
+DIAGONAL = ("diagonal-axiom", "diagonal-axiom-derived-sum")
+LINEARITY = ("trace-linearity", "sum-trace-vs-block-trace")
+NORM_BLOCKS = ("norm-block-decomposition",)
 
 Q = Gen("Q", 2)
 M = fdhilb()
@@ -88,23 +91,22 @@ def test_corrupted_trace_drops_an_entry():
                                   lambda: WProjModel(fdhilb())])
 def test_axiom_checks_pass(make):
     m = make()
-    for batch in (check_diagonal_axiom(m, trials=15, seed=3),
-                  check_trace_linearity(m, trials=15, seed=3),
-                  check_ortho_bornian(m, trials=15, seed=3)):
+    for legs in (DIAGONAL, LINEARITY, NORM_BLOCKS):
+        batch = _run_legs(legs, m, 15, 3, None, None)
         assert all(r.status == "pass" for r in batch)
 
 
 def test_axiom_checks_fail_under_corrupted_trace():
     tr = corrupted_trace(M)
-    diag = check_diagonal_axiom(M, trials=15, seed=3, trace_fn=tr)
-    norm = check_ortho_bornian(M, trials=15, seed=3, trace_fn=tr)
+    diag = _run_legs(DIAGONAL, M, 15, 3, tr, None)
+    norm = _run_legs(NORM_BLOCKS, M, 15, 3, tr, None)
     assert any(r.status == "fail" for r in diag)
     assert any(r.status == "fail" for r in norm)
 
 
 def test_equivalence_verdicts():
     for m in (M, WProjModel(fdhilb())):
-        results = check_theorem_equivalence(m, trials=10, seed=4)
+        results = run_suite("equivalence", m, trials=10, seed=4).results
         by_name = {r.check_name: r for r in results}
         honest = by_name["axiom-legs-agree"]
         assert honest.status == "pass"

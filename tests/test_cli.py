@@ -166,9 +166,9 @@ def test_cli_rejects_unknown_model(capsys):
     assert "--model" in err
 
 
-def test_cli_rejects_quotient_model_for_plain_suites(capsys):
-    assert main(["verify", "sccc", "--model", "wproj:fdhilb"]) == 2
-    assert "wproj" in capsys.readouterr().err
+def test_cli_runs_plain_suites_on_the_quotient(capsys):
+    assert main(["verify", "sccc", "--model", "wproj:fdhilb"]) == 0
+    assert "model=wproj:fdhilb" in capsys.readouterr().out
 
 
 def test_cli_reports_failures_in_exit_code(monkeypatch, capsys):
@@ -211,9 +211,9 @@ def test_cli_teleport_refuses_non_complex_model(capsys):
 
 
 @pytest.mark.parametrize("suite", ["sccc", "ortho"])
-def test_cli_refuses_quotient_model_naming_the_flag(capsys, suite):
-    assert main(["verify", suite, "--model", "wproj:rel"]) == 2
-    assert "--model" in capsys.readouterr().err
+def test_cli_runs_sccc_and_ortho_on_the_quotient(capsys, suite):
+    assert main(["verify", suite, "--model", "wproj:rel"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_library_error_inside_a_run_exits_one(monkeypatch, capsys):

@@ -12,11 +12,10 @@ from sccckit import (
     UNIT,
     compose,
     decomposition,
-    equal,
     fdhilb,
+    born_prob,
+    dagger,
     hs_norm_sq,
-    measurement_probabilities,
-    nondestructive_measurement,
     qubit,
     random_unitary,
     rel_model,
@@ -95,17 +94,17 @@ def test_measurement_spec_invariants():
         spec = MeasurementSpec.from_unitary(u, _decomp_for(dims))
         n = sum(dims)
         total = np.zeros((n, n), dtype=complex)
-        for i in range(len(spec)):
-            pi = spec.projector(i)
+        projectors = [compose(dagger(spec.branch_map(i)), spec.branch_map(i))
+                      for i in range(len(spec))]
+        for i, pi in enumerate(projectors):
             total += pi.array
-            for j in range(len(spec)):
-                pj = spec.projector(j)
+            for j, pj in enumerate(projectors):
                 prod = compose(pi, pj)
                 want = pi.array if i == j else np.zeros_like(pi.array)
                 assert np.allclose(prod.array, want, atol=1e-9)
         assert np.allclose(total, np.eye(n), atol=1e-9)
         psi = M.sample_state(rng, u.dom)
-        probs = measurement_probabilities(spec, psi)
+        probs = [float(scalar_value(born_prob(psi, p)).real) for p in projectors]
         weight = float(scalar_value(hs_norm_sq(psi)).real)
         assert sum(probs) == pytest.approx(weight, rel=1e-9)
 
@@ -116,23 +115,6 @@ def test_measurement_spec_rejects_non_unitary():
                    COMPLEX)
     with pytest.raises(NotUnitary):
         MeasurementSpec.from_unitary(bad, d)
-
-
-def test_oplus_style_measurement_equals_projector_stack():
-    u = random_unitary(M, [2, 2], seed=9)
-    spec = MeasurementSpec.from_unitary(u, _decomp_for([2, 2]))
-    assert equal(protocols.measurement_oplus_style(spec),
-                 protocols.projector_pairing(spec))
-
-
-def test_nondestructive_branches_are_projections():
-    rng = np.random.default_rng(64)
-    u = random_unitary(M, [2, 2], seed=10)
-    spec = MeasurementSpec.from_unitary(u, _decomp_for([2, 2]))
-    psi = M.sample_state(rng, u.dom)
-    branches = nondestructive_measurement(spec, psi)
-    for i, b in enumerate(branches):
-        assert equal(b, compose(spec.projector(i), psi))
 
 
 def test_classical_communication_tensors_each_branch():

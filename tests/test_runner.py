@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from sccckit import (COMPLEX, NONNEG, ModelHandle, TypeMismatch, WProjModel,
-                     check_diagonal_axiom, corrupted_trace, fdhilb,
+                     corrupted_trace, fdhilb,
                      run_suite, run_teleportation)
 from sccckit import protocols, report
-from sccckit.born import leg_checks
+from sccckit.born import _run_legs, leg_checks
 from sccckit.report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
                             CheckRunner)
 from sccckit.semirings import REL_TOL, corrupted_complex
@@ -73,9 +73,9 @@ def test_statuses_and_conditional_counts():
 def test_failing_witness_replays_from_its_stream_key():
     m, seed = fdhilb(), 3
     tr = corrupted_trace(m)
-    results = check_diagonal_axiom(m, trials=15, seed=seed, trace_fn=tr)
-    legs = [c for c in leg_checks(m, REL_TOL, tr)
-            if c.name in ("diagonal-axiom", "diagonal-axiom-derived-sum")]
+    names = ("diagonal-axiom", "diagonal-axiom-derived-sum")
+    results = _run_legs(names, m, 15, seed, tr, None)
+    legs = [c for c in leg_checks(m, REL_TOL, tr) if c.name in names]
     replayed = 0
     for idx, (result, leg) in enumerate(zip(results, legs)):
         assert result.check_name == leg.name

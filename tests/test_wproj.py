@@ -15,13 +15,13 @@ from sccckit import (
     WMorphism,
     WProjModel,
     canonical_rep,
-    check_prep_state,
     compose,
     double,
     equal,
     fdhilb,
     lift,
     rel_model,
+    run_suite,
     scalar,
     scalar_mult,
     tensor,
@@ -127,7 +127,7 @@ def test_doubles_faithful_without_phases():
 
 
 def test_prep_state_fails_in_fdhilb_with_a_phase_witness():
-    report = check_prep_state(M, trials=50, seed=2)
+    report = run_suite("prep-state", M, trials=50, seed=2)
     assert report.ok
     statuses = {r.check_name: r.status for r in report.results}
     assert statuses["doubles-determine-morphisms"] == "expected-fail"
@@ -142,7 +142,7 @@ def test_prep_state_fails_in_fdhilb_with_a_phase_witness():
 
 def test_prep_state_holds_in_the_quotient_and_in_rel():
     for model in (WProjModel(fdhilb()), rel_model()):
-        report = check_prep_state(model, trials=50, seed=2)
+        report = run_suite("prep-state", model, trials=50, seed=2)
         assert report.ok
         assert all(r.status == "pass" for r in report.results)
 
