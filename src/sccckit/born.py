@@ -5,13 +5,17 @@ rational powers ||f||^nu, together with the scalar sum
 
     s + t = (Tr(s^(1/nu) (+) t^(1/nu)))^nu
 
-manufactured from the trace and the block sum.  Every check in this module
-routes ALL trace uses through one injectable trace function, so a corrupted
-trace corrupts the valuation, the scalar sum and the axioms coherently; that
-is what makes the equivalence theorem testable as a negative control.  The
-legs are per-trial rows of the born suite's table, and the theorem is a
-two-row table of whole checks that run the legs honestly and corrupted;
-``report.CheckRunner`` runs both tables and decides every status.
+manufactured from the trace and the block sum.  Everything is computed on
+plain matrices with ``morphisms``, ``core`` and ``ortho``; only equality
+and the scalar methods (``scalar``, ``scalar_value``, ``scalar_power``)
+come from the model, so on the phase quotient a valuation is the doubled
+value of its class.  Every check in this module routes ALL trace uses
+through one injectable trace function, so a corrupted trace corrupts the
+valuation, the scalar sum and the axioms coherently; that is what makes the
+equivalence theorem testable as a negative control.  The legs are per-trial
+rows of the born suite's table, and the theorem is a two-row table of whole
+checks that run the legs honestly and corrupted; ``report.CheckRunner``
+runs both tables and decides every status.
 """
 from __future__ import annotations
 
@@ -20,19 +24,18 @@ from functools import reduce
 
 import numpy as np
 
-from . import ortho
+from . import core, ortho
 from .errors import TypeMismatch
-from .morphisms import scalar
+from .morphisms import Morphism, compose, dagger, direct_sum, scalar
 from .objects import Gen
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckResult,
                      CheckRunner, Held, serialize_morphism)
 
 
 def valuation_norm(model, f, nu=Fraction(1), trace_fn=None):
-    """||f||^nu computed as (Tr(f(dagger) o f))^nu through the model facade."""
-    tr = trace_fn if trace_fn is not None else model.trace
-    base = tr(model.compose(model.dagger(f), f))
-    return model.scalar_power(base, Fraction(nu))
+    """||f||^nu computed as (Tr(f(dagger) o f))^nu, read by the model."""
+    tr = trace_fn if trace_fn is not None else core.trace
+    return model.scalar_power(tr(compose(dagger(f), f)), Fraction(nu))
 
 
 def scalar_sum(model, s, t, nu=Fraction(1), trace_fn=None):
@@ -40,38 +43,28 @@ def scalar_sum(model, s, t, nu=Fraction(1), trace_fn=None):
 
     At nu = 1 this is Tr(s (+) t); at nu = 1/2 it is sqrt(Tr(s^2 (+) t^2)).
     The outer and inner powers do not cancel, which is the whole point:
-    different nu give genuinely different sums.
+    different nu give genuinely different sums.  The block sum is not well
+    defined on phase classes in general; here it only sums the nonnegative
+    roots ``scalar_power`` returns, where it is.
     """
     nu = Fraction(nu)
-    tr = trace_fn if trace_fn is not None else model.trace
+    tr = trace_fn if trace_fn is not None else core.trace
     a = model.scalar_power(s, 1 / nu)
     b = model.scalar_power(t, 1 / nu)
-    return model.scalar_power(tr(model.oplus(a, b)), nu)
+    return model.scalar_power(tr(direct_sum(a, b)), nu)
 
 
-def scalar_sum_many(model, scalars, nu=Fraction(1), trace_fn=None):
-    scalars = list(scalars)
-    if not scalars:
-        raise TypeMismatch("need at least one scalar to sum")
-    return reduce(lambda x, y: scalar_sum(model, x, y, nu, trace_fn), scalars)
-
-
-def corrupted_trace(model):
+def corrupted_trace(f: Morphism) -> Morphism:
     """A deliberately wrong trace that drops the last diagonal entry.
 
     Used as a negative control: with this trace injected everywhere, the
     valuation, the scalar sum and all three axiom legs go wrong together.
     """
-    s = model.semiring
-
-    def tr(f):
-        f = model.rep(f)
-        if f.dom != f.cod:
-            raise TypeMismatch("trace needs an endomorphism")
-        diag = np.diagonal(f.array)[:-1]
-        return model.lift(scalar(reduce(s.add, list(diag), s.zero), s))
-
-    return tr
+    if f.dom != f.cod:
+        raise TypeMismatch("trace needs an endomorphism")
+    s = f.semiring
+    diag = np.diagonal(f.array)[:-1]
+    return scalar(reduce(s.add, list(diag), s.zero), s)
 
 
 # -- axiom checks -------------------------------------------------------------
@@ -80,16 +73,15 @@ def check_born_decomposition(model, f, decomp: ortho.OplusDecomposition,
                              nu=Fraction(1), trace_fn=None,
                              tolerance=None) -> bool:
     """||f||^nu equals the nu-sum of the component valuations ||f_i||^nu."""
-    parts = [model.compose(model.projection(decomp, i), f)
+    parts = [compose(ortho.pseudo_projection(decomp, i, model.semiring), f)
              for i in range(len(decomp))]
     total = valuation_norm(model, f, nu, trace_fn)
-    folded = scalar_sum_many(
-        model, [valuation_norm(model, p, nu, trace_fn) for p in parts],
-        nu, trace_fn)
+    folded = reduce(lambda x, y: scalar_sum(model, x, y, nu, trace_fn),
+                    [valuation_norm(model, p, nu, trace_fn) for p in parts])
     return model.equal(total, folded, tolerance)
 
 
-def _sample_split(model, rng, n_parts: int = 2):
+def _sample_split(rng, n_parts: int = 2):
     parts = [Gen(f"B{i + 1}", int(rng.integers(1, 4))) for i in range(n_parts)]
     decomp = ortho.OplusDecomposition.from_parts(parts)
     a = Gen("A", int(rng.integers(1, 4)))
@@ -99,17 +91,18 @@ def _sample_split(model, rng, n_parts: int = 2):
 def leg_checks(model, tol, trace_fn=None) -> list[Check]:
     """The axiom legs as per-trial check entries, in born-suite order.
 
-    Every trace use goes through ``trace_fn`` (the model's own trace when
-    None), so an injected corrupted trace reaches every leg.
+    Every trace use goes through ``trace_fn`` (``core.trace`` when None), so
+    an injected corrupted trace reaches every leg.
     """
-    tr = trace_fn if trace_fn is not None else model.trace
+    s = model.semiring
+    tr = trace_fn if trace_fn is not None else core.trace
 
     def diagonal_blocks(decomp, h):
-        return [model.compose(model.compose(model.projection(decomp, i), h),
-                              model.injection(decomp, i)) for i in range(2)]
+        return [compose(compose(ortho.pseudo_projection(decomp, i, s), h),
+                        ortho.pseudo_injection(decomp, i, s)) for i in range(2)]
 
     def diagonal(rng):
-        _, decomp = _sample_split(model, rng)
+        _, decomp = _sample_split(rng)
         h = model.sample_positive(rng, decomp.whole)
         blocks = diagonal_blocks(decomp, h)
         rhs = scalar_sum(model, tr(blocks[0]), tr(blocks[1]), Fraction(1), trace_fn)
@@ -123,7 +116,7 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
         decomp = ortho.OplusDecomposition.from_parts([part, part])
         h = model.sample_positive(rng, decomp.whole)
         blocks = diagonal_blocks(decomp, h)
-        if not model.equal(tr(h), tr(model.derived_sum(blocks[0], blocks[1])), tol):
+        if not model.equal(tr(h), tr(ortho.derived_sum(blocks[0], blocks[1])), tol):
             return {"h": serialize_morphism(h)}
         return None
 
@@ -134,23 +127,23 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
     def linearity(rng):
         h, h2 = positive_pair(rng)
         lhs = scalar_sum(model, tr(h), tr(h2), Fraction(1), trace_fn)
-        if not model.equal(lhs, tr(model.derived_sum(h, h2)), tol):
+        if not model.equal(lhs, tr(ortho.derived_sum(h, h2)), tol):
             return {"h": serialize_morphism(h), "h_prime": serialize_morphism(h2)}
         return None
 
     def block_trace(rng):
         h, h2 = positive_pair(rng)
-        if not model.equal(tr(model.derived_sum(h, h2)), tr(model.oplus(h, h2)), tol):
+        if not model.equal(tr(ortho.derived_sum(h, h2)), tr(direct_sum(h, h2)), tol):
             return {"h": serialize_morphism(h), "h_prime": serialize_morphism(h2)}
         return None
 
     def norm_blocks(rng):
-        a, decomp = _sample_split(model, rng)
+        a, decomp = _sample_split(rng)
         f = model.sample_morphism(rng, a, decomp.whole)
-        parts = [model.compose(model.projection(decomp, i), f) for i in range(2)]
+        parts = [compose(ortho.pseudo_projection(decomp, i, s), f) for i in range(2)]
         lhs = valuation_norm(model, f, Fraction(1), trace_fn)
         norms = [valuation_norm(model, p, Fraction(1), trace_fn) for p in parts]
-        if not model.equal(lhs, tr(model.oplus(norms[0], norms[1])), tol):
+        if not model.equal(lhs, tr(direct_sum(norms[0], norms[1])), tol):
             return {"f": serialize_morphism(f)}
         return None
 
@@ -199,7 +192,7 @@ def equivalence_checks(model, trials: int, seed: int, tol) -> list[Check]:
         return Held(witness) if all(witness["verdicts"].values()) else witness
 
     def corrupted(_):
-        corrupt = leg_verdicts(corrupted_trace(model))
+        corrupt = leg_verdicts(corrupted_trace)
         # the equivalence must survive the corruption while the corruption
         # must visibly break the norm leg; over an idempotent semiring the
         # linearity leg can absorb an entry-dropping trace, the biconditional

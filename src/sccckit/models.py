@@ -1,14 +1,15 @@
 """Concrete matrix models and seeded sampling.
 
-A ``ModelHandle`` bundles a semiring with the operations the verification
-suites need.  Every structural operation is written once, as
-``lift(op(rep(...)))``: ``rep`` reads the matrix representative of an arrow
-and ``lift`` turns a matrix back into an arrow.  On a plain model both are
-the identity; the phase quotient (``wproj.WProjModel``) is a subclass that
-overrides only ``rep``/``lift`` and the operations that change on the
-quotient, equality and scalars.  Three models ship: ``fdhilb`` (complex
-matrices), ``rel`` (boolean matrices, i.e. relations) and ``weights``
-(nonnegative reals, a phase-free toy model).
+A ``ModelHandle`` is what a model decides; everything else is computed on
+plain ``Morphism``s with ``morphisms``, ``core`` and ``ortho``.  A model
+samples (its four ``sample_*`` methods return matrices), decides when two
+matrices are one arrow (``equal``) and reads scalars (``scalar``,
+``scalar_value`` and ``scalar_power``).  On a plain model an arrow is its
+matrix.  The phase quotient (``wproj.WProjModel``) keeps the matrices of its
+base and overrides only ``equal``, ``scalar`` and ``scalar_value``: which
+matrices count as one arrow, and what value a scalar has.  Three models
+ship: ``fdhilb`` (complex matrices), ``rel`` (boolean matrices, i.e.
+relations) and ``weights`` (nonnegative reals, a phase-free toy model).
 """
 from __future__ import annotations
 
@@ -18,17 +19,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSample, RootUnavailable, TypeMismatch
-from .morphisms import (Morphism, compose, dagger, direct_sum, equal, identity,
-                        morphism, scalar, scalar_value, tensor, zeros)
+from .morphisms import Morphism, compose, dagger, equal, scalar, scalar_value
 from .objects import Gen, ObjectExpr, UNIT, ZERO, dim
 from .semirings import (BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring,
                         check_semiring_laws)
-from . import core, ortho
+from . import ortho
 
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """A named semiring model with biproduct structure."""
+    """A named semiring model: it samples, decides equality and reads scalars."""
 
     name: str
     semiring: InvolutiveSemiring
@@ -36,60 +36,10 @@ class ModelHandle:
     # arrows are matrices themselves; the phase quotient sets this
     quotient = False
 
-    def rep(self, x):
-        """The matrix representative of an arrow (identity here)."""
-        return x
-
-    def lift(self, f: Morphism):
-        """The arrow a matrix represents (identity here)."""
-        return f
-
-    # -- constructors --------------------------------------------------------
-
-    def identity(self, a: ObjectExpr):
-        return self.lift(identity(a, self.semiring))
-
-    def zero(self, a: ObjectExpr, b: ObjectExpr):
-        return self.lift(zeros(a, b, self.semiring))
-
-    def morphism(self, dom: ObjectExpr, cod: ObjectExpr, array):
-        return self.lift(morphism(dom, cod, array, self.semiring))
-
-    def scalar(self, value):
-        return scalar(value, self.semiring)
-
-    # -- structural operations, computed on representatives -------------------
-
-    def compose(self, g, f):
-        return self.lift(compose(self.rep(g), self.rep(f)))
-
-    def tensor(self, f, g):
-        return self.lift(tensor(self.rep(f), self.rep(g)))
-
-    def dagger(self, f):
-        return self.lift(dagger(self.rep(f)))
-
-    def oplus(self, f, g):
-        # not well defined on phase classes in general; the Born checks only
-        # sum canonical positive representatives, where it is
-        return self.lift(direct_sum(self.rep(f), self.rep(g)))
-
-    def trace(self, f):
-        return self.lift(core.trace(self.rep(f)))
-
-    def norm_sq(self, f):
-        return self.lift(core.hs_norm_sq(self.rep(f)))
-
-    def projection(self, decomp: ortho.OplusDecomposition, i: int):
-        return self.lift(ortho.pseudo_projection(decomp, i, self.semiring))
-
-    def injection(self, decomp: ortho.OplusDecomposition, i: int):
-        return self.lift(ortho.pseudo_injection(decomp, i, self.semiring))
-
-    def derived_sum(self, f, g):
-        return self.lift(ortho.derived_sum(self.rep(f), self.rep(g)))
-
     # -- equality and scalars -------------------------------------------------
+
+    def scalar(self, value) -> Morphism:
+        return scalar(value, self.semiring)
 
     def equal(self, f: Morphism, g: Morphism, rel: float | None = None) -> bool:
         return equal(f, g, rel)
@@ -113,20 +63,16 @@ class ModelHandle:
                 f"cannot take power {exponent} of non-positive scalar {v}")
         return self.scalar(max(complex(v).real, 0.0) ** q)
 
-    # -- sampling: draw a plain matrix, lift it once ---------------------------
+    # -- sampling: plain matrices ---------------------------------------------
 
-    def _draw(self, rng: np.random.Generator, dom: ObjectExpr,
-              cod: ObjectExpr) -> Morphism:
+    def sample_morphism(self, rng: np.random.Generator, dom: ObjectExpr,
+                        cod: ObjectExpr) -> Morphism:
         arr = self.semiring.sample(rng, (dim(cod), dim(dom)))
         return Morphism(dom, cod, arr, self.semiring)
 
-    def sample_morphism(self, rng: np.random.Generator, dom: ObjectExpr,
-                        cod: ObjectExpr):
-        return self.lift(self._draw(rng, dom, cod))
-
     def sample_state(self, rng: np.random.Generator, a: ObjectExpr,
-                     normalized: bool = False):
-        psi = self._draw(rng, UNIT, a)
+                     normalized: bool = False) -> Morphism:
+        psi = self.sample_morphism(rng, UNIT, a)
         if normalized:
             if self.semiring is not COMPLEX:
                 raise TypeMismatch("normalization is only meaningful in fdhilb")
@@ -134,18 +80,18 @@ class ModelHandle:
             if n < 1e-12:
                 raise DegenerateSample("sampled a near-zero state")
             psi = Morphism(UNIT, a, psi.array / n, self.semiring)
-        return self.lift(psi)
+        return psi
 
-    def sample_positive(self, rng: np.random.Generator, a: ObjectExpr):
+    def sample_positive(self, rng: np.random.Generator, a: ObjectExpr) -> Morphism:
         """A positive endomorphism h = f(dagger) o f of a."""
-        f = self._draw(rng, a, a)
-        return self.lift(compose(dagger(f), f))
+        f = self.sample_morphism(rng, a, a)
+        return compose(dagger(f), f)
 
-    def sample_unit_scalar(self, rng: np.random.Generator):
+    def sample_unit_scalar(self, rng: np.random.Generator) -> Morphism:
         """A scalar u with u o u(dagger) = 1 (a phase when the model has them)."""
         phase = self.semiring.phase
         u = self.semiring.one if phase is None else phase(rng)
-        return self.lift(scalar(u, self.semiring))
+        return scalar(u, self.semiring)
 
 
 @lru_cache(maxsize=None)

@@ -291,12 +291,13 @@ def oplus_illdefined_witness(theta: float = np.pi / 2) -> dict:
     from .semirings import COMPLEX
     from .morphisms import distance, scalar
     from .core import double
+    from .models import pairing
 
     s = COMPLEX
     one = scalar(s.one, s)
     u = scalar(np.exp(1j * theta), s)
-    pair_u = pairing_of_scalars([one, u])
-    pair_1 = pairing_of_scalars([one, one])
+    pair_u = pairing([one, u])
+    pair_1 = pairing([one, one])
     osum_u = oplus(one, u)
     osum_1 = oplus(one, one)
     return {
@@ -306,10 +307,3 @@ def oplus_illdefined_witness(theta: float = np.pi / 2) -> dict:
         "witnesses": (pair_u, osum_u),
     }
 
-
-def pairing_of_scalars(scalars) -> Morphism:
-    """<s_1, ..., s_n>: I -> I + ... + I, stacking the scalar entries."""
-    s = scalars[0].semiring
-    arr = np.vstack([m.array for m in scalars])
-    whole = OplusDecomposition.from_parts([UNIT] * len(scalars)).whole
-    return Morphism(UNIT, whole, arr, s)

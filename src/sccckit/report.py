@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation, SccckitError
+from .morphisms import Morphism
 from .objects import dim, format_object, parse_object
 from .semirings import REL_TOL
 
@@ -214,8 +215,6 @@ def from_json(text: str) -> VerificationReport:
 
 def serialize_morphism(f) -> dict:
     """Flat row-major [re, im] pairs plus the end objects as text."""
-    if hasattr(f, "rep"):
-        f = f.rep
     flat = np.asarray(f.array, dtype=np.complex128).ravel(order="C")
     return {
         "dom": format_object(f.dom),
@@ -232,7 +231,7 @@ def deserialize_morphism(d: dict, model):
                    dtype=np.complex128).reshape(dim(cod), dim(dom))
     if model.semiring.dtype != np.complex128:
         arr = arr.real.astype(model.semiring.dtype)
-    return model.morphism(dom, cod, arr)
+    return Morphism(dom, cod, arr, model.semiring)
 
 
 def _plain(x):

@@ -7,13 +7,12 @@ load-bearing: the runner seeds each per-trial check's random stream with
 (seed, position in the table, trial), so inserting a check in the middle of
 a suite shifts every stream after it.
 
-The sccc and ortho tables are written once for every model: they take only
-their samples and their equality from the model and compute everything else
-on representatives.  Each operation of the phase quotient is itself
-``lift(op(rep(...)))``, so a composite of representatives lifts to the
-composite of their classes, and comparing the lifts of a law's two sides
-with ``model.equal`` checks the law for classes.  On a plain model ``rep``
-and ``lift`` are identities and the tables compare matrices.
+Every table is written once for every model and computes on plain
+matrices: a model only samples, decides equality and reads scalars.  The
+phase quotient keeps the matrices of its base, so a composite of
+representatives represents the composite of their classes, and deciding a
+law's two sides with ``model.equal`` checks the law for classes.  On a
+plain model ``model.equal`` compares the matrices themselves.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from . import born, core, ortho
 from .models import ModelHandle, copairing, pairing, random_unitary
 from .morphisms import (compose, dagger, direct_sum, distance, equal,
                         identity, lower_star, morphism, scalar, scalar_value,
-                        star, tensor)
+                        star, tensor, zeros)
 from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner,
                      VerificationReport, serialize_morphism)
@@ -88,26 +87,14 @@ def _obj_witness(a) -> dict:
     return {"object": format_object(a)}
 
 
-def _on_representatives(model, tol):
-    """The equality and the draw of a table computed on representatives.
-
-    ``draw`` samples through the model and hands back the representative;
-    ``eq`` decides whether two representatives are one arrow of the model.
-    """
-    def eq(f, g) -> bool:
-        return model.equal(model.lift(f), model.lift(g), tol)
-
-    def draw(rng, a, b):
-        return model.rep(model.sample_morphism(rng, a, b))
-
-    return eq, draw
-
-
 # -- the sccc suite ------------------------------------------------------------
 
 def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     s = model.semiring
-    eq, draw = _on_representatives(model, tol)
+    draw = model.sample_morphism
+
+    def eq(f, g) -> bool:
+        return model.equal(f, g, tol)
 
     def yanking(_):
         for a in _yanking_objects(max_dim):
@@ -250,7 +237,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         # phase of its representative
         def double_phase(rng):
             f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
-            u = model.rep(model.sample_unit_scalar(rng))
+            u = model.sample_unit_scalar(rng)
             lhs = core.double(core.scalar_mult(u, f))
             if not eq(lhs, core.double(f)):
                 return {"unit": serialize_morphism(u)}
@@ -258,7 +245,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 
         def witnesses(rng):
             f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
-            u = model.rep(model.sample_unit_scalar(rng))
+            u = model.sample_unit_scalar(rng)
             g = core.scalar_mult(u, f)
             sw, tw = core.phase_witnesses(f, g)
             if not eq(core.scalar_mult(sw, f), core.scalar_mult(tw, g)):
@@ -379,7 +366,9 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
     s = base.semiring
     two = s.add(s.one, s.one)
     sccc = {c.name: c for c in _sccc_checks(w, tol, max_dim)}
-    same_class, _ = _on_representatives(w, tol)
+
+    def same_class(f, g) -> bool:
+        return w.equal(f, g, tol)
 
     def sample(rng, a=None, b=None):
         a = a if a is not None else _gen(rng, "A", 3)
@@ -415,8 +404,8 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         g = sample(rng, b, c)
         u = base.sample_unit_scalar(rng)
         v = base.sample_unit_scalar(rng)
-        lhs = w.compose(lift(core.scalar_mult(u, g)), lift(core.scalar_mult(v, f)))
-        if not w.equal(lhs, lift(compose(g, f)), tol):
+        lhs = compose(core.scalar_mult(u, g), core.scalar_mult(v, f))
+        if not same_class(lhs, compose(g, f)):
             return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
         return None
 
@@ -424,8 +413,8 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         f, g = sample(rng), sample(rng, _gen(rng, "C", 3), _gen(rng, "D", 3))
         u = base.sample_unit_scalar(rng)
         v = base.sample_unit_scalar(rng)
-        lhs = w.tensor(lift(core.scalar_mult(u, f)), lift(core.scalar_mult(v, g)))
-        if not w.equal(lhs, lift(tensor(f, g)), tol):
+        lhs = tensor(core.scalar_mult(u, f), core.scalar_mult(v, g))
+        if not same_class(lhs, tensor(f, g)):
             return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
         return None
 
@@ -452,7 +441,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
 
     def doubled_scalar(rng):
         c = base.sample_morphism(rng, UNIT, UNIT)
-        v = w.scalar_value(lift(c))
+        v = w.scalar_value(c)
         if float(v) < -1e-9:
             return {"value": float(v)}
         return None
@@ -511,7 +500,10 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
 
 def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     s = model.semiring
-    eq, draw = _on_representatives(model, tol)
+    draw = model.sample_morphism
+
+    def eq(f, g) -> bool:
+        return model.equal(f, g, tol)
 
     def zero_diagram(_):
         for da in range(1, min(3, max_dim) + 1):
@@ -806,29 +798,24 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     def meq(x, y):
         return model.equal(x, y, tol)
 
-    def binary(rng):
-        a, decomp = born._sample_split(model, rng, 2)
-        f = model.sample_morphism(rng, a, decomp.whole)
-        if not born.check_born_decomposition(model, f, decomp, nu, tolerance=tol):
-            return {"f": serialize_morphism(f)}
-        return None
-
-    def ternary(rng):
-        a, decomp = born._sample_split(model, rng, 3)
-        f = model.sample_morphism(rng, a, decomp.whole)
-        if not born.check_born_decomposition(model, f, decomp, nu, tolerance=tol):
-            return {"f": serialize_morphism(f)}
-        return None
+    def splits(n_parts):
+        def check(rng):
+            a, decomp = born._sample_split(rng, n_parts)
+            f = model.sample_morphism(rng, a, decomp.whole)
+            if not born.check_born_decomposition(model, f, decomp, nu, tolerance=tol):
+                return {"f": serialize_morphism(f)}
+            return None
+        return check
 
     def dagger_invariant(rng):
         f = sample(rng)
-        if not meq(val(f), val(model.dagger(f))):
+        if not meq(val(f), val(dagger(f))):
             return {"f": serialize_morphism(f)}
         return None
 
     def zero_val(rng):
         a, b = Gen("A", int(rng.integers(1, 4))), Gen("B", int(rng.integers(1, 4)))
-        z = model.zero(a, b)
+        z = zeros(a, b, s)
         if not meq(val(z), model.scalar(0)):
             return {"value": model.scalar_value(val(z))}
         return None
@@ -836,7 +823,7 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     def oplus_additive(rng):
         f, g = sample(rng), sample(rng, Gen("C", int(rng.integers(1, 4))),
                                    Gen("D", int(rng.integers(1, 4))))
-        lhs = val(model.oplus(f, g))
+        lhs = val(direct_sum(f, g))
         rhs = born.scalar_sum(model, val(f), val(g), nu)
         if not meq(lhs, rhs):
             return {"lhs": model.scalar_value(lhs), "rhs": model.scalar_value(rhs)}
@@ -862,9 +849,8 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     def distributive(rng):
         c = val(model.sample_morphism(rng, UNIT, UNIT))
         sv, tv = val(sample(rng)), val(sample(rng))
-        lhs = model.compose(c, born.scalar_sum(model, sv, tv, nu))
-        rhs = born.scalar_sum(model, model.compose(c, sv),
-                              model.compose(c, tv), nu)
+        lhs = compose(c, born.scalar_sum(model, sv, tv, nu))
+        rhs = born.scalar_sum(model, compose(c, sv), compose(c, tv), nu)
         if not meq(lhs, rhs):
             return {"lhs": model.scalar_value(lhs), "rhs": model.scalar_value(rhs)}
         return None
@@ -879,8 +865,8 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     def oplus_route(rng):
         sv, tv = val(sample(rng)), val(sample(rng))
         via_sum = born.scalar_sum(model, sv, tv, nu)
-        via_val = val(model.oplus(model.scalar_power(sv, zeta),
-                                  model.scalar_power(tv, zeta)))
+        via_val = val(direct_sum(model.scalar_power(sv, zeta),
+                                 model.scalar_power(tv, zeta)))
         if not meq(via_sum, via_val):
             return {"sum": model.scalar_value(via_sum),
                     "valuation": model.scalar_value(via_val)}
@@ -898,18 +884,19 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
 
     def sqrt_decomposition(rng):
         f = sample(rng)
-        norm = model.norm_sq(f)
+        norm = core.hs_norm_sq(f)
         root = model.scalar_power(norm, Fraction(1, 2))
-        if not meq(model.compose(root, model.dagger(root)), norm):
+        if not meq(compose(root, dagger(root)), norm):
             return {"norm": model.scalar_value(norm)}
         return None
 
     return [
         Check("valuation-splits-binary",
-              "|f| = |f_1| + |f_2| against a two-block codomain", PER_TRIAL, binary),
+              "|f| = |f_1| + |f_2| against a two-block codomain",
+              PER_TRIAL, splits(2)),
         Check("valuation-splits-ternary",
               "|f| = |f_1| + |f_2| + |f_3| by folding the binary rule",
-              PER_TRIAL, ternary),
+              PER_TRIAL, splits(3)),
         Check("valuation-fixed-by-dagger", "|f(dagger)| = |f|",
               PER_TRIAL, dagger_invariant),
         Check("valuation-kills-zero", "|0| = 0", PER_TRIAL, zero_val),

@@ -1,22 +1,20 @@
 """Global-phase quotient of a matrix model.
 
 Arrows of the quotient are morphisms taken up to a unit-modulus scalar
-factor.  Concretely a ``WMorphism`` is a representative together with its
-doubled form f(x)f(dagger); the doubled form is the semantic identity of the
-arrow, the representative is bookkeeping.  ``lift`` stores only the
-representative: the doubled form is computed on first read and cached on
-the instance, since most intermediate arrows are never compared.  A doubled
-form given explicitly at construction is kept as given, so a tampered class
-still surfaces as a criterion disagreement in ``wequal``.  ``WProjModel`` is a
-``ModelHandle`` whose ``rep``/``lift`` read and build ``WMorphism``s, so
-composition, tensor, dagger, trace and the block sum are the base model's,
-computed on representatives.  It overrides only what changes in the
-quotient: scalars and equality.  Equality is decided three ways at once and
-the answers must agree or we refuse to answer.  The value of a quotient
-scalar is its doubled value c c(dagger): ``WProjModel.scalar_value`` reads
-it from the doubled form when the instance already holds one (computed or
-given), and otherwise from the same two kernel calls on the 1 x 1
-representative, without building the doubled morphism.
+factor.  ``WProjModel`` keeps the matrices of its base model: a quotient
+arrow is handed around as any representative ``Morphism``, and composition,
+tensor, dagger, trace and the block sum are the base's, computed on
+representatives.  Only two things change.  Which matrices count as one
+arrow: ``equal`` decides it three ways at once through ``wequal``, and the
+answers must agree or we refuse to answer.  And what value a scalar has:
+the value of the class of c is its doubled value c c(dagger), and the
+scalar constructor picks the nonnegative root as representative.
+
+``wequal`` compares the phase classes ``lift`` builds: each is a
+representative together with its doubled form f(x)f(dagger), the semantic
+identity of the class.  A doubled form that does not match its
+representative (one put in with ``dataclasses.replace``) surfaces as a
+criterion disagreement.
 """
 from __future__ import annotations
 
@@ -28,56 +26,24 @@ import numpy as np
 from . import core
 from .errors import CriterionDisagreement, TypeMismatch
 from .models import ModelHandle
-from .morphisms import (Morphism, equal, lower_star, scalar, scalar_value,
+from .morphisms import (Morphism, compose, dagger, equal, lower_star, scalar,
                         tensor)
-from .objects import Gen, ObjectExpr, UNIT, format_object
+from .objects import Gen, UNIT, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
                      serialize_morphism)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class WMorphism:
-    """A phase class: representative plus its doubled form.
-
-    ``doubled`` is ``tensor(rep, dagger(rep))``, computed from ``rep`` on
-    first read and then cached on the instance.  One passed as
-    ``WMorphism(rep, doubled)`` (or through ``dataclasses.replace``) is kept
-    as given and never recomputed, so a corrupted pipeline shows up as a
-    criterion disagreement instead of being silently repaired.
-    """
+@dataclass(frozen=True, eq=False)
+class _WMorphism:
+    """A phase class as ``wequal`` reads it: representative and doubled form."""
 
     rep: Morphism
     doubled: Morphism
 
-    def __init__(self, rep: Morphism, doubled: Morphism | None = None):
-        object.__setattr__(self, "rep", rep)
-        if doubled is not None:
-            object.__setattr__(self, "doubled", doubled)
 
-    def __getattr__(self, attr: str):
-        # reached only while ``doubled`` is unset: compute it once
-        if attr != "doubled":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {attr!r}")
-        doubled = core.double(self.rep)
-        object.__setattr__(self, "doubled", doubled)
-        return doubled
-
-    @property
-    def dom(self) -> ObjectExpr:
-        return self.rep.dom
-
-    @property
-    def cod(self) -> ObjectExpr:
-        return self.rep.cod
-
-    def __repr__(self) -> str:
-        return f"WMorphism({self.rep!r})"
-
-
-def lift(f: Morphism) -> WMorphism:
-    """Send a morphism to its phase class (its doubled form comes on demand)."""
-    return WMorphism(f)
+def lift(f: Morphism) -> _WMorphism:
+    """Send a morphism to its phase class, doubled form included."""
+    return _WMorphism(f, core.double(f))
 
 
 @dataclass(frozen=True)
@@ -97,23 +63,23 @@ class WEqualResult:
         return self.by_double == self.by_lower == self.by_projector
 
 
-def wequal(a: WMorphism, b: WMorphism, rel: float | None = None) -> WEqualResult:
+def wequal(a: _WMorphism, b: _WMorphism, rel: float | None = None) -> WEqualResult:
     """Decide a = b three independent ways; the answers must coincide.
 
-    Criterion 1 compares the cached doubled forms, criterion 2 compares
-    f(x)f(lower-star), criterion 3 compares the bipartite projectors; all are
-    recomputed from the representatives except the first, so a tampered cache
-    surfaces as a disagreement.
+    Criterion 1 compares the doubled forms ``lift`` built, criterion 2
+    compares f(x)f(lower-star), criterion 3 compares the bipartite
+    projectors; the last two are computed from the representatives here, so a
+    tampered doubled form surfaces as a disagreement.
     """
-    if a.dom != b.dom or a.cod != b.cod:
+    f, g = a.rep, b.rep
+    if f.dom != g.dom or f.cod != g.cod:
         raise TypeMismatch(
-            f"cannot compare {format_object(a.dom)}->{format_object(a.cod)} "
-            f"with {format_object(b.dom)}->{format_object(b.cod)}")
+            f"cannot compare {format_object(f.dom)}->{format_object(f.cod)} "
+            f"with {format_object(g.dom)}->{format_object(g.cod)}")
     by_double = equal(a.doubled, b.doubled, rel)
-    by_lower = equal(tensor(a.rep, lower_star(a.rep)),
-                     tensor(b.rep, lower_star(b.rep)), rel)
-    by_projector = equal(core.bipartite_projector(a.rep),
-                         core.bipartite_projector(b.rep), rel)
+    by_lower = equal(tensor(f, lower_star(f)), tensor(g, lower_star(g)), rel)
+    by_projector = equal(core.bipartite_projector(f),
+                         core.bipartite_projector(g), rel)
     result = WEqualResult(by_double, by_lower, by_projector)
     if not result.agree:
         raise CriterionDisagreement(
@@ -141,54 +107,45 @@ def canonical_rep(f: Morphism) -> Morphism:
 
 
 class WProjModel(ModelHandle):
-    """The quotient of a base model: arrows are ``WMorphism`` phase classes.
+    """The quotient of a base model: its matrices, taken up to phase.
 
     Scalars of the quotient are the doubled values (nonnegative reals over
-    the complex base); scalar constructors pick the canonical nonnegative
-    representative, the square root of the value.
+    the complex base); the scalar constructor picks the canonical
+    nonnegative representative, the square root of the value.
     """
 
     quotient = True
 
     def __init__(self, base: ModelHandle):
         if base.quotient:
-            # its rep/lift would bypass the inner quotient's; refuse, do not nest
+            # the quotient of a quotient is the quotient itself; do not nest
             raise ValueError("the phase quotient takes a plain base model, "
                              f"not the quotient {base.name}")
         object.__setattr__(self, "name", f"wproj:{base.name}")
         object.__setattr__(self, "semiring", base.semiring)
         self.base = base
 
-    def rep(self, x: WMorphism) -> Morphism:
-        return x.rep
+    def equal(self, f: Morphism, g: Morphism, rel: float | None = None) -> bool:
+        return wequal(lift(f), lift(g), rel).equal
 
-    lift = staticmethod(lift)
-
-    def scalar(self, value) -> WMorphism:
+    def scalar(self, value) -> Morphism:
         v = complex(value)
         if abs(v.imag) > 1e-9 or v.real < -1e-9:
             raise TypeMismatch(f"quotient scalars are nonnegative reals, got {value}")
-        return lift(scalar(np.sqrt(max(v.real, 0.0)), self.semiring))
+        return scalar(np.sqrt(max(v.real, 0.0)), self.semiring)
 
-    def equal(self, f: WMorphism, g: WMorphism, rel: float | None = None) -> bool:
-        return wequal(f, g, rel).equal
-
-    def scalar_value(self, s: WMorphism):
+    def scalar_value(self, s: Morphism):
         """The doubled value c c(dagger) of the scalar class of c.
 
-        A doubled form already on the instance, computed or given, is the
-        one read.  Otherwise the value is the single entry of the kernels
-        ``core.double`` runs, applied to the 1 x 1 representative and
-        coerced to the semiring's dtype as it would coerce them, so no
-        doubled morphism is built just to read one entry.
+        It is the single entry of the kernels ``core.double`` runs, applied
+        to the 1 x 1 representative and coerced to the semiring's dtype as it
+        would coerce them, so no doubled morphism is built to read one entry.
         """
-        a = s.rep.array
-        if "doubled" in vars(s) or a.shape != (1, 1):
-            v = scalar_value(s.doubled)
-        else:
-            ring = s.rep.semiring
-            conj = np.asarray(ring.involution(a.T), dtype=ring.dtype)
-            v = np.asarray(ring.kron(a, conj), dtype=ring.dtype).item()
+        if not s.is_scalar:
+            raise TypeMismatch(f"not a scalar: {s!r}")
+        a, ring = s.array, s.semiring
+        conj = np.asarray(ring.involution(a.T), dtype=ring.dtype)
+        v = np.asarray(ring.kron(a, conj), dtype=ring.dtype).item()
         if np.issubdtype(type(v), np.complexfloating) or isinstance(v, complex):
             if abs(v.imag) > 1e-9:
                 raise TypeMismatch(f"doubled scalar came out non-real: {v}")
@@ -210,12 +167,6 @@ def prep_state_checks(model, tol) -> list[Check]:
     def eq(x, y) -> bool:
         return model.equal(x, y, tol)
 
-    def via_rep(build, f):
-        return model.lift(build(model.rep(f)))
-
-    def scaled(u, f):
-        return model.lift(core.scalar_mult(model.rep(u), model.rep(f)))
-
     def pair(f, g, **extra) -> dict:
         return {"f": serialize_morphism(f), "g": serialize_morphism(g), **extra}
 
@@ -224,8 +175,9 @@ def prep_state_checks(model, tol) -> list[Check]:
         if not quotient and model.semiring.phase is not None:
             # the axiom must be violated here; exhibit the canonical witness
             def phase_counterexample(_):
-                f = model.morphism(dom, a, _unit_witness_array(dom == UNIT))
-                g = scaled(model.scalar(1j), f)
+                f = Morphism(dom, a, _unit_witness_array(dom == UNIT),
+                             model.semiring)
+                g = core.scalar_mult(model.scalar(1j), f)
                 antecedent, consequent = implication(f, g)
                 return antecedent and not consequent, pair(f, g, phase="i")
 
@@ -233,7 +185,7 @@ def prep_state_checks(model, tol) -> list[Check]:
 
         def sampled(rng):
             f = model.sample_morphism(rng, dom, a)
-            g = scaled(model.sample_unit_scalar(rng), f)
+            g = core.scalar_mult(model.sample_unit_scalar(rng), f)
             antecedent, consequent = implication(f, g)
             if not antecedent:
                 return VACUOUS
@@ -244,17 +196,16 @@ def prep_state_checks(model, tol) -> list[Check]:
     checks = [
         entry("doubles-determine-morphisms",
               "f(x)f(dagger) = g(x)g(dagger)  =>  f = g", a,
-              lambda f, g: (eq(model.tensor(f, model.dagger(f)),
-                               model.tensor(g, model.dagger(g))), eq(f, g))),
+              lambda f, g: (eq(core.double(f), core.double(g)), eq(f, g))),
         entry("projectors-determine-names",
               "P_f = P_g  =>  name(f) = name(g)", a,
-              lambda f, g: (eq(via_rep(core.bipartite_projector, f),
-                               via_rep(core.bipartite_projector, g)),
-                            eq(via_rep(core.name, f), via_rep(core.name, g)))),
+              lambda f, g: (eq(core.bipartite_projector(f),
+                               core.bipartite_projector(g)),
+                            eq(core.name(f), core.name(g)))),
         entry("densities-determine-states",
               "psi o psi(dagger) = phi o phi(dagger)  =>  psi = phi", UNIT,
-              lambda f, g: (eq(model.compose(f, model.dagger(f)),
-                               model.compose(g, model.dagger(g))), eq(f, g))),
+              lambda f, g: (eq(compose(f, dagger(f)), compose(g, dagger(g))),
+                            eq(f, g))),
     ]
     if not quotient and model.semiring.phase is None:
         checks.append(Check("doubles-determine-morphisms-exhaustive",
@@ -283,7 +234,7 @@ def _grid_check(model, tol):
         dom = UNIT if cols == 1 else Gen("A", cols)
         cod = UNIT if rows == 1 else Gen("B", rows)
         cells = rows * cols
-        mats = [model.morphism(dom, cod, np.array(v).reshape(rows, cols))
+        mats = [Morphism(dom, cod, np.array(v).reshape(rows, cols), model.semiring)
                 for v in product(entries, repeat=cells)]
         doubles = [core.double(f) for f in mats]
         for i, f in enumerate(mats):

@@ -82,9 +82,9 @@ def test_scalar_sum_matches_block_trace():
 
 
 def test_corrupted_trace_drops_an_entry():
-    tr = corrupted_trace(M)
-    assert scalar_value(tr(identity(Gen("A", 3), COMPLEX))) == pytest.approx(2.0)
-    assert scalar_value(tr(identity(Oplus(UNIT, UNIT), COMPLEX))) == pytest.approx(1.0)
+    three = corrupted_trace(identity(Gen("A", 3), COMPLEX))
+    assert scalar_value(three) == pytest.approx(2.0)
+    assert scalar_value(corrupted_trace(identity(Oplus(UNIT, UNIT), COMPLEX))) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("make", [fdhilb, rel_model, weight_model,
@@ -97,9 +97,8 @@ def test_axiom_checks_pass(make):
 
 
 def test_axiom_checks_fail_under_corrupted_trace():
-    tr = corrupted_trace(M)
-    diag = _run_legs(DIAGONAL, M, 15, 3, tr, None)
-    norm = _run_legs(NORM_BLOCKS, M, 15, 3, tr, None)
+    diag = _run_legs(DIAGONAL, M, 15, 3, corrupted_trace, None)
+    norm = _run_legs(NORM_BLOCKS, M, 15, 3, corrupted_trace, None)
     assert any(r.status == "fail" for r in diag)
     assert any(r.status == "fail" for r in norm)
 

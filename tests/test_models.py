@@ -11,6 +11,7 @@ from sccckit import (
     NONNEG,
     DegenerateSample,
     Gen,
+    Morphism,
     Oplus,
     RootUnavailable,
     SemiringLawViolation,
@@ -46,7 +47,7 @@ def test_corrupted_involution_breaks_dagger_coherence():
     s = corrupted_complex()
     check_semiring_laws(s, np.random.default_rng(0))
     m = semiring_model(s)
-    f = m.morphism(UNIT, UNIT, np.array([[1j]]))
+    f = Morphism(UNIT, UNIT, np.array([[1j]]), s)
     assert complex(scalar_value(hs_inner(f, f))).real < 0  # a negative "norm"
     report = run_suite("sccc", m, trials=10, seed=0, max_dim=2)
     assert not report.ok

@@ -72,10 +72,9 @@ def test_statuses_and_conditional_counts():
 
 def test_failing_witness_replays_from_its_stream_key():
     m, seed = fdhilb(), 3
-    tr = corrupted_trace(m)
     names = ("diagonal-axiom", "diagonal-axiom-derived-sum")
-    results = _run_legs(names, m, 15, seed, tr, None)
-    legs = [c for c in leg_checks(m, REL_TOL, tr) if c.name in names]
+    results = _run_legs(names, m, 15, seed, corrupted_trace, None)
+    legs = [c for c in leg_checks(m, REL_TOL, corrupted_trace) if c.name in names]
     replayed = 0
     for idx, (result, leg) in enumerate(zip(results, legs)):
         assert result.check_name == leg.name
