@@ -26,7 +26,8 @@ broken and every check that catches it still does.  Nothing that reads
 arrays or performs a check is memoized: ``name`` builds and compares both
 unfoldings on every call, and ``trace``, ``partial_trace``, ``scalar_mult``
 and ``double`` apply their argument afresh.  No call builds anything twice
-either: ``hs_norm_sq`` names its argument once, and ``name`` builds only the
+either: ``hs_norm_sq`` names its argument once, ``phase_witnesses`` forms
+both of its scalars from the one name of f, and ``name`` builds only the
 one dual ``f*`` it uses.
 """
 from __future__ import annotations
@@ -195,8 +196,9 @@ def phase_witnesses(f: Morphism, g: Morphism) -> tuple[Morphism, Morphism]:
     """
     if not equal(double(f), double(g)):
         raise NotPhaseEquivalent("doubled forms differ; no phase witnesses exist")
-    s = hs_norm_sq(f)
-    t = compose(dagger(name(g)), name(f))
+    nf = name(f)
+    s = compose(dagger(nf), nf)                # hs_norm_sq(f), on the one name of f
+    t = compose(dagger(name(g)), nf)
     if not equal(scalar_mult(s, f), scalar_mult(t, g)):
         raise InvariantViolation("phase witnesses failed s . f = t . g")
     if not equal(compose(s, dagger(s)), compose(t, dagger(t))):

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSample, RootUnavailable, TypeMismatch
-from .morphisms import Morphism, compose, dagger, equal, scalar, scalar_value
+from .morphisms import Morphism, adopt, compose, dagger, equal, scalar, scalar_value
 from .objects import Gen, ObjectExpr, UNIT, ZERO, dim
 from .semirings import (BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring,
                         check_semiring_laws)
@@ -67,8 +67,9 @@ class ModelHandle:
 
     def sample_morphism(self, rng: np.random.Generator, dom: ObjectExpr,
                         cod: ObjectExpr) -> Morphism:
+        # the semiring hands over a fresh array, so it is frozen, not copied
         arr = self.semiring.sample(rng, (dim(cod), dim(dom)))
-        return Morphism(dom, cod, arr, self.semiring)
+        return adopt(dom, cod, arr, self.semiring)
 
     def sample_state(self, rng: np.random.Generator, a: ObjectExpr,
                      normalized: bool = False) -> Morphism:
@@ -79,7 +80,7 @@ class ModelHandle:
             n = np.linalg.norm(psi.array)
             if n < 1e-12:
                 raise DegenerateSample("sampled a near-zero state")
-            psi = Morphism(UNIT, a, psi.array / n, self.semiring)
+            psi = adopt(UNIT, a, psi.array / n, self.semiring)
         return psi
 
     def sample_positive(self, rng: np.random.Generator, a: ObjectExpr) -> Morphism:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cache
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -102,6 +103,11 @@ class VerificationReport:
 PER_TRIAL, WHOLE, EXPECTED_FAIL = "per-trial", "whole", "expected-fail"
 
 _WORD = 2 ** 32  # a stream key word below this is one SeedSequence entropy word
+_MASK = _WORD - 1
+
+# the trials whose stream words one vectorized pass computes: a row that fails
+# at trial 0 pays for one chunk, not for all of its trials
+_TRIAL_CHUNK = 256
 
 # returned by a conditional check on a trial whose antecedent did not hold
 VACUOUS = "vacuous"
@@ -138,14 +144,20 @@ class CheckRunner:
     Trial t of the per-trial check at position i of a table draws from the
     numpy stream ``np.random.default_rng([seed, i, t])``, and a failure's
     witness records t, so the report alone names everything needed to replay
-    it.  When seed, i and t each fit in 32 bits, ``stream`` hands
-    ``default_rng`` a ``PCG64`` over a ``SeedSequence`` of the uint32 array
-    [seed, i, t] instead.  That is the list form's stream, since each such
-    word is one entropy word of the list form, without its per-call
-    coercion of the list; a word outside [0, 2^32) keeps the list form.  A
-    whole or expected-fail check runs once, as trial 0, and is called with
-    None: it draws nothing, so the runner seeds no stream for it.  A
-    ``SccckitError`` raised by any check is that check's failure.
+    it.  When seed, i and t each fit in 32 bits, the runner does not seed
+    that stream trial by trial.  Each such word is one entropy word of the
+    list form, so the stream's ``PCG64`` is seeded from the four words
+    ``SeedSequence(uint32[seed, i, t]).generate_state(4, uint64)``, and the
+    runner computes those words for a chunk of a row's trials in one
+    vectorized pass (``_trial_words``): the part of the mixing that reads
+    only seed and i runs once per row, and a row that stops early pays for
+    one chunk.  Each trial then gets ``default_rng(PCG64(<its words>))``
+    through numpy's ``ISeedSequence`` interface, the same draws as the list
+    form.  A word outside [0, 2^32) keeps the list form itself.  ``stream``
+    and ``run`` share this one path.  A whole or expected-fail check runs
+    once, as trial 0, and is called with None: it draws nothing, so the
+    runner seeds no stream for it.  A ``SccckitError`` raised by any check
+    is that check's failure.
     """
 
     def __init__(self, trials: int, seed: int, tolerance: float | None = None):
@@ -158,11 +170,22 @@ class CheckRunner:
 
     def stream(self, idx: int, trial: int) -> np.random.Generator:
         """The generator of trial ``trial`` of the check at position ``idx``."""
-        key = [self.seed, idx, trial]
-        if 0 <= min(key) and max(key) < _WORD:
-            key = np.random.PCG64(np.random.SeedSequence(
-                np.array(key, dtype=np.uint32)))
-        return np.random.default_rng(key)
+        return next(self._streams(idx, range(trial, trial + 1)))
+
+    def _streams(self, idx: int, trials: range) -> Iterator[np.random.Generator]:
+        """The generators of ``trials`` of the check at position ``idx``, in order."""
+        seed = self.seed
+        fits = 0 <= min(seed, idx, trials.start) and max(seed, idx) < _WORD
+        row = _row_pool(seed, idx) if fits else None
+        for start in range(trials.start, trials.stop, _TRIAL_CHUNK):
+            chunk = range(start, min(start + _TRIAL_CHUNK, trials.stop))
+            batched = chunk[:max(0, _WORD - start)] if fits else chunk[:0]
+            if batched:
+                seed_words = _seed_words_class()
+                for words in _trial_words(row, batched):
+                    yield np.random.default_rng(np.random.PCG64(seed_words(words)))
+            for trial in chunk[len(batched):]:
+                yield np.random.default_rng([seed, idx, trial])
 
     def report(self, suite: str, model, results) -> VerificationReport:
         return VerificationReport(suite=suite, model=model.name, seed=self.seed,
@@ -172,9 +195,8 @@ class CheckRunner:
     def _run(self, idx: int, check: Check) -> CheckResult:
         name, law, kind, fn, conditional = check
         held = 0
-        per_trial = kind == PER_TRIAL
-        for trial in range(self.trials if per_trial else 1):
-            rng = self.stream(idx, trial) if per_trial else None
+        rngs = self._streams(idx, range(self.trials)) if kind == PER_TRIAL else [None]
+        for trial, rng in enumerate(rngs):
             try:
                 outcome = fn(rng)
             except SccckitError as exc:
@@ -200,6 +222,108 @@ class CheckRunner:
 def _failed(name: str, law: str, witness: dict, trial: int) -> CheckResult:
     witness.setdefault("trial", trial)
     return CheckResult(name, law, "fail", witness)
+
+
+# -- the stream words of a row's trials, in one pass ---------------------------
+#
+# numpy's SeedSequence (NEP 19) hashes its entropy words into a pool of four
+# uint32 words, the fourth from a zero pad; then each pool word in turn is
+# hashed and mixed into the three others.  Every hash multiplies its running
+# constant, so the constants are fixed.  generate_state(4, uint64) hashes the
+# pool, cycled, into eight uint32 words and pairs them little-endian.  Python
+# ints are masked to 32 bits; uint32 arrays wrap by themselves.
+
+def _hash_constants(h: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, mult) pairs of ``n`` successive hashes from constant ``h``."""
+    out = []
+    for _ in range(n):
+        out.append((h, h * mult & _MASK))
+        h = out[-1][1]
+    return out
+
+
+_POOL_HASH = _hash_constants(0x43b0d7e5, 0x931e8875, 16)
+_POOL_XOR, _POOL_MULT = np.array(_POOL_HASH, dtype=np.uint32).T[..., None]
+_STATE_XOR, _STATE_MULT = np.array(_hash_constants(0x8b51f9dd, 0x58f38ded, 8),
+                                   dtype=np.uint32).T[..., None]
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_OTHERS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def _hash(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    return r ^ r >> 16
+
+
+def _row_pool(seed: int, idx: int) -> tuple[list, list]:
+    """The pool of ``SeedSequence(uint32[seed, idx, t])`` as far as it skips t.
+
+    t enters pool word 2.  The rounds that hash words 0 and 1 into the
+    others read seed and idx alone: this runs them once for a row and
+    returns the pool after them (word 2 left None) and the two hashes they
+    mix into word 2.
+    """
+    pool = [_hash(seed, *_POOL_HASH[0]), _hash(idx, *_POOL_HASH[1]), None,
+            _hash(0, *_POOL_HASH[3])]
+    into_t = []
+    hashes = iter(_POOL_HASH[4:])
+    for src in (0, 1):
+        for dst in _OTHERS[src]:
+            y = _hash(pool[src], *next(hashes))
+            if dst == 2:
+                into_t.append(y)
+            else:
+                pool[dst] = _mix(pool[dst], y)
+    return pool, into_t
+
+
+def _trial_words(row: tuple[list, list], trials: range) -> np.ndarray:
+    """``SeedSequence(uint32[seed, idx, t]).generate_state(4, uint64)`` for
+    every t in ``trials`` (each below 2^32), one row of words per trial, from
+    the ``_row_pool`` of (seed, idx)."""
+    pool, into_t = row
+    t = _hash(np.arange(trials.start, trials.stop).astype(np.uint32), *_POOL_HASH[2])
+    for y in into_t:
+        t = _mix(t, y)
+    words = np.empty((4, len(trials)), dtype=np.uint32)
+    words[[0, 1, 3]] = [[pool[0]], [pool[1]], [pool[3]]]
+    words[2] = t
+    # the rounds of words 2 and 3: the three words each one mixes into are
+    # disjoint from it, so a round is one pass over a stacked (3, n) array
+    for src, k in ((2, 10), (3, 13)):
+        dst = _OTHERS[src]
+        words[dst] = _mix(words[dst], _hash(words[src], _POOL_XOR[k:k + 3],
+                                            _POOL_MULT[k:k + 3]))
+    state = _hash(words[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
+        np.uint64, copy=False)
+
+
+@cache
+def _seed_words_class() -> type:
+    """An ``ISeedSequence`` over words computed in advance.
+
+    Defined on first use, so that importing sccckit does not load
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+                raise ValueError(f"only {len(self.words)} {self.words.dtype} "
+                                 "words were computed")
+            return self.words
+
+    return SeedWords
 
 
 def from_json(text: str) -> VerificationReport:

@@ -32,9 +32,12 @@ class InvolutiveSemiring:
     A semiring declares its scalar operations, its matrix kernels, whether
     equality is ``exact``, and ``phase``: a sampler ``rng -> unit scalar``
     drawing u with u o u(dagger) = 1, or None when the model has no phases
-    worth drawing.  Everything else the suites branch on is derived from
-    ``zero``, ``one`` and ``add`` and set by nobody: ``idempotent`` and
-    ``multiples(n)``, and the entrywise-sum oracle is ``add`` itself.
+    worth drawing.  ``sample(rng, shape)`` returns a fresh array that the
+    caller owns: ``ModelHandle.sample_morphism`` freezes it in place as the
+    arrow's matrix instead of copying it.  Everything else the suites
+    branch on is derived from ``zero``, ``one`` and ``add`` and set by
+    nobody: ``idempotent`` and ``multiples(n)``, and the entrywise-sum
+    oracle is ``add`` itself.
 
     Semirings compare and hash by identity, as every operation that mixes
     morphisms already checks (``f.semiring is g.semiring``): a copy made with
@@ -114,6 +117,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """re + 1j * im from one draw of both parts: the normals two draws of
+    ``shape`` would give, in the same order, so the generator ends where
+    those two draws leave it."""
+    re, im = rng.standard_normal((2, *shape))
+    return re + 1j * im
+
+
 COMPLEX = InvolutiveSemiring(
     name="complex",
     dtype=np.complex128,
@@ -125,7 +136,7 @@ COMPLEX = InvolutiveSemiring(
     matmul=np.matmul,
     kron=_kron,
     scale=lambda c, arr: c * arr,
-    sample=lambda rng, shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+    sample=_complex_normal,
     phase=lambda rng: np.exp(2j * np.pi * rng.random()),
 )
 

@@ -21,6 +21,7 @@ ALLOWED = {
     "deserialize_morphism": "reads a morphism witness back out of a saved report",
     "corrupted_complex": "the negative-control semiring the semiring-law tests run",
     "sample_state": "the acceptance gate's state sampler",
+    "stream": "one trial's generator, for replaying a failure named in a report",
 }
 
 

@@ -67,6 +67,17 @@ def test_complex_phase_is_a_unit_drawn_from_one_uniform():
     assert rng.random() == twin.random()
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (24,)])
+def test_complex_sample_is_two_normal_draws_in_one(shape):
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    got = COMPLEX.sample(rng, shape)
+    want = twin.standard_normal(shape) + 1j * twin.standard_normal(shape)
+    assert got.shape == shape and got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+    # the generator is left where the two draws leave it
+    assert rng.standard_normal(5).tobytes() == twin.standard_normal(5).tobytes()
+
+
 # -- no semiring switch outside semirings.py -----------------------------------
 
 SWITCH = re.compile(r"is (not )?(COMPLEX|BOOLEAN|NONNEG)\b"

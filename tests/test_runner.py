@@ -14,7 +14,7 @@ from sccckit import (COMPLEX, NONNEG, ModelHandle, TypeMismatch, WProjModel,
 from sccckit import protocols, report
 from sccckit.born import _run_legs, leg_checks
 from sccckit.report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
-                            CheckRunner)
+                            CheckRunner, _TRIAL_CHUNK, _row_pool, _trial_words)
 from sccckit.semirings import REL_TOL, corrupted_complex
 from sccckit.suites import _sccc_checks
 
@@ -193,6 +193,52 @@ def test_run_draws_each_trial_from_its_stream():
                       lambda rng: drawn.append(_draws(rng)))])
     assert drawn == [_draws(np.random.default_rng([2 ** 32 - 1, 1, t]))
                      for t in range(3)]
+
+
+def _seed_sequence_words(seed, row, trial):
+    key = np.array([seed, row, trial], dtype=np.uint32)
+    return np.random.SeedSequence(key).generate_state(4, np.uint64)
+
+
+def test_batched_words_are_the_seed_sequence_words():
+    fitting = [w for w in STREAM_WORDS if w < 2 ** 32]
+    for seed, row, trial in product(fitting, repeat=3):
+        [words] = _trial_words(_row_pool(seed, row), range(trial, trial + 1))
+        assert words.tobytes() == _seed_sequence_words(seed, row, trial).tobytes()
+    rng = np.random.default_rng(2024)
+    for seed, row, first in rng.integers(0, 2 ** 32 - 3, size=(1000, 3)).tolist():
+        trials = range(first, first + 3)
+        batch = _trial_words(_row_pool(seed, row), trials)
+        assert batch.shape == (3, 4) and batch.dtype == np.uint64
+        for words, trial in zip(batch, trials):
+            assert (words == _seed_sequence_words(seed, row, trial)).all(), (seed, row, trial)
+
+
+def test_run_draws_across_a_chunk_boundary_as_stream_does():
+    drawn = []
+    trials = _TRIAL_CHUNK + 3
+    runner = CheckRunner(trials=trials, seed=41)
+    runner.run([Check("whole", "law", WHOLE, lambda rng: None),
+                Check("per-trial", "law", PER_TRIAL,
+                      lambda rng: drawn.append(_draws(rng)))])
+    assert len(drawn) == trials
+    assert drawn == [_draws(runner.stream(1, t)) for t in range(trials)]
+    assert drawn[-1] == _draws(np.random.default_rng([41, 1, trials - 1]))
+
+
+def test_a_row_failing_at_trial_zero_seeds_one_generator(monkeypatch):
+    seeded = []
+    default_rng = report.np.random.default_rng
+
+    def counting(*args, **kwargs):
+        seeded.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(report.np.random, "default_rng", counting)
+    [result] = CheckRunner(trials=10 ** 6, seed=3).run(
+        [Check("fails", "law", PER_TRIAL, lambda rng: {"drew": rng.random()})])
+    assert result.status == "fail" and result.witness["trial"] == 0
+    assert len(seeded) == 1
 
 
 def test_a_teleport_seeds_no_generator(monkeypatch):
