@@ -23,12 +23,18 @@ array and checks nothing, and returns a morphism whose array is frozen: a
 shared result is indistinguishable from a fresh one.  Each is built
 diagrammatically from the primitives, so a broken primitive is cached
 broken and every check that catches it still does.  Nothing that reads
-arrays or performs a check is memoized: ``name`` builds and compares both
+arrays or performs a check is memoized: ``name`` computes and compares both
 unfoldings on every call, and ``trace``, ``partial_trace``, ``scalar_mult``
 and ``double`` apply their argument afresh.  No call builds anything twice
-either: ``hs_norm_sq`` names its argument once, ``phase_witnesses`` forms
-both of its scalars from the one name of f, and ``name`` builds only the
-one dual ``f*`` it uses.
+either: ``hs_norm_sq`` names its argument once, and ``phase_witnesses``
+forms both of its scalars from the one name of f.
+
+``name`` is computed on matrices (``name_array``): both unfoldings run the
+semiring's kron and matmul kernels on plain arrays, with the transpose f*
+taken by ``star``, so the one dual it uses is the only arrow built before
+the name itself.  ``bipartite_projector`` is computed the same way
+(``projector_array``), and the phase quotient's projector criterion reads
+that matrix.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ import numpy as np
 from .errors import (AbsorptionMismatch, InvariantViolation, NotPhaseEquivalent,
                      NotProjector, TypeMismatch)
 from .morphisms import (Morphism, adopt, compose, dagger, equal, eye, identity,
-                        star, tensor)
+                        kernel_array, star, tensor)
 from .objects import ObjectExpr, Tensor, UNIT, dim, dual, format_object, normalize
 from .semirings import InvolutiveSemiring
 
@@ -99,20 +105,35 @@ def counit(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
     return dagger(unit(a, s))
 
 
+def name_array(f: Morphism) -> np.ndarray:
+    """The matrix of name(f), a (dim(A*) dim(B)) x 1 column.
+
+    Both unfoldings are computed on matrices with the kernels ``tensor`` and
+    ``compose`` run, each result passed through ``kernel_array`` as theirs
+    are: (1 (x) f) o eta_A and the absorption unfolding (f* (x) 1) o eta_B,
+    whose transpose f* comes from ``star``.  They must agree within
+    tolerance on every call, or ``AbsorptionMismatch`` is raised.
+    """
+    s = f.semiring
+    m, n = f.array.shape
+    via_dom = kernel_array(s.kron(eye(n, s), f.array), s, (n * m, n * n))
+    via_dom = kernel_array(s.matmul(via_dom, unit(f.dom, s).array), s, (n * m, 1))
+    via_cod = kernel_array(s.kron(star(f).array, eye(m, s)), s, (n * m, m * m))
+    via_cod = kernel_array(s.matmul(via_cod, unit(f.cod, s).array), s, (n * m, 1))
+    if not s.approx_equal(via_dom, via_cod):
+        raise AbsorptionMismatch(
+            f"name unfoldings disagree for {f!r}")
+    return via_dom
+
+
 def name(f: Morphism) -> Morphism:
     """The name of f: I -> A* @ B, i.e. (1 (x) f) o eta_A.
 
     With the fixed basis conventions this is the column-stacking vectorization
-    of the matrix of f.  The absorption unfolding (f* (x) 1) o eta_B is
-    computed independently every call and must agree within tolerance.
+    of the matrix of f.  Its matrix is ``name_array(f)``, which computes the
+    absorption unfolding (f* (x) 1) o eta_B independently every call.
     """
-    s = f.semiring
-    via_dom = compose(tensor(identity(dual(f.dom), s), f), unit(f.dom, s))
-    via_cod = compose(tensor(star(f), identity(f.cod, s)), unit(f.cod, s))
-    if not equal(via_dom, via_cod):
-        raise AbsorptionMismatch(
-            f"name unfoldings disagree for {f!r}")
-    return via_dom
+    return adopt(UNIT, Tensor(dual(f.dom), f.cod), name_array(f), f.semiring)
 
 
 def scalar_mult(s_mor: Morphism, f: Morphism) -> Morphism:
@@ -123,10 +144,24 @@ def scalar_mult(s_mor: Morphism, f: Morphism) -> Morphism:
     return compose(lam_inv(f.cod, s), compose(tensor(s_mor, f), lam(f.dom, s)))
 
 
+def projector_array(f: Morphism) -> np.ndarray:
+    """The matrix of P_f = name(f) o name(f)(dagger), from ``name_array``.
+
+    The adjoint of the name column is its involuted transpose, as ``dagger``
+    computes it, and the product runs the kernel ``compose`` runs, each
+    result passed through ``kernel_array``.
+    """
+    s = f.semiring
+    n = name_array(f)
+    k = n.shape[0]
+    n_dagger = kernel_array(s.involution(n.T), s, (1, k))
+    return kernel_array(s.matmul(n, n_dagger), s, (k, k))
+
+
 def bipartite_projector(f: Morphism) -> Morphism:
     """P_f := name(f) o name(f)(dagger), an endomorphism of A* @ B."""
-    n = name(f)
-    return compose(n, dagger(n))
+    end = Tensor(dual(f.dom), f.cod)
+    return adopt(end, end, projector_array(f), f.semiring)
 
 
 def double(f: Morphism) -> Morphism:

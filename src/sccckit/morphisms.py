@@ -24,9 +24,10 @@ dual ends by ``objects.dual``) and their arrays are fresh kernel outputs, a
 fresh 1 x 1 array, or a transposed view of a frozen array (``star``, and a
 phase-free ``dagger``), so it skips the re-normalization and the copy and
 fills the four slots directly.  It still coerces the array to the
-semiring's dtype, checks the shape the operands imply (a guard for user
-semirings whose kernels misbehave) and freezes the array.  ``adopt`` is the
-public constructor minus the copy, for an array its caller has just built.
+semiring's dtype and checks the shape the operands imply (``kernel_array``,
+a guard for user semirings whose kernels misbehave), and freezes the
+array.  ``adopt`` is the public constructor minus the copy, for an array
+its caller has just built.
 A copy, deep copy or unpickled morphism is rebuilt by the public
 constructor, so its array is frozen too.
 
@@ -85,13 +86,22 @@ _SET_DOM, _SET_COD, _SET_ARRAY, _SET_SEMIRING = (
     vars(Morphism)[field].__set__ for field in ("dom", "cod", "array", "semiring"))
 
 
-def _derived(dom: ObjectExpr, cod: ObjectExpr, array, s: InvolutiveSemiring,
-             shape: tuple[int, int]) -> Morphism:
-    """Trusted constructor: ends already normal, array fresh (see module doc)."""
+def kernel_array(array, s: InvolutiveSemiring, shape: tuple[int, int]) -> np.ndarray:
+    """A kernel's output coerced to ``s.dtype`` and checked against the shape
+    its operands imply: the guard for user semirings whose kernels misbehave,
+    run on every arrow ``_derived`` builds and on every plain-matrix
+    intermediate of ``core.name_array`` and ``wproj.wequal``."""
     arr = np.asarray(array, dtype=s.dtype)
     if arr.shape != shape:
         raise TypeMismatch(
             f"{s.name} kernel returned shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _derived(dom: ObjectExpr, cod: ObjectExpr, array, s: InvolutiveSemiring,
+             shape: tuple[int, int]) -> Morphism:
+    """Trusted constructor: ends already normal, array fresh (see module doc)."""
+    arr = kernel_array(array, s, shape)
     arr.setflags(write=False)
     f = object.__new__(Morphism)
     _SET_DOM(f, dom)

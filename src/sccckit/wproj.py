@@ -12,9 +12,13 @@ scalar constructor picks the nonnegative root as representative.
 
 ``wequal`` compares the phase classes ``lift`` builds: each is a
 representative together with its doubled form f(x)f(dagger), the semantic
-identity of the class.  A doubled form that does not match its
-representative (one put in with ``dataclasses.replace``) surfaces as a
-criterion disagreement.
+identity of the class.  Its other two criteria are computed on plain
+matrices from the representatives, with the semiring's own kernels, and
+build no arrow beyond the lower star f_* (and the transpose f* inside
+``core.name_array``, which ``core.projector_array`` reads).  A doubled
+form that does not match its representative, in entries or in type (one
+put in with ``dataclasses.replace``), surfaces as a criterion
+disagreement.
 """
 from __future__ import annotations
 
@@ -26,8 +30,8 @@ import numpy as np
 from . import core
 from .errors import CriterionDisagreement, TypeMismatch
 from .models import ModelHandle
-from .morphisms import (Morphism, compose, dagger, equal, lower_star, scalar,
-                        tensor)
+from .morphisms import (Morphism, compose, dagger, equal, kernel_array,
+                        lower_star, scalar)
 from .objects import Gen, UNIT, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
                      serialize_morphism)
@@ -63,23 +67,34 @@ class WEqualResult:
         return self.by_double == self.by_lower == self.by_projector
 
 
+def _lowered(f: Morphism) -> np.ndarray:
+    """The matrix of f (x) f_*, as ``tensor`` would compute it."""
+    s = f.semiring
+    m, n = f.array.shape
+    return kernel_array(s.kron(f.array, lower_star(f).array), s, (m * m, n * n))
+
+
 def wequal(a: _WMorphism, b: _WMorphism, rel: float | None = None) -> WEqualResult:
     """Decide a = b three independent ways; the answers must coincide.
 
-    Criterion 1 compares the doubled forms ``lift`` built, criterion 2
-    compares f(x)f(lower-star), criterion 3 compares the bipartite
-    projectors; the last two are computed from the representatives here, so a
-    tampered doubled form surfaces as a disagreement.
+    Criterion 1 compares the doubled forms ``lift`` built, types and
+    entries, criterion 2 compares f(x)f(lower-star), criterion 3 compares
+    the bipartite projectors.  The last two are computed from the
+    representatives here, as matrices, so a tampered doubled form surfaces
+    as a disagreement.  The representatives' types are checked once, here;
+    criteria 2 and 3 then compare two arrays with the semiring's
+    ``approx_equal``.
     """
     f, g = a.rep, b.rep
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeMismatch(
             f"cannot compare {format_object(f.dom)}->{format_object(f.cod)} "
             f"with {format_object(g.dom)}->{format_object(g.cod)}")
+    approx_equal = f.semiring.approx_equal
     by_double = equal(a.doubled, b.doubled, rel)
-    by_lower = equal(tensor(f, lower_star(f)), tensor(g, lower_star(g)), rel)
-    by_projector = equal(core.bipartite_projector(f),
-                         core.bipartite_projector(g), rel)
+    by_lower = approx_equal(_lowered(f), _lowered(g), rel)
+    by_projector = approx_equal(core.projector_array(f),
+                                core.projector_array(g), rel)
     result = WEqualResult(by_double, by_lower, by_projector)
     if not result.agree:
         raise CriterionDisagreement(

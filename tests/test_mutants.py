@@ -1,8 +1,15 @@
 """Mutants: each patches one primitive, and the suites that claim a law it
 breaks must fail a row with it installed."""
+import sys
+from contextlib import contextmanager
+
+import numpy as np
 import pytest
 
-from sccckit import ModelHandle, WProjModel, resolve_model, run_suite, scalar
+from sccckit import (COMPLEX, CriterionDisagreement, Gen, ModelHandle, Tensor,
+                     WProjModel, core, dual, lift, morphisms, resolve_model,
+                     run_suite, scalar, scalar_mult, wequal)
+from sccckit.morphisms import _derived
 
 
 def _failed(suite: str, selector: str) -> list[str]:
@@ -57,3 +64,89 @@ def test_a_broken_scalar_read_fails_its_rows(monkeypatch, cls, method, mutant, c
     for (suite, selector), rows in catches.items():
         missed = set(rows) - set(_failed(suite, selector))
         assert not missed, (suite, selector, sorted(missed))
+
+
+def _package_modules():
+    return [m for n, m in list(sys.modules.items())
+            if (n == "sccckit" or n.startswith("sccckit.")) and m is not None]
+
+
+def _clear_caches():
+    for mod in _package_modules():
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@contextmanager
+def _everywhere(module, attr, mutant):
+    """Bind ``mutant`` wherever ``module.attr`` is bound in the package, with
+    the memoized constructors emptied on the way in and out, so no arrow
+    built with one primitive is served to a caller of the other."""
+    original = getattr(module, attr)
+    bound = [(mod, key) for mod in _package_modules()
+             for key, value in vars(mod).items() if value is original]
+    _clear_caches()
+    try:
+        for mod, key in bound:
+            setattr(mod, key, mutant)
+        yield
+    finally:
+        for mod, key in bound:
+            setattr(mod, key, original)
+        _clear_caches()
+
+
+def _unconjugated_lower_star(f):
+    return _derived(dual(f.dom), dual(f.cod), f.array, f.semiring, f.array.shape)
+
+
+def _swapped_tensor(f, g):
+    (m, n), (p, q) = f.array.shape, g.array.shape
+    return _derived(Tensor(f.dom, g.dom), Tensor(f.cod, g.cod),
+                    f.semiring.kron(g.array, f.array), f.semiring, (m * p, n * q))
+
+
+_name_array = core.name_array
+
+SCALAR_ROWS = ["scalar-through-compose", "scalar-through-tensor"]
+
+
+@pytest.mark.parametrize("module,attr,mutant,catches", [
+    (morphisms, "lower_star", _unconjugated_lower_star, {
+        ("sccc", "fdhilb"): ["dagger-factorization"],
+        ("sccc", "wproj:fdhilb"): ["dagger-factorization"],
+        ("wproj", "wproj:fdhilb"): ["equality-criteria-agree"]}),
+    (morphisms, "tensor", _swapped_tensor, {
+        ("sccc", "fdhilb"): ["swap-naturality"]}),
+    # the right-hand sides of the scalar-through rows scale with the
+    # semiring's kernel, so they see a scalar action that does nothing
+    (core, "scalar_mult", lambda s_mor, f: f, {
+        ("sccc", selector): SCALAR_ROWS
+        for selector in ("fdhilb", "wproj:fdhilb", "weights")}),
+    # a conjugated name: conj(n) conj(n)(dagger) is the conjugate of the
+    # projector, so the quotient's criteria still agree, and the rows that
+    # read names as vectors catch it
+    (core, "name_array", lambda f: _name_array(f).conj(), {
+        ("sccc", "fdhilb"): ["inner-product-two-routes", "phase-witnesses"],
+        ("sccc", "wproj:fdhilb"): ["phase-witnesses"]}),
+], ids=["lower-star-unconjugated", "tensor-factors-swapped",
+        "scalar-mult-ignores-scalar", "name-conjugated"])
+def test_a_broken_primitive_fails_its_rows(module, attr, mutant, catches):
+    with _everywhere(module, attr, mutant):
+        for (suite, selector), rows in catches.items():
+            missed = set(rows) - set(_failed(suite, selector))
+            assert not missed, (suite, selector, sorted(missed))
+
+
+def test_a_name_that_is_not_phase_covariant_splits_the_criteria():
+    # the real part of a name does not rotate with f, so the projector
+    # criterion alone separates f from a phase of it
+    f = morphisms.Morphism(Gen("A", 2), Gen("B", 2),
+                           np.array([[1, 2j], [3, 4 - 1j]]), COMPLEX)
+    g = scalar_mult(scalar(1j, COMPLEX), f)
+    assert wequal(lift(f), lift(g)).equal
+    with _everywhere(core, "name_array", lambda f: _name_array(f).real):
+        with pytest.raises(CriterionDisagreement):
+            wequal(lift(f), lift(g))
+        assert "equality-criteria-agree" in _failed("wproj", "wproj:fdhilb")

@@ -87,6 +87,17 @@ def test_tampered_class_is_detected():
         wequal(forged, lift(f))
 
 
+def test_a_doubled_form_of_another_type_is_detected():
+    # the same entries on other objects of the same dimensions: only the
+    # doubled forms' types tell them apart, and criterion 1 compares those
+    f = cmor([[1, 2], [3, 4]])
+    retyped = Morphism(Gen("P", 2), Gen("R", 2), f.array, COMPLEX)
+    forged = dataclasses.replace(lift(f), doubled=double(retyped))
+    assert forged.doubled.array.tobytes() == lift(f).doubled.array.tobytes()
+    with pytest.raises(CriterionDisagreement, match="doubled=False"):
+        wequal(forged, lift(f))
+
+
 def test_quotient_scalars_are_doubled():
     w = WProjModel(fdhilb())
     four = w.scalar(4.0)
