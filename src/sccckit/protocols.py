@@ -36,7 +36,7 @@ from .objects import ObjectExpr, Oplus, UNIT
 from .report import (EXPECTED_FAIL, WHOLE, Check, CheckRunner, Held,
                      VerificationReport, serialize_morphism)
 from .semirings import COMPLEX
-from .wproj import lift, wequal
+from .wproj import wequal
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def _weighted_bit_collapse_witness() -> dict:
         "probabilities_phi": probs_phi,
         "probabilities_agree": bool(np.allclose(probs_psi, probs_phi)),
         "states_equal": equal(psi, phi),
-        "states_phase_equivalent": wequal(lift(psi), lift(phi)).equal,
+        "states_phase_equivalent": wequal(psi, phi).equal,
     }
 
 
@@ -235,12 +235,12 @@ def run_teleportation(psi: Morphism | None = None,
     # quotient's equality has no absolute floor to hide behind
     shifted_outs, _ = _teleport_branches(
         core.scalar_mult(scalar(1.0j / norm, COMPLEX), psi), t)
-    unit_target = lift(core.scalar_mult(scalar(0.5 / norm, COMPLEX), psi))
+    unit_target = core.scalar_mult(scalar(0.5 / norm, COMPLEX), psi)
 
     def branch(i):
         def check(_):
             corrected = compose(dagger(betas[i]), outs[i])
-            phase_ok = wequal(lift(compose(dagger(betas[i]), shifted_outs[i])),
+            phase_ok = wequal(compose(dagger(betas[i]), shifted_outs[i]),
                               unit_target, tol).equal
             witness = {"output": serialize_morphism(outs[i]),
                        "corrected": serialize_morphism(corrected),

@@ -132,7 +132,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     m, n = a.shape
     p, q = b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    # a C-ordered product reshapes as a view; the default order follows the
+    # operands, and a transposed operand (a dagger's) then forces a copy
+    return np.multiply(a[:, None, :, None], b[None, :, None, :],
+                       order="C").reshape(m * p, n * q)
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

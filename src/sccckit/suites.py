@@ -29,7 +29,7 @@ from .morphisms import (adopt, compose, dagger, direct_sum, distance, equal,
 from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner,
                      VerificationReport, serialize_morphism)
-from .wproj import WProjModel, canonical_rep, lift, prep_state_checks, wequal
+from .wproj import WProjModel, canonical_rep, prep_state_checks, wequal
 
 
 SUITE_NAMES = ("sccc", "wproj", "prep-state", "ortho", "born", "equivalence")
@@ -386,11 +386,11 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         u = base.sample_unit_scalar(rng)
         rotated = core.scalar_mult(u, f)
         # any CriterionDisagreement surfaces through the recorder
-        r1 = wequal(lift(f), lift(rotated), tol)
+        r1 = wequal(f, rotated, tol)
         if not (r1.agree and r1.equal):
             return {"pair": "phase-rotated",
                     "verdicts": [r1.by_double, r1.by_lower, r1.by_projector]}
-        r2 = wequal(lift(f), lift(g), tol)
+        r2 = wequal(f, g, tol)
         if not r2.agree:
             return {"pair": "independent",
                     "verdicts": [r2.by_double, r2.by_lower, r2.by_projector]}
@@ -398,7 +398,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
             if float(np.max(np.abs(np.asarray(f.array, dtype=complex)))) < 1e-6:
                 return None  # degenerate draw, nothing to separate
             doubled_weight = core.scalar_mult(scalar(two, s), f)
-            r3 = wequal(lift(f), lift(doubled_weight), tol)
+            r3 = wequal(f, doubled_weight, tol)
             if r3.equal:
                 return {"pair": "weight-doubled", "note": "classes collapsed"}
         return None

@@ -10,15 +10,12 @@ answers must agree or we refuse to answer.  And what value a scalar has:
 the value of the class of c is its doubled value c c(dagger), and the
 scalar constructor picks the nonnegative root as representative.
 
-``wequal`` compares the phase classes ``lift`` builds: each is a
-representative together with its doubled form f(x)f(dagger), the semantic
-identity of the class.  Its other two criteria are computed on plain
-matrices from the representatives, with the semiring's own kernels, and
-build no arrow beyond the lower star f_* (and the transpose f* inside
-``core.name_array``, which ``core.projector_array`` reads).  A doubled
-form that does not match its representative, in entries or in type (one
-put in with ``dataclasses.replace``), surfaces as a criterion
-disagreement.
+A class is its representative; nothing travels with it.  ``wequal`` reads
+two representatives and computes each criterion's matrices from them with
+the semiring's own kernels: the doubled form f(x)f(dagger) (``lift``, the
+semantic identity of the class), f(x)f(lower-star) and the name projector.
+It builds no arrow beyond the lower star f_* (and the transpose f* inside
+``core.name_array``, which ``core.projector_array`` reads).
 """
 from __future__ import annotations
 
@@ -30,24 +27,20 @@ import numpy as np
 from . import core
 from .errors import CriterionDisagreement, TypeMismatch
 from .models import ModelHandle
-from .morphisms import (Morphism, compose, dagger, equal, kernel_array,
-                        lower_star, scalar)
+from .morphisms import (Morphism, compose, dagger, kernel_array, lower_star,
+                        scalar)
 from .objects import Gen, UNIT, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
                      serialize_morphism)
 
 
-@dataclass(frozen=True, eq=False)
-class _WMorphism:
-    """A phase class as ``wequal`` reads it: representative and doubled form."""
-
-    rep: Morphism
-    doubled: Morphism
-
-
-def lift(f: Morphism) -> _WMorphism:
-    """Send a morphism to its phase class, doubled form included."""
-    return _WMorphism(f, core.double(f))
+def lift(f: Morphism) -> np.ndarray:
+    """The matrix of the doubled form f (x) f(dagger), the identity of f's
+    phase class, byte for byte as ``core.double(f).array``."""
+    s = f.semiring
+    m, n = f.array.shape
+    adjoint = kernel_array(s.involution(f.array.T), s, (n, m))
+    return kernel_array(s.kron(f.array, adjoint), s, (m * n, n * m))
 
 
 @dataclass(frozen=True)
@@ -74,24 +67,21 @@ def _lowered(f: Morphism) -> np.ndarray:
     return kernel_array(s.kron(f.array, lower_star(f).array), s, (m * m, n * n))
 
 
-def wequal(a: _WMorphism, b: _WMorphism, rel: float | None = None) -> WEqualResult:
-    """Decide a = b three independent ways; the answers must coincide.
+def wequal(f: Morphism, g: Morphism, rel: float | None = None) -> WEqualResult:
+    """Decide whether f and g are one phase class, three independent ways;
+    the answers must coincide.
 
-    Criterion 1 compares the doubled forms ``lift`` built, types and
-    entries, criterion 2 compares f(x)f(lower-star), criterion 3 compares
-    the bipartite projectors.  The last two are computed from the
-    representatives here, as matrices, so a tampered doubled form surfaces
-    as a disagreement.  The representatives' types are checked once, here;
-    criteria 2 and 3 then compare two arrays with the semiring's
-    ``approx_equal``.
+    Criterion 1 compares the doubled forms, criterion 2 f(x)f(lower-star),
+    criterion 3 the bipartite projectors.  The representatives' types are
+    checked once, here; each criterion then compares two matrices computed
+    from them with the semiring's ``approx_equal``.
     """
-    f, g = a.rep, b.rep
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeMismatch(
             f"cannot compare {format_object(f.dom)}->{format_object(f.cod)} "
             f"with {format_object(g.dom)}->{format_object(g.cod)}")
     approx_equal = f.semiring.approx_equal
-    by_double = equal(a.doubled, b.doubled, rel)
+    by_double = approx_equal(lift(f), lift(g), rel)
     by_lower = approx_equal(_lowered(f), _lowered(g), rel)
     by_projector = approx_equal(core.projector_array(f),
                                 core.projector_array(g), rel)
@@ -141,7 +131,7 @@ class WProjModel(ModelHandle):
         self.base = base
 
     def equal(self, f: Morphism, g: Morphism, rel: float | None = None) -> bool:
-        return wequal(lift(f), lift(g), rel).equal
+        return wequal(f, g, rel).equal
 
     def scalar(self, value) -> Morphism:
         v = complex(value)
@@ -152,17 +142,15 @@ class WProjModel(ModelHandle):
     def scalar_value(self, s: Morphism):
         """The doubled value c c(dagger) of the scalar class of c.
 
-        It is the single entry of the kernels ``core.double`` runs, applied
-        to the 1 x 1 representative and coerced to the semiring's dtype as it
-        would coerce them, so no doubled morphism is built to read one entry.
+        The rounding residual in its imaginary part grows with |c|^2, so the
+        value is refused as non-real only past 1e-9 times its magnitude (and
+        past 1e-9 below magnitude 1).
         """
         if not s.is_scalar:
             raise TypeMismatch(f"not a scalar: {s!r}")
-        a, ring = s.array, s.semiring
-        conj = np.asarray(ring.involution(a.T), dtype=ring.dtype)
-        v = np.asarray(ring.kron(a, conj), dtype=ring.dtype).item()
-        if np.issubdtype(type(v), np.complexfloating) or isinstance(v, complex):
-            if abs(v.imag) > 1e-9:
+        v = lift(s).item()
+        if isinstance(v, complex):
+            if abs(v.imag) > 1e-9 * max(1.0, abs(v)):
                 raise TypeMismatch(f"doubled scalar came out non-real: {v}")
             return float(v.real)
         return v

@@ -34,7 +34,6 @@ from sccckit import (
     hs_inner,
     hs_norm_sq,
     identity,
-    lift,
     oplus_illdefined_witness,
     phase_witnesses,
     rel_model,
@@ -86,7 +85,7 @@ def test_criterion_02_phase_witnesses():
         a, b = _objects(rng), _objects(rng)
         f = M.sample_morphism(rng, a, b)
         g = scalar_mult(M.sample_unit_scalar(rng), f)
-        r = wequal(lift(f), lift(g), rel=1e-9)
+        r = wequal(f, g, rel=1e-9)
         s, t = phase_witnesses(f, g)
         ok = ok and r.equal and (r.by_double == r.by_lower == r.by_projector)
         ok = ok and equal(scalar_mult(s, f), scalar_mult(t, g), rel=1e-9)
@@ -155,7 +154,7 @@ def test_criterion_04_quotient_equivalence_and_prep_state():
             g = scalar_mult(M.scalar(complex(rng.uniform(0.25, 3.0))), f)
         else:
             g = M.sample_morphism(rng, a, b)
-        r = wequal(lift(f), lift(g))
+        r = wequal(f, g)
         ok = ok and (r.by_double == r.by_lower == r.by_projector)
     prep_plain = run_suite("prep-state", M, trials=100, seed=404)
     names = {r.check_name: r for r in prep_plain.results}

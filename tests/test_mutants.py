@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from sccckit import (COMPLEX, CriterionDisagreement, Gen, ModelHandle, Tensor,
-                     WProjModel, core, dual, lift, morphisms, resolve_model,
-                     run_suite, scalar, scalar_mult, wequal)
-from sccckit.morphisms import _derived
+                     WProjModel, core, dim, dual, morphisms, ortho,
+                     resolve_model, run_suite, scalar, scalar_mult, wequal,
+                     wproj)
+from sccckit.morphisms import _derived, adopt, eye, kernel_array
 
 
 def _failed(suite: str, selector: str) -> list[str]:
@@ -107,6 +108,10 @@ def _swapped_tensor(f, g):
                     f.semiring.kron(g.array, f.array), f.semiring, (m * p, n * q))
 
 
+def _retyped_identity_sigma(a, b, s):
+    return adopt(Tensor(a, b), Tensor(b, a), eye(dim(a) * dim(b), s), s)
+
+
 _name_array = core.name_array
 
 SCALAR_ROWS = ["scalar-through-compose", "scalar-through-tensor"]
@@ -130,8 +135,18 @@ SCALAR_ROWS = ["scalar-through-compose", "scalar-through-tensor"]
     (core, "name_array", lambda f: _name_array(f).conj(), {
         ("sccc", "fdhilb"): ["inner-product-two-routes", "phase-witnesses"],
         ("sccc", "wproj:fdhilb"): ["phase-witnesses"]}),
+    (ortho, "derived_sum", lambda f, g: f, {
+        ("ortho", "fdhilb"): ["derived-sum-is-entrywise",
+                              "derived-sum-matches-biproduct-sum",
+                              "derived-sum-commutative-monoid",
+                              "blocks-reassemble"]}),
+    (wproj, "canonical_rep", lambda f: f, {
+        ("wproj", "wproj:fdhilb"): ["canonical-representative-phase-free"]}),
+    (core, "sigma", _retyped_identity_sigma, {
+        ("sccc", "fdhilb"): ["swap-naturality", "partial-trace-of-swap"]}),
 ], ids=["lower-star-unconjugated", "tensor-factors-swapped",
-        "scalar-mult-ignores-scalar", "name-conjugated"])
+        "scalar-mult-ignores-scalar", "name-conjugated", "derived-sum-is-f",
+        "canonical-rep-unrotated", "sigma-retyped-identity"])
 def test_a_broken_primitive_fails_its_rows(module, attr, mutant, catches):
     with _everywhere(module, attr, mutant):
         for (suite, selector), rows in catches.items():
@@ -145,8 +160,29 @@ def test_a_name_that_is_not_phase_covariant_splits_the_criteria():
     f = morphisms.Morphism(Gen("A", 2), Gen("B", 2),
                            np.array([[1, 2j], [3, 4 - 1j]]), COMPLEX)
     g = scalar_mult(scalar(1j, COMPLEX), f)
-    assert wequal(lift(f), lift(g)).equal
+    assert wequal(f, g).equal
     with _everywhere(core, "name_array", lambda f: _name_array(f).real):
         with pytest.raises(CriterionDisagreement):
-            wequal(lift(f), lift(g))
+            wequal(f, g)
+        assert "equality-criteria-agree" in _failed("wproj", "wproj:fdhilb")
+
+
+def _lift_without_involution(f):
+    """f (x) f^T in place of the doubled form f (x) f(dagger)."""
+    s = f.semiring
+    m, n = f.array.shape
+    return kernel_array(s.kron(f.array, f.array.T), s, (m * n, n * m))
+
+
+def test_a_doubled_form_without_the_involution_splits_the_criteria():
+    # f (x) f^T picks up u^2 under a phase u, so the doubled-form criterion
+    # alone separates f from i.f while the other two identify them
+    f = morphisms.Morphism(Gen("A", 2), Gen("B", 2),
+                           np.array([[1, 2j], [3, 4 - 1j]]), COMPLEX)
+    g = scalar_mult(scalar(1j, COMPLEX), f)
+    assert wequal(f, g).equal
+    with _everywhere(wproj, "lift", _lift_without_involution):
+        with pytest.raises(CriterionDisagreement,
+                           match="doubled=False lower=True projector=True"):
+            wequal(f, g)
         assert "equality-criteria-agree" in _failed("wproj", "wproj:fdhilb")

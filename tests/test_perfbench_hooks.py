@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import sccckit
-from sccckit import (COMPLEX, UNIT, Gen, Morphism, Tensor, core, lift, ortho,
+from sccckit import (COMPLEX, UNIT, Gen, Morphism, Tensor, core, ortho,
                      protocols, wequal)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -24,11 +24,13 @@ def test_layer_tracer_finds_its_hooks(monkeypatch):
     tracer = LayerTracer(sccckit)
     q = Gen("Q", 2)
     f = Morphism(q, q, np.array([[1, 2], [3, 4]]), COMPLEX)
-    # lift is traced too: wequal compares matrices, so the tensor calls
-    # counted here are those of the doubled forms lift builds
-    assert tracer.call(lambda: wequal(lift(f), lift(f))).equal
+    # wequal lifts each side to a matrix and builds no tensor arrow, so
+    # core.double supplies the tensor calls counted here
+    assert tracer.call(wequal, f, f).equal
+    tracer.call(core.double, f)
     metrics = tracer.metrics()
     assert metrics["wproj.wequal_calls"][0] == 1
+    assert metrics["wproj.lift_calls"][0] == 2
     assert metrics["morphisms.tensor_calls"][0] > 0
     assert metrics["semirings.kernel_calls"][0] > 0
     assert metrics["objects.cache_hit_ratio"][0] > 0
