@@ -22,7 +22,7 @@ from .errors import DegenerateSample, RootUnavailable, TypeMismatch
 from .morphisms import Morphism, adopt, compose, dagger, equal, scalar, scalar_value
 from .objects import Gen, ObjectExpr, UNIT, ZERO, dim
 from .semirings import (BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring,
-                        check_semiring_laws)
+                        check_semiring_laws, nonneg_value)
 from . import ortho
 
 
@@ -58,10 +58,11 @@ class ModelHandle:
         q = float(exponent)
         if q == int(q):
             return self.scalar(v ** int(q))
-        if abs(complex(v).imag) > 1e-9 or complex(v).real < -1e-9:
+        r = nonneg_value(v)
+        if r is None:
             raise RootUnavailable(
                 f"cannot take power {exponent} of non-positive scalar {v}")
-        return self.scalar(max(complex(v).real, 0.0) ** q)
+        return self.scalar(r ** q)
 
     # -- sampling: plain matrices ---------------------------------------------
 

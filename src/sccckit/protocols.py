@@ -9,22 +9,33 @@ Its six checks are one table that ``report.CheckRunner`` runs as whole
 checks, trial 0 of one trial, drawing no random stream; the runner decides
 every status and builds the report.
 
-The teleportation measurement T and its corrections are fixed, like the
-structure maps of ``core`` and ``ortho``, so ``bell_teleportation_setup``
-builds them once per process (``MeasurementSpec.from_unitary`` checks T) and
-``run_teleportation`` reads them once per teleport.  The normalized Bell
-state (1/sqrt(2)) name(1_Q) is fixed too and is built once per process the
-same way (its name's unfoldings are compared on that build).  Sharing them
-is sound because neither build takes an argument, each returns frozen
-morphisms, and nothing downstream writes to them.  The weighted-bit collapse
-witness takes no argument either and is built once per process; since it is
-a dict that lands in a report, each caller gets its own copy.
+What a teleport computes without reading its input is built once:
+
+* once per process: the teleportation measurement T and its corrections
+  (``bell_teleportation_setup``; ``MeasurementSpec.from_unitary`` checks T),
+  the normalized Bell state (1/sqrt(2)) name(1_Q) (its name's unfoldings
+  are compared on that build) and the weighted-bit collapse witness;
+* once per measurement unitary T: the four outcome arms p_i o T, their
+  ``cc_map`` legs 1_Q (x) (p_i o T) and the receiving unitor rho_Q(dagger)
+  (``_measurement_legs``);
+* once per corrections tuple: the adjoints beta_i(dagger) (``_adjoints``).
+
+``run_teleportation`` reads the set-up once per teleport, and
+``_teleport_branches`` composes only the arrows that depend on the input.
+Sharing is sound for the same reason as for the structure maps of ``core``
+and ``ortho``: each build is a deterministic function of its key, a key
+morphism (or tuple of them) compares and hashes by identity and its array is
+frozen, every result is a frozen morphism, and nothing downstream writes to
+one.  Each is built from the primitives, so a broken primitive is cached
+broken and the teleport rows still catch it.  The collapse witness is a dict
+that lands in a report, so each caller gets its own copy.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,6 +183,31 @@ def _bell_state() -> Morphism:
                             core.name(identity(qubit(), COMPLEX)))
 
 
+class _MeasurementLegs(NamedTuple):
+    """The arrows of a teleport through one measurement unitary T that do
+    not read the input psi."""
+
+    arms: BranchTuple      # p_i o T, one per outcome
+    legs: BranchTuple      # cc_map(Q, arms): 1_Q (x) (p_i o T)
+    receive: Morphism      # rho_Q(dagger): Q @ I -> Q
+
+
+@lru_cache(maxsize=64)
+def _measurement_legs(t: Morphism) -> _MeasurementLegs:
+    """The arms, legs and receiving unitor of a teleport through ``t``,
+    built once per unitary (see the module docstring)."""
+    spec = MeasurementSpec(t, ortho.decomposition(UNIT, UNIT, UNIT, UNIT))
+    arms = BranchTuple(tuple(spec.branch_map(i) for i in range(len(spec))))
+    q = qubit()
+    return _MeasurementLegs(arms, cc_map(q, arms), dagger(core.rho(q, COMPLEX)))
+
+
+@lru_cache(maxsize=64)
+def _adjoints(fs: tuple[Morphism, ...]) -> tuple[Morphism, ...]:
+    """f(dagger) of each f, built once per tuple (see the module docstring)."""
+    return tuple(dagger(f) for f in fs)
+
+
 def _teleport_branches(psi: Morphism,
                        t: Morphism | None = None) -> tuple[list[Morphism], Morphism]:
     """Run the pipeline; returns raw branch states and the Bell state used.
@@ -180,22 +216,19 @@ def _teleport_branches(psi: Morphism,
     swap the receiving factor to the front, distribute it over the four
     measurement outcomes (the unitary ``t``, by default the one of
     ``bell_teleportation_setup``) with the classical-communication map, and
-    strip the scalar leg with a unitor.
+    strip the scalar leg with a unitor.  Only the arrows that read ``psi``
+    are composed here; the rest comes from ``_measurement_legs``.
     """
     q = qubit()
     s = COMPLEX
     if t is None:
         t, _ = bell_teleportation_setup()
     bell = _bell_state()
-    four = ortho.decomposition(UNIT, UNIT, UNIT, UNIT)
     paired = compose(tensor(psi, bell), core.lam(UNIT, s))
     joint = compose(core.sigma(q @ q, q, s),
                     compose(core.alpha(q, q, q, s), paired))
-    spec = MeasurementSpec(t, four)
-    meas = BranchTuple(tuple(spec.branch_map(i) for i in range(4)))
-    distributed = cc_map(q, meas)
-    rho_back = dagger(core.rho(q, s))
-    outs = [compose(rho_back, compose(m, joint)) for m in distributed]
+    _, legs, receive = _measurement_legs(t)
+    outs = [compose(receive, compose(m, joint)) for m in legs]
     return outs, bell
 
 
@@ -227,6 +260,7 @@ def run_teleportation(psi: Morphism | None = None,
     runner = CheckRunner(trials=1, seed=seed)
     tol = runner.tol
     t, betas = bell_teleportation_setup()
+    undo = _adjoints(betas)
     outs, _ = _teleport_branches(psi, t)
     norm = float(np.sqrt(total))
     probs = [float(core.hs_norm_sq(out).array[0, 0].real) for out in outs]
@@ -239,8 +273,8 @@ def run_teleportation(psi: Morphism | None = None,
 
     def branch(i):
         def check(_):
-            corrected = compose(dagger(betas[i]), outs[i])
-            phase_ok = wequal(compose(dagger(betas[i]), shifted_outs[i]),
+            corrected = compose(undo[i], outs[i])
+            phase_ok = wequal(compose(undo[i], shifted_outs[i]),
                               unit_target, tol).equal
             witness = {"output": serialize_morphism(outs[i]),
                        "corrected": serialize_morphism(corrected),

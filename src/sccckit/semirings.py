@@ -10,6 +10,7 @@ compare: entry by entry in the law spot checks, whole arrays for arrows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
@@ -21,10 +22,33 @@ from .errors import SemiringLawViolation
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
+# how far a value read off complex kernels may stray from the reals, relative
+# to max(1, |v|): its rounding residual grows with its magnitude
+REAL_TOL = 1e-9
 
 
 def max_abs(arr: np.ndarray) -> float:
     return 0.0 if arr.size == 0 else float(np.abs(arr).max())
+
+
+def real_value(v) -> float | None:
+    """v as a float when it is real, else None.
+
+    A real value computed in complex arithmetic keeps a rounding residual in
+    its imaginary part, so v counts as real unless that part exceeds
+    ``REAL_TOL`` * max(1, |v|) or is infinite.
+    """
+    v = complex(v)
+    if abs(v.imag) > REAL_TOL * max(1.0, abs(v)) or math.isinf(v.imag):
+        return None
+    return v.real
+
+
+def nonneg_value(v) -> float | None:
+    """v as a float clamped at 0 when it is real (``real_value``) and not
+    below -``REAL_TOL``, else None."""
+    r = real_value(v)
+    return None if r is None or r < -REAL_TOL else max(r, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,7 @@ from .morphisms import (Morphism, compose, dagger, kernel_array, lower_star,
 from .objects import Gen, UNIT, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
                      serialize_morphism)
+from .semirings import nonneg_value, real_value
 
 
 def lift(f: Morphism) -> np.ndarray:
@@ -134,25 +135,22 @@ class WProjModel(ModelHandle):
         return wequal(f, g, rel).equal
 
     def scalar(self, value) -> Morphism:
-        v = complex(value)
-        if abs(v.imag) > 1e-9 or v.real < -1e-9:
+        r = nonneg_value(value)
+        if r is None:
             raise TypeMismatch(f"quotient scalars are nonnegative reals, got {value}")
-        return scalar(np.sqrt(max(v.real, 0.0)), self.semiring)
+        return scalar(np.sqrt(r), self.semiring)
 
     def scalar_value(self, s: Morphism):
-        """The doubled value c c(dagger) of the scalar class of c.
-
-        The rounding residual in its imaginary part grows with |c|^2, so the
-        value is refused as non-real only past 1e-9 times its magnitude (and
-        past 1e-9 below magnitude 1).
-        """
+        """The doubled value c c(dagger) of the scalar class of c, refused
+        unless it is real by ``semirings.real_value``'s rule."""
         if not s.is_scalar:
             raise TypeMismatch(f"not a scalar: {s!r}")
         v = lift(s).item()
         if isinstance(v, complex):
-            if abs(v.imag) > 1e-9 * max(1.0, abs(v)):
+            r = real_value(v)
+            if r is None:
                 raise TypeMismatch(f"doubled scalar came out non-real: {v}")
-            return float(v.real)
+            return r
         return v
 
 

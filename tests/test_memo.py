@@ -7,19 +7,24 @@ so a copy of a semiring with equal fields gets its own entries.  Reports at a
 fixed seed must not depend on what ran before them in the process.
 """
 
+import ast
+import copy
 import dataclasses
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sccckit
 from sccckit import (BOOLEAN, COMPLEX, NONNEG, UNIT, ZERO, Dual, Gen, Morphism,
                      Oplus, Tensor, compose, core, dagger, derived_sum, dim,
                      direct_sum, dual, identity, ortho, partial_trace, protocols,
                      scalar, tensor)
 from sccckit.cli import main
+from sccckit.morphisms import eye
 from sccckit.semirings import corrupted_complex
 
 SEMIRINGS = [COMPLEX, BOOLEAN, NONNEG, corrupted_complex()]
@@ -179,6 +184,162 @@ def test_bell_state_is_built_once_and_matches_a_fresh_build():
                              core.name(identity(q, COMPLEX)))
     assert_same(bell, fresh)
     assert_same(bell, protocols._bell_state.__wrapped__())
+
+
+def test_eye_is_built_once_per_dimension_and_matches_a_fresh_build():
+    for s in SEMIRINGS:
+        for n in range(5):
+            got = eye(n, s)
+            assert eye(n, s) is got
+            want = eye.__wrapped__(n, s)
+            assert got.dtype == want.dtype == s.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
+
+# -- the per-unitary legs of a teleport ---------------------------------------
+
+def chain_teleport_branches(psi, t):
+    """_teleport_branches with every leg built per call, as one pipeline."""
+    q, s = protocols.qubit(), COMPLEX
+    bell = core.scalar_mult(scalar(1 / np.sqrt(2), s), core.name(identity(q, s)))
+    paired = compose(tensor(psi, bell), core.lam(UNIT, s))
+    joint = compose(core.sigma(q @ q, q, s), compose(core.alpha(q, q, q, s), paired))
+    four = ortho.decomposition(UNIT, UNIT, UNIT, UNIT)
+    arms = [compose(ortho.pseudo_projection(four, i, s), t) for i in range(4)]
+    rho_back = dagger(core.rho(q, s))
+    return [compose(rho_back, compose(tensor(identity(q, s), a), joint)) for a in arms]
+
+
+def flat_legs(legs):
+    return [*legs.arms, *legs.legs, legs.receive]
+
+
+def rows_permuted(t):
+    """Another unitary with T's ends: its rows rotated by one."""
+    return Morphism(t.dom, t.cod, np.roll(t.array, 1, axis=0), t.semiring)
+
+
+def test_measurement_legs_are_built_once_per_unitary_and_match_a_fresh_build():
+    t, _ = protocols.bell_teleportation_setup()
+    legs = protocols._measurement_legs(t)
+    again = protocols._measurement_legs(t)
+    assert again is legs
+    assert all(x is y for x, y in zip(flat_legs(again), flat_legs(legs)))
+    fresh = protocols._measurement_legs.__wrapped__(t)
+    assert len(flat_legs(legs)) == len(flat_legs(fresh)) == 9
+    for got, want in zip(flat_legs(legs), flat_legs(fresh)):
+        assert_same(got, want)
+
+
+def test_correction_adjoints_are_built_once_and_match_a_fresh_build():
+    _, betas = protocols.bell_teleportation_setup()
+    undo = protocols._adjoints(betas)
+    assert protocols._adjoints(betas) is undo
+    assert len(undo) == len(betas) == 4
+    for got, want, beta in zip(undo, protocols._adjoints.__wrapped__(betas), betas):
+        assert_same(got, want)
+        assert_same(got, dagger(beta))
+
+
+def test_another_unitary_gets_its_own_legs():
+    t, _ = protocols.bell_teleportation_setup()
+    legs = protocols._measurement_legs(t)
+    permuted = rows_permuted(t)
+    # a copy of T has equal entries but is another key, like a copied semiring
+    for other in (permuted, copy.copy(t)):
+        theirs = protocols._measurement_legs(other)
+        assert protocols._measurement_legs(other) is theirs
+        assert not {id(f) for f in flat_legs(theirs)} & {id(f) for f in flat_legs(legs)}
+        fresh = protocols._measurement_legs.__wrapped__(other)
+        for got, want in zip(flat_legs(theirs), flat_legs(fresh)):
+            assert_same(got, want)
+    arm = protocols._measurement_legs(permuted).arms.branches[0]
+    assert not np.array_equal(arm.array, legs.arms.branches[0].array)
+
+
+@pytest.mark.parametrize("which", ["setup", "rows-permuted"])
+def test_teleport_branches_give_the_per_call_chain_bit_for_bit(which):
+    t, _ = protocols.bell_teleportation_setup()
+    if which == "rows-permuted":
+        t = rows_permuted(t)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        psi = Morphism(UNIT, protocols.qubit(), rng.normal(size=(2, 1))
+                       + 1j * rng.normal(size=(2, 1)), COMPLEX)
+        outs, _ = protocols._teleport_branches(psi, t)
+        want = chain_teleport_branches(psi, t)
+        assert len(outs) == len(want) == 4
+        for got, w in zip(outs, want):
+            assert_bits(got, w)
+
+
+# -- every memo in the package is vouched for -----------------------------------
+
+# memos compared with a fresh build (``__wrapped__``) in this file; the
+# collapse witness is compared in test_protocols.py, with its per-caller copy
+FRESH_BUILT = {fn for fn, _ in calls()} | {
+    eye, protocols._bell_teleportation_setup, protocols._bell_state,
+    protocols._measurement_legs, protocols._adjoints,
+    protocols._weighted_bit_collapse_witness}
+
+# memos compared with nothing, and why sharing one is sound
+UNCOMPARED = {
+    "cli.build_parser": "parsing never changes the parser; test_cli replays a "
+                        "warm parser against a fresh process",
+    "models.fdhilb": "a frozen handle of a name and a shipped semiring",
+    "models.rel_model": "a frozen handle of a name and a shipped semiring",
+    "models.weight_model": "a frozen handle of a name and a shipped semiring",
+    "objects.dim": "an int, a function of one immutable object expression",
+    "objects.normalize": "an immutable object expression, a function of another",
+    "report._seed_words_class": "a class that holds no state of its own",
+    "semirings.InvolutiveSemiring.approx_equal": "one of two module functions, "
+                                                 "picked by the frozen field exact",
+    "semirings.InvolutiveSemiring.idempotent": "a bool read off the frozen fields "
+                                               "zero, one and add",
+}
+MEMOIZERS = {"lru_cache", "cache", "cached_property"}
+
+
+def _memoizer(node) -> bool:
+    """Whether a decorator or a call names one of ``MEMOIZERS``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in MEMOIZERS
+
+
+def _memo_names(tree, module):
+    """'module.qualname' of each function or method decorated with a memoizer."""
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_memoizer(d) for d in node.decorator_list):
+                    yield f"{prefix}{node.name}"
+                yield from visit(node.body, f"{prefix}{node.name}.")
+
+    yield from visit(tree.body, f"{module}.")
+
+
+def test_every_memo_is_compared_with_a_fresh_build_or_has_a_reason():
+    found = set()
+    for path in sorted(Path(sccckit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found |= set(_memo_names(tree, path.stem))
+        # a memoizer applied other than as a decorator would escape the scan
+        decorators = {id(d) for node in ast.walk(tree)
+                      for d in getattr(node, "decorator_list", [])}
+        stray = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and id(node) not in decorators
+                 and _memoizer(node)]
+        assert not stray, (path.name, stray)
+    compared = {f"{fn.__module__.rsplit('.', 1)[1]}.{fn.__qualname__}"
+                for fn in FRESH_BUILT}
+    assert not compared & set(UNCOMPARED)
+    assert found == compared | set(UNCOMPARED), (
+        sorted(found - compared - set(UNCOMPARED)),
+        sorted((compared | set(UNCOMPARED)) - found))
 
 
 # -- reports do not depend on what ran before them ---------------------------

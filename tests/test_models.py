@@ -30,7 +30,7 @@ from sccckit import (
     semiring_model,
     weight_model,
 )
-from sccckit import models
+from sccckit import born, models
 from sccckit.semirings import check_semiring_laws, corrupted_complex
 
 from fractions import Fraction
@@ -159,6 +159,28 @@ def test_scalar_power_root():
     assert got == pytest.approx(2.0)
     with pytest.raises(RootUnavailable):
         m.scalar_power(m.scalar(-4.0 + 0j), Fraction(1, 2))
+
+
+def test_large_real_scalars_are_rooted_and_non_real_ones_refused():
+    # Tr(f(dagger) f) of a 3x3 sample scaled by 1e4 is about 1e9, and its
+    # imaginary rounding residual, near 1e-8, is far above 1e-9 yet far
+    # below the value: every draw has a square root
+    m = fdhilb()
+    rng = np.random.default_rng(61)
+    a, b = Gen("A", 3), Gen("B", 3)
+    for _ in range(200):
+        f = m.sample_morphism(rng, a, b)
+        big = Morphism(a, b, f.array * 1e4, COMPLEX)
+        got = m.scalar_value(born.valuation_norm(m, big, Fraction(1, 2)))
+        assert got == pytest.approx(np.linalg.norm(big.array))
+    w = resolve_model("wproj:fdhilb")
+    assert w.scalar_value(w.scalar(1e10 + 1e-8j)) == pytest.approx(1e10)
+    # an infinite imaginary part is no rounding residual, at any magnitude
+    for bad in (1 + 1j, -4, complex(1, np.inf)):
+        with pytest.raises(RootUnavailable):
+            m.scalar_power(m.scalar(bad), Fraction(1, 2))
+        with pytest.raises(TypeMismatch, match="nonnegative"):
+            w.scalar(bad)
 
 
 def test_boolean_scalar_power_is_idempotent():

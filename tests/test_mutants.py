@@ -8,13 +8,18 @@ import pytest
 
 from sccckit import (COMPLEX, CriterionDisagreement, Gen, ModelHandle, Tensor,
                      WProjModel, core, dim, dual, morphisms, ortho,
-                     resolve_model, run_suite, scalar, scalar_mult, wequal,
-                     wproj)
+                     resolve_model, run_suite, run_teleportation, scalar,
+                     scalar_mult, wequal, wproj)
 from sccckit.morphisms import _derived, adopt, eye, kernel_array
 
 
 def _failed(suite: str, selector: str) -> list[str]:
-    report = run_suite(suite, resolve_model(selector), trials=10, seed=3)
+    """The failing rows of a suite, or of ``protocol teleport`` as "teleport"."""
+    model = resolve_model(selector)
+    if suite == "teleport":
+        report = run_teleportation(model=model, seed=3)
+    else:
+        report = run_suite(suite, model, trials=10, seed=3)
     return [r.check_name for r in report.results if r.status == "fail"]
 
 
@@ -112,23 +117,43 @@ def _retyped_identity_sigma(a, b, s):
     return adopt(Tensor(a, b), Tensor(b, a), eye(dim(a) * dim(b), s), s)
 
 
+_dagger = morphisms.dagger
+
+
+def _untransposed_dagger(f):
+    """Conjugates a square arrow without transposing it; the true dagger otherwise."""
+    if f.array.shape[0] != f.array.shape[1]:
+        return _dagger(f)
+    return _derived(f.cod, f.dom, f.semiring.involution(f.array), f.semiring,
+                    f.array.shape)
+
+
+def _entrywise_max(f, g):
+    return adopt(f.dom, f.cod, np.maximum(f.array, g.array), f.semiring)
+
+
 _name_array = core.name_array
 
 SCALAR_ROWS = ["scalar-through-compose", "scalar-through-tensor"]
+# the four corrected-branch rows of protocol teleport
+BRANCH_ROWS = [f"branch-{i}" for i in range(4)]
 
 
 @pytest.mark.parametrize("module,attr,mutant,catches", [
     (morphisms, "lower_star", _unconjugated_lower_star, {
         ("sccc", "fdhilb"): ["dagger-factorization"],
         ("sccc", "wproj:fdhilb"): ["dagger-factorization"],
-        ("wproj", "wproj:fdhilb"): ["equality-criteria-agree"]}),
+        ("wproj", "wproj:fdhilb"): ["equality-criteria-agree"],
+        ("teleport", "fdhilb"): BRANCH_ROWS}),
+    # every teleport row still passes with it installed
     (morphisms, "tensor", _swapped_tensor, {
         ("sccc", "fdhilb"): ["swap-naturality"]}),
     # the right-hand sides of the scalar-through rows scale with the
     # semiring's kernel, so they see a scalar action that does nothing
     (core, "scalar_mult", lambda s_mor, f: f, {
-        ("sccc", selector): SCALAR_ROWS
-        for selector in ("fdhilb", "wproj:fdhilb", "weights")}),
+        **{("sccc", selector): SCALAR_ROWS
+           for selector in ("fdhilb", "wproj:fdhilb", "weights")},
+        ("teleport", "fdhilb"): BRANCH_ROWS + ["probability-conservation"]}),
     # a conjugated name: conj(n) conj(n)(dagger) is the conjugate of the
     # projector, so the quotient's criteria still agree, and the rows that
     # read names as vectors catch it
@@ -143,10 +168,22 @@ SCALAR_ROWS = ["scalar-through-compose", "scalar-through-tensor"]
     (wproj, "canonical_rep", lambda f: f, {
         ("wproj", "wproj:fdhilb"): ["canonical-representative-phase-free"]}),
     (core, "sigma", _retyped_identity_sigma, {
-        ("sccc", "fdhilb"): ["swap-naturality", "partial-trace-of-swap"]}),
+        ("sccc", "fdhilb"): ["swap-naturality", "partial-trace-of-swap"],
+        ("teleport", "fdhilb"): BRANCH_ROWS + ["probability-conservation"]}),
+    (morphisms, "dagger", _untransposed_dagger, {
+        ("sccc", selector): ["dagger-factorization", "structural-isos-unitary"]
+        for selector in ("fdhilb", "rel")}),
+    # a commutative monoid with unit 0 on weights, so only the rows that
+    # state the sum's formula, or read it through a trace, see it
+    (ortho, "derived_sum", _entrywise_max, {
+        ("ortho", "weights"): ["derived-sum-is-entrywise",
+                               "derived-sum-matches-biproduct-sum"],
+        ("born", "weights"): ["diagonal-axiom-derived-sum", "trace-linearity",
+                              "sum-trace-vs-block-trace"]}),
 ], ids=["lower-star-unconjugated", "tensor-factors-swapped",
         "scalar-mult-ignores-scalar", "name-conjugated", "derived-sum-is-f",
-        "canonical-rep-unrotated", "sigma-retyped-identity"])
+        "canonical-rep-unrotated", "sigma-retyped-identity",
+        "dagger-untransposed", "derived-sum-entrywise-max"])
 def test_a_broken_primitive_fails_its_rows(module, attr, mutant, catches):
     with _everywhere(module, attr, mutant):
         for (suite, selector), rows in catches.items():
