@@ -6,7 +6,9 @@ reals with the identity involution (``weights``).  A semiring carries both the
 scalar operations (used to spot-check the laws) and vectorized numpy kernels
 (used for all matrix work): matmul, kron, elementwise scaling, conjugation and
 a scale-aware approximate equality.  ``exact`` alone decides how values
-compare: entry by entry in the law spot checks, whole arrays for arrows.
+compare: entry by entry in the law spot checks, whole arrays for arrows, and
+one array against a stack of arrays (``equal_to_each``, the batched
+``approx_equal`` that exhaustive grids decide with).
 """
 from __future__ import annotations
 
@@ -107,6 +109,31 @@ class InvolutiveSemiring:
         # python's max(ma, mb), NaN included, as _tolerant_equal reads it
         scale = np.where(mb > ma, mb, ma)
         return (gap <= ABS_TOL) | (gap <= REL_TOL * scale)
+
+    def equal_to_each(self, a: np.ndarray, stack: np.ndarray,
+                      rel: float | None = None) -> np.ndarray:
+        """``approx_equal`` of a against every array of a stack, in one pass.
+
+        Entry j of the result is ``approx_equal(a, stack[j], rel)``: over
+        all entries ``a == stack[j]`` when ``exact``, else the gap
+        max|a - stack[j]| within ``ABS_TOL``, or within ``rel`` (default
+        ``REL_TOL``) times python's ``max`` of the two arrays' largest
+        magnitudes.  A NaN gap decides False, as in ``_tolerant_equal``.
+        """
+        k = len(stack)
+        if stack.shape[1:] != a.shape:
+            return np.zeros(k, dtype=bool)
+        axes = tuple(range(1, stack.ndim))
+        if self.exact:
+            return (a == stack).all(axis=axes)
+        if a.size == 0:
+            return np.ones(k, dtype=bool)
+        gap = np.abs(a - stack).max(axis=axes)
+        ma, mb = max_abs(a), np.abs(stack).max(axis=axes)
+        scale = np.where(mb > ma, mb, ma)
+        # python's 0.0 * inf is a silent NaN; numpy's warns
+        with np.errstate(invalid="ignore"):
+            return (gap <= ABS_TOL) | (gap <= (REL_TOL if rel is None else rel) * scale)
 
     @cached_property
     def idempotent(self) -> bool:

@@ -226,22 +226,29 @@ def _grid_check(model, tol):
 
     Every matrix over the entry grid 0, 1, 1 + 1 of the semiring is paired
     with every other of the same shape; any pair with equal doubled forms
-    must be equal.
+    must be equal.  A shape's matrices share one type, and so do their
+    doubled forms, so each side is stacked once and matrix i is decided
+    against its whole shape class with two ``equal_to_each`` calls, one on
+    the doubled forms and one on the matrices.  The witness is the first
+    failing pair (i, j) in row-major order.
     """
-    entries = model.semiring.multiples(3)
+    s = model.semiring
+    entries = s.multiples(3)
     shapes = [(1, 1), (1, 2), (2, 1), (2, 2)]
     checked = 0
     for rows, cols in shapes:
         dom = UNIT if cols == 1 else Gen("A", cols)
         cod = UNIT if rows == 1 else Gen("B", rows)
         cells = rows * cols
-        mats = [Morphism(dom, cod, np.array(v).reshape(rows, cols), model.semiring)
+        mats = [Morphism(dom, cod, np.array(v).reshape(rows, cols), s)
                 for v in product(entries, repeat=cells)]
-        doubles = [core.double(f) for f in mats]
+        mat_stack = np.stack([f.array for f in mats])
+        double_stack = np.stack([core.double(f).array for f in mats])
         for i, f in enumerate(mats):
-            for j, g in enumerate(mats):
-                if (model.equal(doubles[i], doubles[j], tol)
-                        and not model.equal(f, g, tol)):
-                    return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
-                checked += 1
+            bad = (s.equal_to_each(double_stack[i], double_stack, tol)
+                   & ~s.equal_to_each(f.array, mat_stack, tol))
+            if bad.any():
+                g = mats[int(np.argmax(bad))]
+                return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
+            checked += len(mats)
     return Held({"pairs_checked": checked})

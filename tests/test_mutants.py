@@ -191,6 +191,34 @@ def test_a_broken_primitive_fails_its_rows(module, attr, mutant, catches):
             assert not missed, (suite, selector, sorted(missed))
 
 
+def _zero_double(f):
+    """The zero matrix of f's doubled type A @ B -> B @ A, whatever f holds."""
+    m, n = f.array.shape
+    return adopt(Tensor(f.dom, f.cod), Tensor(f.cod, f.dom),
+                 np.zeros((m * n, n * m), f.semiring.dtype), f.semiring)
+
+
+EXHAUSTIVE = "doubles-determine-morphisms-exhaustive"
+
+
+@pytest.mark.parametrize("selector,pairs", [("weights", 6732), ("rel", 292)])
+def test_a_double_that_ignores_its_argument_fails_the_exhaustive_row(selector, pairs):
+    # the sampled rows pair f with f times a unit, which on a phase-free
+    # model is f itself, so only the grid meets two matrices that differ
+    model = resolve_model(selector)
+    healthy = run_suite("prep-state", model, trials=10, seed=3)
+    assert {r.check_name: r.witness for r in healthy.results}[EXHAUSTIVE] == {
+        "pairs_checked": pairs}
+    with _everywhere(core, "double", _zero_double):
+        report = run_suite("prep-state", model, trials=10, seed=3)
+    failed = {r.check_name: r.witness for r in report.results if r.status == "fail"}
+    assert list(failed) == [EXHAUSTIVE]
+    unit = {"dom": "I", "cod": "I"}
+    assert failed[EXHAUSTIVE] == {"f": {**unit, "entries": [[0.0, 0.0]]},
+                                  "g": {**unit, "entries": [[1.0, 0.0]]},
+                                  "trial": 0}
+
+
 def test_a_name_that_is_not_phase_covariant_splits_the_criteria():
     # the real part of a name does not rotate with f, so the projector
     # criterion alone separates f from a phase of it

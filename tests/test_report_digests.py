@@ -20,7 +20,7 @@ from sccckit.cli import main
 DIGESTS = Path(__file__).with_name("report_digests.json")
 
 _VERIFY = [("sccc", "fdhilb"), ("sccc", "rel"), ("ortho", "fdhilb"),
-           ("ortho", "rel"), ("prep-state", "weights"),
+           ("ortho", "rel"), ("prep-state", "weights"), ("prep-state", "rel"),
            ("prep-state", "wproj:fdhilb"), ("wproj", "wproj:fdhilb"),
            ("wproj", "wproj:rel"), ("born", "wproj:fdhilb"),
            ("equivalence", "wproj:fdhilb")]

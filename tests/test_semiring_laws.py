@@ -3,7 +3,8 @@
 ``check_semiring_laws`` computes both sides of every law with the scalar
 operations and decides them all in one ``entrywise_equal`` pass.  These tests
 pin the law count, tie the entrywise criterion to the matrix-level
-``approx_equal`` on one-entry arrays, pin the first violation's message for
+``approx_equal`` on one-entry arrays and the batched ``equal_to_each`` to it
+pair by pair, pin the first violation's message for
 four broken semirings, and show that set-up makes no matrix equality call.
 """
 import dataclasses
@@ -64,7 +65,7 @@ def _complex_pairs():
     return pairs
 
 
-@pytest.mark.parametrize("s, pairs", [
+PAIRS = pytest.mark.parametrize("s, pairs", [
     (COMPLEX, _complex_pairs()),
     (COMPLEX, _real_pairs()),
     (NONNEG, _real_pairs()),
@@ -72,6 +73,9 @@ def _complex_pairs():
     (dataclasses.replace(COMPLEX, name="complex-exact", exact=True), _complex_pairs()),
     (BOOLEAN, list(product([False, True], repeat=2))),
 ], ids=["complex", "complex-real", "nonneg", "nonneg-exact", "complex-exact", "boolean"])
+
+
+@PAIRS
 def test_entrywise_equal_agrees_with_approx_equal_per_entry(s, pairs):
     with np.errstate(invalid="ignore", over="ignore"):
         a = np.array([p for p, _ in pairs], dtype=s.dtype)
@@ -81,6 +85,42 @@ def test_entrywise_equal_agrees_with_approx_equal_per_entry(s, pairs):
     assert got.dtype == np.bool_ and got.shape == a.shape
     assert got.tolist() == want
     assert set(want) == {True, False}
+
+
+@PAIRS
+@pytest.mark.parametrize("rel", [None, 0.0, 1e3])
+def test_equal_to_each_agrees_with_approx_equal_pair_by_pair(s, pairs, rel):
+    # each left value against the right values it is paired with, then
+    # against every right value; a zero beside it makes each array two
+    # entries wide without moving either operand's scale
+    rights = {}
+    for p, q in pairs:
+        rights.setdefault(p, []).append(q)
+    everything = list(dict.fromkeys(q for _, q in pairs))
+    verdicts = set()
+    for copy in (s, dataclasses.replace(s, name=f"{s.name}-copy")):
+        with np.errstate(invalid="ignore", over="ignore"):
+            for p, qs in rights.items():
+                a = np.array([[p, s.zero]], dtype=s.dtype)
+                for stack_of in (qs, qs[:1], everything[:2], everything):
+                    stack = np.array([[[q, s.zero]] for q in stack_of], dtype=s.dtype)
+                    got = copy.equal_to_each(a, stack, rel)
+                    want = [copy.approx_equal(a, b, rel) for b in stack]
+                    assert got.dtype == np.bool_ and got.tolist() == want, (p, rel)
+                    verdicts.update(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("s", SHIPPED, ids=lambda s: s.name)
+def test_equal_to_each_on_empty_arrays_and_other_shapes(s):
+    a = np.zeros((2, 2), s.dtype)
+    for stack in (np.zeros((3, 2, 3), s.dtype), np.zeros((3, 4), s.dtype)):
+        assert s.equal_to_each(a, stack).tolist() == [False] * len(stack)
+        assert not s.approx_equal(a, stack[0])
+    assert s.equal_to_each(a, np.zeros((0, 2, 2), s.dtype)).shape == (0,)
+    empty = np.zeros((0, 3), s.dtype)
+    assert s.equal_to_each(empty, np.zeros((2, 0, 3), s.dtype)).tolist() == [True] * 2
+    assert s.approx_equal(empty, empty)
 
 
 def test_approx_equal_follows_exact_alone():

@@ -9,8 +9,10 @@ from sccckit import (
     COMPLEX,
     CriterionDisagreement,
     Gen,
+    ModelHandle,
     Morphism,
     TypeMismatch,
+    UNIT,
     WProjModel,
     canonical_rep,
     double,
@@ -23,8 +25,8 @@ from sccckit import (
     wequal,
     weight_model,
 )
-from sccckit import morphisms
-from sccckit.report import deserialize_morphism
+from sccckit import core, morphisms, wproj
+from sccckit.report import Held, deserialize_morphism, serialize_morphism
 from sccckit.semirings import corrupted_complex
 
 Q = Gen("Q", 2)
@@ -176,6 +178,67 @@ def double_calls(monkeypatch):
 
     monkeypatch.setattr(core, "double", counting)
     return calls
+
+
+@pytest.mark.parametrize("model,pairs,doubles", [
+    (weight_model(), 6732, 102), (rel_model(), 292, 26)], ids=["weights", "rel"])
+def test_the_exhaustive_row_compares_whole_shape_classes(monkeypatch, double_calls,
+                                                         model, pairs, doubles):
+    # one doubled form per matrix, and each matrix meets its shape class in
+    # two equal_to_each calls: no pair is decided by a matrix equality call
+    equal_calls = []
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            equal_calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    s = model.semiring
+    monkeypatch.setitem(vars(s), "approx_equal",
+                        counting("approx_equal", s.approx_equal))
+    monkeypatch.setattr(ModelHandle, "equal",
+                        counting("ModelHandle.equal", ModelHandle.equal))
+    row = next(c for c in wproj.prep_state_checks(model, None)
+               if c.name == "doubles-determine-morphisms-exhaustive")
+    assert row.fn(None) == Held({"pairs_checked": pairs})
+    assert equal_calls == []
+    assert len(double_calls) == doubles
+
+
+def _pairwise_grid(model, tol):
+    """The exhaustive row decided one pair at a time through ``model.equal``:
+    the reference the batched grid must reproduce, witness and count."""
+    entries = model.semiring.multiples(3)
+    checked = 0
+    for rows, cols in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        dom = UNIT if cols == 1 else Gen("A", cols)
+        cod = UNIT if rows == 1 else Gen("B", rows)
+        mats = [Morphism(dom, cod, np.array(v).reshape(rows, cols), model.semiring)
+                for v in product(entries, repeat=rows * cols)]
+        doubles = [core.double(f) for f in mats]
+        for i, f in enumerate(mats):
+            for j, g in enumerate(mats):
+                if (model.equal(doubles[i], doubles[j], tol)
+                        and not model.equal(f, g, tol)):
+                    return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
+                checked += 1
+    return Held({"pairs_checked": checked})
+
+
+def _capped_double(f):
+    """The doubled form of f with its entries capped at 1: on weights,
+    [[1]] and [[2]] share one."""
+    return double(Morphism(f.dom, f.cod, np.minimum(f.array, 1), f.semiring))
+
+
+@pytest.mark.parametrize("mutant", [None, _capped_double], ids=["healthy", "capped-double"])
+@pytest.mark.parametrize("model", [weight_model(), rel_model()], ids=["weights", "rel"])
+@pytest.mark.parametrize("tol", [None, 1e3])
+def test_the_batched_grid_reproduces_the_pairwise_grid(monkeypatch, model, mutant, tol):
+    if mutant is not None:
+        monkeypatch.setattr(core, "double", mutant)
+    assert wproj._grid_check(model, tol) == _pairwise_grid(model, tol)
 
 
 EDGES = [0.0, -0.0, 5e-324, 1e-200, 1e200, 1e308]  # 1e308 squared overflows
