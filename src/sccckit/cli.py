@@ -82,7 +82,7 @@ def _parse_state(text: str) -> Morphism:
     try:
         pairs = json.loads(text)
         column = np.array([[complex(re, im)] for re, im in pairs])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"bad --state literal: {exc}")
     if column.shape != (2, 1):
         raise ValueError("--state: teleportation takes a two-level state, "

@@ -28,11 +28,11 @@ morphism (or tuple of them) compares and hashes by identity and its array is
 frozen, every result is a frozen morphism, and nothing downstream writes to
 one.  Each is built from the primitives, so a broken primitive is cached
 broken and the teleport rows still catch it.  The collapse witness is a dict
-that lands in a report, so each caller gets its own copy.
+that lands in a report, so each caller gets its own dict, with its own
+entry and probability lists, copied from the built one.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -124,9 +124,16 @@ def weighted_bit_collapse_witness() -> dict:
     scalar components; their squared moduli cannot see relative phase, so
     the map from states to probability tuples is not injective and the block
     sum of units is not isomorphic to a classical pair of weights.  Built
-    once per process; each call returns its own copy.
+    once per process; each call returns its own copy, down to every list.
     """
-    return copy.deepcopy(_weighted_bit_collapse_witness())
+    built = _weighted_bit_collapse_witness()
+    witness = dict(built)
+    for key in ("psi", "phi"):
+        witness[key] = {**built[key],
+                        "entries": [list(pair) for pair in built[key]["entries"]]}
+    for key in ("probabilities_psi", "probabilities_phi"):
+        witness[key] = list(built[key])
+    return witness
 
 
 @lru_cache(maxsize=1)

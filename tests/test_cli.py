@@ -189,7 +189,8 @@ def test_cli_teleport_with_custom_state(capsys):
 
 def test_cli_teleport_rejects_bad_state(capsys):
     for state in ("[[1,0]]", "not json", "[[NaN,0],[1,0]]",
-                  "[[1,0],[0,Infinity]]", "[[0,0],[0,0]]"):
+                  "[[1,0],[0,Infinity]]", "[[0,0],[0,0]]",
+                  f"[[1{'0' * 400},0],[0,0]]", "[" * 100_000 + "]" * 100_000):
         assert main(["protocol", "teleport", "--state", state]) == 2, state
         assert "--state" in capsys.readouterr().err, state
 

@@ -153,14 +153,35 @@ def test_weighted_bit_collapse_is_judged(monkeypatch):
         assert not report.ok
 
 
+def _containers(tree):
+    """Every dict and list of a witness, the witness itself included."""
+    yield tree
+    for child in (tree.values() if isinstance(tree, dict) else tree):
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
 def test_weighted_bit_collapse_witness_is_built_once_and_copied():
     first = protocols.weighted_bit_collapse_witness()
     built = protocols._weighted_bit_collapse_witness.cache_info().misses
+    fresh = protocols._weighted_bit_collapse_witness.__wrapped__()
+    memo = protocols._weighted_bit_collapse_witness()
+    # no dict or list of a caller's witness is one of the memo's
+    assert not ({id(c) for c in _containers(first)}
+                & {id(c) for c in _containers(memo)})
+    for node in list(_containers(first)):
+        if isinstance(node, dict):
+            node["mutated"] = True
+        else:
+            if node and isinstance(node[0], list):
+                node[0][0] = -1.0
+            node.append(None)
     first["psi"]["entries"].clear()
     first["states_equal"] = True
     second = protocols.weighted_bit_collapse_witness()
     assert second is not first
-    assert second == protocols._weighted_bit_collapse_witness.__wrapped__()
+    assert second == fresh
+    assert protocols._weighted_bit_collapse_witness() == fresh
     assert protocols._weighted_bit_collapse_witness.cache_info().misses == built <= 1
 
 
