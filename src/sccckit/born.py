@@ -29,7 +29,7 @@ from .errors import TypeMismatch
 from .morphisms import Morphism, compose, dagger, direct_sum, scalar
 from .objects import Gen
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckResult,
-                     CheckRunner, Held, serialize_morphism)
+                     CheckRunner, Held, Law, serialize_morphism)
 
 
 def valuation_norm(model, f, nu=Fraction(1), trace_fn=None):
@@ -96,6 +96,7 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
     """
     s = model.semiring
     tr = trace_fn if trace_fn is not None else core.trace
+    law = Law(model, tol)
 
     def diagonal_blocks(decomp, h):
         return [compose(compose(ortho.pseudo_projection(decomp, i, s), h),
@@ -106,9 +107,7 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
         h = model.sample_positive(rng, decomp.whole)
         blocks = diagonal_blocks(decomp, h)
         rhs = scalar_sum(model, tr(blocks[0]), tr(blocks[1]), Fraction(1), trace_fn)
-        if not model.equal(tr(h), rhs, tol):
-            return {"h": serialize_morphism(h)}
-        return None
+        law(tr(h), rhs, lambda: {"h": serialize_morphism(h)})
 
     def diagonal_derived(rng):
         # same-shape split so the derived sum of the diagonal blocks also types
@@ -116,26 +115,24 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
         decomp = ortho.OplusDecomposition.from_parts([part, part])
         h = model.sample_positive(rng, decomp.whole)
         blocks = diagonal_blocks(decomp, h)
-        if not model.equal(tr(h), tr(ortho.derived_sum(blocks[0], blocks[1])), tol):
-            return {"h": serialize_morphism(h)}
-        return None
+        law(tr(h), tr(ortho.derived_sum(blocks[0], blocks[1])),
+            lambda: {"h": serialize_morphism(h)})
 
     def positive_pair(rng):
         a = Gen("A", int(rng.integers(1, 4)))
         return model.sample_positive(rng, a), model.sample_positive(rng, a)
 
+    def pair_witness(h, h2):
+        return lambda: {"h": serialize_morphism(h), "h_prime": serialize_morphism(h2)}
+
     def linearity(rng):
         h, h2 = positive_pair(rng)
-        lhs = scalar_sum(model, tr(h), tr(h2), Fraction(1), trace_fn)
-        if not model.equal(lhs, tr(ortho.derived_sum(h, h2)), tol):
-            return {"h": serialize_morphism(h), "h_prime": serialize_morphism(h2)}
-        return None
+        law(scalar_sum(model, tr(h), tr(h2), Fraction(1), trace_fn),
+            tr(ortho.derived_sum(h, h2)), pair_witness(h, h2))
 
     def block_trace(rng):
         h, h2 = positive_pair(rng)
-        if not model.equal(tr(ortho.derived_sum(h, h2)), tr(direct_sum(h, h2)), tol):
-            return {"h": serialize_morphism(h), "h_prime": serialize_morphism(h2)}
-        return None
+        law(tr(ortho.derived_sum(h, h2)), tr(direct_sum(h, h2)), pair_witness(h, h2))
 
     def norm_blocks(rng):
         a, decomp = _sample_split(rng)
@@ -143,9 +140,8 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
         parts = [compose(ortho.pseudo_projection(decomp, i, s), f) for i in range(2)]
         lhs = valuation_norm(model, f, Fraction(1), trace_fn)
         norms = [valuation_norm(model, p, Fraction(1), trace_fn) for p in parts]
-        if not model.equal(lhs, tr(direct_sum(norms[0], norms[1])), tol):
-            return {"f": serialize_morphism(f)}
-        return None
+        law(lhs, tr(direct_sum(norms[0], norms[1])),
+            lambda: {"f": serialize_morphism(f)})
 
     return [
         Check("diagonal-axiom", "Tr(h) = Tr(h_11) + Tr(h_22) for positive h",

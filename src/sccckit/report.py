@@ -24,7 +24,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation, SccckitError
-from .morphisms import Morphism
+from .morphisms import Morphism, distance
 from .objects import dim, format_object, parse_object
 from .semirings import REL_TOL
 
@@ -129,9 +129,12 @@ class Held(NamedTuple):
 class Check(NamedTuple):
     """One row of a check table.
 
-    ``fn(rng)`` returns None when the law held and a witness dict when it
-    failed; a whole check, whose ``rng`` is None, may return
-    ``Held(witness)`` to pass with one.  A
+    ``fn(rng)`` states each equation of its law as a call to the table's
+    ``Law``; the first one broken ends the row with its witness, and a row
+    that returns None held.  A row that decides without ``model.equal``
+    (a fixed threshold, an exception, a criterion breakdown) returns its
+    witness dict instead when it fails.  A whole check, whose ``rng`` is
+    None, may return ``Held(witness)`` to pass with one.  A
     conditional per-trial check returns VACUOUS on trials whose antecedent
     did not hold and passes with the count of those where it did.  An
     expected-fail check returns (violated, witness): the violation is the
@@ -143,6 +146,41 @@ class Check(NamedTuple):
     kind: str
     fn: Callable
     conditional: bool = False
+
+
+class Broken(Exception):
+    """A law's two sides differ; carries the witness that ends its row.
+
+    Not a ``SccckitError``: a broken law is the check's verdict, not a
+    library error.
+    """
+
+    def __init__(self, witness: dict):
+        super().__init__(witness)
+        self.witness = witness
+
+
+class Law:
+    """The one comparer of a check table, bound to a model and a tolerance.
+
+    ``law(lhs, rhs, witness)`` decides ``model.equal(lhs, rhs, tol)``.  When
+    the two sides differ it raises ``Broken`` with ``witness``: a dict, or a
+    zero-argument callable run only then; when omitted, the sides'
+    ``distance``.  ``CheckRunner`` records that as the row's failure.
+    """
+
+    def __init__(self, model, tol: float):
+        self.model = model
+        self.tol = tol
+
+    def __call__(self, lhs: Morphism, rhs: Morphism, witness=None) -> None:
+        if self.model.equal(lhs, rhs, self.tol):
+            return
+        if witness is None:
+            witness = {"distance": distance(lhs, rhs)}
+        elif callable(witness):
+            witness = witness()
+        raise Broken(witness)
 
 
 class CheckRunner:
@@ -163,8 +201,8 @@ class CheckRunner:
     form.  A word outside [0, 2^32) keeps the list form itself.  ``stream``
     and ``run`` share this one path.  A whole or expected-fail check runs
     once, as trial 0, and is called with None: it draws nothing, so the
-    runner seeds no stream for it.  A ``SccckitError`` raised by any check
-    is that check's failure.
+    runner seeds no stream for it.  A broken ``Law`` and a ``SccckitError``
+    raised by any check are that check's failure.
     """
 
     def __init__(self, trials: int, seed: int, tolerance: float | None = None):
@@ -205,7 +243,7 @@ class CheckRunner:
         rngs = self._streams(idx, range(self.trials)) if kind == PER_TRIAL else [None]
         for trial, rng in enumerate(rngs):
             try:
-                outcome = fn(rng)
+                outcome = _outcome(fn, rng)
             except SccckitError as exc:
                 return _failed(name, law, {"error": str(exc)}, trial)
             if kind == EXPECTED_FAIL:
@@ -224,6 +262,15 @@ class CheckRunner:
             held += 1
         return CheckResult(name, law, "pass",
                            {"antecedent_pairs": held} if conditional else None)
+
+
+def _outcome(fn: Callable, rng):
+    """What one call of a check gives: its return value, or the witness of
+    the law it broke."""
+    try:
+        return fn(rng)
+    except Broken as broken:
+        return broken.witness
 
 
 def _failed(name: str, law: str, witness: dict, trial: int) -> CheckResult:
@@ -366,14 +413,15 @@ def deserialize_morphism(d: dict, model):
 
 
 def _plain(x):
-    """JSON fallback for numpy scalars and arrays living inside witnesses."""
+    """JSON fallback for complex numbers and numpy scalars and arrays living
+    inside witnesses; a complex number is its [re, im] pair."""
     if isinstance(x, (np.bool_,)):
         return bool(x)
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, np.floating):
         return float(x)
-    if isinstance(x, np.complexfloating):
+    if isinstance(x, (complex, np.complexfloating)):
         return [float(x.real), float(x.imag)]
     if isinstance(x, np.ndarray):
         return x.tolist()

@@ -13,6 +13,13 @@ phase quotient keeps the matrices of its base, so a composite of
 representatives represents the composite of their classes, and deciding a
 law's two sides with ``model.equal`` checks the law for classes.  On a
 plain model ``model.equal`` compares the matrices themselves.
+
+Each table states its equations through one ``report.Law`` bound to the
+model and the run's tolerance: ``law(lhs, rhs, witness)`` returns when the
+sides are equal and otherwise ends the row, failed, with the witness.  A
+row that decides without ``model.equal`` (a sign threshold, an exception,
+a comparison of representatives, wequal's criteria) returns its witness
+itself; ``tests/test_law_sink.py`` lists those rows with their reasons.
 """
 from __future__ import annotations
 
@@ -23,12 +30,13 @@ import numpy as np
 
 from . import born, core, ortho
 from .models import ModelHandle, copairing, pairing, random_unitary
-from .morphisms import (adopt, compose, dagger, direct_sum, distance, equal,
+from .morphisms import (adopt, compose, dagger, direct_sum, equal,
                         identity, lower_star, morphism, scalar, scalar_value,
                         star, tensor, zeros)
 from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
-from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner,
+from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner, Law,
                      VerificationReport, serialize_morphism)
+from .semirings import REAL_TOL
 from .wproj import WProjModel, canonical_rep, prep_state_checks, wequal
 
 
@@ -92,48 +100,38 @@ def _obj_witness(a) -> dict:
 def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     s = model.semiring
     draw = model.sample_morphism
-
-    def eq(f, g) -> bool:
-        return model.equal(f, g, tol)
+    law = Law(model, tol)
 
     def yanking(_):
         for a in _yanking_objects(max_dim):
-            if not eq(core.yanking_composite(a, s), identity(a, s)):
-                return _obj_witness(a)
-        return None
+            law(core.yanking_composite(a, s), identity(a, s), lambda: _obj_witness(a))
 
     def unit_coherence(_):
         for a in _yanking_objects(max_dim):
-            lhs = core.unit(dual(a), s)
-            rhs = compose(core.sigma(dual(a), a, s), core.unit(a, s))
-            if not eq(lhs, rhs):
-                return _obj_witness(a)
-        return None
+            law(core.unit(dual(a), s),
+                compose(core.sigma(dual(a), a, s), core.unit(a, s)),
+                lambda: _obj_witness(a))
 
     def isos_unitary(rng):
         a = _structured_object(rng, max_dim, "A")
         b = _structured_object(rng, max_dim, "B")
         c = _gen(rng, "C", 2)
+        obj = format_object(a)
         for tag, iso in (("lam", core.lam(a, s)), ("rho", core.rho(a, s)),
                          ("alpha", core.alpha(a, b, c, s)),
                          ("sigma", core.sigma(a, b, s))):
-            if not eq(compose(dagger(iso), iso), identity(iso.dom, s)):
-                return {"iso": tag, "object": format_object(a)}
-            if not eq(compose(iso, dagger(iso)), identity(iso.cod, s)):
-                return {"iso": tag, "object": format_object(a)}
-        return None
+            witness = {"iso": tag, "object": obj}
+            law(compose(dagger(iso), iso), identity(iso.dom, s), witness)
+            law(compose(iso, dagger(iso)), identity(iso.cod, s), witness)
 
     def name_unfoldings(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
         core.name(draw(rng, a, b))  # raises on disagreement
-        return None
 
     def name_identity(_):
         for d in range(1, max_dim + 1):
             a = Gen("A", d)
-            if not eq(core.name(identity(a, s)), core.unit(a, s)):
-                return _obj_witness(a)
-        return None
+            law(core.name(identity(a, s)), core.unit(a, s), lambda: _obj_witness(a))
 
     def scalars(rng):
         return draw(rng, UNIT, UNIT), draw(rng, UNIT, UNIT)
@@ -148,21 +146,15 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
         f = draw(rng, b, c)
         g = draw(rng, a, b)
-        lhs = compose(core.scalar_mult(u, f), core.scalar_mult(v, g))
-        rhs = scaled(compose(u, v), compose(f, g))
-        if not eq(lhs, rhs):
-            return {"distance": distance(lhs, rhs)}
-        return None
+        law(compose(core.scalar_mult(u, f), core.scalar_mult(v, g)),
+            scaled(compose(u, v), compose(f, g)))
 
     def scalar_tensor(rng):
         u, v = scalars(rng)
         f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
         g = draw(rng, _gen(rng, "C", 3), _gen(rng, "D", 3))
-        lhs = tensor(core.scalar_mult(u, f), core.scalar_mult(v, g))
-        rhs = scaled(compose(u, v), tensor(f, g))
-        if not eq(lhs, rhs):
-            return {"distance": distance(lhs, rhs)}
-        return None
+        law(tensor(core.scalar_mult(u, f), core.scalar_mult(v, g)),
+            scaled(compose(u, v), tensor(f, g)))
 
     def interchange(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
@@ -171,46 +163,33 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         h = draw(rng, a, b)
         g = draw(rng, e, x)
         k = draw(rng, d, e)
-        lhs = compose(tensor(f, g), tensor(h, k))
-        rhs = tensor(compose(f, h), compose(g, k))
-        if not eq(lhs, rhs):
-            return {"distance": distance(lhs, rhs)}
-        return None
+        law(compose(tensor(f, g), tensor(h, k)), tensor(compose(f, h), compose(g, k)))
 
     def dagger_laws(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
         f = draw(rng, a, b)
         g = draw(rng, b, c)
-        if not eq(dagger(dagger(f)), f):
-            return {"law": "involution"}
-        if not eq(dagger(compose(g, f)), compose(dagger(f), dagger(g))):
-            return {"law": "contravariance"}
-        return None
+        law(dagger(dagger(f)), f, {"law": "involution"})
+        law(dagger(compose(g, f)), compose(dagger(f), dagger(g)),
+            {"law": "contravariance"})
 
     def dagger_factors(rng):
         f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
-        if not eq(dagger(f), star(lower_star(f))):
-            return {"route": "star o lower_star"}
-        if not eq(dagger(f), lower_star(star(f))):
-            return {"route": "lower_star o star"}
-        return None
+        law(dagger(f), star(lower_star(f)), {"route": "star o lower_star"})
+        law(dagger(f), lower_star(star(f)), {"route": "lower_star o star"})
 
     def sigma_natural(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
         c, d = _gen(rng, "C", 3), _gen(rng, "D", 3)
         f = draw(rng, a, b)
         g = draw(rng, c, d)
-        lhs = compose(core.sigma(b, d, s), tensor(f, g))
-        rhs = compose(tensor(g, f), core.sigma(a, c, s))
-        if not eq(lhs, rhs):
-            return {"distance": distance(lhs, rhs)}
-        return None
+        law(compose(core.sigma(b, d, s), tensor(f, g)),
+            compose(tensor(g, f), core.sigma(a, c, s)))
 
     def scalar_comm(rng):
         u, v = scalars(rng)
-        if not eq(compose(u, v), compose(v, u)):
-            return {"s": serialize_morphism(u), "t": serialize_morphism(v)}
-        return None
+        law(compose(u, v), compose(v, u),
+            lambda: {"s": serialize_morphism(u), "t": serialize_morphism(v)})
 
     def hs_two_routes(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -218,24 +197,21 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         g = draw(rng, a, b)
         lhs = core.hs_inner(f, g)
         rhs = core.trace(compose(dagger(f), g))
-        if not eq(lhs, rhs):
-            return {"lhs": serialize_morphism(lhs), "rhs": serialize_morphism(rhs)}
-        return None
+        law(lhs, rhs, lambda: {"lhs": serialize_morphism(lhs),
+                               "rhs": serialize_morphism(rhs)})
 
     def hs_norm_positive(rng):
         f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
         v = complex(scalar_value(core.hs_norm_sq(f)))
-        if abs(v.imag) > 1e-9 or v.real < -1e-9:
+        if abs(v.imag) > REAL_TOL or v.real < -REAL_TOL:
             return {"value": v}
-        return None
 
     def hs_states(rng):
         a = _gen(rng, "A", 4)
         psi = draw(rng, UNIT, a)
         phi = draw(rng, UNIT, a)
-        if not eq(core.hs_inner(psi, phi), compose(dagger(psi), phi)):
-            return {"psi": serialize_morphism(psi)}
-        return None
+        law(core.hs_inner(psi, phi), compose(dagger(psi), phi),
+            lambda: {"psi": serialize_morphism(psi)})
 
     if s.phase is not None:
         # on the quotient: a class's identity, its doubled form, ignores the
@@ -243,27 +219,24 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         def double_phase(rng):
             f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
             u = model.sample_unit_scalar(rng)
-            lhs = core.double(core.scalar_mult(u, f))
-            if not eq(lhs, core.double(f)):
-                return {"unit": serialize_morphism(u)}
-            return None
+            law(core.double(core.scalar_mult(u, f)), core.double(f),
+                lambda: {"unit": serialize_morphism(u)})
 
         def witnesses(rng):
             f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
             u = model.sample_unit_scalar(rng)
             g = core.scalar_mult(u, f)
             sw, tw = core.phase_witnesses(f, g)
-            if not eq(core.scalar_mult(sw, f), core.scalar_mult(tw, g)):
+
+            def pair():
                 return {"s": serialize_morphism(sw), "t": serialize_morphism(tw)}
-            if not eq(compose(sw, dagger(sw)), compose(tw, dagger(tw))):
-                return {"s": serialize_morphism(sw), "t": serialize_morphism(tw)}
-            return None
+            law(core.scalar_mult(sw, f), core.scalar_mult(tw, g), pair)
+            law(compose(sw, dagger(sw)), compose(tw, dagger(tw)), pair)
 
     def density(rng):
         psi = draw(rng, UNIT, _gen(rng, "A", 4))
         if not core.state_density_identity_holds(psi, rel=tol):
             return {"psi": serialize_morphism(psi)}
-        return None
 
     def born_loop(rng):
         parts = [_gen(rng, "A1", 2), _gen(rng, "A2", 2)]
@@ -273,16 +246,14 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                     ortho.pseudo_projection(decomp, i, s))
         psi = draw(rng, UNIT, decomp.whole)
         prob = core.born_prob(psi, p)  # cross-checks the trace route itself
-        if complex(scalar_value(prob)).real < -1e-9:
+        if complex(scalar_value(prob)).real < -REAL_TOL:
             return {"probability": scalar_value(prob)}
-        return None
 
     def trace_swap(_):
         for d in range(1, min(3, max_dim) + 1):
             a = Gen("A", d)
-            if not eq(core.partial_trace(core.sigma(a, a, s), a), identity(a, s)):
-                return _obj_witness(a)
-        return None
+            law(core.partial_trace(core.sigma(a, a, s), a), identity(a, s),
+                lambda: _obj_witness(a))
 
     def trace_dim(_):
         # the d-fold sum is built in the base (``model.scalar`` of the quotient
@@ -292,9 +263,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
             acc = s.zero
             for _ in range(d):
                 acc = s.add(acc, s.one)
-            if not eq(core.trace(identity(a, s)), scalar(acc, s)):
-                return _obj_witness(a)
-        return None
+            law(core.trace(identity(a, s)), scalar(acc, s), lambda: _obj_witness(a))
 
     def traced_factor(rng):
         a = _gen(rng, "A", 3)
@@ -302,10 +271,8 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         acc = s.zero
         for _ in range(dim(a)):
             acc = s.add(acc, s.one)
-        lhs = core.partial_trace(tensor(identity(a, s), g), a)
-        if not eq(lhs, core.scalar_mult(scalar(acc, s), g)):
-            return _obj_witness(a)
-        return None
+        law(core.partial_trace(tensor(identity(a, s), g), a),
+            core.scalar_mult(scalar(acc, s), g), lambda: _obj_witness(a))
 
     table = [
         Check("yanking",
@@ -371,9 +338,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
     s = base.semiring
     two = s.add(s.one, s.one)
     sccc = {c.name: c for c in _sccc_checks(w, tol, max_dim)}
-
-    def same_class(f, g) -> bool:
-        return w.equal(f, g, tol)
+    law = Law(w, tol)
 
     def sample(rng, a=None, b=None):
         a = a if a is not None else _gen(rng, "A", 3)
@@ -401,7 +366,6 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
             r3 = wequal(f, doubled_weight, tol)
             if r3.equal:
                 return {"pair": "weight-doubled", "note": "classes collapsed"}
-        return None
 
     def compose_functorial(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
@@ -409,26 +373,21 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         g = sample(rng, b, c)
         u = base.sample_unit_scalar(rng)
         v = base.sample_unit_scalar(rng)
-        lhs = compose(core.scalar_mult(u, g), core.scalar_mult(v, f))
-        if not same_class(lhs, compose(g, f)):
-            return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
-        return None
+        law(compose(core.scalar_mult(u, g), core.scalar_mult(v, f)), compose(g, f),
+            lambda: {"f": serialize_morphism(f), "g": serialize_morphism(g)})
 
     def tensor_functorial(rng):
         f, g = sample(rng), sample(rng, _gen(rng, "C", 3), _gen(rng, "D", 3))
         u = base.sample_unit_scalar(rng)
         v = base.sample_unit_scalar(rng)
-        lhs = tensor(core.scalar_mult(u, f), core.scalar_mult(v, g))
-        if not same_class(lhs, tensor(f, g)):
-            return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
-        return None
+        law(tensor(core.scalar_mult(u, f), core.scalar_mult(v, g)), tensor(f, g),
+            lambda: {"f": serialize_morphism(f), "g": serialize_morphism(g)})
 
     def canon_idempotent(rng):
         f = sample(rng)
         c1 = canonical_rep(f)
         if not equal(canonical_rep(c1), c1, rel=tol):
             return {"f": serialize_morphism(f)}
-        return None
 
     def canon_phase(rng):
         f = sample(rng)
@@ -436,20 +395,16 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         if not equal(canonical_rep(core.scalar_mult(u, f)), canonical_rep(f),
                      rel=max(tol, 1e-9)):
             return {"unit": serialize_morphism(u)}
-        return None
 
     def canon_in_class(rng):
         f = sample(rng)
-        if not same_class(canonical_rep(f), f):
-            return {"f": serialize_morphism(f)}
-        return None
+        law(canonical_rep(f), f, lambda: {"f": serialize_morphism(f)})
 
     def doubled_scalar(rng):
         c = base.sample_morphism(rng, UNIT, UNIT)
         v = w.scalar_value(c)
-        if float(v) < -1e-9:
+        if float(v) < -REAL_TOL:
             return {"value": float(v)}
-        return None
 
     if not s.idempotent:
         def separates(rng):
@@ -457,12 +412,10 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
             if float(np.max(np.abs(np.asarray(f.array, dtype=complex)))) < 1e-6:
                 return None
             heavier = core.scalar_mult(scalar(two, s), f)
-            if same_class(f, heavier):
+            if w.equal(f, heavier, tol):
                 return {"note": "weights were identified"}
             u = base.sample_unit_scalar(rng)
-            if not same_class(f, core.scalar_mult(u, f)):
-                return {"note": "phases were separated"}
-            return None
+            law(f, core.scalar_mult(u, f), {"note": "phases were separated"})
 
     table = [
         Check("equality-criteria-agree",
@@ -506,9 +459,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
 def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     s = model.semiring
     draw = model.sample_morphism
-
-    def eq(f, g) -> bool:
-        return model.equal(f, g, tol)
+    law = Law(model, tol)
 
     def zero_diagram(_):
         for da in range(1, min(3, max_dim) + 1):
@@ -517,35 +468,28 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                 z = ortho.zero_morphism(a, b, s)
                 if z.array.shape != (db, da) or np.count_nonzero(z.array) != 0:
                     return {"object": f"{format_object(a)} -> {format_object(b)}"}
-        return None
 
     def annihilation(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
         f = draw(rng, b, c)
-        if not eq(compose(f, ortho.zero_morphism(a, b, s)),
-                  ortho.zero_morphism(a, c, s)):
-            return {"side": "post"}
-        if not eq(compose(ortho.zero_morphism(c, a, s), f),
-                  ortho.zero_morphism(b, a, s)):
-            return {"side": "pre"}
-        return None
+        law(compose(f, ortho.zero_morphism(a, b, s)), ortho.zero_morphism(a, c, s),
+            {"side": "post"})
+        law(compose(ortho.zero_morphism(c, a, s), f), ortho.zero_morphism(b, a, s),
+            {"side": "pre"})
 
     def oplus_dagger(rng):
         f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
         g = draw(rng, _gen(rng, "C", 3), _gen(rng, "D", 3))
-        if not eq(dagger(direct_sum(f, g)), direct_sum(dagger(f), dagger(g))):
-            return {"f": serialize_morphism(f)}
-        return None
+        law(dagger(direct_sum(f, g)), direct_sum(dagger(f), dagger(g)),
+            lambda: {"f": serialize_morphism(f)})
 
     def oplus_functorial(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
         d, e, x = _gen(rng, "D", 3), _gen(rng, "E", 3), _gen(rng, "F", 3)
         f, h = draw(rng, b, c), draw(rng, a, b)
         g, k = draw(rng, e, x), draw(rng, d, e)
-        lhs = compose(direct_sum(f, g), direct_sum(h, k))
-        if not eq(lhs, direct_sum(compose(f, h), compose(g, k))):
-            return {"distance": distance(lhs, direct_sum(compose(f, h), compose(g, k)))}
-        return None
+        law(compose(direct_sum(f, g), direct_sum(h, k)),
+            direct_sum(compose(f, h), compose(g, k)))
 
     def oplus_isos(rng):
         a, b, c = _gen(rng, "A", 3), _gen(rng, "B", 3), _gen(rng, "C", 3)
@@ -554,11 +498,8 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                          ("a", ortho.oplus_assoc(a, b, c, s)),
                          ("dist-left", ortho.dist_left(a, b, c, s)),
                          ("dist-right", ortho.dist_right(b, c, a, s))):
-            if not eq(compose(dagger(iso), iso), identity(iso.dom, s)):
-                return {"iso": tag}
-            if not eq(compose(iso, dagger(iso)), identity(iso.cod, s)):
-                return {"iso": tag}
-        return None
+            law(compose(dagger(iso), iso), identity(iso.dom, s), {"iso": tag})
+            law(compose(iso, dagger(iso)), identity(iso.cod, s), {"iso": tag})
 
     def dist_natural(rng):
         a, b, c = _gen(rng, "A", 2), _gen(rng, "B", 2), _gen(rng, "C", 2)
@@ -566,13 +507,9 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         h = draw(rng, a, a2)
         f = draw(rng, b, b2)
         g = draw(rng, c, c2)
-        lhs = compose(ortho.dist_left(a2, b2, c2, s),
-                      tensor(h, direct_sum(f, g)))
-        rhs = compose(direct_sum(tensor(h, f), tensor(h, g)),
-                      ortho.dist_left(a, b, c, s))
-        if not eq(lhs, rhs):
-            return {"distance": distance(lhs, rhs)}
-        return None
+        law(compose(ortho.dist_left(a2, b2, c2, s), tensor(h, direct_sum(f, g))),
+            compose(direct_sum(tensor(h, f), tensor(h, g)),
+                    ortho.dist_left(a, b, c, s)))
 
     def _decomp(rng, n):
         return ortho.OplusDecomposition.from_parts(
@@ -586,28 +523,22 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                               ortho.pseudo_injection(decomp, j, s))
                 want = (identity(decomp.parts[i], s) if i == j else
                         ortho.zero_morphism(decomp.parts[j], decomp.parts[i], s))
-                if not eq(got, want):
-                    return {"i": i, "j": j}
-        return None
+                law(got, want, {"i": i, "j": j})
 
     def pseudo_dagger(rng):
         decomp = _decomp(rng, int(rng.integers(2, 4)))
         for i in range(len(decomp)):
-            if not eq(dagger(ortho.pseudo_injection(decomp, i, s)),
-                      ortho.pseudo_projection(decomp, i, s)):
-                return {"i": i}
-        return None
+            law(dagger(ortho.pseudo_injection(decomp, i, s)),
+                ortho.pseudo_projection(decomp, i, s), {"i": i})
 
     def pseudo_symmetry(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
         left = ortho.OplusDecomposition.from_parts([a, b])
         right = ortho.OplusDecomposition.from_parts([b, a])
-        lhs = ortho.pseudo_projection(left, 0, s)
-        rhs = compose(ortho.pseudo_projection(right, 1, s),
-                      ortho.oplus_symmetry(a, b, s))
-        if not eq(lhs, rhs):
-            return {"a": format_object(a), "b": format_object(b)}
-        return None
+        law(ortho.pseudo_projection(left, 0, s),
+            compose(ortho.pseudo_projection(right, 1, s),
+                    ortho.oplus_symmetry(a, b, s)),
+            lambda: {"a": format_object(a), "b": format_object(b)})
 
     def pseudo_natural(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -616,30 +547,23 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         g = draw(rng, c, d)
         cod = ortho.OplusDecomposition.from_parts([b, d])
         dom = ortho.OplusDecomposition.from_parts([a, c])
-        lhs = compose(ortho.pseudo_projection(cod, 0, s), direct_sum(f, g))
-        rhs = compose(f, ortho.pseudo_projection(dom, 0, s))
-        if not eq(lhs, rhs):
-            return {"distance": distance(lhs, rhs)}
-        return None
+        law(compose(ortho.pseudo_projection(cod, 0, s), direct_sum(f, g)),
+            compose(f, ortho.pseudo_projection(dom, 0, s)))
 
     def pseudo_assoc(rng):
         a, b, c = _gen(rng, "A", 2), _gen(rng, "B", 2), _gen(rng, "C", 2)
         bc = ortho.OplusDecomposition.from_parts([b, c])
         ab_c = ortho.OplusDecomposition.from_parts([Oplus(a, b), c])
-        lhs = direct_sum(identity(a, s), ortho.pseudo_projection(bc, 0, s))
-        rhs = compose(ortho.pseudo_projection(ab_c, 0, s),
-                      ortho.oplus_assoc(a, b, c, s))
-        if not eq(lhs, rhs):
-            return {"law": "1 (+) p = p o assoc"}
+        law(direct_sum(identity(a, s), ortho.pseudo_projection(bc, 0, s)),
+            compose(ortho.pseudo_projection(ab_c, 0, s), ortho.oplus_assoc(a, b, c, s)),
+            {"law": "1 (+) p = p o assoc"})
         ab = ortho.OplusDecomposition.from_parts([a, b])
         a_bc = ortho.OplusDecomposition.from_parts([a, Oplus(b, c)])
-        lhs2 = compose(ortho.pseudo_projection(ab, 0, s),
-                       ortho.pseudo_projection(ab_c, 0, s))
-        rhs2 = compose(ortho.pseudo_projection(a_bc, 0, s),
-                       dagger(ortho.oplus_assoc(a, b, c, s)))
-        if not eq(lhs2, rhs2):
-            return {"law": "p o p = p o assoc(dagger)"}
-        return None
+        law(compose(ortho.pseudo_projection(ab, 0, s),
+                    ortho.pseudo_projection(ab_c, 0, s)),
+            compose(ortho.pseudo_projection(a_bc, 0, s),
+                    dagger(ortho.oplus_assoc(a, b, c, s))),
+            {"law": "p o p = p o assoc(dagger)"})
 
     if s.phase is not None:
         def components(rng):
@@ -652,22 +576,19 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                    for i in range(2)]
             for i in range(2):
                 for j in range(2):
-                    got = compose(pis[j], dagger(pis[i]))
                     want = (identity(parts[i], s) if i == j else
                             ortho.zero_morphism(parts[i], parts[j], s))
-                    if not eq(got, want):
-                        return {"kind": "conormal", "i": i, "j": j}
+                    law(compose(pis[j], dagger(pis[i])), want,
+                        {"kind": "conormal", "i": i, "j": j})
             v = dagger(u)
             psis = [compose(v, ortho.pseudo_injection(decomp, i, s))
                     for i in range(2)]
             for i in range(2):
                 for j in range(2):
-                    got = compose(dagger(psis[j]), psis[i])
                     want = (identity(parts[i], s) if i == j else
                             ortho.zero_morphism(parts[i], parts[j], s))
-                    if not eq(got, want):
-                        return {"kind": "normal", "i": i, "j": j}
-            return None
+                    law(compose(dagger(psis[j]), psis[i]), want,
+                        {"kind": "normal", "i": i, "j": j})
 
     def reassembly(rng):
         dom = _decomp(rng, 2)
@@ -679,20 +600,14 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                 fij = ortho.pseudo_component(f, dom, cod, i, j)
                 terms.append(compose(ortho.pseudo_injection(cod, j, s),
                                      compose(fij, ortho.pseudo_projection(dom, i, s))))
-        total = reduce(ortho.derived_sum, terms)
-        if not eq(total, f):
-            return {"distance": distance(total, f)}
-        return None
+        law(reduce(ortho.derived_sum, terms), f)
 
     def entrywise(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
         f = draw(rng, a, b)
         g = draw(rng, a, b)
-        got = ortho.derived_sum(f, g)
         want_arr = np.frompyfunc(s.add, 2, 1)(f.array, g.array)
-        if not eq(got, morphism(a, b, want_arr, s)):
-            return {"distance": distance(got, morphism(a, b, want_arr, s))}
-        return None
+        law(ortho.derived_sum(f, g), morphism(a, b, want_arr, s))
 
     def biproduct_route(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -700,24 +615,17 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         g = draw(rng, a, b)
         codiag = copairing([identity(b, s), identity(b, s)])
         diag = pairing([identity(a, s), identity(a, s)])
-        via_biproduct = compose(codiag, compose(direct_sum(f, g), diag))
-        if not eq(ortho.derived_sum(f, g), via_biproduct):
-            return {"distance": distance(ortho.derived_sum(f, g), via_biproduct)}
-        return None
+        law(ortho.derived_sum(f, g), compose(codiag, compose(direct_sum(f, g), diag)))
 
     def cmon(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
         f = draw(rng, a, b)
         g = draw(rng, a, b)
         h = draw(rng, a, b)
-        if not eq(ortho.derived_sum(f, g), ortho.derived_sum(g, f)):
-            return {"law": "commutativity"}
-        if not eq(ortho.derived_sum(ortho.derived_sum(f, g), h),
-                  ortho.derived_sum(f, ortho.derived_sum(g, h))):
-            return {"law": "associativity"}
-        if not eq(ortho.derived_sum(f, ortho.zero_morphism(a, b, s)), f):
-            return {"law": "unit"}
-        return None
+        law(ortho.derived_sum(f, g), ortho.derived_sum(g, f), {"law": "commutativity"})
+        law(ortho.derived_sum(ortho.derived_sum(f, g), h),
+            ortho.derived_sum(f, ortho.derived_sum(g, h)), {"law": "associativity"})
+        law(ortho.derived_sum(f, ortho.zero_morphism(a, b, s)), f, {"law": "unit"})
 
     if s.phase is not None:
         def no_go(_):
@@ -791,6 +699,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     s = model.semiring
     zeta = Fraction(1, 2) / nu
+    law = Law(model, tol)
 
     def sample(rng, a=None, b=None):
         a = a if a is not None else Gen("A", int(rng.integers(1, 4)))
@@ -800,8 +709,9 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
     def val(f):
         return born.valuation_norm(model, f, nu)
 
-    def meq(x, y):
-        return model.equal(x, y, tol)
+    def values(**scalars):
+        """A witness of the named scalars' values."""
+        return lambda: {k: model.scalar_value(v) for k, v in scalars.items()}
 
     def splits(n_parts):
         def check(rng):
@@ -809,30 +719,23 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
             f = model.sample_morphism(rng, a, decomp.whole)
             if not born.check_born_decomposition(model, f, decomp, nu, tolerance=tol):
                 return {"f": serialize_morphism(f)}
-            return None
         return check
 
     def dagger_invariant(rng):
         f = sample(rng)
-        if not meq(val(f), val(dagger(f))):
-            return {"f": serialize_morphism(f)}
-        return None
+        law(val(f), val(dagger(f)), lambda: {"f": serialize_morphism(f)})
 
     def zero_val(rng):
         a, b = Gen("A", int(rng.integers(1, 4))), Gen("B", int(rng.integers(1, 4)))
-        z = zeros(a, b, s)
-        if not meq(val(z), model.scalar(0)):
-            return {"value": model.scalar_value(val(z))}
-        return None
+        z = val(zeros(a, b, s))
+        law(z, model.scalar(0), values(value=z))
 
     def oplus_additive(rng):
         f, g = sample(rng), sample(rng, Gen("C", int(rng.integers(1, 4))),
                                    Gen("D", int(rng.integers(1, 4))))
         lhs = val(direct_sum(f, g))
         rhs = born.scalar_sum(model, val(f), val(g), nu)
-        if not meq(lhs, rhs):
-            return {"lhs": model.scalar_value(lhs), "rhs": model.scalar_value(rhs)}
-        return None
+        law(lhs, rhs, values(lhs=lhs, rhs=rhs))
 
     def assoc(rng):
         vals = [val(sample(rng)) for _ in range(3)]
@@ -840,42 +743,30 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
                               vals[2], nu)
         rhs = born.scalar_sum(model, vals[0],
                               born.scalar_sum(model, vals[1], vals[2], nu), nu)
-        if not meq(lhs, rhs):
-            return {"lhs": model.scalar_value(lhs), "rhs": model.scalar_value(rhs)}
-        return None
+        law(lhs, rhs, values(lhs=lhs, rhs=rhs))
 
     def comm(rng):
         sv, tv = val(sample(rng)), val(sample(rng))
-        if not meq(born.scalar_sum(model, sv, tv, nu),
-                           born.scalar_sum(model, tv, sv, nu)):
-            return {"s": model.scalar_value(sv), "t": model.scalar_value(tv)}
-        return None
+        law(born.scalar_sum(model, sv, tv, nu), born.scalar_sum(model, tv, sv, nu),
+            values(s=sv, t=tv))
 
     def distributive(rng):
         c = val(model.sample_morphism(rng, UNIT, UNIT))
         sv, tv = val(sample(rng)), val(sample(rng))
         lhs = compose(c, born.scalar_sum(model, sv, tv, nu))
         rhs = born.scalar_sum(model, compose(c, sv), compose(c, tv), nu)
-        if not meq(lhs, rhs):
-            return {"lhs": model.scalar_value(lhs), "rhs": model.scalar_value(rhs)}
-        return None
+        law(lhs, rhs, values(lhs=lhs, rhs=rhs))
 
     def zeta_roundtrip(rng):
         sv = val(sample(rng))
-        root = model.scalar_power(sv, zeta)
-        if not meq(val(root), sv):
-            return {"s": model.scalar_value(sv)}
-        return None
+        law(val(model.scalar_power(sv, zeta)), sv, values(s=sv))
 
     def oplus_route(rng):
         sv, tv = val(sample(rng)), val(sample(rng))
         via_sum = born.scalar_sum(model, sv, tv, nu)
         via_val = val(direct_sum(model.scalar_power(sv, zeta),
                                  model.scalar_power(tv, zeta)))
-        if not meq(via_sum, via_val):
-            return {"sum": model.scalar_value(via_sum),
-                    "valuation": model.scalar_value(via_val)}
-        return None
+        law(via_sum, via_val, values(sum=via_sum, valuation=via_val))
 
     def two(_):
         one = model.scalar(1)
@@ -883,17 +774,14 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
         # the model's 2 is 1 + 1; a quotient scalar c has the value c o c(dagger)
         v = s.add(s.one, s.one)
         want = complex(s.mul(v, v) if model.quotient else v).real ** float(nu)
-        if abs(got.imag) > 1e-9 or abs(got.real - want) > 1e-9:
+        if abs(got.imag) > REAL_TOL or abs(got.real - want) > REAL_TOL:
             return {"got": [got.real, got.imag], "want": want}
-        return None
 
     def sqrt_decomposition(rng):
         f = sample(rng)
         norm = core.hs_norm_sq(f)
         root = model.scalar_power(norm, Fraction(1, 2))
-        if not meq(compose(root, dagger(root)), norm):
-            return {"norm": model.scalar_value(norm)}
-        return None
+        law(compose(root, dagger(root)), norm, values(norm=norm))
 
     return [
         Check("valuation-splits-binary",

@@ -1,0 +1,102 @@
+"""Every equation a check table states goes through its ``report.Law``.
+
+The check tables of ``suites.py`` and ``born.leg_checks`` decide their laws
+with one comparer, so that whatever the runner learns from a comparison is
+learnt in one place.  A call to ``equal`` or ``wequal`` (as a name or as an
+attribute) anywhere in those tables bypasses it.  The rows below decide
+some other way, each for the reason given; every other row states its law
+through ``law(...)`` and compares nothing itself.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sccckit"
+
+COMPARERS = {"equal", "wequal"}
+
+# rows that decide outside the sink, with the reason each does
+ALLOWED = {
+    "name-unfoldings-agree": "core.name raises when its two unfoldings disagree",
+    "norm-scalar-positive": "a sign test of one scalar against REAL_TOL",
+    "state-density-identity": "core.state_density_identity_holds compares "
+                              "representatives itself",
+    "born-probability-loop": "a sign test of one scalar against REAL_TOL",
+    "equality-criteria-agree": "reads wequal's per-criterion verdicts",
+    "canonical-representative-idempotent": "compares representatives with "
+                                           "morphisms.equal, not classes",
+    "canonical-representative-phase-free": "compares representatives with "
+                                           "morphisms.equal, not classes",
+    "quotient-scalars-nonnegative": "a sign test of one scalar against REAL_TOL",
+    "quotient-separates-weight-from-phase": "its first comparison asserts two "
+                                            "classes differ",
+    "zero-through-zero-object": "counts nonzero entries, exactly",
+    "block-sum-on-phase-classes": "an expected failure judged on fixed gaps",
+    "valuation-splits-binary": "decides through born.check_born_decomposition",
+    "valuation-splits-ternary": "decides through born.check_born_decomposition",
+    "one-plus-one": "compares a scalar's value with a number against REAL_TOL",
+}
+
+
+def _parsed_tables() -> list[ast.FunctionDef]:
+    """The check-table builders: every function of suites.py, and leg_checks."""
+    suites = ast.parse((PACKAGE / "suites.py").read_text())
+    born = ast.parse((PACKAGE / "born.py").read_text())
+    return ([n for n in suites.body if isinstance(n, ast.FunctionDef)]
+            + [n for n in born.body
+               if isinstance(n, ast.FunctionDef) and n.name == "leg_checks"])
+
+
+TABLES = _parsed_tables()
+
+
+def _rows(table: ast.FunctionDef):
+    """(check name, the function node that decides it) for each ``Check`` row."""
+    defs = {n.name: n for n in ast.walk(table) if isinstance(n, ast.FunctionDef)}
+    for node in ast.walk(table):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Check"):
+            name, fn = node.args[0].value, node.args[3]
+            if isinstance(fn, ast.Call):  # a factory such as splits(2)
+                fn = fn.func
+            yield name, defs[fn.id]
+
+
+def _called(tree: ast.AST) -> set[str]:
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
+def _comparisons(tree: ast.AST):
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if ((isinstance(f, ast.Name) and f.id in COMPARERS)
+                    or (isinstance(f, ast.Attribute) and f.attr in COMPARERS)):
+                yield n
+
+
+def _allowed_nodes() -> set[int]:
+    return {id(n) for table in TABLES for name, fn in _rows(table)
+            if name in ALLOWED for n in ast.walk(fn)}
+
+
+def test_no_table_compares_outside_the_sink():
+    allowed = _allowed_nodes()
+    offenders = [f"{table.name} line {call.lineno}" for table in TABLES
+                 for call in _comparisons(table) if id(call) not in allowed]
+    assert offenders == [], f"comparisons that bypass report.Law: {offenders}"
+
+
+def test_every_other_row_states_its_law_through_the_sink():
+    missing = [name for table in TABLES for name, fn in _rows(table)
+               if name not in ALLOWED and "law" not in _called(fn)]
+    assert missing == [], f"rows that neither call law nor are allowed: {missing}"
+
+
+def test_the_allow_list_names_only_rows_that_decide_outside_the_sink():
+    rows = {name: fn for table in TABLES for name, fn in _rows(table)}
+    assert sorted(set(ALLOWED) - set(rows)) == []
+    inside = [name for name in ALLOWED if "law" in _called(rows[name])
+              and not any(_comparisons(rows[name]))]
+    assert inside == [], f"allowed rows that only use the sink: {inside}"

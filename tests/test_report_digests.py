@@ -1,10 +1,13 @@
 """Golden digests of fixed-seed reports.
 
 ``report_digests.json`` maps a command line to the sha256 of the JSON report
-it prints.  A change that keeps every verdict and every witness keeps every
-digest; a change that alters a report on purpose says so in CHANGES.md and
-rewrites the file with
-``PYTHONPATH=src python tests/test_report_digests.py``.
+it prints: every (suite, model selector) pair the CLI accepts, plus
+teleport.  ``failing_report_digests.json`` does the same for reports run
+with every model's ``equal`` answering False, so that each row deciding a
+law through ``model.equal`` fails at trial 0 and prints its witness.  A
+change that keeps every verdict and every witness keeps every digest; a
+change that alters a report on purpose says so in CHANGES.md and rewrites
+both files with ``PYTHONPATH=src python tests/test_report_digests.py``.
 """
 
 import hashlib
@@ -12,39 +15,68 @@ import io
 import json
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from sccckit.cli import main
+from sccckit.models import ModelHandle
+from sccckit.suites import SUITE_NAMES
+from sccckit.wproj import WProjModel
+from test_law_sink import ALLOWED
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
+FAILING_DIGESTS = Path(__file__).with_name("failing_report_digests.json")
 
-_VERIFY = [("sccc", "fdhilb"), ("sccc", "rel"), ("ortho", "fdhilb"),
-           ("ortho", "rel"), ("prep-state", "weights"), ("prep-state", "rel"),
-           ("prep-state", "wproj:fdhilb"), ("wproj", "wproj:fdhilb"),
-           ("wproj", "wproj:rel"), ("born", "wproj:fdhilb"),
-           ("equivalence", "wproj:fdhilb")]
+_SELECTORS = ["fdhilb", "rel", "weights", "wproj:fdhilb", "wproj:rel", "wproj:weights"]
+# the corrupted control of these two needs more than 3 leg trials to break
+_TRIALS = {("equivalence", "rel"): 10, ("equivalence", "wproj:rel"): 10}
 _TELEPORT = [(model, state) for model in ("fdhilb", "wproj:fdhilb")
              for state in (None, "[[0.6,0],[0,0.8]]")]
 
 ARGVS = (
-    [f"verify {suite} --model {model} --seed 7 --trials 3 --json -"
-     for suite, model in _VERIFY]
+    [f"verify {suite} --model {model} --seed 7 "
+     f"--trials {_TRIALS.get((suite, model), 3)} --json -"
+     for suite in SUITE_NAMES for model in _SELECTORS]
     + [f"protocol teleport --model {model} --seed 7"
        + (f" --state {state}" if state else "") + " --json -"
        for model, state in _TELEPORT])
 
+FAILING_ARGVS = [f"verify {suite} --model {model} --seed 7 --trials 3 --json -"
+                 for suite in ("sccc", "ortho", "born", "wproj")
+                 for model in ("fdhilb", "rel", "wproj:fdhilb")]
 
-def report_digest(argv: str) -> str:
+
+def _report(argv: str, exit_code: int = 0) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv.split())
-    assert code == 0, argv
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert code == exit_code, argv
+    return out.getvalue()
+
+
+def report_digest(argv: str) -> str:
+    return hashlib.sha256(_report(argv).encode()).hexdigest()
+
+
+def _never_equal(self, f, g, rel=None) -> bool:
+    return False
+
+
+def _failing_report(argv: str) -> str:
+    """``argv``'s report with every model's ``equal`` answering False."""
+    with mock.patch.object(ModelHandle, "equal", _never_equal), \
+            mock.patch.object(WProjModel, "equal", _never_equal):
+        return _report(argv, exit_code=1)
+
+
+def failing_report_digest(argv: str) -> str:
+    return hashlib.sha256(_failing_report(argv).encode()).hexdigest()
 
 
 def test_the_golden_file_covers_every_command_line():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(ARGVS)
+    assert sorted(json.loads(FAILING_DIGESTS.read_text())) == sorted(FAILING_ARGVS)
 
 
 @pytest.mark.parametrize("argv", ARGVS)
@@ -52,6 +84,22 @@ def test_fixed_seed_report_is_byte_identical(argv):
     assert report_digest(argv) == json.loads(DIGESTS.read_text())[argv]
 
 
+@pytest.mark.parametrize("argv", FAILING_ARGVS)
+def test_failing_report_keeps_every_witness(argv):
+    assert failing_report_digest(argv) == json.loads(FAILING_DIGESTS.read_text())[argv]
+
+
+@pytest.mark.parametrize("argv", FAILING_ARGVS)
+def test_every_row_on_the_law_sink_fails_at_trial_zero(argv):
+    rows = json.loads(_failing_report(argv))["results"]
+    held = [r["check_name"] for r in rows if r["check_name"] not in ALLOWED
+            and (r["status"] != "fail" or r["witness"]["trial"] != 0)]
+    assert held == []
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps({a: report_digest(a) for a in ARGVS},
                                   indent=2, sort_keys=True) + "\n")
+    FAILING_DIGESTS.write_text(json.dumps(
+        {a: failing_report_digest(a) for a in FAILING_ARGVS},
+        indent=2, sort_keys=True) + "\n")

@@ -17,7 +17,10 @@ import pytest
 from sccckit import BOOLEAN, COMPLEX, NONNEG, UNIT, ZERO, Gen, Morphism, Oplus, cli
 from sccckit.morphisms import dagger
 from sccckit.objects import format_object
+from sccckit.models import ModelHandle
 from sccckit.report import CheckResult, VerificationReport, _plain, serialize_morphism
+from sccckit.semirings import corrupted_complex
+from sccckit.suites import run_suite
 from test_report_digests import ARGVS
 
 
@@ -88,7 +91,10 @@ WITNESSES = {
               "array": np.array([[1.5, -0.0], [np.inf, np.nan]]),
               "ints": np.arange(3), "bools": np.array([True, False]),
               "empty": np.zeros((0, 2)), "zero-d": np.array(7.5),
-              "list-of-numpy": [np.float64(2.0), np.int8(3), np.bool_(False)]},
+              "list-of-numpy": [np.float64(2.0), np.int8(3), np.bool_(False)],
+              "complex-array": np.array([1j, -0.0 + np.nan * 1j])},
+    "complex": {"python": 1j, "negative": complex(-2.5, -0.0),
+                "non-finite": complex(np.inf, np.nan), "list": [1 + 2j, 3.0]},
     "numpy-keys": {np.float64(1.5): "a", 2.5: "b", np.float64("nan"): "c"},
 }
 
@@ -107,8 +113,8 @@ def test_to_json_is_json_dumps_on_every_hand_built_witness_at_once():
 @pytest.mark.parametrize("witness", [
     {(1, 2): "tuple key"},                     # a key json cannot convert
     {1: "a", "b": 2},                          # keys sorted cannot compare
-    {"complex": 1j},                           # a value neither json nor _plain takes
-    {"array": np.array([1j])},                 # _plain's list still holds a complex
+    {"set": {1, 2}},                           # a value neither json nor _plain takes
+    {"array": np.array([b"x"])},               # _plain's list still holds bytes
     {"object": object()},
 ])
 def test_to_json_refuses_what_json_dumps_refuses(witness):
@@ -173,3 +179,19 @@ def _morphisms():
 @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in _morphisms()])
 def test_serialize_morphism_matches_the_per_entry_form_bit_for_bit(f):
     assert _bits(serialize_morphism(f)) == _bits(_per_entry(f))
+
+
+
+def test_a_failing_report_with_a_complex_witness_prints_its_json(capsys):
+    r = run_suite("sccc", ModelHandle("broken", corrupted_complex()), trials=10,
+                  seed=9, max_dim=2)
+    assert cli._emit(r, "-") == 1
+    out = capsys.readouterr().out
+    assert out == r.to_json() == _reference(r)
+    failed = {row["check_name"]: row["witness"] for row in json.loads(out)["results"]
+              if row["status"] == "fail"}
+    for name, key in (("norm-scalar-positive", "value"),
+                      ("born-probability-loop", "probability")):
+        want = next(x.witness[key] for x in r.results if x.check_name == name)
+        assert isinstance(want, complex)
+        assert failed[name][key] == [want.real, want.imag]

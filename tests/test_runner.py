@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sccckit import (COMPLEX, NONNEG, ModelHandle, TypeMismatch, WProjModel,
-                     corrupted_trace, fdhilb,
-                     run_suite, run_teleportation)
+from sccckit import (COMPLEX, NONNEG, ModelHandle, SccckitError, TypeMismatch,
+                     WProjModel, corrupted_trace, fdhilb, run_suite,
+                     run_teleportation, scalar)
 from sccckit import protocols, report
 from sccckit.born import _run_legs, leg_checks
 from sccckit.report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
-                            CheckRunner, _TRIAL_CHUNK, _row_pool, _trial_words)
+                            CheckRunner, _TRIAL_CHUNK, _outcome, _row_pool,
+                            _trial_words)
 from sccckit.semirings import REL_TOL, corrupted_complex
 from sccckit.suites import _sccc_checks
 
@@ -47,6 +48,35 @@ def test_other_exceptions_are_not_swallowed():
     with pytest.raises(ZeroDivisionError):
         CheckRunner(trials=3, seed=0).run([Check("bug", "law", PER_TRIAL, fn)])
 
+
+
+def test_a_broken_law_ends_its_row_with_its_witness():
+    law = report.Law(fdhilb(), REL_TOL)
+    one, two = scalar(1.0, COMPLEX), scalar(2.0, COMPLEX)
+    built = []
+
+    def witness():
+        built.append(True)
+        return {"note": "built on failure"}
+
+    trials = []
+
+    def breaks_at_trial_2(rng):
+        trials.append(rng)
+        law(one, one, {"note": "not this one"})
+        law(one, two if len(trials) == 3 else one, witness)
+
+    table = [
+        Check("holds", "law", PER_TRIAL, lambda rng: law(one, one, witness)),
+        Check("lazy", "law", PER_TRIAL, breaks_at_trial_2),
+        Check("default", "law", WHOLE, lambda rng: law(two, one)),
+    ]
+    results = CheckRunner(trials=4, seed=2).run(table)
+    assert built == [True]  # only the broken law built its witness
+    assert [r.status for r in results] == ["pass", "fail", "fail"]
+    assert results[1].witness == {"note": "built on failure", "trial": 2}
+    assert results[2].witness == {"distance": 1.0, "trial": 0}
+    assert not issubclass(report.Broken, SccckitError)
 
 def test_statuses_and_conditional_counts():
     def held(rng):
@@ -82,9 +112,9 @@ def test_failing_witness_replays_from_its_stream_key():
             continue
         witness = dict(result.witness)
         trial = witness.pop("trial")
-        assert leg.fn(np.random.default_rng([seed, idx, trial])) == witness
+        assert _outcome(leg.fn, np.random.default_rng([seed, idx, trial])) == witness
         # every earlier trial of that stream held
-        assert all(leg.fn(np.random.default_rng([seed, idx, t])) is None
+        assert all(_outcome(leg.fn, np.random.default_rng([seed, idx, t])) is None
                    for t in range(trial))
         replayed += 1
     assert replayed >= 1
