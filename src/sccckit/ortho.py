@@ -48,7 +48,6 @@ class OplusDecomposition:
 
     parts: tuple[ObjectExpr, ...]
     whole: ObjectExpr
-    offsets: tuple[int, ...]  # block start indices plus the total, len(parts) + 1
 
     @staticmethod
     def from_parts(parts) -> "OplusDecomposition":
@@ -58,15 +57,7 @@ class OplusDecomposition:
         whole = parts[0]
         for p in parts[1:]:
             whole = Oplus(whole, p)
-        offsets, acc = [0], 0
-        for p in parts:
-            acc += dim(p)
-            offsets.append(acc)
-        return OplusDecomposition(parts, whole, tuple(offsets))
-
-    def __post_init__(self) -> None:
-        if self.offsets[-1] != dim(self.whole):
-            raise TypeMismatch("decomposition offsets do not sum to the whole")
+        return OplusDecomposition(parts, whole)
 
     def __len__(self) -> int:
         return len(self.parts)

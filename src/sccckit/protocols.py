@@ -151,7 +151,7 @@ def _weighted_bit_collapse_witness() -> dict:
         "probabilities_phi": probs_phi,
         "probabilities_agree": bool(np.allclose(probs_psi, probs_phi)),
         "states_equal": equal(psi, phi),
-        "states_phase_equivalent": wequal(psi, phi).equal,
+        "states_phase_equivalent": wequal(psi, phi),
     }
 
 
@@ -215,28 +215,22 @@ def _adjoints(fs: tuple[Morphism, ...]) -> tuple[Morphism, ...]:
     return tuple(dagger(f) for f in fs)
 
 
-def _teleport_branches(psi: Morphism,
-                       t: Morphism | None = None) -> tuple[list[Morphism], Morphism]:
-    """Run the pipeline; returns raw branch states and the Bell state used.
+def _teleport_branches(psi: Morphism, t: Morphism) -> list[Morphism]:
+    """Run the pipeline; returns the raw branch states.
 
     Pipeline: pair the input with a normalized Bell state, reassociate,
     swap the receiving factor to the front, distribute it over the four
-    measurement outcomes (the unitary ``t``, by default the one of
-    ``bell_teleportation_setup``) with the classical-communication map, and
-    strip the scalar leg with a unitor.  Only the arrows that read ``psi``
-    are composed here; the rest comes from ``_measurement_legs``.
+    measurement outcomes (the unitary ``t``) with the classical-communication
+    map, and strip the scalar leg with a unitor.  Only the arrows that read
+    ``psi`` are composed here; the rest comes from ``_measurement_legs``.
     """
     q = qubit()
     s = COMPLEX
-    if t is None:
-        t, _ = bell_teleportation_setup()
-    bell = _bell_state()
-    paired = compose(tensor(psi, bell), core.lam(UNIT, s))
+    paired = compose(tensor(psi, _bell_state()), core.lam(UNIT, s))
     joint = compose(core.sigma(q @ q, q, s),
                     compose(core.alpha(q, q, q, s), paired))
     _, legs, receive = _measurement_legs(t)
-    outs = [compose(receive, compose(m, joint)) for m in legs]
-    return outs, bell
+    return [compose(receive, compose(m, joint)) for m in legs]
 
 
 def run_teleportation(psi: Morphism | None = None,
@@ -268,13 +262,13 @@ def run_teleportation(psi: Morphism | None = None,
     tol = runner.tol
     t, betas = bell_teleportation_setup()
     undo = _adjoints(betas)
-    outs, _ = _teleport_branches(psi, t)
+    outs = _teleport_branches(psi, t)
     norm = float(np.sqrt(total))
     probs = [float(core.hs_norm_sq(out).array[0, 0].real) for out in outs]
     target = core.scalar_mult(scalar(0.5, COMPLEX), psi)
     # the phase-rotated run and its target at unit weight, where the
     # quotient's equality has no absolute floor to hide behind
-    shifted_outs, _ = _teleport_branches(
+    shifted_outs = _teleport_branches(
         core.scalar_mult(scalar(1.0j / norm, COMPLEX), psi), t)
     unit_target = core.scalar_mult(scalar(0.5 / norm, COMPLEX), psi)
 
@@ -282,7 +276,7 @@ def run_teleportation(psi: Morphism | None = None,
         def check(_):
             corrected = compose(undo[i], outs[i])
             phase_ok = wequal(compose(undo[i], shifted_outs[i]),
-                              unit_target, tol).equal
+                              unit_target, tol)
             witness = {"output": serialize_morphism(outs[i]),
                        "corrected": serialize_morphism(corrected),
                        "probability": probs[i],

@@ -11,7 +11,10 @@ its C one, and that took about a fifth of a ``protocol teleport`` run.
 Every report comes from ``CheckRunner``: each suite, the equivalence theorem
 and teleportation are tables of checks, and the runner alone owns the random
 streams, the tolerance and the status.  No other module builds a
-``CheckResult`` or a ``VerificationReport``, or writes a status.
+``CheckResult`` or a ``VerificationReport``, or writes a status.  A row's
+stream words come from numpy's ``SeedSequence`` algorithm, written once as
+one pass over a (4, n) pool of the words [seed, row, trial, 0] of n trials
+(``_trial_words``).
 """
 from __future__ import annotations
 
@@ -194,11 +197,10 @@ class CheckRunner:
     list form, so the stream's ``PCG64`` is seeded from the four words
     ``SeedSequence(uint32[seed, i, t]).generate_state(4, uint64)``, and the
     runner computes those words for a chunk of a row's trials in one
-    vectorized pass (``_trial_words``): the part of the mixing that reads
-    only seed and i runs once per row, and a row that stops early pays for
-    one chunk.  Each trial then gets ``default_rng(PCG64(<its words>))``
-    through numpy's ``ISeedSequence`` interface, the same draws as the list
-    form.  A word outside [0, 2^32) keeps the list form itself.  ``stream``
+    vectorized pass over a (4, n) pool (``_trial_words``), and a row that
+    stops early pays for one chunk.  Each trial then gets
+    ``default_rng(PCG64(<its words>))`` through numpy's ``ISeedSequence``
+    interface, the same draws as the list form.  A word outside [0, 2^32) keeps the list form itself.  ``stream``
     and ``run`` share this one path.  A whole or expected-fail check runs
     once, as trial 0, and is called with None: it draws nothing, so the
     runner seeds no stream for it.  A broken ``Law`` and a ``SccckitError``
@@ -221,13 +223,12 @@ class CheckRunner:
         """The generators of ``trials`` of the check at position ``idx``, in order."""
         seed = self.seed
         fits = 0 <= min(seed, idx, trials.start) and max(seed, idx) < _WORD
-        row = _row_pool(seed, idx) if fits else None
         for start in range(trials.start, trials.stop, _TRIAL_CHUNK):
             chunk = range(start, min(start + _TRIAL_CHUNK, trials.stop))
             batched = chunk[:max(0, _WORD - start)] if fits else chunk[:0]
             if batched:
                 seed_words = _seed_words_class()
-                for words in _trial_words(row, batched):
+                for words in _trial_words(seed, idx, batched):
                     yield np.random.default_rng(np.random.PCG64(seed_words(words)))
             for trial in chunk[len(batched):]:
                 yield np.random.default_rng([seed, idx, trial])
@@ -284,8 +285,9 @@ def _failed(name: str, law: str, witness: dict, trial: int) -> CheckResult:
 # uint32 words, the fourth from a zero pad; then each pool word in turn is
 # hashed and mixed into the three others.  Every hash multiplies its running
 # constant, so the constants are fixed.  generate_state(4, uint64) hashes the
-# pool, cycled, into eight uint32 words and pairs them little-endian.  Python
-# ints are masked to 32 bits; uint32 arrays wrap by themselves.
+# pool, cycled, into eight uint32 words and pairs them little-endian.  The
+# constants are built from Python ints masked to 32 bits; the hashing runs on
+# uint32 arrays, which wrap by themselves.
 
 def _hash_constants(h: int, mult: int, n: int) -> list[tuple[int, int]]:
     """The (xor, mult) pairs of ``n`` successive hashes from constant ``h``."""
@@ -296,8 +298,8 @@ def _hash_constants(h: int, mult: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-_POOL_HASH = _hash_constants(0x43b0d7e5, 0x931e8875, 16)
-_POOL_XOR, _POOL_MULT = np.array(_POOL_HASH, dtype=np.uint32).T[..., None]
+_POOL_XOR, _POOL_MULT = np.array(_hash_constants(0x43b0d7e5, 0x931e8875, 16),
+                                 dtype=np.uint32).T[..., None]
 _STATE_XOR, _STATE_MULT = np.array(_hash_constants(0x8b51f9dd, 0x58f38ded, 8),
                                    dtype=np.uint32).T[..., None]
 _MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
@@ -305,52 +307,26 @@ _OTHERS = [[dst for dst in range(4) if dst != src] for src in range(4)]
 
 
 def _hash(value, xor, mult):
-    value = (value ^ xor) * mult & _MASK
+    value = (value ^ xor) * mult
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    r = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    r = _MIX_L * x - _MIX_R * y
     return r ^ r >> 16
 
 
-def _row_pool(seed: int, idx: int) -> tuple[list, list]:
-    """The pool of ``SeedSequence(uint32[seed, idx, t])`` as far as it skips t.
-
-    t enters pool word 2.  The rounds that hash words 0 and 1 into the
-    others read seed and idx alone: this runs them once for a row and
-    returns the pool after them (word 2 left None) and the two hashes they
-    mix into word 2.
-    """
-    pool = [_hash(seed, *_POOL_HASH[0]), _hash(idx, *_POOL_HASH[1]), None,
-            _hash(0, *_POOL_HASH[3])]
-    into_t = []
-    hashes = iter(_POOL_HASH[4:])
-    for src in (0, 1):
-        for dst in _OTHERS[src]:
-            y = _hash(pool[src], *next(hashes))
-            if dst == 2:
-                into_t.append(y)
-            else:
-                pool[dst] = _mix(pool[dst], y)
-    return pool, into_t
-
-
-def _trial_words(row: tuple[list, list], trials: range) -> np.ndarray:
+def _trial_words(seed: int, idx: int, trials: range) -> np.ndarray:
     """``SeedSequence(uint32[seed, idx, t]).generate_state(4, uint64)`` for
-    every t in ``trials`` (each below 2^32), one row of words per trial, from
-    the ``_row_pool`` of (seed, idx)."""
-    pool, into_t = row
-    t = _hash(np.arange(trials.start, trials.stop).astype(np.uint32), *_POOL_HASH[2])
-    for y in into_t:
-        t = _mix(t, y)
-    words = np.empty((4, len(trials)), dtype=np.uint32)
-    words[[0, 1, 3]] = [[pool[0]], [pool[1]], [pool[3]]]
-    words[2] = t
-    # the rounds of words 2 and 3: the three words each one mixes into are
-    # disjoint from it, so a round is one pass over a stacked (3, n) array
-    for src, k in ((2, 10), (3, 13)):
-        dst = _OTHERS[src]
+    every t in ``trials``, one row of words per trial; seed, idx and each t
+    are below 2^32."""
+    pool = np.zeros((4, len(trials)), dtype=np.uint32)
+    pool[0], pool[1], pool[2] = seed, idx, trials
+    words = _hash(pool, _POOL_XOR[:4], _POOL_MULT[:4])
+    # the three words a round mixes into are disjoint from the one it hashes,
+    # so each round is one pass over a stacked (3, n) array
+    for src, dst in enumerate(_OTHERS):
+        k = 4 + 3 * src
         words[dst] = _mix(words[dst], _hash(words[src], _POOL_XOR[k:k + 3],
                                             _POOL_MULT[k:k + 3]))
     state = _hash(words[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT)

@@ -5,10 +5,11 @@ factor.  ``WProjModel`` keeps the matrices of its base model: a quotient
 arrow is handed around as any representative ``Morphism``, and composition,
 tensor, dagger, trace and the block sum are the base's, computed on
 representatives.  Only two things change.  Which matrices count as one
-arrow: ``equal`` decides it three ways at once through ``wequal``, and the
-answers must agree or we refuse to answer.  And what value a scalar has:
-the value of the class of c is its doubled value c c(dagger), and the
-scalar constructor picks the nonnegative root as representative.
+arrow: ``equal`` decides it three ways at once through ``wequal``, which
+returns the verdict the three share and refuses to answer when they split.
+And what value a scalar has: the value of the class of c is its doubled
+value c c(dagger), and the scalar constructor picks the nonnegative root as
+representative.
 
 A class is its representative; nothing travels with it.  ``wequal`` reads
 two representatives and computes each criterion's matrices from them with
@@ -19,7 +20,6 @@ It builds no arrow beyond the lower star f_* (and the transpose f* inside
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -44,23 +44,6 @@ def lift(f: Morphism) -> np.ndarray:
     return kernel_array(s.kron(f.array, adjoint), s, (m * n, n * m))
 
 
-@dataclass(frozen=True)
-class WEqualResult:
-    """Per-criterion breakdown of a phase-class equality test."""
-
-    by_double: bool
-    by_lower: bool
-    by_projector: bool
-
-    @property
-    def equal(self) -> bool:
-        return self.by_double
-
-    @property
-    def agree(self) -> bool:
-        return self.by_double == self.by_lower == self.by_projector
-
-
 def _lowered(f: Morphism) -> np.ndarray:
     """The matrix of f (x) f_*, as ``tensor`` would compute it."""
     s = f.semiring
@@ -68,9 +51,10 @@ def _lowered(f: Morphism) -> np.ndarray:
     return kernel_array(s.kron(f.array, lower_star(f).array), s, (m * m, n * n))
 
 
-def wequal(f: Morphism, g: Morphism, rel: float | None = None) -> WEqualResult:
-    """Decide whether f and g are one phase class, three independent ways;
-    the answers must coincide.
+def wequal(f: Morphism, g: Morphism, rel: float | None = None) -> bool:
+    """Decide whether f and g are one phase class, three independent ways,
+    and return the verdict they share; a split raises
+    ``CriterionDisagreement``.
 
     Criterion 1 compares the doubled forms, criterion 2 f(x)f(lower-star),
     criterion 3 the bipartite projectors.  The representatives' types are
@@ -86,12 +70,11 @@ def wequal(f: Morphism, g: Morphism, rel: float | None = None) -> WEqualResult:
     by_lower = approx_equal(_lowered(f), _lowered(g), rel)
     by_projector = approx_equal(core.projector_array(f),
                                 core.projector_array(g), rel)
-    result = WEqualResult(by_double, by_lower, by_projector)
-    if not result.agree:
+    if not by_double == by_lower == by_projector:
         raise CriterionDisagreement(
             f"equality criteria disagree: doubled={by_double} "
             f"lower={by_lower} projector={by_projector}")
-    return result
+    return by_double
 
 
 def canonical_rep(f: Morphism) -> Morphism:
@@ -132,7 +115,7 @@ class WProjModel(ModelHandle):
         self.base = base
 
     def equal(self, f: Morphism, g: Morphism, rel: float | None = None) -> bool:
-        return wequal(f, g, rel).equal
+        return wequal(f, g, rel)
 
     def scalar(self, value) -> Morphism:
         r = nonneg_value(value)

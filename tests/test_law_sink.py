@@ -21,7 +21,8 @@ ALLOWED = {
     "state-density-identity": "core.state_density_identity_holds compares "
                               "representatives itself",
     "born-probability-loop": "a sign test of one scalar against REAL_TOL",
-    "equality-criteria-agree": "reads wequal's per-criterion verdicts",
+    "equality-criteria-agree": "calls wequal itself: the row states that its "
+                               "three criteria agree",
     "canonical-representative-idempotent": "compares representatives with "
                                            "morphisms.equal, not classes",
     "canonical-representative-phase-free": "compares representatives with "

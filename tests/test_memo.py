@@ -267,7 +267,7 @@ def test_teleport_branches_give_the_per_call_chain_bit_for_bit(which):
     for _ in range(5):
         psi = Morphism(UNIT, protocols.qubit(), rng.normal(size=(2, 1))
                        + 1j * rng.normal(size=(2, 1)), COMPLEX)
-        outs, _ = protocols._teleport_branches(psi, t)
+        outs = protocols._teleport_branches(psi, t)
         want = chain_teleport_branches(psi, t)
         assert len(outs) == len(want) == 4
         for got, w in zip(outs, want):

@@ -225,7 +225,7 @@ def test_a_name_that_is_not_phase_covariant_splits_the_criteria():
     f = morphisms.Morphism(Gen("A", 2), Gen("B", 2),
                            np.array([[1, 2j], [3, 4 - 1j]]), COMPLEX)
     g = scalar_mult(scalar(1j, COMPLEX), f)
-    assert wequal(f, g).equal
+    assert wequal(f, g)
     with _everywhere(core, "name_array", lambda f: _name_array(f).real):
         with pytest.raises(CriterionDisagreement):
             wequal(f, g)
@@ -245,7 +245,7 @@ def test_a_doubled_form_without_the_involution_splits_the_criteria():
     f = morphisms.Morphism(Gen("A", 2), Gen("B", 2),
                            np.array([[1, 2j], [3, 4 - 1j]]), COMPLEX)
     g = scalar_mult(scalar(1j, COMPLEX), f)
-    assert wequal(f, g).equal
+    assert wequal(f, g)
     with _everywhere(wproj, "lift", _lift_without_involution):
         with pytest.raises(CriterionDisagreement,
                            match="doubled=False lower=True projector=True"):

@@ -26,7 +26,7 @@ def test_layer_tracer_finds_its_hooks(monkeypatch):
     f = Morphism(q, q, np.array([[1, 2], [3, 4]]), COMPLEX)
     # wequal lifts each side to a matrix and builds no tensor arrow, so
     # core.double supplies the tensor calls counted here
-    assert tracer.call(wequal, f, f).equal
+    assert tracer.call(wequal, f, f)
     tracer.call(core.double, f)
     metrics = tracer.metrics()
     assert metrics["wproj.wequal_calls"][0] == 1

@@ -47,9 +47,10 @@ def test_teleport_branches_close_to_hand_formula():
     # every raw branch is (1/2) beta_i psi; derived by contracting
     # (<beta_i| (x) 1)(psi (x) |Phi>) with |Phi> = (1/sqrt 2) vec(1)
     rng = np.random.default_rng(61)
+    t, _ = protocols.bell_teleportation_setup()
     for _ in range(10):
         psi = M.sample_state(rng, qubit())
-        outs, _ = protocols._teleport_branches(psi)
+        outs = protocols._teleport_branches(psi, t)
         for i, out in enumerate(outs):
             want = 0.5 * BETAS[i] @ psi.array
             assert np.allclose(out.array, want, atol=1e-9)

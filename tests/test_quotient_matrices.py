@@ -61,12 +61,13 @@ def sample(s, rng, dom, cod):
 
 
 def verdicts(f, g, rel=None):
-    """wequal's answer, or the exception it raised."""
+    """wequal's verdict, shared by its three criteria, or the exception it
+    raised."""
     try:
-        r = wequal(f, g, rel)
+        verdict = wequal(f, g, rel)
     except CriterionDisagreement:
         return CriterionDisagreement
-    return (r.by_double, r.by_lower, r.by_projector)
+    return (verdict,) * 3
 
 
 def expected(f, g, rel=None):

@@ -14,8 +14,7 @@ from sccckit import (COMPLEX, NONNEG, ModelHandle, SccckitError, TypeMismatch,
 from sccckit import protocols, report
 from sccckit.born import _run_legs, leg_checks
 from sccckit.report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
-                            CheckRunner, _TRIAL_CHUNK, _outcome, _row_pool,
-                            _trial_words)
+                            CheckRunner, _TRIAL_CHUNK, _outcome, _trial_words)
 from sccckit.semirings import REL_TOL, corrupted_complex
 from sccckit.suites import _sccc_checks
 
@@ -233,12 +232,12 @@ def _seed_sequence_words(seed, row, trial):
 def test_batched_words_are_the_seed_sequence_words():
     fitting = [w for w in STREAM_WORDS if w < 2 ** 32]
     for seed, row, trial in product(fitting, repeat=3):
-        [words] = _trial_words(_row_pool(seed, row), range(trial, trial + 1))
+        [words] = _trial_words(seed, row, range(trial, trial + 1))
         assert words.tobytes() == _seed_sequence_words(seed, row, trial).tobytes()
     rng = np.random.default_rng(2024)
     for seed, row, first in rng.integers(0, 2 ** 32 - 3, size=(1000, 3)).tolist():
         trials = range(first, first + 3)
-        batch = _trial_words(_row_pool(seed, row), trials)
+        batch = _trial_words(seed, row, trials)
         assert batch.shape == (3, 4) and batch.dtype == np.uint64
         for words, trial in zip(batch, trials):
             assert (words == _seed_sequence_words(seed, row, trial)).all(), (seed, row, trial)
