@@ -27,6 +27,9 @@ REL_TOL = 1e-9
 # how far a value read off complex kernels may stray from the reals, relative
 # to max(1, |v|): its rounding residual grows with its magnitude
 REAL_TOL = 1e-9
+# the factor by which phase alignment's bounds must clear a quotient threshold
+# to settle a verdict; the rounding they leave out needs less than 1 + 1e-14
+ALIGN_MARGIN = 4.0
 
 
 def max_abs(arr: np.ndarray) -> float:

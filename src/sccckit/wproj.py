@@ -5,7 +5,10 @@ factor.  ``WProjModel`` keeps the matrices of its base model: a quotient
 arrow is handed around as any representative ``Morphism``, and composition,
 tensor, dagger, trace and the block sum are the base's, computed on
 representatives.  Only two things change.  Which matrices count as one
-arrow: ``equal`` decides it three ways at once through ``wequal``, which
+arrow: [f] = [g] iff g = c.f for a unit c, and ``equal`` decides it by
+aligning g to f by one phase (``phase_align``), in work linear in the
+entries.  Only when alignment's bounds leave the verdict of the doubled
+forms open does it ask ``wequal``, which decides three ways at once,
 returns the verdict the three share and refuses to answer when they split.
 And what value a scalar has: the value of the class of c is its doubled
 value c c(dagger), and the scalar constructor picks the nonnegative root as
@@ -14,9 +17,10 @@ representative.
 A class is its representative; nothing travels with it.  ``wequal`` reads
 two representatives and computes each criterion's matrices from them with
 the semiring's own kernels: the doubled form f(x)f(dagger) (``lift``, the
-semantic identity of the class), f(x)f(lower-star) and the name projector.
-It builds no arrow beyond the lower star f_* (and the transpose f* inside
-``core.name_array``, which ``core.projector_array`` reads).
+semantic identity of the class), f(x)f(lower-star) and the name projector,
+each of N^2 entries for an arrow of N.  It builds no arrow beyond the lower
+star f_* (and the transpose f* inside ``core.name_array``, which
+``core.projector_array`` reads).
 """
 from __future__ import annotations
 
@@ -32,7 +36,12 @@ from .morphisms import (Morphism, compose, dagger, kernel_array, lower_star,
 from .objects import Gen, UNIT, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
                      serialize_morphism)
-from .semirings import nonneg_value, real_value
+from .semirings import (ABS_TOL, ALIGN_MARGIN, REL_TOL, max_abs,
+                        nonneg_value, real_value)
+
+# the relative error, in ulps of float64, that the alignment bounds allow
+# each rounded product, difference and modulus they stand for
+_ROUNDING = 8 * np.finfo(np.float64).eps
 
 
 def lift(f: Morphism) -> np.ndarray:
@@ -51,6 +60,13 @@ def _lowered(f: Morphism) -> np.ndarray:
     return kernel_array(s.kron(f.array, lower_star(f).array), s, (m * m, n * n))
 
 
+def _same_type(f: Morphism, g: Morphism) -> None:
+    if f.dom != g.dom or f.cod != g.cod:
+        raise TypeMismatch(
+            f"cannot compare {format_object(f.dom)}->{format_object(f.cod)} "
+            f"with {format_object(g.dom)}->{format_object(g.cod)}")
+
+
 def wequal(f: Morphism, g: Morphism, rel: float | None = None) -> bool:
     """Decide whether f and g are one phase class, three independent ways,
     and return the verdict they share; a split raises
@@ -61,10 +77,7 @@ def wequal(f: Morphism, g: Morphism, rel: float | None = None) -> bool:
     checked once, here; each criterion then compares two matrices computed
     from them with the semiring's ``approx_equal``.
     """
-    if f.dom != g.dom or f.cod != g.cod:
-        raise TypeMismatch(
-            f"cannot compare {format_object(f.dom)}->{format_object(f.cod)} "
-            f"with {format_object(g.dom)}->{format_object(g.cod)}")
+    _same_type(f, g)
     approx_equal = f.semiring.approx_equal
     by_double = approx_equal(lift(f), lift(g), rel)
     by_lower = approx_equal(_lowered(f), _lowered(g), rel)
@@ -86,13 +99,102 @@ def canonical_rep(f: Morphism) -> Morphism:
     """
     if f.semiring.phase is None or f.array.size == 0:
         return f
-    flat = np.abs(f.array).ravel(order="C")
-    idx = int(np.argmax(flat))
-    top = f.array.ravel(order="C")[idx]
+    top = f.array.ravel()[_pivot(f.array)]
     if abs(top) <= 1e-300:
         return f
     phase = top / abs(top)
     return Morphism(f.dom, f.cod, f.array * np.conjugate(phase), f.semiring)
+
+
+def _pivot(arr: np.ndarray) -> int:
+    """Row-major index of the first entry of largest modulus."""
+    return int(np.argmax(np.abs(arr).ravel()))
+
+
+def phase_align(f: Morphism, g: Morphism) -> tuple:
+    """Align g to f by one phase: (c, eps, m) with eps = max|g - c.f| and
+    m = max|f|, in work linear in the entries and with no arrow.
+
+    The pivot k is ``canonical_rep``'s, and c is g_k / f_k scaled to
+    modulus one: z/|z| under conjugation, the sign under the identity
+    involution on reals.  When f_k or g_k is zero every unit aligns alike
+    and c is one, as it is over an exact semiring, where eps is 0 when
+    g = f and 1 otherwise.  Under the identity involution on complex
+    entries a ratio off the real line scales to no unit (c c(dagger) = c^2
+    is not 1); c is returned as scaled, for the caller to refuse.  A
+    non-finite f aligns to nothing: eps is NaN.
+    """
+    s = f.semiring
+    a, b = f.array.ravel(), g.array.ravel()
+    if s.exact:
+        return s.one, float((a != b).any()), max_abs(a)
+    if a.size == 0:
+        return s.one, 0.0, 0.0
+    k = _pivot(a)
+    top, other = a[k], b[k]
+    m, n = abs(top), abs(other)
+    if not m < np.inf:
+        return s.one, float("nan"), float(m)
+    # (g_k/|g_k|) / (f_k/|f_k|): a quotient of two units cannot overflow
+    c = (other / n) / (top / m) if m and 0 < n < np.inf else s.one
+    return c, max_abs(b - c * a), float(m)
+
+
+def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
+    """The verdict of ``wequal``'s criterion 1, approx_equal(lift(f),
+    lift(g), rel), when phase alignment's bounds settle it; else None.
+
+    With (c, eps, m) from ``phase_align``, M_g = max|g|, e = g - c.f and an
+    involution that keeps moduli, the doubled forms differ entrywise by
+        g_a g_b(dagger) - f_a f_b(dagger)
+          = (c c(dagger) - 1) f_a f_b(dagger) + c f_a e_b(dagger)
+            + e_a (c f_b)(dagger) + e_a e_b(dagger),
+    so for a unit c criterion 1's gap is at most 2 m eps + eps^2.  Its
+    threshold is max(ABS_TOL, rel S), where S, the larger modulus in the
+    two doubled forms, is max(m, M_g)^2 up to rounding.
+
+    Unequal: the pivot column b = k of the doubled forms is part of that
+    gap, and its largest entry L = max_a |g_a g_k(dagger) - f_a f_k(dagger)|
+    is a lower bound.  Writing g_k = l c f_k with l = |g_k| / m >= 0, its
+    entry at a is m |l g_a - c f_a|, and its entry at k is |1 - l^2| m^2,
+    so |1 - l| <= L / m^2.  As eps <= max_a |l g_a - c f_a| + |1 - l| M_g,
+    L >= eps m^2 / (m + M_g): the column is read off the alignment.
+
+    Each bound is widened by ``_ROUNDING`` for the rounded products,
+    differences and moduli of both computations, and must clear the
+    threshold by ``ALIGN_MARGIN`` on its side, so a verdict is settled only
+    where both computations give it.  Non-finite entries, a c that is no
+    unit, overflow and everything between the two bounds return None.
+
+    Over an exact semiring g = f settles equal.  Otherwise the doubled
+    forms' entries f_a f_a(dagger), one per entry of f, settle unequal when
+    they differ from g's.  Over booleans that entry is f_a AND f_a = f_a,
+    so f (x) f^T = g (x) g^T iff f = g and nothing is left open.
+    """
+    s = f.semiring
+    c, eps, m = phase_align(f, g)
+    if s.exact:
+        if not eps:
+            return True
+        a, b = f.array, g.array
+        return False if (a * s.involution(a) != b * s.involution(b)).any() else None
+    if not abs(c * s.involution(c) - 1) <= _ROUNDING:
+        return None
+    m_g = max_abs(g.array)
+    top = max(m, m_g)
+    m2 = top * top
+    upper = (2 * m * eps + eps * eps) * (1 + _ROUNDING) + _ROUNDING * m2
+    # the doubled forms' entries and their differences must stay finite
+    if not upper + 4 * m2 < np.inf:
+        return None
+    scaled = (REL_TOL if rel is None else rel) * m2
+    threshold = scaled if scaled > ABS_TOL else ABS_TOL
+    if upper <= threshold / ALIGN_MARGIN:
+        return True
+    if m and ((eps * (1 - _ROUNDING) - _ROUNDING * m) * m * m / (m + m_g)
+              - _ROUNDING * m2 > ALIGN_MARGIN * threshold):
+        return False
+    return None
 
 
 class WProjModel(ModelHandle):
@@ -115,7 +217,11 @@ class WProjModel(ModelHandle):
         self.base = base
 
     def equal(self, f: Morphism, g: Morphism, rel: float | None = None) -> bool:
-        return wequal(f, g, rel)
+        """Criterion 1's verdict, settled by phase alignment when its bounds
+        allow (``_settled``) and by ``wequal`` otherwise."""
+        _same_type(f, g)
+        verdict = _settled(f, g, rel)
+        return wequal(f, g, rel) if verdict is None else verdict
 
     def scalar(self, value) -> Morphism:
         r = nonneg_value(value)

@@ -11,6 +11,7 @@ from sccckit import (COMPLEX, CriterionDisagreement, Gen, ModelHandle, Tensor,
                      resolve_model, run_suite, run_teleportation, scalar,
                      scalar_mult, wequal, wproj)
 from sccckit.morphisms import _derived, adopt, eye, kernel_array
+from sccckit.semirings import max_abs
 
 
 def _failed(suite: str, selector: str) -> list[str]:
@@ -33,6 +34,39 @@ def test_a_constant_quotient_equality_fails_a_row(monkeypatch, answer, suites):
     monkeypatch.setattr(WProjModel, "equal", lambda self, f, g, rel=None: answer)
     for suite in suites:
         assert _failed(suite, "wproj:fdhilb"), suite
+
+
+_phase_align = wproj.phase_align
+
+
+def _phase_off_the_pivot(f, g):
+    """``phase_align`` with c read off g one entry past f's pivot."""
+    rolled = morphisms.Morphism(g.dom, g.cod, np.roll(g.array, -1), g.semiring)
+    c, _, m = _phase_align(f, rolled)
+    return c, max_abs(g.array - c * f.array), m
+
+
+@pytest.mark.parametrize("attr,mutant,catches", [
+    # an alignment that settles every pair as equal merges classes that the
+    # weight rows and the corrupted control keep apart
+    ("_settled", lambda f, g, rel: True, {
+        ("wproj", "wproj:fdhilb"): ["quotient-separates-weight-from-phase"],
+        ("equivalence", "wproj:fdhilb"): ["axiom-legs-agree-corrupted-control"]}),
+    # a pivot shared by f and g cannot mislead, since every common entry of a
+    # phase pair carries its phase; one read apart makes phase pairs look far
+    # apart, past the lower bound, and every row stating a class law sees it
+    ("phase_align", _phase_off_the_pivot, {
+        ("wproj", "wproj:fdhilb"): ["quotient-respects-compose",
+                                    "quotient-respects-tensor",
+                                    "canonical-representative-in-class"],
+        ("sccc", "wproj:fdhilb"): ["double-ignores-phase", "phase-witnesses"],
+        ("prep-state", "wproj:fdhilb"): ["densities-determine-states"]}),
+], ids=["alignment-always-equal", "alignment-phase-off-pivot"])
+def test_a_broken_alignment_fails_its_rows(monkeypatch, attr, mutant, catches):
+    monkeypatch.setattr(wproj, attr, mutant)
+    for (suite, selector), rows in catches.items():
+        missed = set(rows) - set(_failed(suite, selector))
+        assert not missed, (suite, selector, sorted(missed))
 
 
 def _undoubled_value(self, s):
