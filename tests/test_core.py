@@ -14,6 +14,8 @@ from sccckit import (
     Oplus,
     Tensor,
     UNIT,
+    ZERO,
+    WProjModel,
     born_prob,
     compose,
     dagger,
@@ -42,7 +44,9 @@ from sccckit import (
 from sccckit import core
 from sccckit.errors import (AbsorptionMismatch, NotPhaseEquivalent, NotProjector,
                             TypeMismatch)
-from sccckit.semirings import BOOLEAN, NONNEG, corrupted_complex
+from sccckit.models import semiring_model
+from sccckit.semirings import BOOLEAN, NONNEG, corrupted_complex, real_value
+from sccckit.wproj import lift
 
 Q = Gen("Q", 2)
 M = fdhilb()
@@ -255,6 +259,96 @@ def test_trace_rejects_non_endomorphism():
     f = zeros(Q, Gen("B", 3), COMPLEX)
     with pytest.raises(TypeMismatch):
         trace(f)
+
+
+def composite_trace(f):
+    """Tr(f) as the composite eta(dagger) o (1 (x) f) o eta that ``trace``
+    reads in closed form: the oracle for its bits."""
+    s = f.semiring
+    return compose(core.counit(f.dom, s),
+                   compose(tensor(identity(dual(f.dom), s), f), unit(f.dom, s)))
+
+
+TRACE_OBJECTS = ([Gen("A", d) for d in range(1, 9)]
+                 + [UNIT, ZERO, Oplus(Gen("A", 2), Gen("B", 3)),
+                    Oplus(UNIT, dual(Gen("C", 2))), Oplus(ZERO, Tensor(Q, Q))])
+
+
+def _endomorphisms(s, rng):
+    """Sampled endomorphisms of every trace object, at the scales 1 and
+    1e300 with signed zeros off the booleans."""
+    for a in TRACE_OBJECTS:
+        for _ in range(4):
+            arr = s.sample(rng, (dim(a), dim(a)))
+            if s is BOOLEAN or not arr.size:
+                yield Morphism(a, a, arr, s)
+                continue
+            for scale in (1.0, 1e300):
+                scaled = scale * arr
+                scaled.flat[rng.integers(0, arr.size, 2)] = -0.0
+                if s is COMPLEX:
+                    scaled.flat[-1] = complex(0.0, -0.0)
+                yield Morphism(a, a, scaled, s)
+
+
+@pytest.mark.parametrize("s", [COMPLEX, NONNEG, BOOLEAN], ids=lambda s: s.name)
+def test_trace_is_the_composite_bit_for_bit(s):
+    for f in _endomorphisms(s, np.random.default_rng(31)):
+        got, want = trace(f), composite_trace(f)
+        assert got.dom == got.cod == want.dom == want.cod == UNIT
+        assert got.array.dtype == want.array.dtype
+        assert got.array.tobytes() == want.array.tobytes(), f.array
+
+
+@pytest.mark.parametrize("s", [COMPLEX, NONNEG], ids=lambda s: s.name)
+def test_trace_of_a_non_finite_arrow_is_not_finite(s):
+    a = Gen("A", 3)
+    with np.errstate(invalid="ignore"):
+        for bad in (np.inf, -np.inf, np.nan):
+            for k in range(9):
+                arr = np.ones((3, 3))
+                arr.flat[k] = bad
+                f = Morphism(a, a, arr, s)
+                assert not np.isfinite(trace(f).array).any(), (bad, k)
+                assert not np.isfinite(composite_trace(f).array).any(), (bad, k)
+        if s is NONNEG:
+            # where the non-finite entries sit only on the diagonal, the
+            # composite's 0 * inf terms made NaN of a sum that is inf
+            f = Morphism(a, a, np.diag([np.inf, 1.0, np.inf]), s)
+            assert trace(f).array.item() == np.inf
+            assert np.isnan(composite_trace(f).array.item())
+
+
+def _scalars(s, rng):
+    """Scalars from 1e-200 to 1e200 in modulus, where c c(dagger) overflows
+    and underflows, with signed zeros and non-finite parts."""
+    if s is BOOLEAN:
+        yield from (scalar(v, s) for v in (False, True))
+        return
+    specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, 1.4e154]
+    values = [complex(x, y) for x in specials for y in specials]
+    for e in range(-200, 201, 5):
+        values += list(rng.standard_normal(4) * 10.0 ** e
+                       + 1j * rng.standard_normal(4) * 10.0 ** e)
+    for v in values:
+        yield scalar(v if s is COMPLEX else v.real, s)
+
+
+@pytest.mark.parametrize("s", [COMPLEX, NONNEG, BOOLEAN], ids=lambda s: s.name)
+def test_quotient_scalar_value_is_the_lifted_entry_bit_for_bit(s):
+    model = WProjModel(semiring_model(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in _scalars(s, np.random.default_rng(37)):
+            want = lift(c).item()
+            if isinstance(want, complex):
+                want = real_value(want)
+            if want is None:
+                with pytest.raises(TypeMismatch):
+                    model.scalar_value(c)
+                continue
+            got = model.scalar_value(c)
+            assert type(got) is type(want), c.array
+            assert np.array(got).tobytes() == np.array(want).tobytes(), c.array
 
 
 def test_scalar_action_scales_entries():

@@ -92,12 +92,15 @@ def test_boolean_matmul_matches_integer_reference():
 
 
 def _three_reduction_equal(a, b, rel=None):
-    """The tolerant equality as first written: scale, then threshold, then gap."""
+    """The tolerant equality as first written: scale, then threshold, then
+    gap, with an infinite scale deciding False."""
     if a.shape != b.shape:
         return False
     if a.size == 0:
         return True
     scale = max(max_abs(a), max_abs(b))
+    if scale == np.inf:
+        return False
     return max_abs(a - b) <= max(ABS_TOL, (REL_TOL if rel is None else rel) * scale)
 
 

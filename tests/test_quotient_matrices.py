@@ -18,6 +18,7 @@ from sccckit import (BOOLEAN, COMPLEX, NONNEG, UNIT, ZERO, CriterionDisagreement
                      compose, core, dagger, dim, double, dual, equal, fdhilb,
                      identity, lower_star, morphisms, tensor, unit, wequal,
                      wproj)
+from sccckit.models import semiring_model
 from sccckit.semirings import ABS_TOL, REL_TOL
 
 A, B = Gen("A", 2), Gen("B", 3)
@@ -194,4 +195,44 @@ def test_quotient_equality_builds_only_the_arrows_it_reads(monkeypatch):
     assert calls == {"lower_star": 2, "star": 2}
     calls.clear()
     assert model.equal(f, g) is False
+    assert calls == {}
+
+
+@pytest.mark.parametrize("s", [COMPLEX, NONNEG, BOOLEAN], ids=lambda s: s.name)
+def test_trace_and_quotient_scalars_build_only_the_arrow_they_return(monkeypatch, s):
+    # trace reads f's name column in closed form, so its 1 x 1 result is the
+    # one arrow it builds and no kron runs; the quotient reads a scalar's
+    # doubled value as one product of its entry and builds no arrow
+    calls = Counter()
+
+    def counting_kron(a, b):
+        calls["kron"] += 1
+        return s.kron(a, b)
+
+    counted = replace(s, name=f"counted-{s.name}", kron=counting_kron)
+    model = WProjModel(semiring_model(counted))
+    rng = np.random.default_rng(67)
+    arrows = [sample(counted, rng, a, a) for a in OBJECTS]
+    scalars = [sample(counted, rng, UNIT, UNIT) for _ in range(4)]
+    for f in arrows:
+        core.trace(f)  # fill the memoized counits first
+    calls.clear()
+    derived = morphisms._derived
+
+    def counting(*args):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return derived(*args)
+
+    def constructed(self):
+        calls["Morphism"] += 1
+
+    monkeypatch.setattr(morphisms, "_derived", counting)
+    monkeypatch.setattr(core, "_derived", counting)
+    monkeypatch.setattr(Morphism, "__post_init__", constructed)
+    for f in arrows:
+        core.trace(f)
+    assert calls == {"trace": len(arrows)}
+    calls.clear()
+    for c in scalars:
+        model.scalar_value(c)
     assert calls == {}

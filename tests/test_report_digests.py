@@ -2,12 +2,13 @@
 
 ``report_digests.json`` maps a command line to the sha256 of the JSON report
 it prints: every (suite, model selector) pair the CLI accepts, plus
-teleport.  ``failing_report_digests.json`` does the same for reports run
-with every model's ``equal`` answering False, so that each row deciding a
-law through ``model.equal`` fails at trial 0 and prints its witness.  A
-change that keeps every verdict and every witness keeps every digest; a
-change that alters a report on purpose says so in CHANGES.md and rewrites
-both files with ``PYTHONPATH=src python tests/test_report_digests.py``.
+teleport and born at ``--nu 1/2`` and ``2``.  ``failing_report_digests.json``
+does the same for reports run with every model's ``equal`` answering False,
+so that each row deciding a law through ``model.equal`` fails at trial 0
+and prints its witness.  A change that keeps every verdict and every
+witness keeps every digest; a change that alters a report on purpose says
+so in CHANGES.md and rewrites both files with
+``PYTHONPATH=src python tests/test_report_digests.py``.
 """
 
 import hashlib
@@ -33,6 +34,10 @@ _SELECTORS = ["fdhilb", "rel", "weights", "wproj:fdhilb", "wproj:rel", "wproj:we
 _TRIALS = {("equivalence", "rel"): 10, ("equivalence", "wproj:rel"): 10}
 _TELEPORT = [(model, state) for model in ("fdhilb", "wproj:fdhilb")
              for state in (None, "[[0.6,0],[0,0.8]]")]
+# born at the exponents other than the default, whose scalars take roots;
+# the report does not echo --nu, so the failing ones pin its values
+_BORN_NU = [f"verify born --model {model} --seed 7 --trials 3 --nu {nu} --json -"
+            for model in ("fdhilb", "wproj:fdhilb") for nu in ("1/2", "2")]
 
 ARGVS = (
     [f"verify {suite} --model {model} --seed 7 "
@@ -40,11 +45,12 @@ ARGVS = (
      for suite in SUITE_NAMES for model in _SELECTORS]
     + [f"protocol teleport --model {model} --seed 7"
        + (f" --state {state}" if state else "") + " --json -"
-       for model, state in _TELEPORT])
+       for model, state in _TELEPORT]
+    + _BORN_NU)
 
 FAILING_ARGVS = [f"verify {suite} --model {model} --seed 7 --trials 3 --json -"
                  for suite in ("sccc", "ortho", "born", "wproj")
-                 for model in ("fdhilb", "rel", "wproj:fdhilb")]
+                 for model in ("fdhilb", "rel", "wproj:fdhilb")] + _BORN_NU
 
 
 def _report(argv: str, exit_code: int = 0) -> str:

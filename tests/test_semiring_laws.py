@@ -5,7 +5,8 @@ operations and decides them all in one ``entrywise_equal`` pass.  These tests
 pin the law count, tie the entrywise criterion to the matrix-level
 ``approx_equal`` on one-entry arrays and the batched ``equal_to_each`` to it
 pair by pair, pin the first violation's message for
-four broken semirings, and show that set-up makes no matrix equality call.
+four broken semirings, refuse an infinite scale, and show that set-up makes
+no matrix equality call.
 """
 import dataclasses
 from itertools import product
@@ -109,6 +110,22 @@ def test_equal_to_each_agrees_with_approx_equal_pair_by_pair(s, pairs, rel):
                     assert got.dtype == np.bool_ and got.tolist() == want, (p, rel)
                     verdicts.update(want)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("s", [COMPLEX, NONNEG], ids=lambda s: s.name)
+@pytest.mark.parametrize("rel", [None, 1e-3, 1e3])
+def test_an_infinite_entry_does_not_make_every_gap_small(s, rel):
+    # the relative threshold rel * max|.| is infinite here, and used to
+    # accept the gap 9 - 1 beside the infinite one
+    a = np.array([[1, 2], [3, 4]], dtype=s.dtype)
+    b = np.array([[9, 9], [9, np.inf]], dtype=s.dtype)
+    with np.errstate(invalid="ignore"):
+        assert s.approx_equal(a, b, rel) is False
+        assert s.approx_equal(b, a, rel) is False
+        assert s.equal_to_each(a, np.stack([b, a, b]), rel).tolist() == [False, True, False]
+        assert s.equal_to_each(b, np.stack([a, b]), rel).tolist() == [False, False]
+        assert not s.entrywise_equal(np.array([1.0, np.inf], s.dtype),
+                                     np.array([np.inf, 1.0], s.dtype)).any()
 
 
 @pytest.mark.parametrize("s", SHIPPED, ids=lambda s: s.name)
