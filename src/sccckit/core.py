@@ -14,25 +14,28 @@ exercises them:
 * the dual of the unit is realized strictly by object normalization.
 
 These structure maps, the inverse left unitor lam_A(dagger) that
-``scalar_mult`` leaves through, eta_A, eta_A(dagger) and the two legs of
-``partial_trace`` around 1 (x) f are canonical once their objects are
-fixed, so each is memoized per (objects, semiring) in one bounded cache:
-each is a deterministic function of hashable, immutable arguments
-(semirings hash by identity) that takes no array, checks nothing and
-returns a frozen morphism, so a shared result is indistinguishable from a
-fresh one.  Each is built diagrammatically from the primitives, so a
-broken primitive is cached broken and every check that catches it still
-does.  Nothing that reads arrays or performs a check is memoized, and no
-call builds anything twice: ``hs_norm_sq`` names its argument once, and
-``phase_witnesses`` forms both of its scalars from the one name of f.
+``scalar_mult`` leaves through, the unit eta_A, the counit eta_A(dagger) and
+the two legs of ``partial_trace`` around 1 (x) f are canonical once their
+objects are fixed, so each is memoized per (objects, semiring) in one
+bounded cache.  That is sound because each is a deterministic function of
+hashable, immutable arguments (semirings hash by identity) that takes no
+array and checks nothing, and returns a morphism whose array is frozen: a
+shared result is indistinguishable from a fresh one.  Each is built
+diagrammatically from the primitives, so a broken primitive is cached
+broken and every check that catches it still does.  Nothing that reads
+arrays or performs a check is memoized: ``name`` computes and compares both
+unfoldings on every call, and ``trace``, ``partial_trace``, ``scalar_mult``
+and ``double`` apply their argument afresh.  No call builds anything twice
+either: ``hs_norm_sq`` names its argument once, and ``phase_witnesses``
+forms both of its scalars from the one name of f.
 
 ``name`` is computed on matrices (``name_array``): both unfoldings run the
-semiring's kron and matmul kernels on plain arrays on every call, with f*
-taken by ``star``, the only arrow built before the name; so is
-``bipartite_projector`` (``projector_array``), whose matrix the phase
-quotient's projector criterion reads.  ``trace`` reads the name of f, its
-middle leg (1 (x) f) o eta, in closed form as f's stacked columns, and
-builds only its 1 x 1 result.
+semiring's kron and matmul kernels on plain arrays, with the transpose f*
+taken by ``star``, so the one dual it uses is the only arrow built before
+the name itself.  ``bipartite_projector`` is computed the same way
+(``projector_array``), and the phase quotient's projector criterion reads
+that matrix.  ``trace`` reads its middle leg (1 (x) f) o eta, the name of
+f, in closed form as f's stacked columns, and builds only its 1 x 1 result.
 """
 from __future__ import annotations
 

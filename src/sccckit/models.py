@@ -50,11 +50,12 @@ class ModelHandle:
     def scalar_power(self, s: Morphism, exponent) -> Morphism:
         """s raised to a rational power; needs a nonneg real value unless the
         exponent is an integer or the semiring is idempotent."""
-        q = float(exponent)
         if self.semiring.idempotent:
-            # as over the booleans, x*x = x: a positive power of s is s itself
-            return s if q != 0 else self.scalar(self.semiring.one)
+            # as over the booleans, where x*x = x too, a positive power of a
+            # scalar is the scalar itself
+            return s if float(exponent) != 0 else self.scalar(self.semiring.one)
         v = self.scalar_value(s)
+        q = float(exponent)
         if q == int(q):
             return self.scalar(v ** int(q))
         r = nonneg_value(v)

@@ -104,14 +104,15 @@ class InvolutiveSemiring:
         Entry k reads what ``approx_equal`` decides on the one-entry arrays
         ``a[k:k+1]`` and ``b[k:k+1]``: ``a == b`` when ``exact``, else a gap
         within ``ABS_TOL`` or within ``REL_TOL`` times the larger magnitude
-        of that entry alone, finite and never shared across entries.
+        of that entry alone, never a scale shared across entries; an
+        infinite gap is never within it.
         """
         if self.exact:
             return a == b
         gap, ma, mb = np.abs(a - b), np.abs(a), np.abs(b)
         # python's max(ma, mb), NaN included, as _tolerant_equal reads it
         scale = np.where(mb > ma, mb, ma)
-        return (gap <= ABS_TOL) | ((gap <= REL_TOL * scale) & (scale < np.inf))
+        return (gap <= ABS_TOL) | ((gap <= REL_TOL * scale) & (gap < np.inf))
 
     def equal_to_each(self, a: np.ndarray, stack: np.ndarray,
                       rel: float | None = None) -> np.ndarray:
@@ -121,7 +122,7 @@ class InvolutiveSemiring:
         all entries ``a == stack[j]`` when ``exact``, else the gap
         max|a - stack[j]| within ``ABS_TOL``, or within ``rel`` (default
         ``REL_TOL``) times python's ``max`` of the two arrays' largest
-        magnitudes.  A NaN gap or an infinite scale decides False.
+        magnitudes.  A NaN or infinite gap decides False, as in ``_tolerant_equal``.
         """
         k = len(stack)
         if stack.shape[1:] != a.shape:
@@ -137,7 +138,7 @@ class InvolutiveSemiring:
         # python's 0.0 * inf is a silent NaN; numpy's warns
         with np.errstate(invalid="ignore"):
             return (gap <= ABS_TOL) | ((gap <= (REL_TOL if rel is None else rel) * scale)
-                                       & (scale < np.inf))
+                                       & (gap < np.inf))
 
     @cached_property
     def idempotent(self) -> bool:
@@ -171,9 +172,8 @@ def _tolerant_equal(a: np.ndarray, b: np.ndarray, rel: float | None = None) -> b
     gap = max_abs(a - b)
     if gap <= ABS_TOL:
         return True
-    # an infinite scale would accept every gap; like NaN, inf equals nothing
-    scale = max(max_abs(a), max_abs(b))
-    return scale < np.inf and gap <= (REL_TOL if rel is None else rel) * scale
+    # rel * inf, the scale beside an infinite entry, would accept its infinite gap
+    return gap < np.inf and gap <= (REL_TOL if rel is None else rel) * max(max_abs(a), max_abs(b))
 
 
 def _exact_equal(a: np.ndarray, b: np.ndarray, rel: float | None = None) -> bool:

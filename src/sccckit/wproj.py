@@ -8,18 +8,19 @@ representatives.  Only two things change.  Which matrices count as one
 arrow: [f] = [g] iff g = c.f for a unit c, and ``equal`` decides it by
 aligning g to f by one phase (``phase_align``), in work linear in the
 entries.  Only when alignment's bounds leave the verdict of the doubled
-forms open does it ask ``wequal``, which decides three ways at once, returns
-the verdict the three share and refuses to answer when they split.  And
-what value a scalar has: the value of the class of c is its doubled value
-c c(dagger), one product of numbers, and the scalar constructor picks the
-nonnegative root as representative.
+forms open does it ask ``wequal``, which decides three ways at once,
+returns the verdict the three share and refuses to answer when they split.
+And what value a scalar has: the value of the class of c is its doubled
+value c c(dagger), one product in the semiring, and the scalar constructor
+picks the nonnegative root as representative.
 
-A class is its representative; nothing travels with it.  ``wequal``
-computes each criterion's matrices from two representatives with the
-semiring's own kernels: the doubled form f(x)f(dagger) (``lift``, the
+A class is its representative; nothing travels with it.  ``wequal`` reads
+two representatives and computes each criterion's matrices from them with
+the semiring's own kernels: the doubled form f(x)f(dagger) (``lift``, the
 semantic identity of the class), f(x)f(lower-star) and the name projector,
-each of N^2 entries for an arrow of N, and builds no arrow beyond the lower
-star f_* and the transpose f* that ``core.name_array`` takes.
+each of N^2 entries for an arrow of N.  It builds no arrow beyond the lower
+star f_* (and the transpose f* inside ``core.name_array``, which
+``core.projector_array`` reads).
 """
 from __future__ import annotations
 
@@ -223,8 +224,7 @@ class WProjModel(ModelHandle):
         return wequal(f, g, rel) if verdict is None else verdict
 
     def scalar(self, value) -> Morphism:
-        # a nonnegative float, as scalar_power's powers are, is its nonneg_value
-        r = value if type(value) is float and value >= 0 else nonneg_value(value)
+        r = nonneg_value(value)
         if r is None:
             raise TypeMismatch(f"quotient scalars are nonnegative reals, got {value}")
         return scalar(np.sqrt(r), self.semiring)
@@ -234,8 +234,9 @@ class WProjModel(ModelHandle):
         product ``lift(s)`` forms, refused unless real by ``real_value``."""
         if not s.is_scalar:
             raise TypeMismatch(f"not a scalar: {s!r}")
-        c = s.array[0, 0]
-        v = (c * s.semiring.involution(c)).item()
+        c, sr = s.array[0, 0], s.semiring
+        # the semiring's own product, as a python number (a bool stays one)
+        v = np.asarray(sr.mul(c, sr.involution(c))).item()
         r = real_value(v) if isinstance(v, complex) else v
         if r is None:
             raise TypeMismatch(f"doubled scalar came out non-real: {v}")

@@ -45,7 +45,8 @@ from sccckit import core
 from sccckit.errors import (AbsorptionMismatch, NotPhaseEquivalent, NotProjector,
                             TypeMismatch)
 from sccckit.models import semiring_model
-from sccckit.semirings import BOOLEAN, NONNEG, corrupted_complex, real_value
+from sccckit.semirings import (BOOLEAN, NONNEG, InvolutiveSemiring, corrupted_complex,
+                                real_value)
 from sccckit.wproj import lift
 
 Q = Gen("Q", 2)
@@ -349,6 +350,22 @@ def test_quotient_scalar_value_is_the_lifted_entry_bit_for_bit(s):
             got = model.scalar_value(c)
             assert type(got) is type(want), c.array
             assert np.array(got).tobytes() == np.array(want).tobytes(), c.array
+
+
+def test_quotient_scalar_value_is_the_semirings_product():
+    # over (max, min) on [0, 1] the product c c(dagger) is min(c, c) = c, not
+    # c * c: the quotient reads it with the semiring's product, as lift does
+    fuzzy = InvolutiveSemiring(
+        name="fuzzy", dtype=np.float64, zero=0.0, one=1.0, add=max, mul=min,
+        involution=lambda x: x,
+        matmul=lambda a, b: np.minimum(a[:, :, None], b[None]).max(axis=1, initial=0.0),
+        kron=lambda a, b: np.minimum(a[:, None, :, None], b[None, :, None, :]).reshape(
+            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]),
+        scale=np.minimum, sample=lambda rng, shape: rng.random(shape))
+    model = WProjModel(semiring_model(fuzzy))
+    for v in (0.0, 0.25, 0.5, 1.0):
+        c = scalar(v, fuzzy)
+        assert model.scalar_value(c) == lift(c).item() == v
 
 
 def test_scalar_action_scales_entries():

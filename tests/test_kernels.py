@@ -93,15 +93,16 @@ def test_boolean_matmul_matches_integer_reference():
 
 def _three_reduction_equal(a, b, rel=None):
     """The tolerant equality as first written: scale, then threshold, then
-    gap, with an infinite scale deciding False."""
+    gap, with an infinite gap deciding False."""
     if a.shape != b.shape:
         return False
     if a.size == 0:
         return True
     scale = max(max_abs(a), max_abs(b))
-    if scale == np.inf:
+    gap = max_abs(a - b)
+    if gap == np.inf:
         return False
-    return max_abs(a - b) <= max(ABS_TOL, (REL_TOL if rel is None else rel) * scale)
+    return gap <= max(ABS_TOL, (REL_TOL if rel is None else rel) * scale)
 
 
 _INF, _NAN = float("inf"), float("nan")
@@ -115,6 +116,9 @@ EQUALITY_TABLE = [
     ([_NAN], [_NAN]), ([_NAN], [1.0]), ([1.0, 2.0], [1.0, _NAN]),
     ([_INF], [_INF]), ([_INF], [-_INF]), ([_INF], [1.0]), ([1.0], [-_INF]),
     ([1 + 1j, 0j], [1 + 1j, 1e-13j]), ([1j * _INF], [1j]),
+    # finite entries whose modulus overflows: a finite gap, then one that is not
+    ([1.5e308 + 1.5e308j], [1.5e308 + 1e297 + 1.5e308j]),
+    ([1e308 + 1e308j], [-1e308 - 1e308j]),
     (np.zeros((0, 3)), np.zeros((0, 3))), (np.zeros((0, 3)), np.zeros((3, 0))),
     ([[1.0, 2.0]], [[1.0], [2.0]]),
 ]

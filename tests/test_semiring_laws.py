@@ -5,7 +5,7 @@ operations and decides them all in one ``entrywise_equal`` pass.  These tests
 pin the law count, tie the entrywise criterion to the matrix-level
 ``approx_equal`` on one-entry arrays and the batched ``equal_to_each`` to it
 pair by pair, pin the first violation's message for
-four broken semirings, refuse an infinite scale, and show that set-up makes
+four broken semirings, refuse an infinite gap, and show that set-up makes
 no matrix equality call.
 """
 import dataclasses
@@ -126,6 +126,19 @@ def test_an_infinite_entry_does_not_make_every_gap_small(s, rel):
         assert s.equal_to_each(b, np.stack([a, b]), rel).tolist() == [False, False]
         assert not s.entrywise_equal(np.array([1.0, np.inf], s.dtype),
                                      np.array([np.inf, 1.0], s.dtype)).any()
+
+
+def test_an_overflowing_modulus_still_scales_a_finite_gap():
+    # |1.5e308 (1 + i)| overflows, so the scale is infinite although every
+    # entry is finite: a finite gap stays within it, an overflowing one not
+    a = np.array([[1.5e308 + 1.5e308j, 1.0]])
+    near, far = a + np.array([[1e297, 0]]), -a
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert COMPLEX.approx_equal(a, near) is True
+        assert COMPLEX.approx_equal(a, far) is False
+        assert COMPLEX.equal_to_each(a, np.stack([near, far, a])).tolist() == [True, False, True]
+        assert COMPLEX.entrywise_equal(a, near).tolist() == [[True, True]]
+        assert COMPLEX.entrywise_equal(a, far).tolist() == [[False, False]]
 
 
 @pytest.mark.parametrize("s", SHIPPED, ids=lambda s: s.name)
