@@ -16,6 +16,14 @@ equivalence theorem testable as a negative control.  The legs are per-trial
 rows of the born suite's table, and the theorem is a two-row table of whole
 checks that run the legs honestly and corrupted; ``report.CheckRunner``
 runs both tables and decides every status.
+
+nu is converted where it enters: ``Nu`` reads it into the Fractions nu and
+1/nu and refuses anything but a positive rational.  ``valuation_norm``,
+``scalar_sum`` and ``check_born_decomposition`` take nu as any rational,
+read per call, or as a ``Nu``, passed through; the born suite's table
+(``suites._born_checks``) and ``leg_checks`` read theirs once, when the
+table is built, so no trial makes a Fraction.  ``scalar_power`` reads the
+Fraction it is handed as a float.
 """
 from __future__ import annotations
 
@@ -32,10 +40,35 @@ from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckResult,
                      CheckRunner, Held, Law, serialize_morphism)
 
 
+class Nu:
+    """A valuation exponent nu, read once: ``value`` = nu and ``inverse`` =
+    1/nu, both Fractions.  nu is anything ``Fraction`` reads (a Fraction,
+    an int, a float or a string such as "1/2"); a ValueError naming nu
+    refuses one that is not a positive rational."""
+
+    __slots__ = ("value", "inverse")
+
+    def __init__(self, nu):
+        try:
+            value = Fraction(nu)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            value = None
+        if value is None or value <= 0:
+            raise ValueError(f"nu must be a positive rational, got {nu!r}")
+        self.value = value
+        self.inverse = 1 / value
+
+
+def _read_nu(nu) -> Nu:
+    """nu as a ``Nu``: one is passed through, anything else is read."""
+    return nu if type(nu) is Nu else Nu(nu)
+
+
 def valuation_norm(model, f, nu=Fraction(1), trace_fn=None):
     """||f||^nu computed as (Tr(f(dagger) o f))^nu, read by the model."""
+    nu = _read_nu(nu)
     tr = trace_fn if trace_fn is not None else core.trace
-    return model.scalar_power(tr(compose(dagger(f), f)), Fraction(nu))
+    return model.scalar_power(tr(compose(dagger(f), f)), nu.value)
 
 
 def scalar_sum(model, s, t, nu=Fraction(1), trace_fn=None):
@@ -47,11 +80,11 @@ def scalar_sum(model, s, t, nu=Fraction(1), trace_fn=None):
     defined on phase classes in general; here it only sums the nonnegative
     roots ``scalar_power`` returns, where it is.
     """
-    nu = Fraction(nu)
+    nu = _read_nu(nu)
     tr = trace_fn if trace_fn is not None else core.trace
-    a = model.scalar_power(s, 1 / nu)
-    b = model.scalar_power(t, 1 / nu)
-    return model.scalar_power(tr(direct_sum(a, b)), nu)
+    a = model.scalar_power(s, nu.inverse)
+    b = model.scalar_power(t, nu.inverse)
+    return model.scalar_power(tr(direct_sum(a, b)), nu.value)
 
 
 def corrupted_trace(f: Morphism) -> Morphism:
@@ -73,6 +106,7 @@ def check_born_decomposition(model, f, decomp: ortho.OplusDecomposition,
                              nu=Fraction(1), trace_fn=None,
                              tolerance=None) -> bool:
     """||f||^nu equals the nu-sum of the component valuations ||f_i||^nu."""
+    nu = _read_nu(nu)
     parts = [compose(ortho.pseudo_projection(decomp, i, model.semiring), f)
              for i in range(len(decomp))]
     total = valuation_norm(model, f, nu, trace_fn)
@@ -97,6 +131,7 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
     s = model.semiring
     tr = trace_fn if trace_fn is not None else core.trace
     law = Law(model, tol)
+    one = Nu(1)
 
     def diagonal_blocks(decomp, h):
         return [compose(compose(ortho.pseudo_projection(decomp, i, s), h),
@@ -106,7 +141,7 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
         _, decomp = _sample_split(rng)
         h = model.sample_positive(rng, decomp.whole)
         blocks = diagonal_blocks(decomp, h)
-        rhs = scalar_sum(model, tr(blocks[0]), tr(blocks[1]), Fraction(1), trace_fn)
+        rhs = scalar_sum(model, tr(blocks[0]), tr(blocks[1]), one, trace_fn)
         law(tr(h), rhs, lambda: {"h": serialize_morphism(h)})
 
     def diagonal_derived(rng):
@@ -127,7 +162,7 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
 
     def linearity(rng):
         h, h2 = positive_pair(rng)
-        law(scalar_sum(model, tr(h), tr(h2), Fraction(1), trace_fn),
+        law(scalar_sum(model, tr(h), tr(h2), one, trace_fn),
             tr(ortho.derived_sum(h, h2)), pair_witness(h, h2))
 
     def block_trace(rng):
@@ -138,8 +173,8 @@ def leg_checks(model, tol, trace_fn=None) -> list[Check]:
         a, decomp = _sample_split(rng)
         f = model.sample_morphism(rng, a, decomp.whole)
         parts = [compose(ortho.pseudo_projection(decomp, i, s), f) for i in range(2)]
-        lhs = valuation_norm(model, f, Fraction(1), trace_fn)
-        norms = [valuation_norm(model, p, Fraction(1), trace_fn) for p in parts]
+        lhs = valuation_norm(model, f, one, trace_fn)
+        norms = [valuation_norm(model, p, one, trace_fn) for p in parts]
         law(lhs, tr(direct_sum(norms[0], norms[1])),
             lambda: {"f": serialize_morphism(f)})
 

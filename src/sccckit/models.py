@@ -10,6 +10,12 @@ base and overrides only ``equal``, ``scalar`` and ``scalar_value``: which
 matrices count as one arrow, and what value a scalar has.  Three models
 ship: ``fdhilb`` (complex matrices), ``rel`` (boolean matrices, i.e.
 relations) and ``weights`` (nonnegative reals, a phase-free toy model).
+
+``scalar_power`` takes its exponent as a rational (a Fraction or an int)
+and converts it to a float once per call; it never builds a Fraction.  The
+Born exponents nu and 1/nu it is handed are converted from their input
+once per table, by ``born.Nu``.  A scalar's value is read once per power
+and a float value, real as it is, passes the real checks unconverted.
 """
 from __future__ import annotations
 
@@ -49,7 +55,8 @@ class ModelHandle:
 
     def scalar_power(self, s: Morphism, exponent) -> Morphism:
         """s raised to a rational power; needs a nonneg real value unless the
-        exponent is an integer or the semiring is idempotent."""
+        exponent is an integer or the semiring is idempotent, and a nonzero
+        one when the exponent is negative."""
         if self.semiring.idempotent:
             # as over the booleans, where x*x = x too, a positive power of a
             # scalar is the scalar itself
@@ -57,12 +64,18 @@ class ModelHandle:
         v = self.scalar_value(s)
         q = float(exponent)
         if q == int(q):
-            return self.scalar(v ** int(q))
-        r = nonneg_value(v)
-        if r is None:
+            base, q = v, int(q)
+        else:
+            base = nonneg_value(v)
+            if base is None:
+                raise RootUnavailable(
+                    f"cannot take power {exponent} of non-positive scalar {v}")
+        try:
+            power = base ** q
+        except ZeroDivisionError:
             raise RootUnavailable(
-                f"cannot take power {exponent} of non-positive scalar {v}")
-        return self.scalar(r ** q)
+                f"cannot take power {exponent} of the zero scalar") from None
+        return self.scalar(power)
 
     # -- sampling: plain matrices ---------------------------------------------
 

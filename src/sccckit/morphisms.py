@@ -21,9 +21,10 @@ semiring's dtype, checks its shape and freezes it.  The results of
 ``direct_sum`` and ``scalar`` take a trusted internal path instead
 (``_derived``): their ends are built from ends already in normal form (the
 dual ends by ``objects.dual``) and their arrays are fresh kernel outputs, a
-fresh 1 x 1 array, or a transposed view of a frozen array (``star``, and a
-phase-free ``dagger``), so it skips the re-normalization and the copy and
-fills the four slots directly.  It still coerces the array to the
+fresh 1 x 1 array of the semiring's dtype with its one entry set in place,
+or a transposed view of a frozen array (``star``, and a phase-free
+``dagger``), so it skips the re-normalization and the copy and fills the
+four slots directly.  It still coerces the array to the
 semiring's dtype and checks the shape the operands imply (``kernel_array``,
 a guard for user semirings whose kernels misbehave), and freezes the
 array.  ``adopt`` is the public constructor minus the copy, for an array
@@ -146,7 +147,11 @@ def zeros(a: ObjectExpr, b: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
 
 
 def scalar(value, s: InvolutiveSemiring) -> Morphism:
-    return _derived(UNIT, UNIT, [[value]], s, (1, 1))
+    """The 1 x 1 morphism I -> I whose one entry is value, cast to ``s.dtype``;
+    a value of more than one entry does not broadcast and is refused."""
+    arr = np.empty((1, 1), dtype=s.dtype)
+    arr[...] = value
+    return _derived(UNIT, UNIT, arr, s, (1, 1))
 
 
 def scalar_value(f: Morphism):

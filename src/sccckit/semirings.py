@@ -41,10 +41,14 @@ def real_value(v) -> float | None:
 
     A real value computed in complex arithmetic keeps a rounding residual in
     its imaginary part, so v counts as real unless that part exceeds
-    ``REAL_TOL`` * max(1, |v|) or is infinite.
+    ``REAL_TOL`` * max(1, |v|) or is infinite.  A python float is real as
+    it is and comes back unconverted, and a zero imaginary part is read
+    without the bound.
     """
+    if type(v) is float:
+        return v
     v = complex(v)
-    if abs(v.imag) > REAL_TOL * max(1.0, abs(v)) or math.isinf(v.imag):
+    if v.imag and (abs(v.imag) > REAL_TOL * max(1.0, abs(v)) or math.isinf(v.imag)):
         return None
     return v.real
 

@@ -58,7 +58,7 @@ def run_suite(suite: str, model, trials: int = 100, seed: int = 0,
         "wproj": lambda: _wproj_checks(model, tol, max_dim),
         "prep-state": lambda: prep_state_checks(model, tol),
         "ortho": lambda: _ortho_checks(model, tol, max_dim),
-        "born": lambda: _born_checks(model, tol, Fraction(nu)),
+        "born": lambda: _born_checks(model, tol, born.Nu(nu)),
         "equivalence": lambda: born.equivalence_checks(model, trials, seed, tol),
     }[suite]()
     return runner.report(suite, model, runner.run(table))
@@ -691,9 +691,10 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 
 # -- the born suite ------------------------------------------------------------
 
-def _born_checks(model, tol, nu: Fraction) -> list[Check]:
+def _born_checks(model, tol, nu: born.Nu) -> list[Check]:
     s = model.semiring
-    zeta = Fraction(1, 2) / nu
+    half = Fraction(1, 2)
+    zeta = half / nu.value
     law = Law(model, tol)
 
     def sample(rng, a=None, b=None):
@@ -768,14 +769,14 @@ def _born_checks(model, tol, nu: Fraction) -> list[Check]:
         got = complex(model.scalar_value(born.scalar_sum(model, one, one, nu)))
         # the model's 2 is 1 + 1; a quotient scalar c has the value c o c(dagger)
         v = s.add(s.one, s.one)
-        want = complex(s.mul(v, v) if model.quotient else v).real ** float(nu)
+        want = complex(s.mul(v, v) if model.quotient else v).real ** float(nu.value)
         if abs(got.imag) > REAL_TOL or abs(got.real - want) > REAL_TOL:
             return {"got": [got.real, got.imag], "want": want}
 
     def sqrt_decomposition(rng):
         f = sample(rng)
         norm = core.hs_norm_sq(f)
-        root = model.scalar_power(norm, Fraction(1, 2))
+        root = model.scalar_power(norm, half)
         law(compose(root, dagger(root)), norm, values(norm=norm))
 
     return [

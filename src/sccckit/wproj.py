@@ -24,6 +24,7 @@ star f_* (and the transpose f* inside ``core.name_array``, which
 """
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -227,7 +228,7 @@ class WProjModel(ModelHandle):
         r = nonneg_value(value)
         if r is None:
             raise TypeMismatch(f"quotient scalars are nonnegative reals, got {value}")
-        return scalar(np.sqrt(r), self.semiring)
+        return scalar(math.sqrt(r), self.semiring)
 
     def scalar_value(self, s: Morphism):
         """The doubled value c c(dagger) of the scalar class of c, the one
@@ -235,11 +236,14 @@ class WProjModel(ModelHandle):
         if not s.is_scalar:
             raise TypeMismatch(f"not a scalar: {s!r}")
         c, sr = s.array[0, 0], s.semiring
-        # the semiring's own product, as a python number (a bool stays one)
-        v = np.asarray(sr.mul(c, sr.involution(c))).item()
-        r = real_value(v) if isinstance(v, complex) else v
+        v = sr.mul(c, sr.involution(c))
+        # the semiring's own product as a python number (a bool stays one);
+        # a complex one, numpy's included, is read by real_value directly
+        r = (real_value(v) if isinstance(v, (complex, np.complexfloating))
+             else np.asarray(v).item())
         if r is None:
-            raise TypeMismatch(f"doubled scalar came out non-real: {v}")
+            raise TypeMismatch("doubled scalar came out non-real: "
+                               f"{np.asarray(v).item()}")
         return r
 
 
