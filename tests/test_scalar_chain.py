@@ -155,7 +155,7 @@ def _outcome(call):
     return ("value", type(out).__name__, repr(out))
 
 
-def _expected(old_call, exponent=None):
+def _expected(old_call, exponent):
     """The first chain's outcome, with its zero-scalar crash as the refusal."""
     got = _outcome(old_call)
     if got[:2] == ("raises", "ZeroDivisionError"):
