@@ -14,7 +14,7 @@ from .objects import (Dual, Gen, ObjectExpr, Oplus, Tensor, UNIT, Unit, ZERO,
                       Zero, dim, dual, format_object, normalize, parse_object)
 from .semirings import BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring
 from .morphisms import (Morphism, compose, dagger, direct_sum, distance,
-                        equal, identity, lower_star, morphism, scalar,
+                        equal, identity, lower_star, scalar,
                         scalar_value, star, tensor, zeros)
 from .core import (born_prob, bipartite_projector, double, hs_inner, hs_norm_sq,
                    name, partial_trace, phase_witnesses, scalar_mult, trace,

@@ -22,8 +22,9 @@ nu is converted where it enters: ``Nu`` reads it into the Fractions nu and
 ``scalar_sum`` and ``check_born_decomposition`` take nu as any rational,
 read per call, or as a ``Nu``, passed through; the born suite's table
 (``suites._born_checks``) and ``leg_checks`` read theirs once, when the
-table is built, so no trial makes a Fraction.  ``scalar_power`` reads the
-Fraction it is handed as a float.
+table is built, so no trial makes a Fraction.  The exponents a table hands
+``scalar_power`` are ``Exponent``s, which keep their float, so no trial
+converts one either.
 """
 from __future__ import annotations
 
@@ -40,23 +41,39 @@ from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckResult,
                      CheckRunner, Held, Law, serialize_morphism)
 
 
+class Exponent(Fraction):
+    """A Fraction that keeps its float: ``float()`` reads the value taken
+    when it was built, so ``scalar_power`` converts nothing per call.  It
+    prints, compares and computes as the Fraction it is."""
+
+    __slots__ = ("_float",)
+
+    def __new__(cls, *args):
+        self = super().__new__(cls, *args)
+        self._float = Fraction.__float__(self)
+        return self
+
+    def __float__(self):
+        return self._float
+
+
 class Nu:
     """A valuation exponent nu, read once: ``value`` = nu and ``inverse`` =
-    1/nu, both Fractions.  nu is anything ``Fraction`` reads (a Fraction,
-    an int, a float or a string such as "1/2"); a ValueError naming nu
-    refuses one that is not a positive rational."""
+    1/nu, both ``Exponent``s.  nu is anything ``Fraction`` reads (a
+    Fraction, an int, a float or a string such as "1/2"); a ValueError
+    naming nu refuses one that is not a positive rational."""
 
     __slots__ = ("value", "inverse")
 
     def __init__(self, nu):
         try:
-            value = Fraction(nu)
+            value = Exponent(nu)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             value = None
         if value is None or value <= 0:
             raise ValueError(f"nu must be a positive rational, got {nu!r}")
         self.value = value
-        self.inverse = 1 / value
+        self.inverse = Exponent(value.denominator, value.numerator)
 
 
 def _read_nu(nu) -> Nu:

@@ -11,11 +11,12 @@ matrices count as one arrow, and what value a scalar has.  Three models
 ship: ``fdhilb`` (complex matrices), ``rel`` (boolean matrices, i.e.
 relations) and ``weights`` (nonnegative reals, a phase-free toy model).
 
-``scalar_power`` takes its exponent as a rational (a Fraction or an int)
-and converts it to a float once per call; it never builds a Fraction.  The
-Born exponents nu and 1/nu it is handed are converted from their input
-once per table, by ``born.Nu``.  A scalar's value is read once per power
-and a float value, real as it is, passes the real checks unconverted.
+``scalar_power`` takes its exponent as a rational (a Fraction or an int),
+reads it with ``float()`` and never builds a Fraction.  The exponents the
+Born tables hand it are ``born.Exponent``s, read from their input once per
+table and built with their float, so that read converts nothing.  A
+scalar's value is read once per power and a float value, real as it is,
+passes the real checks unconverted.
 """
 from __future__ import annotations
 

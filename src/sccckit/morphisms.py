@@ -123,10 +123,6 @@ def adopt(dom: ObjectExpr, cod: ObjectExpr, array, s: InvolutiveSemiring) -> Mor
     return _derived(dom, cod, array, s, (dim(cod), dim(dom)))
 
 
-def morphism(dom: ObjectExpr, cod: ObjectExpr, array, semiring: InvolutiveSemiring) -> Morphism:
-    return Morphism(dom, cod, array, semiring)
-
-
 @lru_cache(maxsize=4096)
 def eye(n: int, s: InvolutiveSemiring) -> np.ndarray:
     """The frozen n x n identity array over s, shared by every memoized map

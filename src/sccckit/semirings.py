@@ -115,8 +115,7 @@ class InvolutiveSemiring:
             return a == b
         gap, ma, mb = np.abs(a - b), np.abs(a), np.abs(b)
         # python's max(ma, mb), NaN included, as _tolerant_equal reads it
-        scale = np.where(mb > ma, mb, ma)
-        return (gap <= ABS_TOL) | ((gap <= REL_TOL * scale) & (gap < np.inf))
+        return _within(gap, np.where(mb > ma, mb, ma), None)
 
     def equal_to_each(self, a: np.ndarray, stack: np.ndarray,
                       rel: float | None = None) -> np.ndarray:
@@ -138,11 +137,9 @@ class InvolutiveSemiring:
             return np.ones(k, dtype=bool)
         gap = np.abs(a - stack).max(axis=axes)
         ma, mb = max_abs(a), np.abs(stack).max(axis=axes)
-        scale = np.where(mb > ma, mb, ma)
         # python's 0.0 * inf is a silent NaN; numpy's warns
         with np.errstate(invalid="ignore"):
-            return (gap <= ABS_TOL) | ((gap <= (REL_TOL if rel is None else rel) * scale)
-                                       & (gap < np.inf))
+            return _within(gap, np.where(mb > ma, mb, ma), rel)
 
     @cached_property
     def idempotent(self) -> bool:
@@ -166,18 +163,24 @@ class InvolutiveSemiring:
         return out
 
 
+def _within(gap, scale, rel: float | None):
+    """The tolerant rule, on python floats or entrywise on arrays: gap
+    within ``ABS_TOL``, or finite and within rel (default ``REL_TOL``) times
+    scale, the larger magnitude compared."""
+    # rel * inf, the scale beside an infinite entry, would accept its infinite gap
+    return (gap <= ABS_TOL) | ((gap < np.inf)
+                               & (gap <= (REL_TOL if rel is None else rel) * scale))
+
+
 def _tolerant_equal(a: np.ndarray, b: np.ndarray, rel: float | None = None) -> bool:
     if a.shape != b.shape:
         return False
     if a.size == 0:
         return True
-    # gap <= max(ABS_TOL, rel * scale) holds whenever gap <= ABS_TOL, so the
-    # scale (two more reductions) is read only when that does not settle it
+    # the rule holds whenever gap <= ABS_TOL, so the scale (two more
+    # reductions) is read only when that does not settle it
     gap = max_abs(a - b)
-    if gap <= ABS_TOL:
-        return True
-    # rel * inf, the scale beside an infinite entry, would accept its infinite gap
-    return gap < np.inf and gap <= (REL_TOL if rel is None else rel) * max(max_abs(a), max_abs(b))
+    return gap <= ABS_TOL or _within(gap, max(max_abs(a), max_abs(b)), rel)
 
 
 def _exact_equal(a: np.ndarray, b: np.ndarray, rel: float | None = None) -> bool:

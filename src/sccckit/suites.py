@@ -30,9 +30,9 @@ import numpy as np
 
 from . import born, core, ortho
 from .models import ModelHandle, copairing, pairing, random_unitary
-from .morphisms import (adopt, compose, dagger, direct_sum, equal,
-                        identity, lower_star, morphism, scalar, scalar_value,
-                        star, tensor, zeros)
+from .morphisms import (Morphism, adopt, compose, dagger, direct_sum, equal,
+                        identity, lower_star, scalar, scalar_value, star,
+                        tensor, zeros)
 from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner, Law,
                      VerificationReport, serialize_morphism)
@@ -602,7 +602,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         f = draw(rng, a, b)
         g = draw(rng, a, b)
         want_arr = np.frompyfunc(s.add, 2, 1)(f.array, g.array)
-        law(ortho.derived_sum(f, g), morphism(a, b, want_arr, s))
+        law(ortho.derived_sum(f, g), Morphism(a, b, want_arr, s))
 
     def biproduct_route(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
@@ -693,8 +693,8 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 
 def _born_checks(model, tol, nu: born.Nu) -> list[Check]:
     s = model.semiring
-    half = Fraction(1, 2)
-    zeta = half / nu.value
+    half = born.Exponent(1, 2)
+    zeta = born.Exponent(half / nu.value)
     law = Law(model, tol)
 
     def sample(rng, a=None, b=None):

@@ -6,10 +6,12 @@ arrow is handed around as any representative ``Morphism``, and composition,
 tensor, dagger, trace and the block sum are the base's, computed on
 representatives.  Only two things change.  Which matrices count as one
 arrow: [f] = [g] iff g = c.f for a unit c, and ``equal`` decides it by
-aligning g to f by one phase (``phase_align``), in work linear in the
-entries.  Only when alignment's bounds leave the verdict of the doubled
-forms open does it ask ``wequal``, which decides three ways at once,
-returns the verdict the three share and refuses to answer when they split.
+the doubled forms: two scalars by their doubled values, in closed form,
+and larger arrows by aligning g to f by one phase (``phase_align``), in
+work linear in the entries.  Only when a non-finite value or alignment's
+bounds leave the verdict open does it ask ``wequal``, which decides three
+ways at once, returns the verdict the three share and refuses to answer
+when they split.
 And what value a scalar has: the value of the class of c is its doubled
 value c c(dagger), one product in the semiring, and the scalar constructor
 picks the nonnegative root as representative.
@@ -37,7 +39,7 @@ from .morphisms import (Morphism, compose, dagger, kernel_array, lower_star,
 from .objects import Gen, UNIT, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
                      serialize_morphism)
-from .semirings import (ABS_TOL, ALIGN_MARGIN, REL_TOL, max_abs,
+from .semirings import (ABS_TOL, ALIGN_MARGIN, REL_TOL, _within, max_abs,
                         nonneg_value, real_value)
 
 # the relative error, in ulps of float64, that the alignment bounds allow
@@ -114,21 +116,19 @@ def _pivot(arr: np.ndarray) -> int:
 
 def phase_align(f: Morphism, g: Morphism) -> tuple:
     """Align g to f by one phase: (c, eps, m) with eps = max|g - c.f| and
-    m = max|f|, in work linear in the entries and with no arrow.
+    m = max|f|, over a tolerant semiring, in work linear in the entries and
+    with no arrow.
 
     The pivot k is ``canonical_rep``'s, and c is g_k / f_k scaled to
     modulus one: z/|z| under conjugation, the sign under the identity
     involution on reals.  When f_k or g_k is zero every unit aligns alike
-    and c is one, as it is over an exact semiring, where eps is 0 when
-    g = f and 1 otherwise.  Under the identity involution on complex
-    entries a ratio off the real line scales to no unit (c c(dagger) = c^2
-    is not 1); c is returned as scaled, for the caller to refuse.  A
-    non-finite f aligns to nothing: eps is NaN.
+    and c is one.  Under the identity involution on complex entries a ratio
+    off the real line scales to no unit (c c(dagger) = c^2 is not 1); c is
+    returned as scaled, for the caller to refuse.  A non-finite f aligns to
+    nothing: eps is NaN.
     """
     s = f.semiring
     a, b = f.array.ravel(), g.array.ravel()
-    if s.exact:
-        return s.one, float((a != b).any()), max_abs(a)
     if a.size == 0:
         return s.one, 0.0, 0.0
     k = _pivot(a)
@@ -143,9 +143,22 @@ def phase_align(f: Morphism, g: Morphism) -> tuple:
 
 def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
     """The verdict of ``wequal``'s criterion 1, approx_equal(lift(f),
-    lift(g), rel), when phase alignment's bounds settle it; else None.
+    lift(g), rel), when it is settled without the doubled forms; else None.
 
-    With (c, eps, m) from ``phase_align``, M_g = max|g|, e = g - c.f and an
+    Over an exact semiring g = f settles equal.  Otherwise the doubled
+    forms' entries f_a f_a(dagger), one per entry of f, settle unequal when
+    they differ from g's, and equal on a 1 x 1 pair, where they are the
+    whole doubled forms.  Over booleans that entry is f_a AND f_a = f_a, so
+    f (x) f^T = g (x) g^T iff f = g and nothing is left open.
+
+    A 1 x 1 pair over a tolerant semiring is settled in closed form: its
+    doubled forms hold the doubled values c c(dagger) and d d(dagger), the
+    product ``scalar_value`` forms, and criterion 1 compares the two by
+    ``approx_equal``'s rule (``semirings._within``).  A non-finite doubled
+    value returns None.
+
+    A larger pair is settled when phase alignment's bounds allow.  With
+    (c, eps, m) from ``phase_align``, M_g = max|g|, e = g - c.f and an
     involution that keeps moduli, the doubled forms differ entrywise by
         g_a g_b(dagger) - f_a f_b(dagger)
           = (c c(dagger) - 1) f_a f_b(dagger) + c f_a e_b(dagger)
@@ -166,22 +179,26 @@ def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
     threshold by ``ALIGN_MARGIN`` on its side, so a verdict is settled only
     where both computations give it.  Non-finite entries, a c that is no
     unit, overflow and everything between the two bounds return None.
-
-    Over an exact semiring g = f settles equal.  Otherwise the doubled
-    forms' entries f_a f_a(dagger), one per entry of f, settle unequal when
-    they differ from g's.  Over booleans that entry is f_a AND f_a = f_a,
-    so f (x) f^T = g (x) g^T iff f = g and nothing is left open.
     """
-    s = f.semiring
-    c, eps, m = phase_align(f, g)
+    s, a, b = f.semiring, f.array, g.array
     if s.exact:
-        if not eps:
+        if (a == b).all():
             return True
-        a, b = f.array, g.array
-        return False if (a * s.involution(a) != b * s.involution(b)).any() else None
+        if (a * s.involution(a) != b * s.involution(b)).any():
+            return False
+        return True if a.size == 1 else None
+    if a.shape == (1, 1):
+        c, d = a[0, 0], b[0, 0]
+        da, db = s.mul(c, s.involution(c)), s.mul(d, s.involution(d))
+        # moduli by numpy's kernel, as approx_equal takes them: python's
+        # abs of a complex can differ from it in the last bit
+        gap, ma, mb = np.abs((da - db, da, db)).tolist()
+        finite = ma < math.inf and mb < math.inf
+        return _within(gap, max(ma, mb), rel) if finite else None
+    c, eps, m = phase_align(f, g)
     if not abs(c * s.involution(c) - 1) <= _ROUNDING:
         return None
-    m_g = max_abs(g.array)
+    m_g = max_abs(b)
     top = max(m, m_g)
     m2 = top * top
     upper = (2 * m * eps + eps * eps) * (1 + _ROUNDING) + _ROUNDING * m2
@@ -218,8 +235,8 @@ class WProjModel(ModelHandle):
         self.base = base
 
     def equal(self, f: Morphism, g: Morphism, rel: float | None = None) -> bool:
-        """Criterion 1's verdict, settled by phase alignment when its bounds
-        allow (``_settled``) and by ``wequal`` otherwise."""
+        """Criterion 1's verdict, settled without the doubled forms when
+        ``_settled`` can and by ``wequal`` otherwise."""
         _same_type(f, g)
         verdict = _settled(f, g, rel)
         return wequal(f, g, rel) if verdict is None else verdict

@@ -46,6 +46,17 @@ def _phase_off_the_pivot(f, g):
     return c, max_abs(g.array - c * f.array), m
 
 
+_settled = wproj._settled
+
+
+def _representatives_compared(f, g, rel):
+    """``_settled`` with a 1 x 1 pair decided on its representatives c and d,
+    not on their doubled values c c(dagger) and d d(dagger)."""
+    if f.array.shape == (1, 1):
+        return f.semiring.approx_equal(f.array, g.array, rel)
+    return _settled(f, g, rel)
+
+
 @pytest.mark.parametrize("attr,mutant,catches", [
     # an alignment that settles every pair as equal merges classes that the
     # weight rows and the corrupted control keep apart
@@ -61,7 +72,13 @@ def _phase_off_the_pivot(f, g):
                                     "canonical-representative-in-class"],
         ("sccc", "wproj:fdhilb"): ["double-ignores-phase", "phase-witnesses"],
         ("prep-state", "wproj:fdhilb"): ["densities-determine-states"]}),
-], ids=["alignment-always-equal", "alignment-phase-off-pivot"])
+    # it splits scalars a phase apart; born compares only the nonnegative
+    # roots the scalar constructor picks, and of the rows that rotate arrows
+    # by phases only the compose row draws a 1 x 1 composite at this seed
+    ("_settled", _representatives_compared, {
+        ("wproj", "wproj:fdhilb"): ["quotient-respects-compose"]}),
+], ids=["alignment-always-equal", "alignment-phase-off-pivot",
+        "scalar-rule-on-representatives"])
 def test_a_broken_alignment_fails_its_rows(monkeypatch, attr, mutant, catches):
     monkeypatch.setattr(wproj, attr, mutant)
     for (suite, selector), rows in catches.items():

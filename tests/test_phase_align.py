@@ -1,7 +1,8 @@
 """Phase alignment decides quotient equality as criterion 1 does.
 
-``WProjModel.equal`` settles a pair from ``phase_align``'s bounds and asks
-``wequal`` only inside the band they leave open.  Every verdict it gives
+``WProjModel.equal`` settles a 1 x 1 pair from its doubled values, a larger
+pair from ``phase_align``'s bounds, and asks ``wequal`` only for non-finite
+values and inside the band the bounds leave open.  Every verdict it gives
 must be criterion 1's, ``approx_equal(lift(f), lift(g), rel)``, on pairs
 straddling the threshold and on the pairs the suites draw.
 """
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from sccckit import (BOOLEAN, COMPLEX, NONNEG, AbsorptionMismatch,
-                     CriterionDisagreement, Gen, Morphism, Oplus, WProjModel,
-                     compose, core, dagger, identity, resolve_model, run_suite,
-                     scalar, scalar_mult, semiring_model, wequal, wproj)
+                     CriterionDisagreement, Gen, Morphism, Oplus, UNIT,
+                     WProjModel, compose, core, dagger, identity, resolve_model,
+                     run_suite, scalar, scalar_mult, semiring_model, wequal,
+                     wproj)
 from sccckit.semirings import ABS_TOL, REL_TOL, corrupted_complex, max_abs
 from sccckit.suites import SUITE_NAMES
 
@@ -123,6 +125,65 @@ def test_the_quotient_decides_as_criterion_one_across_the_threshold(fallbacks):
     for kind in ("zero", "vanishing", "corrupted"):
         assert seen[kind, "settled"], kind
     assert seen["zero", "fallback"] and seen["corrupted", "fallback"]
+
+
+def _scalar_straddling(rel, rng):
+    """1 x 1 pairs whose doubled values differ by k times the threshold in
+    force, up and (where it stays positive) down, at a small entry where ABS_TOL rules and a large
+    one where rel times the scale does, with g rotated by a unit."""
+    rel_eff = REL_TOL if rel is None else rel
+    for s in (COMPLEX, NONNEG, corrupted_complex()):
+        for k in (1e-3, 0.5, 0.99, 1.01, 2.0, 1e3):
+            for size in (1e-4, 1e2):
+                c = s.sample(rng, (1, 1)) * size
+                u = s.phase(rng) if s.phase else (-1) ** rng.integers(2) * s.one
+                v = max_abs(c) ** 2
+                step = k * max(ABS_TOL, rel_eff * v) / v
+                for sign in (1, -1) if step < 1 else (1,):
+                    d = u * c * np.sqrt(1 + sign * step)
+                    yield (Morphism(UNIT, UNIT, c.astype(s.dtype), s),
+                           Morphism(UNIT, UNIT, d.astype(s.dtype), s))
+
+
+def test_the_quotient_decides_scalars_in_closed_form(monkeypatch, fallbacks):
+    aligned = []
+    original = wproj.phase_align
+    monkeypatch.setattr(wproj, "phase_align",
+                        lambda f, g: aligned.append(f) or original(f, g))
+    models = {}
+    seen = Counter()
+    for rel in RELS:
+        rng = np.random.default_rng(67)
+        for f, g in _scalar_straddling(rel, rng):
+            model = models.setdefault(
+                f.semiring, WProjModel(semiring_model(f.semiring)))
+            verdict = model.equal(f, g, rel)
+            assert verdict == criterion_one(f, g, rel), (rel, f.array, g.array)
+            seen[rel if rel is None else float(rel), verdict] += 1
+    # both verdicts are reached at every rel that allows both, and no
+    # finite pair is aligned or handed to wequal
+    for rel in (None, 0.0, 1e-3, -1.0):
+        assert seen[rel, True] and seen[rel, False], rel
+    assert aligned == [] and fallbacks == []
+
+
+@pytest.mark.parametrize("c,d,error", [
+    (np.nan, 1.0, AbsorptionMismatch), (1.0, np.inf, AbsorptionMismatch),
+    (complex(np.inf, 1), 1.0, AbsorptionMismatch), (1e200, 1e200, None),
+], ids=["nan", "inf", "complex-inf", "overflowing"])
+def test_a_non_finite_scalar_pair_still_goes_to_wequal(fallbacks, c, d, error):
+    # a doubled value that is NaN or infinite, or overflows to one, leaves
+    # the verdict to wequal, as phase alignment did
+    model = resolve_model("wproj:fdhilb")
+    f, g = (Morphism(UNIT, UNIT, np.array([[x]], dtype=complex), COMPLEX)
+            for x in (c, d))
+    with np.errstate(all="ignore"):
+        if error is None:
+            assert model.equal(f, g) is wequal(f, g) is False
+        else:
+            with pytest.raises(error, match="name unfoldings disagree"):
+                model.equal(f, g)
+    assert fallbacks[:1] == [(f, g)]
 
 
 def test_the_quotient_decides_booleans_exactly_and_never_falls_back(fallbacks):

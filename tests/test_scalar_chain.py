@@ -33,7 +33,7 @@ from sccckit import (
     run_suite,
     scalar,
 )
-from sccckit import born, core
+from sccckit import born, core, wproj
 from sccckit.semirings import REAL_TOL, nonneg_value, real_value
 
 # entries near 1e150 overflow where both chains overflow, to the same bytes
@@ -274,3 +274,40 @@ def test_the_born_suite_makes_no_fraction_per_trial(monkeypatch, selector, nu):
     at_20 = _fractions_made(monkeypatch, selector, 20, nu)
     assert at_20 == _fractions_made(monkeypatch, selector, 40, nu)
     assert at_20 <= 10
+
+
+def _floats_taken(monkeypatch, selector: str, trials: int) -> int:
+    """How many times one born run converts a Fraction with ``float``."""
+    taken = []
+    to_float = Fraction.__float__
+
+    def counting(self):
+        taken.append(self)
+        return to_float(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__float__", counting)
+        run_suite("born", resolve_model(selector), trials=trials, seed=3, nu="1/2")
+    return len(taken)
+
+
+@pytest.mark.parametrize("selector", ["wproj:fdhilb", "fdhilb"])
+def test_the_born_suite_converts_no_fraction_per_trial(monkeypatch, selector):
+    # each exponent a table hands scalar_power keeps the float it was built
+    # with, so twice the trials convert no more Fractions
+    assert (_floats_taken(monkeypatch, selector, 20)
+            == _floats_taken(monkeypatch, selector, 40))
+
+
+def test_the_born_suite_aligns_no_scalar_pair(monkeypatch):
+    # quotient scalars are decided from their doubled values, not aligned
+    aligned = []
+    align = wproj.phase_align
+
+    def counting(f, g):
+        aligned.append(f.array.shape)
+        return align(f, g)
+
+    monkeypatch.setattr(wproj, "phase_align", counting)
+    run_suite("born", resolve_model("wproj:fdhilb"), trials=20, seed=3, nu="1/2")
+    assert (1, 1) not in aligned
