@@ -129,14 +129,15 @@ def test_the_quotient_decides_as_criterion_one_across_the_threshold(fallbacks):
 
 def _scalar_straddling(rel, rng):
     """1 x 1 pairs whose doubled values differ by k times the threshold in
-    force, up and (where it stays positive) down, at a small entry where ABS_TOL rules and a large
-    one where rel times the scale does, with g rotated by a unit."""
+    force, up and (where it stays positive) down, at a small entry where
+    ABS_TOL rules and a large one where rel times the scale does, with g
+    rotated by a unit."""
     rel_eff = REL_TOL if rel is None else rel
     for s in (COMPLEX, NONNEG, corrupted_complex()):
         for k in (1e-3, 0.5, 0.99, 1.01, 2.0, 1e3):
             for size in (1e-4, 1e2):
                 c = s.sample(rng, (1, 1)) * size
-                u = s.phase(rng) if s.phase else (-1) ** rng.integers(2) * s.one
+                u = s.phase(rng) if s.phase else s.one
                 v = max_abs(c) ** 2
                 step = k * max(ABS_TOL, rel_eff * v) / v
                 for sign in (1, -1) if step < 1 else (1,):
@@ -179,11 +180,11 @@ def test_a_non_finite_scalar_pair_still_goes_to_wequal(fallbacks, c, d, error):
             for x in (c, d))
     with np.errstate(all="ignore"):
         if error is None:
-            assert model.equal(f, g) is wequal(f, g) is False
+            assert model.equal(f, g) is False
         else:
             with pytest.raises(error, match="name unfoldings disagree"):
                 model.equal(f, g)
-    assert fallbacks[:1] == [(f, g)]
+    assert fallbacks == [(f, g)]
 
 
 def test_the_quotient_decides_booleans_exactly_and_never_falls_back(fallbacks):
