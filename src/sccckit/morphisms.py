@@ -160,8 +160,8 @@ def scalar_value(f: Morphism):
 def equal(f: Morphism, g: Morphism, rel: float | None = None) -> bool:
     """Typed equality: same normal-form ends and entrywise agreement.
 
-    The numeric threshold is max(1e-12, rel * largest entry magnitude) with
-    rel defaulting to 1e-9; the boolean model compares exactly.
+    A gap within ``ABS_TOL``, or within rel (default ``REL_TOL``) times the
+    largest entry magnitude (``semirings._within``); booleans compare exactly.
     """
     if f.dom != g.dom or f.cod != g.cod:
         return False

@@ -84,14 +84,13 @@ class MeasurementSpec:
     decomp: ortho.OplusDecomposition
 
     @staticmethod
-    def from_unitary(u: Morphism, decomp: ortho.OplusDecomposition,
-                     rel: float | None = None) -> "MeasurementSpec":
+    def from_unitary(u: Morphism, decomp: ortho.OplusDecomposition) -> "MeasurementSpec":
         if u.cod != decomp.whole:
             raise TypeMismatch("unitary codomain does not match the decomposition")
         one_dom = identity(u.dom, u.semiring)
         one_cod = identity(u.cod, u.semiring)
-        if not (equal(compose(dagger(u), u), one_dom, rel)
-                and equal(compose(u, dagger(u)), one_cod, rel)):
+        if not (equal(compose(dagger(u), u), one_dom)
+                and equal(compose(u, dagger(u)), one_cod)):
             raise NotUnitary("u(dagger) o u and u o u(dagger) must both be identities")
         return MeasurementSpec(u, decomp)
 

@@ -36,11 +36,12 @@ from .morphisms import (Morphism, adopt, compose, dagger, direct_sum, equal,
 from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner, Law,
                      VerificationReport, serialize_morphism)
-from .semirings import REAL_TOL
+from .semirings import _within, max_abs, nonneg_value
 from .wproj import WProjModel, canonical_rep, prep_state_checks, wequal
 
 
 SUITE_NAMES = ("sccc", "wproj", "prep-state", "ortho", "born", "equivalence")
+_NEGLIGIBLE = 1e-6  # a draw whose largest entry is below this is skipped as degenerate
 
 
 def run_suite(suite: str, model, trials: int = 100, seed: int = 0,
@@ -203,7 +204,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
     def hs_norm_positive(rng):
         f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
         v = complex(scalar_value(core.hs_norm_sq(f)))
-        if abs(v.imag) > REAL_TOL or v.real < -REAL_TOL:
+        if nonneg_value(v) is None:
             return {"value": v}
 
     def hs_states(rng):
@@ -246,7 +247,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                     ortho.pseudo_projection(decomp, i, s))
         psi = draw(rng, UNIT, decomp.whole)
         prob = core.born_prob(psi, p)  # cross-checks the trace route itself
-        if complex(scalar_value(prob)).real < -REAL_TOL:
+        if nonneg_value(scalar_value(prob)) is None:
             return {"probability": scalar_value(prob)}
 
     def trace_swap(_):
@@ -356,7 +357,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
             return {"pair": "phase-rotated", "verdicts": [False, False, False]}
         wequal(f, g, tol)
         if not s.idempotent:
-            if float(np.max(np.abs(np.asarray(f.array, dtype=complex)))) < 1e-6:
+            if max_abs(f.array) < _NEGLIGIBLE:
                 return None  # degenerate draw, nothing to separate
             doubled_weight = core.scalar_mult(scalar(two, s), f)
             if wequal(f, doubled_weight, tol):
@@ -387,8 +388,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
     def canon_phase(rng):
         f = sample(rng)
         u = base.sample_unit_scalar(rng)
-        if not equal(canonical_rep(core.scalar_mult(u, f)), canonical_rep(f),
-                     rel=max(tol, 1e-9)):
+        if not equal(canonical_rep(core.scalar_mult(u, f)), canonical_rep(f), tol):
             return {"unit": serialize_morphism(u)}
 
     def canon_in_class(rng):
@@ -398,13 +398,13 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
     def doubled_scalar(rng):
         c = base.sample_morphism(rng, UNIT, UNIT)
         v = w.scalar_value(c)
-        if float(v) < -REAL_TOL:
+        if nonneg_value(v) is None:
             return {"value": float(v)}
 
     if not s.idempotent:
         def separates(rng):
             f = sample(rng)
-            if float(np.max(np.abs(np.asarray(f.array, dtype=complex)))) < 1e-6:
+            if max_abs(f.array) < _NEGLIGIBLE:
                 return None
             heavier = core.scalar_mult(scalar(two, s), f)
             if w.equal(f, heavier, tol):
@@ -770,7 +770,7 @@ def _born_checks(model, tol, nu: born.Nu) -> list[Check]:
         # the model's 2 is 1 + 1; a quotient scalar c has the value c o c(dagger)
         v = s.add(s.one, s.one)
         want = complex(s.mul(v, v) if model.quotient else v).real ** float(nu.value)
-        if abs(got.imag) > REAL_TOL or abs(got.real - want) > REAL_TOL:
+        if not _within(abs(got - want), max(abs(got), abs(want)), tol):
             return {"got": [got.real, got.imag], "want": want}
 
     def sqrt_decomposition(rng):

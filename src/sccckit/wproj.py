@@ -39,8 +39,7 @@ from .morphisms import (Morphism, compose, dagger, kernel_array, lower_star,
 from .objects import Gen, UNIT, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
                      serialize_morphism)
-from .semirings import (ABS_TOL, ALIGN_MARGIN, REL_TOL, _within, max_abs,
-                        nonneg_value, real_value)
+from .semirings import ALIGN_MARGIN, _within, max_abs, nonneg_value, real_value
 
 # the relative error, in ulps of float64, that the alignment bounds allow
 # each rounded product, difference and modulus they stand for
@@ -163,9 +162,9 @@ def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
         g_a g_b(dagger) - f_a f_b(dagger)
           = (c c(dagger) - 1) f_a f_b(dagger) + c f_a e_b(dagger)
             + e_a (c f_b)(dagger) + e_a e_b(dagger),
-    so for a unit c criterion 1's gap is at most 2 m eps + eps^2.  Its
-    threshold is max(ABS_TOL, rel S), where S, the larger modulus in the
-    two doubled forms, is max(m, M_g)^2 up to rounding.
+    so for a unit c criterion 1's gap is at most 2 m eps + eps^2.  It
+    decides that gap by ``_within`` at the scale S, the larger modulus in
+    the two doubled forms, which is max(m, M_g)^2 up to rounding.
 
     Unequal: the pivot column b = k of the doubled forms is part of that
     gap, and its largest entry L = max_a |g_a g_k(dagger) - f_a f_k(dagger)|
@@ -175,10 +174,11 @@ def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
     L >= eps m^2 / (m + M_g): the column is read off the alignment.
 
     Each bound is widened by ``_ROUNDING`` for the rounded products,
-    differences and moduli of both computations, and must clear the
-    threshold by ``ALIGN_MARGIN`` on its side, so a verdict is settled only
-    where both computations give it.  Non-finite entries, a c that is no
-    unit, overflow and everything between the two bounds return None.
+    differences and moduli of both computations, and must clear the rule
+    by ``ALIGN_MARGIN`` on its side (the upper bound times it within, the
+    lower over it outside), so a verdict is settled only where both
+    computations give it.  Non-finite entries, a c that is no unit,
+    overflow and everything between the two bounds return None.
     """
     s, a, b = f.semiring, f.array, g.array
     if s.exact:
@@ -205,12 +205,11 @@ def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
     # the doubled forms' entries and their differences must stay finite
     if not upper + 4 * m2 < np.inf:
         return None
-    scaled = (REL_TOL if rel is None else rel) * m2
-    threshold = scaled if scaled > ABS_TOL else ABS_TOL
-    if upper <= threshold / ALIGN_MARGIN:
+    if _within(ALIGN_MARGIN * upper, m2, rel):
         return True
-    if m and ((eps * (1 - _ROUNDING) - _ROUNDING * m) * m * m / (m + m_g)
-              - _ROUNDING * m2 > ALIGN_MARGIN * threshold):
+    # m / (m + m_g) <= 1 first: eps m m overflows long before the bound does
+    if m and not _within(((eps * (1 - _ROUNDING) - _ROUNDING * m) * (m / (m + m_g))
+                          * m - _ROUNDING * m2) / ALIGN_MARGIN, m2, rel):
         return False
     return None
 

@@ -17,24 +17,25 @@ COMPARERS = {"equal", "wequal"}
 # rows that decide outside the sink, with the reason each does
 ALLOWED = {
     "name-unfoldings-agree": "core.name raises when its two unfoldings disagree",
-    "norm-scalar-positive": "a sign test of one scalar against REAL_TOL",
+    "norm-scalar-positive": "a sign test of one scalar by semirings.nonneg_value",
     "state-density-identity": "core.state_density_identity_holds compares "
                               "representatives itself",
-    "born-probability-loop": "a sign test of one scalar against REAL_TOL",
+    "born-probability-loop": "a sign test of one scalar by semirings.nonneg_value",
     "equality-criteria-agree": "calls wequal itself: the row states that its "
                                "three criteria agree",
     "canonical-representative-idempotent": "compares representatives with "
                                            "morphisms.equal, not classes",
     "canonical-representative-phase-free": "compares representatives with "
                                            "morphisms.equal, not classes",
-    "quotient-scalars-nonnegative": "a sign test of one scalar against REAL_TOL",
+    "quotient-scalars-nonnegative": "a sign test of one scalar by semirings.nonneg_value",
     "quotient-separates-weight-from-phase": "its first comparison asserts two "
                                             "classes differ",
     "zero-through-zero-object": "counts nonzero entries, exactly",
     "block-sum-on-phase-classes": "an expected failure judged on fixed gaps",
     "valuation-splits-binary": "decides through born.check_born_decomposition",
     "valuation-splits-ternary": "decides through born.check_born_decomposition",
-    "one-plus-one": "compares a scalar's value with a number against REAL_TOL",
+    "one-plus-one": "compares a scalar's value with a number by "
+                    "semirings._within at the run's tolerance",
 }
 
 

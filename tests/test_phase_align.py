@@ -187,6 +187,20 @@ def test_a_non_finite_scalar_pair_still_goes_to_wequal(fallbacks, c, d, error):
     assert fallbacks == [(f, g)]
 
 
+@pytest.mark.parametrize("rel", [2.0, 1e-9])
+@pytest.mark.parametrize("m", [1e120, 1e150])
+def test_large_entries_are_not_settled_by_an_overflowing_bound(m, rel):
+    # f and g put m on different entries: their doubled forms differ by m^2
+    # at the scale m^2, so criterion 1 holds at rel 2 and fails at 1e-9.  The
+    # lower bound, about m^2 / 2, once took the product eps m m first, which
+    # overflows from m near 1e103, and settled the pair unequal at rel 2
+    f, g = np.zeros((3, 2)), np.zeros((3, 2))
+    f[0, 0] = g[1, 1] = m
+    f, g = _mor(COMPLEX, f), _mor(COMPLEX, g)
+    model = resolve_model("wproj:fdhilb")
+    assert model.equal(f, g, rel) == criterion_one(f, g, rel) == (rel == 2.0)
+
+
 def test_the_quotient_decides_booleans_exactly_and_never_falls_back(fallbacks):
     # over booleans f (x) f^T = g (x) g^T iff f = g, so alignment settles
     # every pair
