@@ -26,8 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSample, RootUnavailable, TypeMismatch
-from .morphisms import Morphism, adopt, compose, dagger, equal, scalar, scalar_value
-from .objects import Gen, ObjectExpr, UNIT, ZERO, dim
+from .morphisms import (Morphism, _derived, adopt, compose, dagger, equal, scalar,
+                        scalar_value)
+from .objects import Gen, ObjectExpr, UNIT, ZERO, dim, normalize
 from .semirings import (BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring,
                         check_semiring_laws, nonneg_value)
 from . import ortho
@@ -82,9 +83,11 @@ class ModelHandle:
 
     def sample_morphism(self, rng: np.random.Generator, dom: ObjectExpr,
                         cod: ObjectExpr) -> Morphism:
-        # the semiring hands over a fresh array, so it is frozen, not copied
-        arr = self.semiring.sample(rng, (dim(cod), dim(dom)))
-        return adopt(dom, cod, arr, self.semiring)
+        # the semiring hands over a fresh array: ``_derived`` coerces its
+        # dtype, checks its shape and freezes it in place, with no copy
+        dom, cod = normalize(dom), normalize(cod)
+        shape = (dim(cod), dim(dom))
+        return _derived(dom, cod, self.semiring.sample(rng, shape), self.semiring, shape)
 
     def sample_state(self, rng: np.random.Generator, a: ObjectExpr,
                      normalized: bool = False) -> Morphism:
@@ -156,7 +159,7 @@ def resolve_model(selector: str):
 
 def _modified_gram_schmidt(m: np.ndarray) -> np.ndarray | None:
     """Orthonormalize columns; None when a column degenerates."""
-    q = m.astype(np.complex128).copy()
+    q = m.astype(np.complex128)
     n = q.shape[1]
     for k in range(n):
         v = q[:, k]

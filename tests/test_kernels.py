@@ -2,7 +2,9 @@
 
 ``np.kron`` is kept here as the reference the shipped kernel must reproduce
 bit for bit, an integer product as the reference for boolean composition,
-and the three-reduction formula as the reference for tolerant equality.  The
+``re + 1j * im`` as the reference for the complex sampler, ``ndarray.max``
+as the reference for ``max_abs``, and the three-reduction formula as the
+reference for tolerant equality.  The
 results of compose, tensor, dagger, star, lower_star, direct_sum and scalar
 must be exactly what the checked ``Morphism(...)`` constructor would have
 built.  A ``Morphism`` refuses field assignment, and its copies, deep copies,
@@ -24,6 +26,7 @@ from sccckit import (
     ZERO,
     Dual,
     Gen,
+    ModelHandle,
     Morphism,
     Tensor,
     TypeMismatch,
@@ -33,13 +36,15 @@ from sccckit import (
     dim,
     direct_sum,
     equal,
+    fdhilb,
     lower_star,
     normalize,
     scalar,
     star,
     tensor,
 )
-from sccckit.semirings import ABS_TOL, REL_TOL, _tolerant_equal, corrupted_complex, max_abs
+from sccckit.semirings import (ABS_TOL, REL_TOL, _complex_normal, _tolerant_equal,
+                               corrupted_complex, max_abs)
 
 SHAPES = [(0, 3), (3, 0), (0, 0), (1, 4), (4, 1), (1, 1), (2, 3), (8, 8)]
 
@@ -91,6 +96,54 @@ def test_boolean_matmul_matches_integer_reference():
                 assert np.array_equal(got, want), (m, k, n, density)
 
 
+def _reference_complex_normal(rng, shape):
+    re, im = rng.standard_normal((2, *shape))
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (9, 1), (0, 3), (64, 64)])
+def test_complex_sampler_matches_the_sum_reference_bit_for_bit(shape):
+    assert COMPLEX.sample is _complex_normal
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _complex_normal(rng, shape), _reference_complex_normal(ref_rng, shape)
+        assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+        assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes(), seed
+        # the generator ends where the reference leaves it
+        assert rng.random() == ref_rng.random(), seed
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+def _reference_max_abs(a):
+    return 0.0 if a.size == 0 else float(np.abs(a).max())
+
+
+def test_max_abs_matches_the_max_reference():
+    rng = np.random.default_rng(13)
+    finite = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    cases = [finite, np.zeros((0, 3), complex), np.zeros((3, 0), complex)]
+    for at, bad in product([(0, 0), (2, 3), (3, 4)],
+                           [_NAN, _INF, -_INF, complex(0, _NAN), complex(0, _INF),
+                            complex(0, -_INF)]):
+        a = finite.copy()
+        a[at] = bad
+        cases.append(a)
+    both = finite.copy()
+    both[0, 1], both[2, 2] = _INF, _NAN
+    cases.append(both)
+    with np.errstate(invalid="ignore"):
+        for a in cases + [a.real.copy() for a in cases]:
+            got, want = max_abs(a), _reference_max_abs(a)
+            assert type(got) is float
+            assert got == want or (np.isnan(got) and np.isnan(want)), a
+            if np.isnan(np.abs(a)).any():
+                # a NaN propagates, so a NaN gap never reads as within tolerance
+                assert np.isnan(got), a
+                assert not _tolerant_equal(a, a), a
+
+
 def _three_reduction_equal(a, b, rel=None):
     """The tolerant equality as first written: scale, then threshold, then
     gap, with an infinite gap deciding False."""
@@ -105,7 +158,6 @@ def _three_reduction_equal(a, b, rel=None):
     return gap <= max(ABS_TOL, (REL_TOL if rel is None else rel) * scale)
 
 
-_INF, _NAN = float("inf"), float("nan")
 EQUALITY_TABLE = [
     ([0.0], [ABS_TOL]),                      # gap == ABS_TOL
     ([0.0], [np.nextafter(ABS_TOL, 1.0)]),   # just above it
@@ -214,6 +266,22 @@ def test_trusted_path_coerces_and_shape_checks_user_kernels():
     g = Morphism(A, A, np.eye(2), broken)
     with pytest.raises(TypeMismatch):
         tensor(g, g)
+    # the same checks hold for a sampled arrow: a float sample becomes complex
+    rng = np.random.default_rng(4)
+    real_sample = dataclasses.replace(COMPLEX, name="real-sample",
+                                      sample=lambda rng, shape: rng.random(shape))
+    h = ModelHandle("real-sample", real_sample).sample_morphism(rng, A, B)
+    assert h.array.dtype == np.complex128 and h.array.shape == (3, 2)
+    # a sample of the wrong shape is refused
+    misshapen = dataclasses.replace(COMPLEX, name="misshapen",
+                                    sample=lambda rng, shape: np.zeros((1, 1), complex))
+    with pytest.raises(TypeMismatch):
+        ModelHandle("misshapen", misshapen).sample_morphism(rng, A, B)
+    # unnormalized ends come back normalized, and the array frozen
+    k = fdhilb().sample_morphism(rng, Dual(Tensor(A, B)), Dual(Dual(B)))
+    assert k.dom is normalize(Dual(Tensor(A, B))) and k.dom != Dual(Tensor(A, B))
+    assert k.cod is B
+    assert k.array.shape == (3, 6) and not k.array.flags.writeable
 
 
 SHIPPED = [COMPLEX, BOOLEAN, NONNEG]
