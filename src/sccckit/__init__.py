@@ -8,8 +8,8 @@ checks, together with a categorical teleportation protocol.
 
 from .errors import (AbsorptionMismatch, CriterionDisagreement,
                      DegenerateSample, InvariantViolation, NotPhaseEquivalent,
-                     NotProjector, NotUnitary, RootUnavailable, SccckitError,
-                     SemiringLawViolation, TypeMismatch)
+                     NotProjector, NotUnitary, NumericRange, RootUnavailable,
+                     SccckitError, SemiringLawViolation, TypeMismatch)
 from .objects import (Dual, Gen, ObjectExpr, Oplus, Tensor, UNIT, Unit, ZERO,
                       Zero, dim, dual, format_object, normalize, parse_object)
 from .semirings import BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring
@@ -24,7 +24,7 @@ from .ortho import (OplusDecomposition, decomposition, derived_sum, dist_left,
                     pseudo_injection, pseudo_projection, zero_morphism)
 from .models import (ModelHandle, copairing, fdhilb, pairing, random_unitary,
                      rel_model, resolve_model, semiring_model, weight_model)
-from .wproj import WProjModel, canonical_rep, lift, wequal
+from .wproj import WProjModel, canonical_rep, lift, wequal, wequal_to
 from .born import (check_born_decomposition, corrupted_trace, scalar_sum,
                    valuation_norm)
 from .protocols import (BranchTuple, MeasurementSpec, cc_map, qubit,

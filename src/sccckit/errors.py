@@ -43,3 +43,7 @@ class CriterionDisagreement(SccckitError):
 
 class RootUnavailable(SccckitError):
     """A scalar power was requested that has no unique nonnegative value."""
+
+
+class NumericRange(SccckitError):
+    """A scalar power whose value lies outside the range of a float."""

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSample, RootUnavailable, TypeMismatch
+from .errors import DegenerateSample, NumericRange, RootUnavailable, TypeMismatch
 from .morphisms import (Morphism, _derived, adopt, compose, dagger, equal, scalar,
                         scalar_value)
 from .objects import Gen, ObjectExpr, UNIT, ZERO, dim, normalize
@@ -77,6 +77,9 @@ class ModelHandle:
         except ZeroDivisionError:
             raise RootUnavailable(
                 f"cannot take power {exponent} of the zero scalar") from None
+        except OverflowError:
+            raise NumericRange(
+                f"power {exponent} of the scalar value {v} overflows") from None
         return self.scalar(power)
 
     # -- sampling: plain matrices ---------------------------------------------

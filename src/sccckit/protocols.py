@@ -18,7 +18,9 @@ What a teleport computes without reading its input is built once:
 * once per measurement unitary T: the four outcome arms p_i o T, their
   ``cc_map`` legs 1_Q (x) (p_i o T) and the receiving unitor rho_Q(dagger)
   (``_measurement_legs``);
-* once per corrections tuple: the adjoints beta_i(dagger) (``_adjoints``).
+* once per corrections tuple: the adjoints beta_i(dagger) (``_adjoints``);
+* once per teleport, by the first branch row that compares with it: the
+  criterion matrices of the rotated run's target (``wproj.wequal_to``).
 
 ``run_teleportation`` reads the set-up once per teleport, and
 ``_teleport_branches`` composes only the arrows that depend on the input.
@@ -46,8 +48,8 @@ from .morphisms import (Morphism, compose, dagger, distance, equal, identity,
 from .objects import ObjectExpr, Oplus, UNIT
 from .report import (EXPECTED_FAIL, WHOLE, Check, CheckRunner, Held,
                      VerificationReport, serialize_morphism)
-from .semirings import COMPLEX
-from .wproj import wequal
+from .semirings import COMPLEX, _within
+from .wproj import wequal, wequal_to
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,8 @@ def _weighted_bit_collapse_witness() -> dict:
         "phi": serialize_morphism(phi),
         "probabilities_psi": probs_psi,
         "probabilities_phi": probs_phi,
-        "probabilities_agree": bool(np.allclose(probs_psi, probs_phi)),
+        "probabilities_agree": all(_within(abs(p - q), max(p, q), None)
+                                   for p, q in zip(probs_psi, probs_phi)),
         "states_equal": equal(psi, phi),
         "states_phase_equivalent": wequal(psi, phi),
     }
@@ -270,12 +273,13 @@ def run_teleportation(psi: Morphism | None = None,
     shifted_outs = _teleport_branches(
         core.scalar_mult(scalar(1.0j / norm, COMPLEX), psi), t)
     unit_target = core.scalar_mult(scalar(0.5 / norm, COMPLEX), psi)
+    # computed when a row first asks, so an error fails that row; symmetric in f, g
+    in_target_class = wequal_to(unit_target, tol)
 
     def branch(i):
         def check(_):
             corrected = compose(undo[i], outs[i])
-            phase_ok = wequal(compose(undo[i], shifted_outs[i]),
-                              unit_target, tol)
+            phase_ok = in_target_class(compose(undo[i], shifted_outs[i]))
             witness = {"output": serialize_morphism(outs[i]),
                        "corrected": serialize_morphism(corrected),
                        "probability": probs[i],

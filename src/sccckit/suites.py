@@ -37,7 +37,7 @@ from .objects import Gen, Oplus, Tensor, UNIT, dim, dual, format_object
 from .report import (EXPECTED_FAIL, PER_TRIAL, WHOLE, Check, CheckRunner, Law,
                      VerificationReport, serialize_morphism)
 from .semirings import _within, max_abs, nonneg_value
-from .wproj import WProjModel, canonical_rep, prep_state_checks, wequal
+from .wproj import WProjModel, canonical_rep, prep_state_checks, wequal_to
 
 
 SUITE_NAMES = ("sccc", "wproj", "prep-state", "ortho", "born", "equivalence")
@@ -353,14 +353,15 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
         rotated = core.scalar_mult(u, f)
         # wequal raises CriterionDisagreement on a split, and the runner
         # records that as the row's failure; a verdict it returns is shared
-        if not wequal(f, rotated, tol):
+        equal_to_f = wequal_to(f, tol)
+        if not equal_to_f(rotated):
             return {"pair": "phase-rotated", "verdicts": [False, False, False]}
-        wequal(f, g, tol)
+        equal_to_f(g)
         if not s.idempotent:
             if max_abs(f.array) < _NEGLIGIBLE:
                 return None  # degenerate draw, nothing to separate
             doubled_weight = core.scalar_mult(scalar(two, s), f)
-            if wequal(f, doubled_weight, tol):
+            if equal_to_f(doubled_weight):
                 return {"pair": "weight-doubled", "note": "classes collapsed"}
 
     def compose_functorial(rng):

@@ -22,7 +22,8 @@ the semiring's own kernels: the doubled form f(x)f(dagger) (``lift``, the
 semantic identity of the class), f(x)f(lower-star) and the name projector,
 each of N^2 entries for an arrow of N.  It builds no arrow beyond the lower
 star f_* (and the transpose f* inside ``core.name_array``, which
-``core.projector_array`` reads).
+``core.projector_array`` reads).  ``wequal_to(f, rel)`` decides the same as a
+predicate on g, for one f met by many g: it keeps f's matrices from its first call.
 """
 from __future__ import annotations
 
@@ -75,21 +76,33 @@ def wequal(f: Morphism, g: Morphism, rel: float | None = None) -> bool:
     ``CriterionDisagreement``.
 
     Criterion 1 compares the doubled forms, criterion 2 f(x)f(lower-star),
-    criterion 3 the bipartite projectors.  The representatives' types are
-    checked once, here; each criterion then compares two matrices computed
-    from them with the semiring's ``approx_equal``.
-    """
-    _same_type(f, g)
-    approx_equal = f.semiring.approx_equal
-    by_double = approx_equal(lift(f), lift(g), rel)
-    by_lower = approx_equal(_lowered(f), _lowered(g), rel)
-    by_projector = approx_equal(core.projector_array(f),
-                                core.projector_array(g), rel)
-    if not by_double == by_lower == by_projector:
-        raise CriterionDisagreement(
-            f"equality criteria disagree: doubled={by_double} "
-            f"lower={by_lower} projector={by_projector}")
-    return by_double
+    criterion 3 the bipartite projectors, each comparing two matrices by the
+    semiring's ``approx_equal``; this is ``wequal_to(f, rel)(g)``."""
+    return wequal_to(f, rel)(g)
+
+
+def wequal_to(f: Morphism, rel: float | None = None):
+    """``wequal(f, g, rel)`` as a predicate on g.  The types are checked
+    first; f's three criterion matrices are computed on the first call and
+    kept, g's on every call.  A computation that raises keeps nothing, so
+    the next call computes again and raises as ``wequal`` would."""
+    kept = None
+
+    def equal_to_f(g: Morphism) -> bool:
+        nonlocal kept
+        _same_type(f, g)
+        kept = kept or (lift(f), _lowered(f), core.projector_array(f))
+        approx_equal = f.semiring.approx_equal
+        by_double = approx_equal(kept[0], lift(g), rel)
+        by_lower = approx_equal(kept[1], _lowered(g), rel)
+        by_projector = approx_equal(kept[2], core.projector_array(g), rel)
+        if not by_double == by_lower == by_projector:
+            raise CriterionDisagreement(
+                f"equality criteria disagree: doubled={by_double} "
+                f"lower={by_lower} projector={by_projector}")
+        return by_double
+
+    return equal_to_f
 
 
 def canonical_rep(f: Morphism) -> Morphism:

@@ -1,5 +1,7 @@
 """Trace valuations, scalar sums, and the axiom equivalences."""
 
+import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from sccckit import (
     COMPLEX,
     Gen,
+    ModelHandle,
     Morphism,
     Oplus,
     UNIT,
@@ -25,6 +28,7 @@ from sccckit import (
     weight_model,
 )
 from sccckit.born import _run_legs
+from sccckit.cli import main
 
 # the born suite's legs, run in groups by name
 DIAGONAL = ("diagonal-axiom", "diagonal-axiom-derived-sum")
@@ -113,3 +117,26 @@ def test_equivalence_verdicts():
         control = by_name["axiom-legs-agree-corrupted-control"]
         assert control.status == "expected-fail"
         assert not any(control.witness["verdicts"].values())
+
+
+@pytest.mark.parametrize("selector", ["fdhilb", "weights"])
+def test_a_power_past_the_float_range_fails_its_row(monkeypatch, capsys, selector):
+    # entries near 1e80 give traces near 1e160, whose square at nu = 2 is
+    # past the largest float: each row that reaches one fails with a witness
+    # naming the power, and the CLI still writes the report
+    sample = ModelHandle.sample_morphism
+
+    def huge(self, rng, dom, cod):
+        f = sample(self, rng, dom, cod)
+        return Morphism(f.dom, f.cod, f.array * 1e80, f.semiring)
+
+    monkeypatch.setattr(ModelHandle, "sample_morphism", huge)
+    with np.errstate(over="ignore"):
+        rc = main(["verify", "born", "--model", selector, "--nu", "2", "--trials", "2",
+                   "--seed", "0", "--json", "-"])
+    assert rc == 1
+    rows = {r["check_name"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    witness = rows["valuation-fixed-by-dagger"]["witness"]
+    assert rows["valuation-fixed-by-dagger"]["status"] == "fail"
+    assert sorted(witness) == ["error", "trial"] and witness["trial"] == 0
+    assert re.fullmatch(r"power 2 of the scalar value \S+ overflows", witness["error"])

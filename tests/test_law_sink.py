@@ -2,17 +2,17 @@
 
 The check tables of ``suites.py`` and ``born.leg_checks`` decide their laws
 with one comparer, so that whatever the runner learns from a comparison is
-learnt in one place.  A call to ``equal`` or ``wequal`` (as a name or as an
-attribute) anywhere in those tables bypasses it.  The rows below decide
-some other way, each for the reason given; every other row states its law
-through ``law(...)`` and compares nothing itself.
+learnt in one place.  A call to ``equal``, ``wequal`` or ``wequal_to`` (as a
+name or as an attribute) anywhere in those tables bypasses it.  The rows
+below decide some other way, each for the reason given; every other row
+states its law through ``law(...)`` and compares nothing itself.
 """
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sccckit"
 
-COMPARERS = {"equal", "wequal"}
+COMPARERS = {"equal", "wequal", "wequal_to"}
 
 # rows that decide outside the sink, with the reason each does
 ALLOWED = {
@@ -21,8 +21,8 @@ ALLOWED = {
     "state-density-identity": "core.state_density_identity_holds compares "
                               "representatives itself",
     "born-probability-loop": "a sign test of one scalar by semirings.nonneg_value",
-    "equality-criteria-agree": "calls wequal itself: the row states that its "
-                               "three criteria agree",
+    "equality-criteria-agree": "compares through wequal_to itself: the row "
+                               "states that wequal's three criteria agree",
     "canonical-representative-idempotent": "compares representatives with "
                                            "morphisms.equal, not classes",
     "canonical-representative-phase-free": "compares representatives with "

@@ -5,9 +5,11 @@
 python floats through the real checks unconverted.  The chain they replaced
 is written out below, step by step, and every output is held to it byte for
 byte: the same arrows (ends, dtype and bytes), the same python values (type
-and repr) and the same errors (type and text).  The one intended difference
-is a zero scalar at a negative power, which now raises ``RootUnavailable``
-where the first chain let python's ``ZeroDivisionError`` escape.
+and repr) and the same errors (type and text).  There are two intended
+differences.  A zero scalar at a negative power now raises
+``RootUnavailable`` where the first chain let python's ``ZeroDivisionError``
+escape, and a power that overflows a float now raises ``NumericRange``,
+naming the exponent and the value, where it let ``OverflowError`` escape.
 """
 
 import math
@@ -20,6 +22,7 @@ import pytest
 from sccckit import (
     Gen,
     Morphism,
+    NumericRange,
     RootUnavailable,
     TypeMismatch,
     UNIT,
@@ -147,7 +150,8 @@ def _outcome(call):
     """What a call gives, down to the bytes: an arrow, a python value or an error."""
     try:
         out = call()
-    except (ArithmeticError, TypeError, ValueError, TypeMismatch, RootUnavailable) as exc:
+    except (ArithmeticError, TypeError, ValueError, TypeMismatch, RootUnavailable,
+            NumericRange) as exc:
         return ("raises", type(exc).__name__, str(exc))
     if isinstance(out, Morphism):
         return ("arrow", out.dom, out.cod, out.semiring.name, out.array.dtype.str,
@@ -155,11 +159,29 @@ def _outcome(call):
     return ("value", type(out).__name__, repr(out))
 
 
-def _expected(old_call, exponent):
-    """The first chain's outcome, with its zero-scalar crash as the refusal."""
+class _Overflow:
+    """The text of a ``NumericRange`` refusal: it equals any string that
+    names this exponent (any, when None) and a value, as the refusal does."""
+
+    def __init__(self, exponent=None):
+        named = r"\S+" if exponent is None else re.escape(str(exponent))
+        self.pattern = rf"power {named} of the scalar value \S+ overflows"
+
+    def __eq__(self, other):
+        return isinstance(other, str) and re.fullmatch(self.pattern, other) is not None
+
+    def __repr__(self):
+        return f"<text matching {self.pattern!r}>"
+
+
+def _expected(old_call, exponent=None):
+    """The first chain's outcome, with its zero-scalar and overflow crashes
+    as the refusals."""
     got = _outcome(old_call)
     if got[:2] == ("raises", "ZeroDivisionError"):
         return ("raises", "RootUnavailable", f"cannot take power {exponent} of the zero scalar")
+    if got[:2] == ("raises", "OverflowError"):
+        return ("raises", "NumericRange", _Overflow(exponent))
     return got
 
 
@@ -205,10 +227,10 @@ def test_valuations_and_scalar_sums_are_the_first_chain(selector):
     pairs = [(s, t) for s in scalars[:6] for t in scalars[::3]]
     for nu in NUS:
         for f in _arrows(selector) + scalars:
-            assert _outcome(lambda: born.valuation_norm(m, f, nu)) == _outcome(
+            assert _outcome(lambda: born.valuation_norm(m, f, nu)) == _expected(
                 lambda: _old_valuation_norm(m, f, nu)), (f.array, nu)
         for s, t in pairs:
-            assert _outcome(lambda: born.scalar_sum(m, s, t, nu)) == _outcome(
+            assert _outcome(lambda: born.scalar_sum(m, s, t, nu)) == _expected(
                 lambda: _old_scalar_sum(m, s, t, nu)), (s.array, t.array, nu)
 
 

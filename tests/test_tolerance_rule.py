@@ -4,8 +4,9 @@
 finite and within rel times the scale", and ``nonneg_value`` the one sign
 test of a scalar against ``REAL_TOL``.  Nothing outside ``semirings.py``
 names the three constants, except the runner's default tolerance in
-``report.py``.  Every row a suite decides itself reads the run's tolerance,
-so a gap the default forgives fails at a tighter one.
+``report.py``, and nothing in the package hides a tolerance of its own in
+numpy's ``allclose`` or ``isclose``.  Every row a suite decides itself reads
+the run's tolerance, so a gap the default forgives fails at a tighter one.
 """
 import ast
 from itertools import count
@@ -52,6 +53,14 @@ def test_no_module_but_semirings_names_a_tolerance_constant():
                  for line, name in _named(ast.parse(path.read_text()))
                  if not (path.name == "report.py" and line in allowed)]
     assert offenders == [], f"tolerance constants named outside semirings.py: {offenders}"
+
+
+def test_no_module_hides_a_tolerance_in_allclose_or_isclose():
+    # numpy's allclose and isclose carry their own rtol and atol, which the
+    # rule's constants do not reach; every tolerant decision reads _within
+    offenders = [f"{path.name}: {word}" for path in sorted(PACKAGE.glob("*.py"))
+                 for word in ("allclose", "isclose") if word in path.read_text()]
+    assert offenders == [], f"allclose or isclose in the package: {offenders}"
 
 
 def _status(report, name: str) -> str:

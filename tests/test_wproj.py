@@ -11,6 +11,7 @@ from sccckit import (
     Gen,
     ModelHandle,
     Morphism,
+    NotPhaseEquivalent,
     TypeMismatch,
     UNIT,
     WProjModel,
@@ -302,3 +303,165 @@ def test_large_quotient_scalars_are_read_and_non_real_ones_refused():
     bad = scalar(1e5 * np.exp(1j * np.pi / 4), corrupted_complex())
     with pytest.raises(TypeMismatch, match="non-real"):
         w.scalar_value(bad)
+
+
+# -- wequal_to: one f against many g ----------------------------------------------
+
+def _fresh_verdict(f, g, rel):
+    """wequal's three criteria, each from matrices computed afresh for the
+    pair: the verdict they share, or the error the comparison raises."""
+    try:
+        wproj._same_type(f, g)
+        s = f.semiring
+        verdicts = [s.approx_equal(crit(f), crit(g), rel) for crit in
+                    (wproj.lift, wproj._lowered, core.projector_array)]
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return type(exc), str(exc)
+    if len(set(verdicts)) > 1:
+        return CriterionDisagreement, None
+    return verdicts[0]
+
+
+def _predicate_verdict(pred, g):
+    try:
+        return pred(g)
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return type(exc), None if isinstance(exc, CriterionDisagreement) else str(exc)
+
+
+def test_a_predicate_reused_on_the_straddle_tables_decides_as_wequal():
+    # one predicate per f meets g, f itself and g again: each verdict is the
+    # one the three criteria give on matrices computed afresh for that pair
+    from test_phase_align import RELS, _edges, _straddling
+    for rel in RELS:
+        rng = np.random.default_rng(61)
+        for kind, f, g in [*_straddling(rel, rng), *_edges(rng)]:
+            pred = wproj.wequal_to(f, rel)
+            with np.errstate(all="ignore"):
+                for other in (g, f, g):
+                    want = _fresh_verdict(f, other, rel)
+                    assert _predicate_verdict(pred, other) == want, (kind, rel)
+                    assert _predicate_verdict(lambda x: wequal(f, x, rel), other) == want
+
+
+def test_a_predicate_refuses_a_mistyped_g_as_wequal_does():
+    f = cmor([[1, 2], [3, 4]])
+    pred = wproj.wequal_to(f)
+    for _ in range(2):
+        with pytest.raises(TypeMismatch, match=r"^cannot compare A\[2\]->B\[2\] with A\[3\]->B\[2\]$"):
+            pred(cmor([[1, 2, 3], [4, 5, 6]]))
+    assert pred(scalar_mult(phase(0.3), f)) is True
+
+
+def test_a_predicate_refuses_a_tampered_class_as_wequal_does(monkeypatch):
+    # f's forged doubled form is kept and meets each twin: the split is
+    # reported on every call, in wequal's words
+    f = cmor([[1, 2], [3, 4]])
+    lifted = _tampered_lift(monkeypatch, f, cmor([[1, 0], [0, 1]]))
+    pred = wproj.wequal_to(f)
+    for twin in (cmor([[1, 2], [3, 4]]), scalar_mult(phase(1.0), f)):
+        with pytest.raises(CriterionDisagreement,
+                           match="^equality criteria disagree: doubled=False "
+                                 "lower=True projector=True$"):
+            pred(twin)
+    assert [x is f for x in lifted] == [True, False, False]
+
+
+def _counted_lift(monkeypatch):
+    calls = []
+    honest = wproj.lift
+
+    def counting(f):
+        calls.append(f)
+        return honest(f)
+
+    monkeypatch.setattr(wproj, "lift", counting)
+    return calls
+
+
+def test_building_a_predicate_computes_nothing(monkeypatch):
+    calls = _counted_lift(monkeypatch)
+    f = cmor([[1, 2], [3, 4]])
+    pred = wproj.wequal_to(f)
+    assert calls == []
+    assert pred(f) and pred(scalar_mult(phase(2.0), f))
+    assert len(calls) == 3 and calls[0] is f
+
+
+def test_a_teleport_lifts_its_target_once(monkeypatch):
+    from sccckit import run_teleportation
+    run_teleportation()  # the collapse witness is built once per process
+    calls = _counted_lift(monkeypatch)
+    assert run_teleportation(seed=3).ok
+    # the target once, then the four corrected outputs of the rotated run
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("selector,lifts", [("wproj:fdhilb", 4), ("wproj:rel", 3)])
+def test_a_criteria_trial_lifts_its_f_once(monkeypatch, selector, lifts):
+    from sccckit import resolve_model
+    from sccckit.suites import _wproj_checks
+    row = next(c for c in _wproj_checks(resolve_model(selector), None, 3)
+               if c.name == "equality-criteria-agree")
+    calls = _counted_lift(monkeypatch)
+    assert row.fn(np.random.default_rng(5)) is None
+    # f once, then rotated and g, and on fdhilb the weight-doubled f
+    assert len(calls) == lifts
+
+
+def test_a_computation_that_raises_is_not_kept(monkeypatch):
+    f = cmor([[1, 2], [3, 4]])
+    calls = _counted_lift(monkeypatch)
+    honest = core.projector_array
+    failures = [RuntimeError("first projector fails")]
+
+    def failing_once(x):
+        if x is f and failures:
+            raise failures.pop()
+        return honest(x)
+
+    monkeypatch.setattr(core, "projector_array", failing_once)
+    g = scalar_mult(phase(0.5), f)
+    pred = wproj.wequal_to(f)
+    with pytest.raises(RuntimeError, match="first projector fails"):
+        pred(g)
+    # f's lift was computed before the failure and is computed again
+    assert pred(g) is True
+    assert [x is f for x in calls] == [True, True, False]
+
+
+def test_a_lift_that_always_raises_raises_on_every_call(monkeypatch):
+    f = cmor([[1, 2], [3, 4]])
+    attempts = []
+
+    def refusing(x):
+        attempts.append(x)
+        raise NotPhaseEquivalent("no doubled form")
+
+    monkeypatch.setattr(wproj, "lift", refusing)
+    pred = wproj.wequal_to(f)
+    for _ in range(2):
+        with pytest.raises(NotPhaseEquivalent, match="no doubled form"):
+            pred(f)
+    assert attempts == [f, f]
+
+
+def test_a_target_that_cannot_be_lifted_fails_each_branch_row(monkeypatch):
+    from sccckit import run_teleportation
+    run_teleportation()  # the collapse witness is built once per process
+    honest = wproj.lift
+    attempts = []
+
+    def refusing_the_target(x):
+        # the rotated run's target at unit weight is (1/2) psi for psi = |0>
+        if np.array_equal(x.array, [[0.5], [0.0]]):
+            attempts.append(x)
+            raise NotPhaseEquivalent("the target has no doubled form")
+        return honest(x)
+
+    monkeypatch.setattr(wproj, "lift", refusing_the_target)
+    report = run_teleportation()
+    failed = {r.check_name: r.witness for r in report.results if r.status == "fail"}
+    assert failed == {f"branch-{i}": {"error": "the target has no doubled form",
+                                      "trial": 0} for i in range(4)}
+    assert len(attempts) == 4
