@@ -7,9 +7,9 @@ checks, together with a categorical teleportation protocol.
 """
 
 from .errors import (AbsorptionMismatch, CriterionDisagreement,
-                     DegenerateSample, InvariantViolation, NotPhaseEquivalent,
-                     NotProjector, NotUnitary, NumericRange, RootUnavailable,
-                     SccckitError, SemiringLawViolation, TypeMismatch)
+                     InvariantViolation, NotPhaseEquivalent, NotProjector,
+                     NotUnitary, NumericRange, RootUnavailable, SccckitError,
+                     SemiringLawViolation, TypeMismatch)
 from .objects import (Dual, Gen, ObjectExpr, Oplus, Tensor, UNIT, Unit, ZERO,
                       Zero, dim, dual, format_object, normalize, parse_object)
 from .semirings import BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring

@@ -9,8 +9,8 @@ manufactured from the trace and the block sum.  Everything is computed on
 plain matrices with ``morphisms``, ``core`` and ``ortho``; only equality
 and the scalar methods (``scalar``, ``scalar_value``, ``scalar_power``)
 come from the model, so on the phase quotient a valuation is the doubled
-value of its class.  Every check in this module routes ALL trace uses
-through one injectable trace function, so a corrupted trace corrupts the
+value of its class.  Every axiom leg routes ALL trace uses through
+one injectable trace function, so a corrupted trace corrupts the
 valuation, the scalar sum and the axioms coherently; that is what makes the
 equivalence theorem testable as a negative control.  The legs are per-trial
 rows of the born suite's table, and the theorem is a two-row table of whole
@@ -120,15 +120,14 @@ def corrupted_trace(f: Morphism) -> Morphism:
 # -- axiom checks -------------------------------------------------------------
 
 def check_born_decomposition(model, f, decomp: ortho.OplusDecomposition,
-                             nu=Fraction(1), trace_fn=None,
-                             tolerance=None) -> bool:
+                             nu=Fraction(1), tolerance=None) -> bool:
     """||f||^nu equals the nu-sum of the component valuations ||f_i||^nu."""
     nu = _read_nu(nu)
     parts = [compose(ortho.pseudo_projection(decomp, i, model.semiring), f)
              for i in range(len(decomp))]
-    total = valuation_norm(model, f, nu, trace_fn)
-    folded = reduce(lambda x, y: scalar_sum(model, x, y, nu, trace_fn),
-                    [valuation_norm(model, p, nu, trace_fn) for p in parts])
+    total = valuation_norm(model, f, nu)
+    folded = reduce(lambda x, y: scalar_sum(model, x, y, nu),
+                    [valuation_norm(model, p, nu) for p in parts])
     return model.equal(total, folded, tolerance)
 
 

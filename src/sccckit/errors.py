@@ -33,10 +33,6 @@ class SemiringLawViolation(SccckitError):
     """A sampled semiring element broke one of the required laws."""
 
 
-class DegenerateSample(SccckitError):
-    """Random orthonormalization kept hitting near-zero columns."""
-
-
 class CriterionDisagreement(SccckitError):
     """The three phase-quotient equality criteria returned mixed answers."""
 

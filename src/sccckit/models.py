@@ -2,7 +2,7 @@
 
 A ``ModelHandle`` is what a model decides; everything else is computed on
 plain ``Morphism``s with ``morphisms``, ``core`` and ``ortho``.  A model
-samples (its four ``sample_*`` methods return matrices), decides when two
+samples (its three ``sample_*`` methods return matrices), decides when two
 matrices are one arrow (``equal``) and reads scalars (``scalar``,
 ``scalar_value`` and ``scalar_power``).  On a plain model an arrow is its
 matrix.  The phase quotient (``wproj.WProjModel``) keeps the matrices of its
@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSample, NumericRange, RootUnavailable, TypeMismatch
-from .morphisms import (Morphism, _derived, adopt, compose, dagger, equal, scalar,
+from .errors import NumericRange, RootUnavailable, TypeMismatch
+from .morphisms import (Morphism, _derived, compose, dagger, equal, scalar,
                         scalar_value)
 from .objects import Gen, ObjectExpr, UNIT, ZERO, dim, normalize
 from .semirings import (BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring,
@@ -92,18 +92,6 @@ class ModelHandle:
         shape = (dim(cod), dim(dom))
         return _derived(dom, cod, self.semiring.sample(rng, shape), self.semiring, shape)
 
-    def sample_state(self, rng: np.random.Generator, a: ObjectExpr,
-                     normalized: bool = False) -> Morphism:
-        psi = self.sample_morphism(rng, UNIT, a)
-        if normalized:
-            if self.semiring is not COMPLEX:
-                raise TypeMismatch("normalization is only meaningful in fdhilb")
-            n = np.linalg.norm(psi.array)
-            if n < 1e-12:
-                raise DegenerateSample("sampled a near-zero state")
-            psi = adopt(UNIT, a, psi.array / n, self.semiring)
-        return psi
-
     def sample_positive(self, rng: np.random.Generator, a: ObjectExpr) -> Morphism:
         """A positive endomorphism h = f(dagger) o f of a."""
         f = self.sample_morphism(rng, a, a)
@@ -160,27 +148,12 @@ def resolve_model(selector: str):
 
 # -- random unitaries ---------------------------------------------------------
 
-def _modified_gram_schmidt(m: np.ndarray) -> np.ndarray | None:
-    """Orthonormalize columns; None when a column degenerates."""
-    q = m.astype(np.complex128)
-    n = q.shape[1]
-    for k in range(n):
-        v = q[:, k]
-        for j in range(k):
-            v = v - np.vdot(q[:, j], v) * q[:, j]
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            return None
-        q[:, k] = v / norm
-    return q
+def random_unitary(m: ModelHandle, dims, seed) -> Morphism:
+    """A seeded Haar-ish unitary A -> (+)_i A_i with dim(A_i) = dims[i].
 
-
-def random_unitary(m: ModelHandle, dims, seed, dom: ObjectExpr | None = None) -> Morphism:
-    """A seeded Haar-ish unitary dom -> (+)_i A_i with dim(A_i) = dims[i].
-
-    Built by orthonormalizing a seeded complex sample; resamples up to 8 times
-    before giving up with ``DegenerateSample``.  Only defined over a complex
-    semiring with phases, such as fdhilb's.
+    The Q factor of numpy's Householder QR of one seeded (n, n) sample,
+    which is unitary for every sample, degenerate or not.  Only defined
+    over a complex semiring with phases, such as fdhilb's.
     """
     if m.semiring.phase is None:
         raise TypeMismatch("random unitaries are sampled over a semiring with phases")
@@ -189,20 +162,11 @@ def random_unitary(m: ModelHandle, dims, seed, dom: ObjectExpr | None = None) ->
     if total < 1 or any(d < 0 for d in dims):
         raise TypeMismatch(f"bad block dimensions {dims}")
     rng = np.random.default_rng(seed)
-    q = None
-    for _ in range(8):
-        q = _modified_gram_schmidt(m.semiring.sample(rng, (total, total)))
-        if q is not None:
-            break
-    if q is None:
-        raise DegenerateSample("orthonormalization kept degenerating")
+    q = np.linalg.qr(m.semiring.sample(rng, (total, total)))[0]
     parts = [ZERO if d == 0 else (UNIT if d == 1 else Gen(f"A{i}", d))
              for i, d in enumerate(dims)]
     cod = ortho.OplusDecomposition.from_parts(parts).whole
-    if dom is None:
-        dom = UNIT if total == 1 else Gen("A", total)
-    if dim(dom) != total:
-        raise TypeMismatch("domain dimension does not match the blocks")
+    dom = UNIT if total == 1 else Gen("A", total)
     return Morphism(dom, cod, q, m.semiring)
 
 

@@ -627,9 +627,9 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         def no_go(_):
             hot = ortho.oplus_illdefined_witness(np.pi / 2)
             cold = ortho.oplus_illdefined_witness(0.0)
+            # u = e^{0i} is exactly 1, so the aligned doubled forms are one array
             violated = (hot["pairing_gap"] > 0.25 and hot["oplus_gap"] > 0.25
-                        and cold["pairing_gap"] <= 1e-9
-                        and cold["oplus_gap"] <= 1e-9)
+                        and cold["pairing_gap"] == 0.0 and cold["oplus_gap"] == 0.0)
             witness = {"rotated": {"theta": hot["theta"],
                                    "pairing_gap": hot["pairing_gap"],
                                    "oplus_gap": hot["oplus_gap"]},

@@ -45,6 +45,8 @@ from .semirings import ALIGN_MARGIN, _within, max_abs, nonneg_value, real_value
 # the relative error, in ulps of float64, that the alignment bounds allow
 # each rounded product, difference and modulus they stand for
 _ROUNDING = 8 * np.finfo(np.float64).eps
+# the least normal float64: below it, z/|z| is no longer a unit
+_TINY = np.finfo(np.float64).tiny
 
 
 def lift(f: Morphism) -> np.ndarray:
@@ -108,14 +110,15 @@ def wequal_to(f: Morphism, rel: float | None = None):
 def canonical_rep(f: Morphism) -> Morphism:
     """Rotate f by a unit scalar so its largest-modulus entry is real >= 0.
 
-    Ties break at the lowest row-major index; the zero morphism is returned
-    unchanged.  Models without phases (identity involution, booleans) are
-    already canonical.
+    Ties break at the lowest row-major index.  A pivot below ``_TINY`` (the
+    zero morphism's, or a subnormal one) is returned unchanged, since there
+    top/|top| is no longer a unit.  Models without phases (identity
+    involution, booleans) are already canonical.
     """
     if f.semiring.phase is None or f.array.size == 0:
         return f
     top = f.array.ravel()[_pivot(f.array)]
-    if abs(top) <= 1e-300:
+    if abs(top) < _TINY:
         return f
     phase = top / abs(top)
     return Morphism(f.dom, f.cod, f.array * np.conjugate(phase), f.semiring)

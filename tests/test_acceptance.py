@@ -59,6 +59,12 @@ def _objects(rng):
     return Gen("A", int(rng.integers(1, 5)))
 
 
+def _unit_state(rng, a):
+    """A sampled state of a scaled to norm one."""
+    psi = M.sample_morphism(rng, UNIT, a)
+    return Morphism(UNIT, a, psi.array / np.linalg.norm(psi.array), COMPLEX)
+
+
 def test_criterion_01_sccc_axiom_suites():
     desc = ("compact-structure suite green: fdhilb dims<=8 and rel dims<=6, "
             "200 trials each, rel tol 1e-9, under 30 s")
@@ -122,14 +128,14 @@ def test_criterion_03_hilbert_schmidt():
         ok = ok and abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs), abs(rhs))
     for _ in range(200):
         a = _objects(rng)
-        psi, phi = M.sample_state(rng, a), M.sample_state(rng, a)
+        psi, phi = M.sample_morphism(rng, UNIT, a), M.sample_morphism(rng, UNIT, a)
         ok = ok and equal(hs_inner(psi, phi), compose(dagger(psi), phi), rel=1e-9)
     two = scalar_value(trace(identity(Oplus(UNIT, UNIT), COMPLEX)))
     ok = ok and two == 2
     for _ in range(200):
         a = Gen("A", int(rng.integers(2, 5)))
-        psi = M.sample_state(rng, a, normalized=True)
-        v = M.sample_state(rng, a, normalized=True)
+        psi = _unit_state(rng, a)
+        v = _unit_state(rng, a)
         p = compose(v, dagger(v))
         rho = compose(psi, dagger(psi))
         got = float(scalar_value(born_prob(psi, p)).real)
@@ -268,7 +274,7 @@ def test_criterion_09_teleportation():
     t0 = time.perf_counter()
     ok = True
     for _ in range(100):
-        psi = M.sample_state(rng, Oplus(UNIT, UNIT))
+        psi = M.sample_morphism(rng, UNIT, Oplus(UNIT, UNIT))
         rep = run_teleportation(psi)
         counts = rep.counts()
         ok = ok and rep.ok and counts.get("fail", 0) == 0

@@ -20,7 +20,6 @@ ALLOWED = {
     "from_json": "reads a saved report back; the inverse of the CLI's --json",
     "deserialize_morphism": "reads a morphism witness back out of a saved report",
     "corrupted_complex": "the negative-control semiring the semiring-law tests run",
-    "sample_state": "the acceptance gate's state sampler",
     "stream": "one trial's generator, for replaying a failure named in a report",
 }
 
@@ -81,3 +80,63 @@ def test_the_allow_list_names_only_uncalled_definitions():
                | {node.name for _, _, node in _methods()})
     uncalled = {n.split(".")[-1] for n in _uncalled()}
     assert set(ALLOWED) <= defined & uncalled
+
+
+# parameters with a default that no call in the program passes, with the
+# reason each stays
+ALLOWED_DEFAULTS = {
+    "check_semiring_laws.samples": "README documents the default of 24, and a "
+                                   "user may draw more",
+    "semiring_model.name": "it names a user's own model",
+}
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[str]:
+    """The parameters of ``fn`` that have a default, in order."""
+    positional = fn.args.posonlyargs + fn.args.args
+    with_default = positional[len(positional) - len(fn.args.defaults):]
+    keyword = [a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if d is not None]
+    return [a.arg for a in with_default + keyword]
+
+
+def _passes(call: ast.Call, fn: ast.FunctionDef, offset: int) -> set[str]:
+    """The parameters of ``fn`` that ``call`` passes, when its first
+    positional argument binds parameter ``offset`` (1 past a bound self)."""
+    if any(k.arg is None for k in call.keywords) or any(
+            isinstance(a, ast.Starred) for a in call.args):
+        return set(_defaulted(fn))
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    return ({k.arg for k in call.keywords}
+            | set(positional[offset:offset + len(call.args)]))
+
+
+def _unpassed_defaults() -> list[str]:
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((ROOT / "perfbench").glob("*.py"))
+    calls = [node for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)]
+    by_name = [(c.func.id, c) for c in calls if isinstance(c.func, ast.Name)]
+    by_attr = [(c.func.attr, c) for c in calls if isinstance(c.func, ast.Attribute)]
+    # a function is reached by name or as a module attribute (offset 0); a
+    # method only as an attribute, where a bound self takes position 0
+    reached = [(node, 0, by_name + by_attr) for _, node in _definitions()
+               if isinstance(node, ast.FunctionDef)]
+    reached += [(node, 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                for d in node.decorator_list) else 1, by_attr)
+                for _, _, node in _methods()]
+    unpassed = []
+    for fn, offset, named in reached:
+        passed = set().union(*(_passes(call, fn, offset)
+                               for name, call in named if name == fn.name))
+        unpassed += [f"{fn.name}.{p}" for p in _defaulted(fn) if p not in passed]
+    return unpassed
+
+
+def test_every_default_parameter_is_passed_by_the_program():
+    unpassed = _unpassed_defaults()
+    assert [p for p in unpassed if p not in ALLOWED_DEFAULTS] == [], \
+        f"parameters with a default that no call in the program passes: {unpassed}"
+    assert set(ALLOWED_DEFAULTS) <= set(unpassed), \
+        "ALLOWED_DEFAULTS names a parameter the program passes"

@@ -88,7 +88,6 @@ SWITCH = re.compile(r"is (not )?(COMPLEX|BOOLEAN|NONNEG)\b"
 ALLOWED_SWITCHES = Counter({
     ("cli.py", "_checked_inputs"): 1,          # teleport refuses other models
     ("protocols.py", "run_teleportation"): 1,  # teleport refuses other models
-    ("models.py", "ModelHandle.sample_state"): 1,  # normalized=True refuses
     ("report.py", "deserialize_morphism"): 1,  # JSON stores complex pairs
 })
 

@@ -53,6 +53,12 @@ Q = Gen("Q", 2)
 M = fdhilb()
 
 
+def _unit_state(rng, a):
+    """A sampled state of a scaled to norm one."""
+    psi = M.sample_morphism(rng, UNIT, a)
+    return Morphism(UNIT, a, psi.array / np.linalg.norm(psi.array), COMPLEX)
+
+
 def mor(arr, dom, cod):
     return Morphism(dom, cod, np.asarray(arr, dtype=complex), COMPLEX)
 
@@ -127,8 +133,8 @@ def test_hs_inner_equals_trace_route():
 def test_hs_inner_on_states_is_composition():
     rng = np.random.default_rng(12)
     a = Tensor(Q, Gen("B", 3))
-    psi = M.sample_state(rng, a)
-    phi = M.sample_state(rng, a)
+    psi = M.sample_morphism(rng, UNIT, a)
+    phi = M.sample_morphism(rng, UNIT, a)
     assert equal(hs_inner(psi, phi), compose(dagger(psi), phi))
 
 
@@ -143,8 +149,8 @@ def test_born_loop_oracle():
 def test_born_loop_equals_density_trace():
     rng = np.random.default_rng(13)
     for _ in range(20):
-        psi = M.sample_state(rng, Q, normalized=True)
-        v = M.sample_state(rng, Q, normalized=True)
+        psi = _unit_state(rng, Q)
+        v = _unit_state(rng, Q)
         p = compose(v, dagger(v))  # rank-one projector
         rho = compose(psi, dagger(psi))
         got = float(scalar_value(born_prob(psi, p)).real)
@@ -197,8 +203,8 @@ def test_yanking(obj):
 def test_swap_on_product_states():
     rng = np.random.default_rng(16)
     a, b = Gen("A", 2), Gen("B", 3)
-    x = M.sample_state(rng, a)
-    y = M.sample_state(rng, b)
+    x = M.sample_morphism(rng, UNIT, a)
+    y = M.sample_morphism(rng, UNIT, b)
     s = core.sigma(a, b, COMPLEX)
     assert equal(compose(s, tensor(x, y)), tensor(y, x))
 

@@ -26,7 +26,7 @@ from sccckit import (
 A = Gen("A", 2)
 
 INTERFACE = {"scalar", "equal", "scalar_value", "scalar_power", "sample_morphism",
-             "sample_state", "sample_positive", "sample_unit_scalar"}
+             "sample_positive", "sample_unit_scalar"}
 
 
 def _public_methods(cls, own=False):
@@ -46,8 +46,8 @@ def test_quotient_samplers_lift_the_base_draw(make):
     # a quotient arrow is handed around as its representative: the base's draw
     m = make()
     w = WProjModel(m)
-    for op, args in [("sample_morphism", [A, Gen("B", 3)]), ("sample_state", [A]),
-                     ("sample_positive", [A]), ("sample_unit_scalar", [])]:
+    for op, args in [("sample_morphism", [A, Gen("B", 3)]), ("sample_positive", [A]),
+                     ("sample_unit_scalar", [])]:
         got = getattr(w, op)(np.random.default_rng(5), *args)
         want = getattr(m, op)(np.random.default_rng(5), *args)
         assert type(got) is Morphism and type(want) is Morphism, op

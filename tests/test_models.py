@@ -9,7 +9,6 @@ from sccckit import (
     BOOLEAN,
     COMPLEX,
     NONNEG,
-    DegenerateSample,
     Gen,
     Morphism,
     Oplus,
@@ -30,7 +29,7 @@ from sccckit import (
     semiring_model,
     weight_model,
 )
-from sccckit import born, models
+from sccckit import born
 from sccckit.semirings import check_semiring_laws, corrupted_complex
 
 from fractions import Fraction
@@ -80,25 +79,27 @@ def test_random_unitary_needs_complex():
         random_unitary(rel_model(), [2], seed=0)
 
 
-def test_random_unitary_gives_up_on_degenerate_samples(monkeypatch):
-    monkeypatch.setattr(models, "_modified_gram_schmidt", lambda a: None)
-    with pytest.raises(DegenerateSample):
-        random_unitary(fdhilb(), [2], seed=0)
+@pytest.mark.parametrize("fill", [np.zeros, np.ones], ids=["zero", "rank-one"])
+def test_random_unitary_of_a_degenerate_sample_is_unitary(fill):
+    # a phase-bearing copy of COMPLEX whose every sample is degenerate
+    m = semiring_model(dataclasses.replace(
+        COMPLEX, name=f"complex-{fill.__name__}",
+        sample=lambda rng, shape: fill(shape, dtype=complex)))
+    for dims in ([1], [2], [1, 2], [2, 2]):
+        arr = random_unitary(m, dims, seed=0).array
+        n = sum(dims)
+        assert np.allclose(arr.conj().T @ arr, np.eye(n), atol=1e-12)
 
 
-class _ZeroRng:
-    def standard_normal(self, shape):
-        return np.zeros(shape)
-
-
-def test_normalized_state_rejects_zero_sample():
-    with pytest.raises(DegenerateSample):
-        fdhilb().sample_state(_ZeroRng(), Gen("A", 2), normalized=True)
-
-
-def test_normalization_only_in_the_complex_model():
-    with pytest.raises(TypeMismatch):
-        rel_model().sample_state(np.random.default_rng(0), Gen("A", 2), normalized=True)
+def test_random_unitary_draws_one_sample_from_its_generator():
+    # the rows that read a unitary share its generator with their other
+    # draws, so the stream order rests on exactly one (n, n) sample
+    for dims in ([1], [1, 2], [2, 2]):
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        random_unitary(fdhilb(), dims, rng)
+        n = sum(dims)
+        COMPLEX.sample(twin, (n, n))
+        assert rng.standard_normal(5).tobytes() == twin.standard_normal(5).tobytes()
 
 
 def test_boolean_composition_is_relational():

@@ -49,7 +49,7 @@ def test_teleport_branches_close_to_hand_formula():
     rng = np.random.default_rng(61)
     t, _ = protocols.bell_teleportation_setup()
     for _ in range(10):
-        psi = M.sample_state(rng, qubit())
+        psi = M.sample_morphism(rng, UNIT, qubit())
         outs = protocols._teleport_branches(psi, t)
         for i, out in enumerate(outs):
             want = 0.5 * BETAS[i] @ psi.array
@@ -65,7 +65,7 @@ def test_teleportation_report_is_green():
 def test_teleportation_of_random_states():
     rng = np.random.default_rng(62)
     for _ in range(5):
-        psi = M.sample_state(rng, qubit())
+        psi = M.sample_morphism(rng, UNIT, qubit())
         rep = run_teleportation(psi)
         assert rep.ok
         branch = rep.results[0]
@@ -104,7 +104,7 @@ def test_measurement_spec_invariants():
                 want = pi.array if i == j else np.zeros_like(pi.array)
                 assert np.allclose(prod.array, want, atol=1e-9)
         assert np.allclose(total, np.eye(n), atol=1e-9)
-        psi = M.sample_state(rng, u.dom)
+        psi = M.sample_morphism(rng, UNIT, u.dom)
         probs = [float(scalar_value(born_prob(psi, p)).real) for p in projectors]
         weight = float(scalar_value(hs_norm_sq(psi)).real)
         assert sum(probs) == pytest.approx(weight, rel=1e-9)

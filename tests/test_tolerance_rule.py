@@ -4,8 +4,9 @@
 finite and within rel times the scale", and ``nonneg_value`` the one sign
 test of a scalar against ``REAL_TOL``.  Nothing outside ``semirings.py``
 names the three constants, except the runner's default tolerance in
-``report.py``, and nothing in the package hides a tolerance of its own in
-numpy's ``allclose`` or ``isclose``.  Every row a suite decides itself reads
+``report.py``, nothing in the package hides a tolerance of its own in
+numpy's ``allclose`` or ``isclose``, and no comparison outside
+``semirings.py`` holds a float literal below 1e-3.  Every row a suite decides itself reads
 the run's tolerance, so a gap the default forgives fails at a tighter one.
 """
 import ast
@@ -61,6 +62,24 @@ def test_no_module_hides_a_tolerance_in_allclose_or_isclose():
     offenders = [f"{path.name}: {word}" for path in sorted(PACKAGE.glob("*.py"))
                  for word in ("allclose", "isclose") if word in path.read_text()]
     assert offenders == [], f"allclose or isclose in the package: {offenders}"
+
+
+def _small_float(node: ast.expr) -> bool:
+    """A float literal, signed or not, with 0 < |x| < 1e-3."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < abs(node.value) < 1e-3)
+
+
+def test_no_comparison_outside_semirings_has_a_tolerance_literal():
+    # a literal that small is a tolerance, and tolerances live in semirings.py
+    offenders = [f"{path.name} line {n.lineno}"
+                 for path in sorted(PACKAGE.glob("*.py")) if path.name != "semirings.py"
+                 for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Compare)
+                 and any(_small_float(o) for o in [n.left, *n.comparators])]
+    assert offenders == [], f"tolerance literals compared outside semirings.py: {offenders}"
 
 
 def _status(report, name: str) -> str:

@@ -74,9 +74,21 @@ def test_canonical_rep_is_a_class_invariant():
         assert wequal(cf, f)  # stays in the class
 
 
+def test_canonical_rep_rotates_a_tiny_normal_pivot():
+    # 1e-305 is a normal float, so top/|top| is a unit and the pivot turns
+    got = canonical_rep(cmor([[1e-305j, 0], [0, 0]])).array
+    assert got[0, 0].imag == 0 and got[0, 0].real > 0
+
+
+def test_canonical_rep_leaves_a_subnormal_pivot():
+    # below the least normal float top/|top| is no longer a unit
+    f = cmor([[1e-310j, 0], [0, 0]])
+    assert canonical_rep(f).array.tobytes() == f.array.tobytes()
+
+
 def test_canonical_rep_fixes_zero():
     z = cmor([[0, 0], [0, 0]])
-    assert equal(canonical_rep(z), z)
+    assert canonical_rep(z).array.tobytes() == z.array.tobytes()
 
 
 def _tampered_lift(monkeypatch, victim, forged):
