@@ -15,12 +15,30 @@ streams, the tolerance and the status.  No other module builds a
 stream words come from numpy's ``SeedSequence`` algorithm, written once as
 one pass over a (4, n) pool of the words [seed, row, trial, 0] of n trials
 (``_trial_words``).
+
+A row's draws are keyed by (seed, row, trial) alone and no row reads
+another's outcome, so the rows of a table may run in any order, and in two
+processes.  ``CheckRunner.run`` forks one worker for a table whose per-trial
+rows times trials reach ``_FORK_MIN_WORK``; both processes claim rows from
+one pipe, and the results come back in table order.  It stays serial for a
+smaller table (teleport's six whole rows, the equivalence theorem's 3 x 30
+legs), on a host without ``os.fork`` or two CPUs for the process, when
+numpy's BLAS is not an OpenBLAS it can hold to one thread, under a profiler
+or tracer, beside a second thread, and inside a worker or while one runs.
+Memo entries a worker fills (``cache``d functions, kept criteria) are not
+returned to the parent, which fills its own when it needs them.
 """
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, NamedTuple
 
@@ -119,6 +137,18 @@ _MASK = _WORD - 1
 # at trial 0 pays for one chunk, not for all of its trials
 _TRIAL_CHUNK = 256
 
+# a table runs in two processes when its per-trial rows times its trials reach
+# this.  A fork and join costs about 5 ms in a warmed process, and prep-state's
+# 3 rows x 100 trials (about 25 ms) ran no faster forked
+_FORK_MIN_WORK = 400
+# a row index on the claim pipe, in bytes; every index is written before the
+# fork, so a table must fit one page, the least a pipe holds
+_RECORD = 2
+_MAX_ROWS = 4096 // _RECORD
+# true while this process runs a table in two processes, and in the worker: a
+# table nested in either stays serial, so a run has one worker at most
+_forked = False
+
 # returned by a conditional check on a trial whose antecedent did not hold
 VACUOUS = "vacuous"
 
@@ -205,6 +235,16 @@ class CheckRunner:
     once, as trial 0, and is called with None: it draws nothing, so the
     runner seeds no stream for it.  A broken ``Law`` and a ``SccckitError``
     raised by any check are that check's failure.
+
+    Since rows read nothing of one another, ``run`` may run a table's rows
+    in two processes (``_run_forked``) and return what the serial loop
+    does: the results in table order, or the exception of the first row
+    that raises one.  It stays serial unless the table has two rows or more
+    and its per-trial rows times trials reach ``_FORK_MIN_WORK``, the
+    process has two CPUs, ``os.fork`` and an OpenBLAS it can hold to one
+    thread (``_blas_threads``), no profiler or tracer is set, one thread
+    runs and no table runs in two processes already.  Memo entries filled
+    in the worker are not returned to the parent.
     """
 
     def __init__(self, trials: int, seed: int, tolerance: float | None = None):
@@ -213,7 +253,81 @@ class CheckRunner:
         self.tol = REL_TOL if tolerance is None else tolerance
 
     def run(self, checks) -> list[CheckResult]:
+        checks = list(checks)
+        if _forks(checks, self.trials):
+            return self._run_forked(checks)
         return [self._run(idx, check) for idx, check in enumerate(checks)]
+
+    def _run_forked(self, checks: list) -> list[CheckResult]:
+        """``run`` in this process and one forked worker.
+
+        Every row index is written to a pipe before the fork, and each
+        process claims rows from it until it is empty.  The worker pickles
+        its outcomes, results or exceptions, into a second pipe and exits;
+        the rows it did not hand back, because it died or an outcome does
+        not pickle, run here.  An interrupt kills the worker, and the worker
+        is always reaped before ``run`` returns or raises.
+        """
+        global _forked
+        claims, claim_rows = os.pipe()
+        os.write(claim_rows, b"".join(idx.to_bytes(_RECORD, "little")
+                                      for idx in range(len(checks))))
+        os.close(claim_rows)
+        returned, worker_out = os.pipe()
+        get_threads, set_threads = _blas_threads()
+        threads = get_threads()
+        set_threads(1)
+        _forked = True
+        try:
+            pid = os.fork()
+        except OSError:  # no worker: this process claims every row
+            pid = None
+        if pid == 0:
+            try:
+                sent = pickle.dumps(self._claimed(checks, claims))
+                with open(worker_out, "wb") as out:
+                    out.write(sent)
+            finally:
+                os._exit(0)
+        os.close(worker_out)
+        try:
+            with open(returned, "rb") as back:
+                mine = self._claimed(checks, claims)
+                sent = back.read()
+        except BaseException:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.close(claims)
+            if pid:
+                os.waitpid(pid, 0)
+            _forked = False
+            set_threads(threads)
+        try:
+            outcomes = pickle.loads(sent)
+        except Exception:  # the worker died, or sent nothing whole
+            outcomes = {}
+        outcomes.update(mine)
+        results = []
+        for idx, check in enumerate(checks):
+            outcome = outcomes[idx] if idx in outcomes else self._run(idx, check)
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append(outcome)
+        return results
+
+    def _claimed(self, checks: list, claims: int) -> dict:
+        """Run each row this process claims from the pipe ``claims``; its
+        result, or the exception it raised, by row index."""
+        outcomes = {}
+        while record := os.read(claims, _RECORD):
+            idx = int.from_bytes(record, "little")
+            try:
+                outcomes[idx] = self._run(idx, checks[idx])
+            except Exception as exc:
+                outcomes[idx] = exc
+        return outcomes
 
     def stream(self, idx: int, trial: int) -> np.random.Generator:
         """The generator of trial ``trial`` of the check at position ``idx``."""
@@ -263,6 +377,42 @@ class CheckRunner:
             held += 1
         return CheckResult(name, law, "pass",
                            {"antecedent_pairs": held} if conditional else None)
+
+
+def _forks(checks: list, trials: int) -> bool:
+    """Whether ``run`` runs ``checks`` in two processes."""
+    work = trials * sum(check.kind == PER_TRIAL for check in checks)
+    return (work >= _FORK_MIN_WORK and 1 < len(checks) <= _MAX_ROWS
+            and not _forked and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and sys.getprofile() is None and sys.gettrace() is None
+            and threading.active_count() == 1 and _blas_threads() is not None)
+
+
+@cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded,
+    or None.  An OpenBLAS helper thread spins while it waits for work, so
+    two processes that each keep one run slower on two CPUs than one
+    process: a forked table holds both to one BLAS thread."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for lib, prefix, suffix in product(libs, ("openblas", "scipy_openblas"),
+                                       ("64_", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get and put:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 def _outcome(fn: Callable, rng):

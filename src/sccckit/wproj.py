@@ -9,9 +9,11 @@ arrow: [f] = [g] iff g = c.f for a unit c, and ``equal`` decides it by
 the doubled forms: two scalars by their doubled values, in closed form,
 and larger arrows by aligning g to f by one phase (``phase_align``), in
 work linear in the entries.  Only when a non-finite value or alignment's
-bounds leave the verdict open does it ask ``wequal``, which decides three
-ways at once, returns the verdict the three share and refuses to answer
-when they split.
+bounds leave the verdict open does it build the doubled forms and compare
+them, and it refuses ones that are not finite with ``NumericRange``.
+``wequal`` decides three ways at once, returns the verdict the three share
+and refuses to answer when they split; equality does not restate that
+agreement, which the ``equality-criteria-agree`` row checks.
 And what value a scalar has: the value of the class of c is its doubled
 value c c(dagger), one product in the semiring, and the scalar constructor
 picks the nonnegative root as representative.
@@ -33,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from . import core
-from .errors import CriterionDisagreement, TypeMismatch
+from .errors import CriterionDisagreement, NumericRange, TypeMismatch
 from .models import ModelHandle
 from .morphisms import (Morphism, compose, dagger, kernel_array, lower_star,
                         scalar)
@@ -72,22 +74,24 @@ def _same_type(f: Morphism, g: Morphism) -> None:
             f"with {format_object(g.dom)}->{format_object(g.cod)}")
 
 
-def wequal(f: Morphism, g: Morphism, rel: float | None = None) -> bool:
+def wequal(f: Morphism, g: Morphism) -> bool:
     """Decide whether f and g are one phase class, three independent ways,
     and return the verdict they share; a split raises
     ``CriterionDisagreement``.
 
     Criterion 1 compares the doubled forms, criterion 2 f(x)f(lower-star),
     criterion 3 the bipartite projectors, each comparing two matrices by the
-    semiring's ``approx_equal``; this is ``wequal_to(f, rel)(g)``."""
-    return wequal_to(f, rel)(g)
+    semiring's ``approx_equal`` at its default tolerance; this is
+    ``wequal_to(f)(g)``."""
+    return wequal_to(f)(g)
 
 
 def wequal_to(f: Morphism, rel: float | None = None):
-    """``wequal(f, g, rel)`` as a predicate on g.  The types are checked
-    first; f's three criterion matrices are computed on the first call and
-    kept, g's on every call.  A computation that raises keeps nothing, so
-    the next call computes again and raises as ``wequal`` would."""
+    """``wequal(f, g)`` at tolerance ``rel``, as a predicate on g.  The types
+    are checked first; f's three criterion matrices are computed on the
+    first call and kept, g's on every call.  A computation that raises
+    keeps nothing, so the next call computes again and raises as ``wequal``
+    would."""
     kept = None
 
     def equal_to_f(g: Morphism) -> bool:
@@ -250,11 +254,17 @@ class WProjModel(ModelHandle):
         self.base = base
 
     def equal(self, f: Morphism, g: Morphism, rel: float | None = None) -> bool:
-        """Criterion 1's verdict, settled without the doubled forms when
-        ``_settled`` can and by ``wequal`` otherwise."""
+        """Criterion 1, approx_equal(lift(f), lift(g), rel): settled without
+        the doubled forms when ``_settled`` can, else on them; doubled forms
+        that are not finite raise ``NumericRange``."""
         _same_type(f, g)
         verdict = _settled(f, g, rel)
-        return wequal(f, g, rel) if verdict is None else verdict
+        if verdict is not None:
+            return verdict
+        doubled_f, doubled_g = lift(f), lift(g)
+        if not (np.isfinite(doubled_f).all() and np.isfinite(doubled_g).all()):
+            raise NumericRange(f"the doubled forms of {f!r} are not finite")
+        return f.semiring.approx_equal(doubled_f, doubled_g, rel)
 
     def scalar(self, value) -> Morphism:
         r = nonneg_value(value)

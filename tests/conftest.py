@@ -1,9 +1,12 @@
-"""Puts ``src/`` on the import path and collects acceptance-criterion
-outcomes to print after the run."""
+"""Puts ``src/`` on the import path, requires every test to leave no child
+process behind, and collects acceptance-criterion outcomes to print after
+the run."""
 
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 # a fresh checkout runs `python -m pytest` without installing the package;
 # the environment variable carries the path into subprocess tests
@@ -15,6 +18,15 @@ if _SRC not in _paths:
     os.environ["PYTHONPATH"] = os.pathsep.join([_SRC] + [p for p in _paths if p])
 
 _LINES = []
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_test():
+    """Every process a test starts, a table's worker included, has been
+    reaped when the test ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def record_criterion(num: int, description: str, passed: bool) -> None:

@@ -45,6 +45,7 @@ from sccckit import (
     scalar_value,
     trace,
     wequal,
+    wequal_to,
     zeros,
 )
 from sccckit.born import _run_legs
@@ -92,8 +93,8 @@ def test_criterion_02_phase_witnesses():
         f = M.sample_morphism(rng, a, b)
         g = scalar_mult(M.sample_unit_scalar(rng), f)
         s, t = phase_witnesses(f, g)
-        # wequal returns only when the criteria agree, else it raises
-        ok = ok and wequal(f, g, rel=1e-9)
+        # the predicate returns only when the criteria agree, else it raises
+        ok = ok and wequal_to(f, 1e-9)(g)
         ok = ok and equal(scalar_mult(s, f), scalar_mult(t, g), rel=1e-9)
         ok = ok and equal(compose(s, dagger(s)), compose(t, dagger(t)), rel=1e-9)
         if not ok:

@@ -119,11 +119,9 @@ def test_equivalence_verdicts():
         assert not any(control.witness["verdicts"].values())
 
 
-@pytest.mark.parametrize("selector", ["fdhilb", "weights"])
-def test_a_power_past_the_float_range_fails_its_row(monkeypatch, capsys, selector):
-    # entries near 1e80 give traces near 1e160, whose square at nu = 2 is
-    # past the largest float: each row that reaches one fails with a witness
-    # naming the power, and the CLI still writes the report
+def _born_rows_past_the_float_range(monkeypatch, capsys, selector) -> dict:
+    """The rows of ``verify born --nu 2`` on ``selector`` with every sample
+    scaled by 1e80, by name; the run must exit 1 with its report."""
     sample = ModelHandle.sample_morphism
 
     def huge(self, rng, dom, cod):
@@ -131,12 +129,35 @@ def test_a_power_past_the_float_range_fails_its_row(monkeypatch, capsys, selecto
         return Morphism(f.dom, f.cod, f.array * 1e80, f.semiring)
 
     monkeypatch.setattr(ModelHandle, "sample_morphism", huge)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["verify", "born", "--model", selector, "--nu", "2", "--trials", "2",
                    "--seed", "0", "--json", "-"])
     assert rc == 1
-    rows = {r["check_name"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    return {r["check_name"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+
+
+@pytest.mark.parametrize("selector", ["fdhilb", "weights"])
+def test_a_power_past_the_float_range_fails_its_row(monkeypatch, capsys, selector):
+    # entries near 1e80 give traces near 1e160, whose square at nu = 2 is
+    # past the largest float: each row that reaches one fails with a witness
+    # naming the power, and the CLI still writes the report
+    rows = _born_rows_past_the_float_range(monkeypatch, capsys, selector)
     witness = rows["valuation-fixed-by-dagger"]["witness"]
     assert rows["valuation-fixed-by-dagger"]["status"] == "fail"
     assert sorted(witness) == ["error", "trial"] and witness["trial"] == 0
     assert re.fullmatch(r"power 2 of the scalar value \S+ overflows", witness["error"])
+
+
+@pytest.mark.parametrize("selector", ["wproj:fdhilb", "wproj:weights"])
+def test_a_quotient_refuses_doubled_values_past_the_float_range(monkeypatch, capsys,
+                                                                selector):
+    # on the quotient a scalar's doubled value c c(dagger) overflows to inf
+    # before any power is taken; equality refuses it by name, where it once
+    # went to wequal and failed as "name unfoldings disagree"
+    rows = _born_rows_past_the_float_range(monkeypatch, capsys, selector)
+    failed = [r for r in rows.values() if r["status"] == "fail"]
+    assert len(failed) == 15
+    for r in failed:
+        assert sorted(r["witness"]) == ["error", "trial"]
+        assert re.fullmatch(r"the doubled forms of Morphism\(I -> I, \w+\) are not finite",
+                            r["witness"]["error"]), r["check_name"]

@@ -292,6 +292,8 @@ UNCOMPARED = {
     "models.weight_model": "a frozen handle of a name and a shipped semiring",
     "objects.dim": "an int, a function of one immutable object expression",
     "objects.normalize": "an immutable object expression, a function of another",
+    "report._blas_threads": "two functions of the BLAS library numpy loaded, "
+                            "which stays loaded for the life of the process",
     "report._seed_words_class": "a class that holds no state of its own",
     "semirings.InvolutiveSemiring.approx_equal": "one of two module functions, "
                                                  "picked by the frozen field exact",

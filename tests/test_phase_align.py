@@ -1,8 +1,9 @@
 """Phase alignment decides quotient equality as criterion 1 does.
 
 ``WProjModel.equal`` settles a 1 x 1 pair from its doubled values, a larger
-pair from ``phase_align``'s bounds, and asks ``wequal`` only for non-finite
-values and inside the band the bounds leave open.  Every verdict it gives
+pair from ``phase_align``'s bounds, and builds the doubled forms only for
+non-finite values, which it refuses, and inside the band the bounds leave
+open.  Every verdict it gives
 must be criterion 1's, ``approx_equal(lift(f), lift(g), rel)``, on pairs
 straddling the threshold and on the pairs the suites draw.
 """
@@ -11,11 +12,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sccckit import (BOOLEAN, COMPLEX, NONNEG, AbsorptionMismatch,
-                     CriterionDisagreement, Gen, Morphism, Oplus, UNIT,
+from sccckit import (BOOLEAN, COMPLEX, NONNEG, CriterionDisagreement,
+                     NumericRange, Gen, Morphism, Oplus, UNIT,
                      WProjModel, compose, core, dagger, identity, resolve_model,
-                     run_suite, scalar, scalar_mult, semiring_model, wequal,
-                     wproj)
+                     run_suite, scalar, scalar_mult, semiring_model, wproj)
 from sccckit.semirings import ABS_TOL, REL_TOL, corrupted_complex, max_abs
 from sccckit.suites import SUITE_NAMES
 
@@ -29,15 +29,18 @@ def criterion_one(f, g, rel):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The pairs ``WProjModel.equal`` hands to ``wequal``."""
+    """The pairs ``_settled`` leaves open, which ``WProjModel.equal``
+    decides on their doubled forms."""
     seen = []
-    original = wproj.wequal
+    original = wproj._settled
 
-    def counting(f, g, rel=None):
-        seen.append((f, g))
-        return original(f, g, rel)
+    def recording(f, g, rel):
+        verdict = original(f, g, rel)
+        if verdict is None:
+            seen.append((f, g))
+        return verdict
 
-    monkeypatch.setattr(wproj, "wequal", counting)
+    monkeypatch.setattr(wproj, "_settled", recording)
     return seen
 
 
@@ -100,9 +103,9 @@ def test_the_quotient_decides_as_criterion_one_across_the_threshold(fallbacks):
                 f.semiring, WProjModel(semiring_model(f.semiring)))
             before = len(fallbacks)
             if kind == "non-finite":
-                # wequal refuses these (a name's unfoldings disagree on NaN),
-                # and the quotient hands them to it untouched
-                with np.errstate(all="ignore"), pytest.raises(AbsorptionMismatch):
+                # left open by the bounds, and refused on the doubled forms
+                with np.errstate(all="ignore"), pytest.raises(
+                        NumericRange, match="doubled forms .* are not finite"):
                     model.equal(f, g, rel)
                 assert len(fallbacks) == before + 1
                 seen[kind, "fallback"] += 1
@@ -162,28 +165,25 @@ def test_the_quotient_decides_scalars_in_closed_form(monkeypatch, fallbacks):
             assert verdict == criterion_one(f, g, rel), (rel, f.array, g.array)
             seen[rel if rel is None else float(rel), verdict] += 1
     # both verdicts are reached at every rel that allows both, and no
-    # finite pair is aligned or handed to wequal
+    # finite pair is aligned or left open
     for rel in (None, 0.0, 1e-3, -1.0):
         assert seen[rel, True] and seen[rel, False], rel
     assert aligned == [] and fallbacks == []
 
 
-@pytest.mark.parametrize("c,d,error", [
-    (np.nan, 1.0, AbsorptionMismatch), (1.0, np.inf, AbsorptionMismatch),
-    (complex(np.inf, 1), 1.0, AbsorptionMismatch), (1e200, 1e200, None),
+@pytest.mark.parametrize("c,d", [
+    (np.nan, 1.0), (1.0, np.inf), (complex(np.inf, 1), 1.0), (1e200, 1e200),
 ], ids=["nan", "inf", "complex-inf", "overflowing"])
-def test_a_non_finite_scalar_pair_still_goes_to_wequal(fallbacks, c, d, error):
-    # a doubled value that is NaN or infinite, or overflows to one, leaves
-    # the verdict to wequal, as phase alignment did
+def test_a_non_finite_scalar_pair_raises_numeric_range(fallbacks, c, d):
+    # a doubled value that is NaN or infinite, or overflows to one, is left
+    # open by the closed form, and the doubled forms are refused
     model = resolve_model("wproj:fdhilb")
     f, g = (Morphism(UNIT, UNIT, np.array([[x]], dtype=complex), COMPLEX)
             for x in (c, d))
-    with np.errstate(all="ignore"):
-        if error is None:
-            assert model.equal(f, g) is False
-        else:
-            with pytest.raises(error, match="name unfoldings disagree"):
-                model.equal(f, g)
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericRange, match=r"the doubled forms of Morphism\(I -> I, complex\) "
+                                "are not finite"):
+        model.equal(f, g)
     assert fallbacks == [(f, g)]
 
 
@@ -271,7 +271,7 @@ def test_every_suite_verdict_is_wequals_and_nothing_falls_back(monkeypatch, fall
     def spying(self, f, g, rel=None):
         verdict = original(self, f, g, rel)
         try:
-            agrees = verdict == wequal(f, g, rel)
+            agrees = verdict == wproj.wequal_to(f, rel)(g)
         except CriterionDisagreement:
             agrees = False
         if not agrees:

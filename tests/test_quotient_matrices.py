@@ -65,7 +65,7 @@ def verdicts(f, g, rel=None):
     """wequal's verdict, shared by its three criteria, or the exception it
     raised."""
     try:
-        verdict = wequal(f, g, rel)
+        verdict = wproj.wequal_to(f, rel)(g)
     except CriterionDisagreement:
         return CriterionDisagreement
     return (verdict,) * 3

@@ -1,6 +1,11 @@
-"""The one check runner: stream keys, error capture, status and tolerance."""
+"""The one check runner: stream keys, error capture, status, tolerance, and
+the two processes a large table runs in."""
 
 import ast
+import cProfile
+import math
+import os
+import time
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -9,12 +14,12 @@ import numpy as np
 import pytest
 
 from sccckit import (COMPLEX, NONNEG, ModelHandle, SccckitError, TypeMismatch,
-                     WProjModel, corrupted_trace, fdhilb, run_suite,
-                     run_teleportation, scalar)
+                     WProjModel, corrupted_trace, fdhilb, resolve_model,
+                     run_suite, run_teleportation, scalar)
 from sccckit import protocols, report
 from sccckit.born import _run_legs, leg_checks
 from sccckit.report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
-                            CheckRunner, _TRIAL_CHUNK, _outcome, _trial_words)
+                            CheckRunner, Held, _TRIAL_CHUNK, _outcome, _trial_words)
 from sccckit.semirings import REL_TOL, corrupted_complex
 from sccckit.suites import _sccc_checks
 
@@ -312,3 +317,153 @@ def test_only_the_runner_writes_a_status():
                for node in ast.walk(tree)
                if isinstance(node, ast.Constant) and node.value in report.STATUSES]
     assert written == []
+
+
+# -- a table's rows in two processes --------------------------------------------
+
+def _cheap_rows(n):
+    return [Check(f"cheap-{i}", "law", PER_TRIAL, lambda rng: None) for i in range(n)]
+
+
+# a table of two per-trial rows whose work reaches the threshold, on a host
+# where the runner forks at all
+two_processes = pytest.mark.skipif(
+    not report._forks(_cheap_rows(2), report._FORK_MIN_WORK),
+    reason="the runner stays serial on this host")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each ``os.fork`` call, through a counting wrapper; a
+    worker inherits the list as it was when it was forked."""
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+def _worker_rows(n, fn):
+    """A table whose first row carries the work that makes it fork, then n
+    whole rows running ``fn(i)``, each slow enough in the parent that the
+    worker claims some of them."""
+    parent = os.getpid()
+
+    def row(i):
+        def whole(_):
+            if os.getpid() == parent:
+                time.sleep(0.05)
+            return fn(i)
+
+        return Check(f"row-{i}", "law", WHOLE, whole)
+
+    return _cheap_rows(1) + [row(i) for i in range(1, n + 1)]
+
+
+@two_processes
+@pytest.mark.parametrize("equal", ["model", "never"])
+def test_a_sccc_table_forks_once_and_reports_the_serial_bytes(forks, monkeypatch,
+                                                             equal):
+    # 17 per-trial rows x 30 trials reach the threshold; with every equality
+    # answering False each row fails at trial 0 and pickles a witness back
+    if equal == "never":
+        monkeypatch.setattr(ModelHandle, "equal", lambda self, f, g, rel=None: False)
+    runner = CheckRunner(trials=30, seed=7)
+    table = _sccc_checks(fdhilb(), runner.tol, 3)
+    forked = runner.report("sccc", fdhilb(), runner.run(table)).to_json()
+    assert forks == [os.getpid()]
+    monkeypatch.setattr(report, "_FORK_MIN_WORK", math.inf)
+    serial = runner.report("sccc", fdhilb(), runner.run(table)).to_json()
+    assert len(forks) == 1
+    assert forked == serial
+    assert ('"status": "fail"' in forked) == (equal == "never")
+
+
+def test_teleport_the_equivalence_legs_and_a_profiled_run_fork_nothing(forks):
+    assert run_teleportation().ok
+    assert run_suite("equivalence", resolve_model("wproj:fdhilb"), trials=100, seed=1).ok
+    profiled = cProfile.Profile().runcall(
+        CheckRunner(trials=report._FORK_MIN_WORK, seed=1).run, _cheap_rows(2))
+    assert [r.status for r in profiled] == ["pass", "pass"]
+    assert forks == []
+
+
+@two_processes
+def test_a_table_run_inside_a_forked_table_forks_nothing(forks):
+    parent = os.getpid()
+
+    def nested(i):
+        CheckRunner(trials=report._FORK_MIN_WORK, seed=i).run(_cheap_rows(2))
+        return Held({"forks": len(forks), "in_worker": os.getpid() != parent})
+
+    runner = CheckRunner(trials=report._FORK_MIN_WORK, seed=1)
+    results = runner.run(_worker_rows(6, nested))
+    witnesses = [r.witness for r in results[1:]]
+    assert forks == [parent]
+    assert all(w["forks"] == 1 for w in witnesses)
+    assert any(w["in_worker"] for w in witnesses)
+
+
+@two_processes
+def test_a_plain_error_in_the_worker_raises_in_the_parent_lowest_row_first(forks):
+    parent = os.getpid()
+    in_parent = []
+
+    def fn(i):
+        if os.getpid() == parent:
+            in_parent.append(i)
+            return None
+        raise ValueError(f"row {i} broke")
+
+    with pytest.raises(ValueError) as raised:
+        CheckRunner(trials=report._FORK_MIN_WORK, seed=1).run(_worker_rows(6, fn))
+    in_worker = sorted(set(range(1, 7)) - set(in_parent))
+    assert forks == [parent] and len(in_worker) >= 2
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"row {in_worker[0]} broke"
+
+
+@two_processes
+def test_an_outcome_that_does_not_pickle_is_run_again_in_the_parent(forks):
+    parent = os.getpid()
+
+    class Local(Exception):
+        """Defined in a function, so pickle cannot find it by name."""
+
+    def fn(i):
+        if os.getpid() != parent:
+            raise Local(f"row {i}")
+        return None
+
+    results = CheckRunner(trials=report._FORK_MIN_WORK, seed=1).run(_worker_rows(6, fn))
+    assert forks == [parent]
+    assert [r.status for r in results] == ["pass"] * 7
+
+
+@two_processes
+def test_a_worker_that_dies_mid_table_leaves_the_serial_report(forks, monkeypatch):
+    parent = os.getpid()
+    claimed = []
+
+    def dying(idx, fn):
+        def row(rng):
+            if os.getpid() != parent:
+                if idx not in claimed:
+                    claimed.append(idx)
+                if len(claimed) == 3:
+                    os._exit(3)
+            return fn(rng)
+
+        return row
+
+    runner = CheckRunner(trials=30, seed=7)
+    table = [c._replace(fn=dying(i, c.fn))
+             for i, c in enumerate(_sccc_checks(fdhilb(), runner.tol, 3))]
+    forked = runner.report("sccc", fdhilb(), runner.run(table)).to_json()
+    assert forks == [parent]
+    monkeypatch.setattr(report, "_FORK_MIN_WORK", math.inf)
+    assert forked == runner.report("sccc", fdhilb(), runner.run(table)).to_json()

@@ -353,7 +353,7 @@ def test_a_predicate_reused_on_the_straddle_tables_decides_as_wequal():
                 for other in (g, f, g):
                     want = _fresh_verdict(f, other, rel)
                     assert _predicate_verdict(pred, other) == want, (kind, rel)
-                    assert _predicate_verdict(lambda x: wequal(f, x, rel), other) == want
+                    assert _predicate_verdict(lambda x: wproj.wequal_to(f, rel)(x), other) == want
 
 
 def test_a_predicate_refuses_a_mistyped_g_as_wequal_does():
