@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (AbsorptionMismatch, InvariantViolation, NotPhaseEquivalent,
-                     NotProjector, TypeMismatch)
+                     NotProjector, NumericRange, TypeMismatch)
 from .morphisms import (Morphism, _derived, adopt, compose, dagger, equal, eye,
                         identity, kernel_array, star, tensor)
 from .objects import ObjectExpr, Tensor, UNIT, dim, dual, format_object, normalize
@@ -113,7 +113,8 @@ def name_array(f: Morphism) -> np.ndarray:
     ``compose`` run, each result passed through ``kernel_array`` as theirs
     are: (1 (x) f) o eta_A and the absorption unfolding (f* (x) 1) o eta_B,
     whose transpose f* comes from ``star``.  They must agree within
-    tolerance on every call, or ``AbsorptionMismatch`` is raised.
+    tolerance on every call, or ``AbsorptionMismatch`` is raised; when they
+    disagree because an entry of f is not finite, ``NumericRange`` is.
     """
     s = f.semiring
     m, n = f.array.shape
@@ -122,8 +123,11 @@ def name_array(f: Morphism) -> np.ndarray:
     via_cod = kernel_array(s.kron(star(f).array, eye(m, s)), s, (n * m, m * m))
     via_cod = kernel_array(s.matmul(via_cod, unit(f.cod, s).array), s, (n * m, 1))
     if not s.approx_equal(via_dom, via_cod):
-        raise AbsorptionMismatch(
-            f"name unfoldings disagree for {f!r}")
+        bad = np.flatnonzero(~np.isfinite(f.array))
+        if bad.size:
+            raise NumericRange(f"{f!r} has the non-finite entry "
+                               f"{f.array.flat[bad[0]]} at row-major index {bad[0]}")
+        raise AbsorptionMismatch(f"name unfoldings disagree for {f!r}")
     return via_dom
 
 

@@ -42,4 +42,5 @@ class RootUnavailable(SccckitError):
 
 
 class NumericRange(SccckitError):
-    """A scalar power whose value lies outside the range of a float."""
+    """A value outside the range of a float: a scalar power that overflows,
+    or an entry or doubled form that is not finite."""

@@ -295,6 +295,5 @@ def oplus_illdefined_witness(theta: float = np.pi / 2) -> dict:
         "theta": theta,
         "pairing_gap": distance(double(pair_u), double(pair_1)),
         "oplus_gap": distance(double(osum_u), double(osum_1)),
-        "witnesses": (pair_u, osum_u),
     }
 

@@ -9,29 +9,28 @@ Its six checks are one table that ``report.CheckRunner`` runs as whole
 checks, trial 0 of one trial, drawing no random stream; the runner decides
 every status and builds the report.
 
-What a teleport computes without reading its input is built once:
+What a teleport computes without reading its input is built in two tiers:
 
-* once per process: the teleportation measurement T and its corrections
-  (``bell_teleportation_setup``; ``MeasurementSpec.from_unitary`` checks T),
-  the normalized Bell state (1/sqrt(2)) name(1_Q) (its name's unfoldings
-  are compared on that build) and the weighted-bit collapse witness;
-* once per measurement unitary T: the four outcome arms p_i o T, their
-  ``cc_map`` legs 1_Q (x) (p_i o T) and the receiving unitor rho_Q(dagger)
-  (``_measurement_legs``);
-* once per corrections tuple: the adjoints beta_i(dagger) (``_adjoints``);
+* once per process, as one record (``BellSetup``, which
+  ``bell_teleportation_setup`` returns): the teleportation measurement T and
+  its corrections (``MeasurementSpec.from_unitary`` checks T), the
+  corrections' adjoints beta_i(dagger), the ``cc_map`` legs
+  1_Q (x) (p_i o T) of the outcome arms, the receiving unitor
+  rho_Q(dagger), the normalized Bell state (1/sqrt(2)) name(1_Q) (its
+  name's unfoldings are compared on that build) and the weighted-bit
+  collapse witness;
 * once per teleport, by the first branch row that compares with it: the
   criterion matrices of the rotated run's target (``wproj.wequal_to``).
 
-``run_teleportation`` reads the set-up once per teleport, and
+``run_teleportation`` reads the record once per teleport, and
 ``_teleport_branches`` composes only the arrows that depend on the input.
 Sharing is sound for the same reason as for the structure maps of ``core``
-and ``ortho``: each build is a deterministic function of its key, a key
-morphism (or tuple of them) compares and hashes by identity and its array is
-frozen, every result is a frozen morphism, and nothing downstream writes to
-one.  Each is built from the primitives, so a broken primitive is cached
-broken and the teleport rows still catch it.  The collapse witness is a dict
-that lands in a report, so each caller gets its own dict, with its own
-entry and probability lists, copied from the built one.
+and ``ortho``: the record is built from no argument, so one build serves
+every teleport, every morphism in it is frozen, and nothing downstream
+writes to one.  Each is built from the primitives, so a broken primitive is
+cached broken and the teleport rows still catch it.  The collapse witness is
+a dict that lands in a report, so each caller gets its own dict, with its
+own entry and probability lists, copied from the built one.
 """
 from __future__ import annotations
 
@@ -66,13 +65,6 @@ class BranchTuple:
         for b in self.branches:
             if b.dom != dom:
                 raise TypeMismatch("branches must share their domain")
-
-    @property
-    def dom(self) -> ObjectExpr:
-        return self.branches[0].dom
-
-    def __len__(self) -> int:
-        return len(self.branches)
 
     def __iter__(self):
         return iter(self.branches)
@@ -125,9 +117,10 @@ def weighted_bit_collapse_witness() -> dict:
     scalar components; their squared moduli cannot see relative phase, so
     the map from states to probability tuples is not injective and the block
     sum of units is not isomorphic to a classical pair of weights.  Built
-    once per process; each call returns its own copy, down to every list.
+    once per process, with the set-up; each call returns its own copy, down
+    to every list.
     """
-    built = _weighted_bit_collapse_witness()
+    built = _bell_setup().collapse
     witness = dict(built)
     for key in ("psi", "phi"):
         witness[key] = {**built[key],
@@ -137,8 +130,7 @@ def weighted_bit_collapse_witness() -> dict:
     return witness
 
 
-@lru_cache(maxsize=1)
-def _weighted_bit_collapse_witness() -> dict:
+def _collapse_witness() -> dict:
     two = ortho.decomposition(UNIT, UNIT)
     psi = Morphism(UNIT, two.whole, np.array([[1.0], [1.0]]) / np.sqrt(2), COMPLEX)
     phi = Morphism(UNIT, two.whole, np.array([[1.0], [1.0j]]) / np.sqrt(2), COMPLEX)
@@ -161,19 +153,32 @@ def qubit() -> ObjectExpr:
     return Oplus(UNIT, UNIT)
 
 
-def bell_teleportation_setup() -> tuple[Morphism, tuple[Morphism, ...]]:
-    """The four-outcome measurement unitary T and the correction unitaries.
+class BellSetup(NamedTuple):
+    """What every teleport reads but does not compute from its input."""
+
+    t: Morphism            # the measurement unitary T: Q @ Q -> I(+)I(+)I(+)I
+    betas: tuple           # the corrections 1, X, Z, XZ
+    undo: tuple            # their adjoints beta_i(dagger)
+    legs: BranchTuple      # cc_map(Q, arms): 1_Q (x) (p_i o T)
+    receive: Morphism      # rho_Q(dagger): Q @ I -> Q
+    bell: Morphism         # (1/sqrt(2)) name(1_Q): I -> Q* @ Q
+    collapse: dict         # the weighted-bit collapse witness, as built
+
+
+def bell_teleportation_setup() -> BellSetup:
+    """The four-outcome measurement unitary T, the corrections and the
+    arrows built from them.
 
     The corrections are 1, X, Z, XZ; row i of T is the conjugated
     vectorization of correction i scaled by 1/sqrt(2), which makes T unitary
     and T(dagger) o q_i equal to (1/sqrt(2)) name(beta_i).  Built once per
     process (see the module docstring).
     """
-    return _bell_teleportation_setup()
+    return _bell_setup()
 
 
 @lru_cache(maxsize=1)
-def _bell_teleportation_setup() -> tuple[Morphism, tuple[Morphism, ...]]:
+def _bell_setup() -> BellSetup:
     q = qubit()
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -182,57 +187,30 @@ def _bell_teleportation_setup() -> tuple[Morphism, tuple[Morphism, ...]]:
     rows = [core.name(b).array[:, 0].conj() / np.sqrt(2) for b in betas]
     four = ortho.decomposition(UNIT, UNIT, UNIT, UNIT)
     t = Morphism(q @ q, four.whole, np.vstack(rows), COMPLEX)
-    return MeasurementSpec.from_unitary(t, four).u, betas
-
-
-@lru_cache(maxsize=1)
-def _bell_state() -> Morphism:
-    """(1/sqrt(2)) name(1_Q): I -> Q* @ Q, built once per process."""
-    return core.scalar_mult(scalar(1 / np.sqrt(2), COMPLEX),
-                            core.name(identity(qubit(), COMPLEX)))
-
-
-class _MeasurementLegs(NamedTuple):
-    """The arrows of a teleport through one measurement unitary T that do
-    not read the input psi."""
-
-    arms: BranchTuple      # p_i o T, one per outcome
-    legs: BranchTuple      # cc_map(Q, arms): 1_Q (x) (p_i o T)
-    receive: Morphism      # rho_Q(dagger): Q @ I -> Q
-
-
-@lru_cache(maxsize=64)
-def _measurement_legs(t: Morphism) -> _MeasurementLegs:
-    """The arms, legs and receiving unitor of a teleport through ``t``,
-    built once per unitary (see the module docstring)."""
-    spec = MeasurementSpec(t, ortho.decomposition(UNIT, UNIT, UNIT, UNIT))
+    spec = MeasurementSpec.from_unitary(t, four)
     arms = BranchTuple(tuple(spec.branch_map(i) for i in range(len(spec))))
-    q = qubit()
-    return _MeasurementLegs(arms, cc_map(q, arms), dagger(core.rho(q, COMPLEX)))
+    bell = core.scalar_mult(scalar(1 / np.sqrt(2), COMPLEX),
+                            core.name(identity(q, COMPLEX)))
+    return BellSetup(spec.u, betas, tuple(dagger(b) for b in betas),
+                     cc_map(q, arms), dagger(core.rho(q, COMPLEX)), bell,
+                     _collapse_witness())
 
 
-@lru_cache(maxsize=64)
-def _adjoints(fs: tuple[Morphism, ...]) -> tuple[Morphism, ...]:
-    """f(dagger) of each f, built once per tuple (see the module docstring)."""
-    return tuple(dagger(f) for f in fs)
-
-
-def _teleport_branches(psi: Morphism, t: Morphism) -> list[Morphism]:
+def _teleport_branches(psi: Morphism, setup: BellSetup) -> list[Morphism]:
     """Run the pipeline; returns the raw branch states.
 
     Pipeline: pair the input with a normalized Bell state, reassociate,
     swap the receiving factor to the front, distribute it over the four
-    measurement outcomes (the unitary ``t``) with the classical-communication
+    measurement outcomes (the unitary T) with the classical-communication
     map, and strip the scalar leg with a unitor.  Only the arrows that read
-    ``psi`` are composed here; the rest comes from ``_measurement_legs``.
+    ``psi`` are composed here; the rest comes from ``setup``.
     """
     q = qubit()
     s = COMPLEX
-    paired = compose(tensor(psi, _bell_state()), core.lam(UNIT, s))
+    paired = compose(tensor(psi, setup.bell), core.lam(UNIT, s))
     joint = compose(core.sigma(q @ q, q, s),
                     compose(core.alpha(q, q, q, s), paired))
-    _, legs, receive = _measurement_legs(t)
-    return [compose(receive, compose(m, joint)) for m in legs]
+    return [compose(setup.receive, compose(m, joint)) for m in setup.legs]
 
 
 def run_teleportation(psi: Morphism | None = None,
@@ -262,16 +240,16 @@ def run_teleportation(psi: Morphism | None = None,
 
     runner = CheckRunner(trials=1, seed=seed)
     tol = runner.tol
-    t, betas = bell_teleportation_setup()
-    undo = _adjoints(betas)
-    outs = _teleport_branches(psi, t)
+    setup = bell_teleportation_setup()
+    undo = setup.undo
+    outs = _teleport_branches(psi, setup)
     norm = float(np.sqrt(total))
     probs = [float(core.hs_norm_sq(out).array[0, 0].real) for out in outs]
     target = core.scalar_mult(scalar(0.5, COMPLEX), psi)
     # the phase-rotated run and its target at unit weight, where the
     # quotient's equality has no absolute floor to hide behind
     shifted_outs = _teleport_branches(
-        core.scalar_mult(scalar(1.0j / norm, COMPLEX), psi), t)
+        core.scalar_mult(scalar(1.0j / norm, COMPLEX), psi), setup)
     unit_target = core.scalar_mult(scalar(0.5 / norm, COMPLEX), psi)
     # computed when a row first asks, so an error fails that row; symmetric in f, g
     in_target_class = wequal_to(unit_target, tol)

@@ -20,13 +20,16 @@ A row's draws are keyed by (seed, row, trial) alone and no row reads
 another's outcome, so the rows of a table may run in any order, and in two
 processes.  ``CheckRunner.run`` forks one worker for a table whose per-trial
 rows times trials reach ``_FORK_MIN_WORK``; both processes claim rows from
-one pipe, and the results come back in table order.  It stays serial for a
-smaller table (teleport's six whole rows, the equivalence theorem's 3 x 30
-legs), on a host without ``os.fork`` or two CPUs for the process, when
-numpy's BLAS is not an OpenBLAS it can hold to one thread, under a profiler
-or tracer, beside a second thread, and inside a worker or while one runs.
-Memo entries a worker fills (``cache``d functions, kept criteria) are not
-returned to the parent, which fills its own when it needs them.
+one pipe, the worker sends back only the results its rows returned, and
+every row left without a result runs in the parent, in table order.  So the
+results, or the exception and its traceback, are the serial loop's.  It
+stays serial for a smaller table (teleport's six whole rows, the
+equivalence theorem's 3 x 30 legs), on a host without ``os.fork`` or two
+CPUs for the process, when numpy's BLAS is not an OpenBLAS it can hold to
+one thread, under a profiler or tracer, beside a second thread, and inside
+a worker or while one runs.  Memo entries a worker fills (``cache``d
+functions, kept criteria) are not returned to the parent, which fills its
+own when it needs them.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ import pickle
 import signal
 import sys
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -239,12 +243,14 @@ class CheckRunner:
     Since rows read nothing of one another, ``run`` may run a table's rows
     in two processes (``_run_forked``) and return what the serial loop
     does: the results in table order, or the exception of the first row
-    that raises one.  It stays serial unless the table has two rows or more
-    and its per-trial rows times trials reach ``_FORK_MIN_WORK``, the
-    process has two CPUs, ``os.fork`` and an OpenBLAS it can hold to one
-    thread (``_blas_threads``), no profiler or tracer is set, one thread
-    runs and no table runs in two processes already.  Memo entries filled
-    in the worker are not returned to the parent.
+    that raises one, raised by the serial loop itself, since every row
+    without a result from the worker runs in the parent, in table order.
+    It stays serial unless the table has two rows or more and its per-trial
+    rows times trials reach ``_FORK_MIN_WORK``, the process has two CPUs,
+    ``os.fork`` and an OpenBLAS it can hold to one thread
+    (``_blas_threads``), no profiler or tracer is set, one thread runs and
+    no table runs in two processes already.  Memo entries filled in the
+    worker are not returned to the parent.
     """
 
     def __init__(self, trials: int, seed: int, tolerance: float | None = None):
@@ -263,10 +269,11 @@ class CheckRunner:
 
         Every row index is written to a pipe before the fork, and each
         process claims rows from it until it is empty.  The worker pickles
-        its outcomes, results or exceptions, into a second pipe and exits;
-        the rows it did not hand back, because it died or an outcome does
-        not pickle, run here.  An interrupt kills the worker, and the worker
-        is always reaped before ``run`` returns or raises.
+        the results its rows returned into a second pipe and exits.  Then
+        every row without a result, because it raised, the worker died or
+        its results do not pickle, runs here, in table order, so a row that
+        raises does so from the serial loop.  An interrupt kills the worker,
+        and the worker is always reaped before ``run`` returns or raises.
         """
         global _forked
         claims, claim_rows = os.pipe()
@@ -284,16 +291,16 @@ class CheckRunner:
             pid = None
         if pid == 0:
             try:
-                sent = pickle.dumps(self._claimed(checks, claims))
                 with open(worker_out, "wb") as out:
-                    out.write(sent)
+                    pickle.dump(self._claimed(checks, claims), out)
             finally:
                 os._exit(0)
         os.close(worker_out)
         try:
             with open(returned, "rb") as back:
-                mine = self._claimed(checks, claims)
-                sent = back.read()
+                done = self._claimed(checks, claims)
+                with suppress(Exception):  # the worker died, or sent nothing whole
+                    done.update(pickle.load(back))
         except BaseException:
             if pid:
                 os.kill(pid, signal.SIGKILL)
@@ -304,30 +311,18 @@ class CheckRunner:
                 os.waitpid(pid, 0)
             _forked = False
             set_threads(threads)
-        try:
-            outcomes = pickle.loads(sent)
-        except Exception:  # the worker died, or sent nothing whole
-            outcomes = {}
-        outcomes.update(mine)
-        results = []
-        for idx, check in enumerate(checks):
-            outcome = outcomes[idx] if idx in outcomes else self._run(idx, check)
-            if isinstance(outcome, Exception):
-                raise outcome
-            results.append(outcome)
-        return results
+        return [done[idx] if idx in done else self._run(idx, check)
+                for idx, check in enumerate(checks)]
 
     def _claimed(self, checks: list, claims: int) -> dict:
-        """Run each row this process claims from the pipe ``claims``; its
-        result, or the exception it raised, by row index."""
-        outcomes = {}
+        """Run each row this process claims from the pipe ``claims``; the
+        result of each that returned one, by row index."""
+        done = {}
         while record := os.read(claims, _RECORD):
             idx = int.from_bytes(record, "little")
-            try:
-                outcomes[idx] = self._run(idx, checks[idx])
-            except Exception as exc:
-                outcomes[idx] = exc
-        return outcomes
+            with suppress(Exception):  # ``_run_forked`` runs it again
+                done[idx] = self._run(idx, checks[idx])
+        return done
 
     def stream(self, idx: int, trial: int) -> np.random.Generator:
         """The generator of trial ``trial`` of the check at position ``idx``."""

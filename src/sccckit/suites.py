@@ -630,13 +630,7 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
             # u = e^{0i} is exactly 1, so the aligned doubled forms are one array
             violated = (hot["pairing_gap"] > 0.25 and hot["oplus_gap"] > 0.25
                         and cold["pairing_gap"] == 0.0 and cold["oplus_gap"] == 0.0)
-            witness = {"rotated": {"theta": hot["theta"],
-                                   "pairing_gap": hot["pairing_gap"],
-                                   "oplus_gap": hot["oplus_gap"]},
-                       "aligned": {"theta": cold["theta"],
-                                   "pairing_gap": cold["pairing_gap"],
-                                   "oplus_gap": cold["oplus_gap"]}}
-            return violated, witness
+            return violated, {"rotated": hot, "aligned": cold}
 
     table = [
         Check("zero-through-zero-object",

@@ -4,6 +4,8 @@ The numeric oracles here were computed by hand from small matrices and are
 frozen; they must not be regenerated from the code under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,11 +45,11 @@ from sccckit import (
 )
 from sccckit import core
 from sccckit.errors import (AbsorptionMismatch, NotPhaseEquivalent, NotProjector,
-                            TypeMismatch)
+                            NumericRange, TypeMismatch)
 from sccckit.models import semiring_model
 from sccckit.semirings import (BOOLEAN, NONNEG, InvolutiveSemiring, corrupted_complex,
                                 real_value)
-from sccckit.wproj import lift
+from sccckit.wproj import lift, wequal
 
 Q = Gen("Q", 2)
 M = fdhilb()
@@ -116,6 +118,19 @@ def test_name_still_compares_its_unfoldings(monkeypatch):
         name(f)
     with pytest.raises(AbsorptionMismatch):
         hs_norm_sq(f)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_a_non_finite_arrow_is_a_range_problem_not_a_broken_name(bad):
+    # its unfoldings disagree because an entry is outside the float range,
+    # not because name is broken; the refusal names the first such entry
+    f = mor([[1, 2j], [bad, 4]], Q, Q)
+    g = mor([[1, 2j], [3, 4]], Q, Q)
+    where = rf"non-finite entry {re.escape(str(f.array[1, 0]))} at row-major index 2"
+    for call in (lambda: name(f), lambda: wequal(f, g), lambda: wequal(g, f)):
+        with pytest.raises(NumericRange, match=where):
+            call()
 
 
 def test_hs_inner_equals_trace_route():

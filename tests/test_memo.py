@@ -8,7 +8,6 @@ fixed seed must not depend on what ran before them in the process.
 """
 
 import ast
-import copy
 import dataclasses
 import subprocess
 import sys
@@ -166,24 +165,24 @@ def test_memoized_legs_give_the_per_call_chains_bit_for_bit(s):
         assert_bits(partial_trace(f, a), chain_partial_trace(f, a))
 
 
-def test_bell_setup_is_built_once_and_matches_a_fresh_build():
-    t, betas = protocols.bell_teleportation_setup()
-    assert isinstance(betas, tuple) and len(betas) == 4
-    assert protocols.bell_teleportation_setup() == (t, betas)
-    fresh_t, fresh_betas = protocols._bell_teleportation_setup.__wrapped__()
-    assert_same(t, fresh_t)
-    for got, want in zip(betas, fresh_betas):
-        assert_same(got, want)
-
-
-def test_bell_state_is_built_once_and_matches_a_fresh_build():
-    bell = protocols._bell_state()
-    assert protocols._bell_state() is bell
+def test_the_teleport_setup_is_built_once_and_matches_a_fresh_build():
+    setup = protocols.bell_teleportation_setup()
+    assert protocols.bell_teleportation_setup() is setup
+    fresh = protocols._bell_setup.__wrapped__()
+    assert setup._fields == ("t", "betas", "undo", "legs", "receive", "bell",
+                             "collapse")
+    for field in setup._fields[:-1]:
+        got, want = getattr(setup, field), getattr(fresh, field)
+        got, want = ([got], [want]) if isinstance(got, Morphism) else (list(got), list(want))
+        assert len(got) == len(want) == (1 if field in ("t", "receive", "bell") else 4)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    assert setup.collapse == fresh.collapse
+    for undo, beta in zip(setup.undo, setup.betas):
+        assert_same(undo, dagger(beta))
     q = protocols.qubit()
-    fresh = core.scalar_mult(scalar(1 / np.sqrt(2), COMPLEX),
-                             core.name(identity(q, COMPLEX)))
-    assert_same(bell, fresh)
-    assert_same(bell, protocols._bell_state.__wrapped__())
+    assert_same(setup.bell, core.scalar_mult(scalar(1 / np.sqrt(2), COMPLEX),
+                                             core.name(identity(q, COMPLEX))))
 
 
 def test_eye_is_built_once_per_dimension_and_matches_a_fresh_build():
@@ -197,7 +196,7 @@ def test_eye_is_built_once_per_dimension_and_matches_a_fresh_build():
             assert not got.flags.writeable
 
 
-# -- the per-unitary legs of a teleport ---------------------------------------
+# -- the legs of a teleport ---------------------------------------------------
 
 def chain_teleport_branches(psi, t):
     """_teleport_branches with every leg built per call, as one pipeline."""
@@ -211,64 +210,14 @@ def chain_teleport_branches(psi, t):
     return [compose(rho_back, compose(tensor(identity(q, s), a), joint)) for a in arms]
 
 
-def flat_legs(legs):
-    return [*legs.arms, *legs.legs, legs.receive]
-
-
-def rows_permuted(t):
-    """Another unitary with T's ends: its rows rotated by one."""
-    return Morphism(t.dom, t.cod, np.roll(t.array, 1, axis=0), t.semiring)
-
-
-def test_measurement_legs_are_built_once_per_unitary_and_match_a_fresh_build():
-    t, _ = protocols.bell_teleportation_setup()
-    legs = protocols._measurement_legs(t)
-    again = protocols._measurement_legs(t)
-    assert again is legs
-    assert all(x is y for x, y in zip(flat_legs(again), flat_legs(legs)))
-    fresh = protocols._measurement_legs.__wrapped__(t)
-    assert len(flat_legs(legs)) == len(flat_legs(fresh)) == 9
-    for got, want in zip(flat_legs(legs), flat_legs(fresh)):
-        assert_same(got, want)
-
-
-def test_correction_adjoints_are_built_once_and_match_a_fresh_build():
-    _, betas = protocols.bell_teleportation_setup()
-    undo = protocols._adjoints(betas)
-    assert protocols._adjoints(betas) is undo
-    assert len(undo) == len(betas) == 4
-    for got, want, beta in zip(undo, protocols._adjoints.__wrapped__(betas), betas):
-        assert_same(got, want)
-        assert_same(got, dagger(beta))
-
-
-def test_another_unitary_gets_its_own_legs():
-    t, _ = protocols.bell_teleportation_setup()
-    legs = protocols._measurement_legs(t)
-    permuted = rows_permuted(t)
-    # a copy of T has equal entries but is another key, like a copied semiring
-    for other in (permuted, copy.copy(t)):
-        theirs = protocols._measurement_legs(other)
-        assert protocols._measurement_legs(other) is theirs
-        assert not {id(f) for f in flat_legs(theirs)} & {id(f) for f in flat_legs(legs)}
-        fresh = protocols._measurement_legs.__wrapped__(other)
-        for got, want in zip(flat_legs(theirs), flat_legs(fresh)):
-            assert_same(got, want)
-    arm = protocols._measurement_legs(permuted).arms.branches[0]
-    assert not np.array_equal(arm.array, legs.arms.branches[0].array)
-
-
-@pytest.mark.parametrize("which", ["setup", "rows-permuted"])
-def test_teleport_branches_give_the_per_call_chain_bit_for_bit(which):
-    t, _ = protocols.bell_teleportation_setup()
-    if which == "rows-permuted":
-        t = rows_permuted(t)
+def test_teleport_branches_give_the_per_call_chain_bit_for_bit():
+    setup = protocols.bell_teleportation_setup()
     rng = np.random.default_rng(23)
     for _ in range(5):
         psi = Morphism(UNIT, protocols.qubit(), rng.normal(size=(2, 1))
                        + 1j * rng.normal(size=(2, 1)), COMPLEX)
-        outs = protocols._teleport_branches(psi, t)
-        want = chain_teleport_branches(psi, t)
+        outs = protocols._teleport_branches(psi, setup)
+        want = chain_teleport_branches(psi, setup.t)
         assert len(outs) == len(want) == 4
         for got, w in zip(outs, want):
             assert_bits(got, w)
@@ -277,11 +226,8 @@ def test_teleport_branches_give_the_per_call_chain_bit_for_bit(which):
 # -- every memo in the package is vouched for -----------------------------------
 
 # memos compared with a fresh build (``__wrapped__``) in this file; the
-# collapse witness is compared in test_protocols.py, with its per-caller copy
-FRESH_BUILT = {fn for fn, _ in calls()} | {
-    eye, protocols._bell_teleportation_setup, protocols._bell_state,
-    protocols._measurement_legs, protocols._adjoints,
-    protocols._weighted_bit_collapse_witness}
+# collapse witness's per-caller copy is checked in test_protocols.py
+FRESH_BUILT = {fn for fn, _ in calls()} | {eye, protocols._bell_setup}
 
 # memos compared with nothing, and why sharing one is sound
 UNCOMPARED = {

@@ -35,11 +35,11 @@ BETAS = [np.eye(2), X, Z, X @ Z]
 
 
 def test_measurement_setup_rows_are_unitary_by_numpy():
-    t, betas = protocols.bell_teleportation_setup()
-    arr = t.array
+    setup = protocols.bell_teleportation_setup()
+    arr = setup.t.array
     assert arr.shape == (4, 4)
     assert np.allclose(arr.conj().T @ arr, np.eye(4), atol=1e-12)
-    for b, want in zip(betas, BETAS):
+    for b, want in zip(setup.betas, BETAS):
         assert np.allclose(b.array, want)
 
 
@@ -47,10 +47,10 @@ def test_teleport_branches_close_to_hand_formula():
     # every raw branch is (1/2) beta_i psi; derived by contracting
     # (<beta_i| (x) 1)(psi (x) |Phi>) with |Phi> = (1/sqrt 2) vec(1)
     rng = np.random.default_rng(61)
-    t, _ = protocols.bell_teleportation_setup()
+    setup = protocols.bell_teleportation_setup()
     for _ in range(10):
         psi = M.sample_morphism(rng, UNIT, qubit())
-        outs = protocols._teleport_branches(psi, t)
+        outs = protocols._teleport_branches(psi, setup)
         for i, out in enumerate(outs):
             want = 0.5 * BETAS[i] @ psi.array
             assert np.allclose(out.array, want, atol=1e-9)
@@ -164,9 +164,9 @@ def _containers(tree):
 
 def test_weighted_bit_collapse_witness_is_built_once_and_copied():
     first = protocols.weighted_bit_collapse_witness()
-    built = protocols._weighted_bit_collapse_witness.cache_info().misses
-    fresh = protocols._weighted_bit_collapse_witness.__wrapped__()
-    memo = protocols._weighted_bit_collapse_witness()
+    built = protocols._bell_setup.cache_info().misses
+    fresh = protocols._bell_setup.__wrapped__().collapse
+    memo = protocols._bell_setup().collapse
     # no dict or list of a caller's witness is one of the memo's
     assert not ({id(c) for c in _containers(first)}
                 & {id(c) for c in _containers(memo)})
@@ -182,14 +182,14 @@ def test_weighted_bit_collapse_witness_is_built_once_and_copied():
     second = protocols.weighted_bit_collapse_witness()
     assert second is not first
     assert second == fresh
-    assert protocols._weighted_bit_collapse_witness() == fresh
-    assert protocols._weighted_bit_collapse_witness.cache_info().misses == built <= 1
+    assert protocols._bell_setup().collapse == fresh
+    assert protocols._bell_setup.cache_info().misses == built <= 1
 
 
 def _corrections_rotated(setup=protocols.bell_teleportation_setup):
     # every branch gets the next branch's Pauli correction
-    t, betas = setup()
-    return t, betas[1:] + betas[:1]
+    undo = setup().undo
+    return setup()._replace(undo=undo[1:] + undo[:1])
 
 
 @pytest.mark.parametrize("state", ["[[1,0],[0.5,0]]", "[[1e-100,0],[5e-101,0]]",

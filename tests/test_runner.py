@@ -24,6 +24,17 @@ from sccckit.semirings import REL_TOL, corrupted_complex
 from sccckit.suites import _sccc_checks
 
 
+@pytest.fixture(autouse=True)
+def no_leaked_descriptors():
+    """Each test leaves as many file descriptors open as it found: a forked
+    table opens four pipe ends and closes them all on every path."""
+    fds = "/proc/self/fd"
+    before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+    yield
+    if before is not None:
+        assert len(os.listdir(fds)) == before
+
+
 def _raise_on(trial_to_fail):
     calls = []
 
@@ -289,9 +300,9 @@ def test_a_teleport_seeds_no_generator(monkeypatch):
 
 
 def test_a_failing_teleport_check_names_its_trial(monkeypatch):
-    t, betas = protocols.bell_teleportation_setup()
+    setup = protocols.bell_teleportation_setup()
     monkeypatch.setattr(protocols, "bell_teleportation_setup",
-                        lambda: (t, betas[::-1]))
+                        lambda: setup._replace(undo=setup.undo[::-1]))
     failures = [r for r in run_teleportation().results if r.status == "fail"]
     assert failures
     assert all(r.witness["trial"] == 0 for r in failures)
@@ -408,40 +419,96 @@ def test_a_table_run_inside_a_forked_table_forks_nothing(forks):
     assert any(w["in_worker"] for w in witnesses)
 
 
+def _serial(runner, table):
+    """The results of the serial loop: each row in table order, here."""
+    return [runner._run(idx, check) for idx, check in enumerate(table)]
+
+
+def _in_worker(path, i):
+    """Note in the file ``path`` that the worker ran row i."""
+    with open(path, "a") as noted:
+        noted.write(f"{i}\n")
+
+
+def _noted(path):
+    return sorted(int(line) for line in path.read_text().split())
+
+
 @two_processes
-def test_a_plain_error_in_the_worker_raises_in_the_parent_lowest_row_first(forks):
+def test_a_row_that_raises_only_in_the_worker_gives_the_serial_report(forks, tmp_path):
     parent = os.getpid()
-    in_parent = []
+    noted = tmp_path / "worker-rows"
 
     def fn(i):
         if os.getpid() == parent:
-            in_parent.append(i)
+            return Held({"row": i})
+        _in_worker(noted, i)
+        raise ValueError(f"row {i} broke")
+
+    runner = CheckRunner(trials=report._FORK_MIN_WORK, seed=1)
+    table = _worker_rows(6, fn)
+    assert runner.run(table) == _serial(runner, table)
+    assert forks == [parent] and len(_noted(noted)) >= 2
+
+
+@two_processes
+def test_a_row_that_raises_in_both_processes_raises_its_own_traceback(forks, tmp_path):
+    # a row the worker claimed raises there and again in the parent; the
+    # lowest such row raises, from the parent's serial loop, with its frame
+    parent = os.getpid()
+    noted = tmp_path / "worker-rows"
+
+    def fn(i):
+        if os.getpid() != parent:
+            _in_worker(noted, i)
+        elif not (noted.exists() and i in _noted(noted)):
             return None
         raise ValueError(f"row {i} broke")
 
     with pytest.raises(ValueError) as raised:
         CheckRunner(trials=report._FORK_MIN_WORK, seed=1).run(_worker_rows(6, fn))
-    in_worker = sorted(set(range(1, 7)) - set(in_parent))
+    in_worker = _noted(noted)
     assert forks == [parent] and len(in_worker) >= 2
-    assert type(raised.value) is ValueError
     assert str(raised.value) == f"row {in_worker[0]} broke"
+    frames = [entry.name for entry in raised.traceback]
+    assert frames[-2:] == ["whole", "fn"]
+    assert "_run" in frames
 
 
 @two_processes
-def test_an_outcome_that_does_not_pickle_is_run_again_in_the_parent(forks):
+def test_a_failed_fork_gives_the_serial_report_and_restores_the_process(monkeypatch):
+    get_threads, _ = report._blas_threads()
+    threads = get_threads()
+    waited = []
+
+    def no_fork():
+        raise OSError("no process for a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "waitpid", lambda *args: waited.append(args))
+    runner = CheckRunner(trials=30, seed=7)
+    table = _sccc_checks(fdhilb(), runner.tol, 3)
+    assert report._forks(table, runner.trials)
+    assert runner.run(table) == _serial(runner, table)
+    assert waited == []
+    assert get_threads() == threads and report._forked is False
+
+
+@two_processes
+def test_a_result_that_does_not_pickle_is_run_again_in_the_parent(forks):
     parent = os.getpid()
 
-    class Local(Exception):
+    class Local:
         """Defined in a function, so pickle cannot find it by name."""
 
     def fn(i):
         if os.getpid() != parent:
-            raise Local(f"row {i}")
+            return Held({"local": Local()})
         return None
 
     results = CheckRunner(trials=report._FORK_MIN_WORK, seed=1).run(_worker_rows(6, fn))
     assert forks == [parent]
-    assert [r.status for r in results] == ["pass"] * 7
+    assert [(r.status, r.witness) for r in results] == [("pass", None)] * 7
 
 
 @two_processes
