@@ -1,7 +1,8 @@
 """Concrete matrix models and seeded sampling.
 
 A ``ModelHandle`` is what a model decides; everything else is computed on
-plain ``Morphism``s with ``morphisms``, ``core`` and ``ortho``.  A model
+plain ``Morphism``s with ``morphisms``, ``core`` and ``ortho``, which
+also holds the biproduct helpers, so a plain model imports neither.  A model
 samples (its three ``sample_*`` methods return matrices), decides when two
 matrices are one arrow (``equal``) and reads scalars (``scalar``,
 ``scalar_value`` and ``scalar_power``).  On a plain model an arrow is its
@@ -25,13 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericRange, RootUnavailable, TypeMismatch
+from .errors import NumericRange, RootUnavailable
 from .morphisms import (Morphism, _derived, compose, dagger, equal, scalar,
                         scalar_value)
-from .objects import Gen, ObjectExpr, UNIT, ZERO, dim, normalize
+from .objects import ObjectExpr, dim, normalize
 from .semirings import (BOOLEAN, COMPLEX, NONNEG, InvolutiveSemiring,
                         check_semiring_laws, nonneg_value)
-from . import ortho
 
 
 @dataclass(frozen=True)
@@ -144,58 +144,4 @@ def resolve_model(selector: str):
     except KeyError:
         raise ValueError(f"unknown model {selector!r}; "
                          "expected fdhilb, rel, weights or wproj:<base>") from None
-
-
-# -- random unitaries ---------------------------------------------------------
-
-def random_unitary(m: ModelHandle, dims, seed) -> Morphism:
-    """A seeded Haar-ish unitary A -> (+)_i A_i with dim(A_i) = dims[i].
-
-    The Q factor of numpy's Householder QR of one seeded (n, n) sample,
-    which is unitary for every sample, degenerate or not.  Only defined
-    over a complex semiring with phases, such as fdhilb's.
-    """
-    if m.semiring.phase is None:
-        raise TypeMismatch("random unitaries are sampled over a semiring with phases")
-    dims = list(dims)
-    total = sum(dims)
-    if total < 1 or any(d < 0 for d in dims):
-        raise TypeMismatch(f"bad block dimensions {dims}")
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(m.semiring.sample(rng, (total, total)))[0]
-    parts = [ZERO if d == 0 else (UNIT if d == 1 else Gen(f"A{i}", d))
-             for i, d in enumerate(dims)]
-    cod = ortho.OplusDecomposition.from_parts(parts).whole
-    dom = UNIT if total == 1 else Gen("A", total)
-    return Morphism(dom, cod, q, m.semiring)
-
-
-# -- biproduct pairing --------------------------------------------------------
-
-def pairing(fs) -> Morphism:
-    """<f_1, ..., f_n>: C -> (+)_i A_i, stacking the blocks."""
-    fs = list(fs)
-    if not fs:
-        raise TypeMismatch("pairing needs at least one component")
-    dom = fs[0].dom
-    s = fs[0].semiring
-    for f in fs:
-        if f.dom != dom or f.semiring is not s:
-            raise TypeMismatch("pairing components must share their domain")
-    cod = ortho.OplusDecomposition.from_parts([f.cod for f in fs]).whole
-    return Morphism(dom, cod, np.vstack([f.array for f in fs]), s)
-
-
-def copairing(fs) -> Morphism:
-    """[f_1, ..., f_n]: (+)_i A_i -> C, the dagger-dual of pairing."""
-    fs = list(fs)
-    if not fs:
-        raise TypeMismatch("copairing needs at least one component")
-    cod = fs[0].cod
-    s = fs[0].semiring
-    for f in fs:
-        if f.cod != cod or f.semiring is not s:
-            raise TypeMismatch("copairing components must share their codomain")
-    dom = ortho.OplusDecomposition.from_parts([f.dom for f in fs]).whole
-    return Morphism(dom, cod, np.hstack([f.array for f in fs]), s)
 

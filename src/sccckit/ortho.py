@@ -23,6 +23,8 @@ checks nothing and returns a frozen morphism, built from the primitives.
 ``derived_sum`` applies its operands' arrays afresh on every call.
 ``pseudo_projection`` and ``pseudo_injection`` stay plain functions that
 delegate to cached helpers, so their calls can still be counted.
+``pairing``, ``copairing`` and ``random_unitary`` build arrows into and
+out of a block sum.
 """
 from __future__ import annotations
 
@@ -32,12 +34,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TypeMismatch
-from .morphisms import (Morphism, adopt, compose, dagger, direct_sum, eye,
-                        identity, tensor)
-from .objects import (ObjectExpr, Oplus, Tensor, UNIT, ZERO, dim, format_object,
-                      normalize)
-from .semirings import InvolutiveSemiring
-from .core import alpha, counit, lam, lam_inv, unit
+from .morphisms import (Morphism, adopt, compose, dagger, direct_sum, distance,
+                        eye, identity, scalar, tensor)
+from .objects import (Gen, ObjectExpr, Oplus, Tensor, UNIT, ZERO, dim,
+                      format_object, normalize)
+from .semirings import COMPLEX, InvolutiveSemiring
+from .core import alpha, counit, double, lam, lam_inv, unit
 
 oplus = direct_sum
 
@@ -272,6 +274,60 @@ def derived_sum(f: Morphism, g: Morphism) -> Morphism:
     return compose(_sum_up(f.cod, s), mid)
 
 
+# -- random unitaries ---------------------------------------------------------
+
+def random_unitary(m, dims, seed) -> Morphism:
+    """A seeded Haar-ish unitary A -> (+)_i A_i with dim(A_i) = dims[i].
+
+    The Q factor of numpy's Householder QR of one seeded (n, n) sample,
+    which is unitary for every sample, degenerate or not.  Only defined
+    over a complex semiring with phases, such as fdhilb's.
+    """
+    if m.semiring.phase is None:
+        raise TypeMismatch("random unitaries are sampled over a semiring with phases")
+    dims = list(dims)
+    total = sum(dims)
+    if total < 1 or any(d < 0 for d in dims):
+        raise TypeMismatch(f"bad block dimensions {dims}")
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(m.semiring.sample(rng, (total, total)))[0]
+    parts = [ZERO if d == 0 else (UNIT if d == 1 else Gen(f"A{i}", d))
+             for i, d in enumerate(dims)]
+    cod = OplusDecomposition.from_parts(parts).whole
+    dom = UNIT if total == 1 else Gen("A", total)
+    return Morphism(dom, cod, q, m.semiring)
+
+
+# -- biproduct pairing --------------------------------------------------------
+
+def pairing(fs) -> Morphism:
+    """<f_1, ..., f_n>: C -> (+)_i A_i, stacking the blocks."""
+    fs = list(fs)
+    if not fs:
+        raise TypeMismatch("pairing needs at least one component")
+    dom = fs[0].dom
+    s = fs[0].semiring
+    for f in fs:
+        if f.dom != dom or f.semiring is not s:
+            raise TypeMismatch("pairing components must share their domain")
+    cod = OplusDecomposition.from_parts([f.cod for f in fs]).whole
+    return Morphism(dom, cod, np.vstack([f.array for f in fs]), s)
+
+
+def copairing(fs) -> Morphism:
+    """[f_1, ..., f_n]: (+)_i A_i -> C, the dagger-dual of pairing."""
+    fs = list(fs)
+    if not fs:
+        raise TypeMismatch("copairing needs at least one component")
+    cod = fs[0].cod
+    s = fs[0].semiring
+    for f in fs:
+        if f.cod != cod or f.semiring is not s:
+            raise TypeMismatch("copairing components must share their codomain")
+    dom = OplusDecomposition.from_parts([f.dom for f in fs]).whole
+    return Morphism(dom, cod, np.hstack([f.array for f in fs]), s)
+
+
 def oplus_illdefined_witness(theta: float = np.pi / 2) -> dict:
     """The phase counterexample showing (+) does not descend to phase classes.
 
@@ -279,11 +335,6 @@ def oplus_illdefined_witness(theta: float = np.pi / 2) -> dict:
     double(<1, 1>) and double(1 (+) u) differs from double(1 (+) 1), each by
     entries of magnitude sqrt(2); the theta = 0 control keeps both pairs equal.
     """
-    from .semirings import COMPLEX
-    from .morphisms import distance, scalar
-    from .core import double
-    from .models import pairing
-
     s = COMPLEX
     one = scalar(s.one, s)
     u = scalar(np.exp(1j * theta), s)

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import core, ortho
 from .errors import NotUnitary, TypeMismatch
+from .models import fdhilb
 from .morphisms import (Morphism, compose, dagger, distance, equal, identity,
                         scalar, tensor)
 from .objects import ObjectExpr, Oplus, UNIT
@@ -226,7 +227,6 @@ def run_teleportation(psi: Morphism | None = None,
     weight is judged alike.
     """
     if model is None:
-        from .models import fdhilb
         model = fdhilb()
     if model.semiring is not COMPLEX:
         raise TypeMismatch("teleportation runs over the complex model")

@@ -1,4 +1,4 @@
-"""Global-phase quotient of a matrix model.
+"""Global-phase quotient of a matrix model: the model only (``suites`` checks it).
 
 Arrows of the quotient are morphisms taken up to a unit-modulus scalar
 factor.  ``WProjModel`` keeps the matrices of its base model: a quotient
@@ -30,18 +30,14 @@ predicate on g, for one f met by many g: it keeps f's matrices from its first ca
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
 from . import core
 from .errors import CriterionDisagreement, NumericRange, TypeMismatch
 from .models import ModelHandle
-from .morphisms import (Morphism, compose, dagger, kernel_array, lower_star,
-                        scalar)
-from .objects import Gen, UNIT, format_object
-from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check, Held,
-                     serialize_morphism)
+from .morphisms import Morphism, kernel_array, lower_star, scalar
+from .objects import format_object
 from .semirings import ALIGN_MARGIN, _within, max_abs, nonneg_value, real_value
 
 # the relative error, in ulps of float64, that the alignment bounds allow
@@ -288,102 +284,3 @@ class WProjModel(ModelHandle):
                                f"{np.asarray(v).item()}")
         return r
 
-
-def prep_state_checks(model, tol) -> list[Check]:
-    """Test whether equal doubled forms force equal morphisms, three ways.
-
-    Over complex matrices the answer is no (any nontrivial phase is a
-    witness) and the report records that as an expected failure.  On the
-    quotient the implication must hold.  Phase-free models are checked both
-    on random samples and, at small dimensions, by exhaustive enumeration.
-    """
-    quotient = model.quotient
-    a = Gen("A", 2)
-
-    def eq(x, y) -> bool:
-        return model.equal(x, y, tol)
-
-    def pair(f, g, **extra) -> dict:
-        return {"f": serialize_morphism(f), "g": serialize_morphism(g), **extra}
-
-    def entry(name, law, dom, implication) -> Check:
-        """implication(f, g) -> (antecedent, consequent) for f, g: dom -> A."""
-        if not quotient and model.semiring.phase is not None:
-            # the axiom must be violated here; exhibit the canonical witness
-            def phase_counterexample(_):
-                f = Morphism(dom, a, _unit_witness_array(dom == UNIT),
-                             model.semiring)
-                g = core.scalar_mult(model.scalar(1j), f)
-                antecedent, consequent = implication(f, g)
-                return antecedent and not consequent, pair(f, g, phase="i")
-
-            return Check(name, law, EXPECTED_FAIL, phase_counterexample)
-
-        def sampled(rng):
-            f = model.sample_morphism(rng, dom, a)
-            g = core.scalar_mult(model.sample_unit_scalar(rng), f)
-            antecedent, consequent = implication(f, g)
-            if not antecedent:
-                return VACUOUS
-            return None if consequent else pair(f, g)
-
-        return Check(name, law, PER_TRIAL, sampled, conditional=True)
-
-    checks = [
-        entry("doubles-determine-morphisms",
-              "f(x)f(dagger) = g(x)g(dagger)  =>  f = g", a,
-              lambda f, g: (eq(core.double(f), core.double(g)), eq(f, g))),
-        entry("projectors-determine-names",
-              "P_f = P_g  =>  name(f) = name(g)", a,
-              lambda f, g: (eq(core.bipartite_projector(f),
-                               core.bipartite_projector(g)),
-                            eq(core.name(f), core.name(g)))),
-        entry("densities-determine-states",
-              "psi o psi(dagger) = phi o phi(dagger)  =>  psi = phi", UNIT,
-              lambda f, g: (eq(compose(f, dagger(f)), compose(g, dagger(g))),
-                            eq(f, g))),
-    ]
-    if not quotient and model.semiring.phase is None:
-        checks.append(Check("doubles-determine-morphisms-exhaustive",
-                            "f(x)f(dagger) = g(x)g(dagger)  =>  f = g  (grid)",
-                            WHOLE, lambda _: _grid_check(model, tol)))
-    return checks
-
-
-def _unit_witness_array(states_only: bool):
-    if states_only:
-        return np.array([[1.0], [1.0]]) / np.sqrt(2)
-    return np.array([[1.0, 2.0], [3.0, 4.0]])
-
-
-def _grid_check(model, tol):
-    """Exhaustively confirm the implication on small matrices.
-
-    Every matrix over the entry grid 0, 1, 1 + 1 of the semiring is paired
-    with every other of the same shape; any pair with equal doubled forms
-    must be equal.  A shape's matrices share one type, and so do their
-    doubled forms, so each side is stacked once and matrix i is decided
-    against its whole shape class with two ``equal_to_each`` calls, one on
-    the doubled forms and one on the matrices.  The witness is the first
-    failing pair (i, j) in row-major order.
-    """
-    s = model.semiring
-    entries = s.multiples(3)
-    shapes = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    checked = 0
-    for rows, cols in shapes:
-        dom = UNIT if cols == 1 else Gen("A", cols)
-        cod = UNIT if rows == 1 else Gen("B", rows)
-        cells = rows * cols
-        mats = [Morphism(dom, cod, np.array(v).reshape(rows, cols), s)
-                for v in product(entries, repeat=cells)]
-        mat_stack = np.stack([f.array for f in mats])
-        double_stack = np.stack([core.double(f).array for f in mats])
-        for i, f in enumerate(mats):
-            bad = (s.equal_to_each(double_stack[i], double_stack, tol)
-                   & ~s.equal_to_each(f.array, mat_stack, tol))
-            if bad.any():
-                g = mats[int(np.argmax(bad))]
-                return {"f": serialize_morphism(f), "g": serialize_morphism(g)}
-            checked += len(mats)
-    return Held({"pairs_checked": checked})

@@ -1,0 +1,98 @@
+"""What set-up imports: ``import sccckit`` loads no submodule, resolving a
+model loads only the model layer, and every exported name still resolves.
+
+The footprint is read in a fresh interpreter, since this one has long
+imported the whole package.
+"""
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sccckit
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sccckit"
+MODEL_LAYER = {"errors", "objects", "semirings", "morphisms", "models"}
+QUOTIENT = {"core", "wproj"}
+# each module imports only modules before it, so each is first loaded here
+# by its own attribute access
+SUBMODULES = ["errors", "objects", "semirings", "morphisms", "core", "ortho",
+              "models", "wproj", "report", "born", "protocols", "suites"]
+
+LOADED = "sorted(m[8:] for m in sys.modules if m.startswith('sccckit.'))"
+
+
+def _fresh(code: str):
+    """The JSON that code prints in a fresh interpreter, after ``import sys``."""
+    done = subprocess.run([sys.executable, "-c", f"import sys\n{code}"],
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _fresh(f"import json, sccckit\nprint(json.dumps({LOADED}))") == []
+
+
+@pytest.mark.parametrize("selector,extra", [
+    ("fdhilb", set()), ("rel", set()), ("weights", set()),
+    ("wproj:fdhilb", QUOTIENT), ("wproj:rel", QUOTIENT),
+    ("wproj:weights", QUOTIENT)])
+def test_resolving_a_model_loads_only_the_model_layer(selector, extra):
+    loaded = _fresh("import json\nfrom sccckit import resolve_model\n"
+                    f"resolve_model({selector!r})\nprint(json.dumps({LOADED}))")
+    assert set(loaded) == MODEL_LAYER | extra
+
+
+def test_each_submodule_is_an_attribute_without_a_prior_import():
+    seen = _fresh(
+        "import json, sccckit\nseen = []\n"
+        f"for m in {SUBMODULES!r}:\n"
+        "    before = 'sccckit.' + m in sys.modules\n"
+        "    seen.append([m, before, getattr(sccckit, m).__name__])\n"
+        "print(json.dumps(seen))")
+    assert seen == [[m, False, f"sccckit.{m}"] for m in SUBMODULES]
+
+
+def _defining_module(name: str) -> str:
+    """The one module of the package that defines name at its top level."""
+    homes = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            if name in bound:
+                homes.append(path.stem)
+    assert len(homes) == 1, (name, homes)
+    return homes[0]
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    star = {}
+    exec("from sccckit import *", star)
+    assert sorted(n for n in star if n != "__builtins__") == sorted(sccckit.__all__)
+    for name in sccckit.__all__:
+        module = sys.modules[f"sccckit.{_defining_module(name)}"]
+        assert getattr(sccckit, name) is vars(module)[name], name
+        assert star[name] is vars(module)[name], name
+
+
+def test_the_listing_names_every_export_and_submodule():
+    listed = dir(sccckit)
+    assert set(sccckit.__all__) | set(SUBMODULES) <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        sccckit.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from sccckit import no_such_name", {})

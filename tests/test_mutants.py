@@ -2,10 +2,13 @@
 breaks must fail a row with it installed."""
 import sys
 from contextlib import contextmanager
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sccckit
 from sccckit import (COMPLEX, CriterionDisagreement, Gen, ModelHandle, Tensor,
                      WProjModel, core, dim, dual, morphisms, ortho,
                      resolve_model, run_suite, run_teleportation, scalar,
@@ -124,6 +127,11 @@ def test_a_broken_scalar_read_fails_its_rows(monkeypatch, cls, method, mutant, c
 
 
 def _package_modules():
+    """Every module of the package, each imported first: one first imported
+    while a mutant is bound would copy it and keep it after the restore."""
+    for path in Path(sccckit.__file__).parent.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            import_module(f"sccckit.{path.stem}")
     return [m for n, m in list(sys.modules.items())
             if (n == "sccckit" or n.startswith("sccckit.")) and m is not None]
 

@@ -26,7 +26,7 @@ from sccckit import (
     wequal,
     weight_model,
 )
-from sccckit import core, morphisms, wproj
+from sccckit import core, morphisms, suites, wproj
 from sccckit.report import Held, deserialize_morphism, serialize_morphism
 from sccckit.semirings import corrupted_complex
 
@@ -210,7 +210,7 @@ def test_the_exhaustive_row_compares_whole_shape_classes(monkeypatch, double_cal
                         counting("approx_equal", s.approx_equal))
     monkeypatch.setattr(ModelHandle, "equal",
                         counting("ModelHandle.equal", ModelHandle.equal))
-    row = next(c for c in wproj.prep_state_checks(model, None)
+    row = next(c for c in suites.prep_state_checks(model, None)
                if c.name == "doubles-determine-morphisms-exhaustive")
     assert row.fn(None) == Held({"pairs_checked": pairs})
     assert equal_calls == []
@@ -249,7 +249,7 @@ def _capped_double(f):
 def test_the_batched_grid_reproduces_the_pairwise_grid(monkeypatch, model, mutant, tol):
     if mutant is not None:
         monkeypatch.setattr(core, "double", mutant)
-    assert wproj._grid_check(model, tol) == _pairwise_grid(model, tol)
+    assert suites._grid_check(model, tol) == _pairwise_grid(model, tol)
 
 
 EDGES = [0.0, -0.0, 5e-324, 1e-200, 1e200, 1e308]  # 1e308 squared overflows
