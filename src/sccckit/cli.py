@@ -6,11 +6,11 @@ Two families of commands:
     sccckit protocol teleport [flags]
 
 Every suite runs on every model, the phase quotient ``wproj:<base>``
-included; teleport needs a complex one.  Reports print as text on stdout; ``--json PATH`` additionally writes the
-canonical JSON form (PATH ``-`` prints JSON instead of text).  The exit code
-is 0 exactly when no check failed (expected failures do not fail a run), 1
-when a check failed or the library raised an error, and 2 when an input was
-refused before anything ran.
+included; teleport needs a complex one.  Reports print as text on stdout;
+``--json PATH`` also writes the canonical JSON form, one line (PATH ``-``
+prints it instead of the text).  The exit code is 0 exactly when no check
+failed (expected failures do not fail a run), 1 when a check failed or the
+library raised an error, and 2 when an input was refused before anything ran.
 """
 from __future__ import annotations
 
@@ -150,13 +150,20 @@ def _checked_inputs(args):
 
 
 def _emit(report: VerificationReport, json_path: str | None) -> int:
-    if json_path == "-":
-        sys.stdout.write(report.to_json())
-    else:
-        print(report.to_text())
-        if json_path is not None:
-            with open(json_path, "w") as fh:
-                fh.write(report.to_json())
+    """Print the report, write its ``--json`` file, and return the verdict's
+    exit code, also when the reader of stdout has gone."""
+    try:
+        sys.stdout.write(report.to_json() if json_path == "-" else report.to_text() + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what stdout still buffers goes to devnull, so the interpreter's
+        # last flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if json_path not in (None, "-"):
+        with open(json_path, "w") as fh:
+            fh.write(report.to_json())
     return 0 if report.ok else 1
 
 

@@ -3,10 +3,9 @@
 Reports serialize deterministically: same suite, model, seed, trials and
 tolerance must produce byte-identical JSON.  Witness morphisms are embedded
 as flat row-major lists of [re, im] pairs together with their end objects.
-The JSON is written in one direct pass (``_write_json``) whose bytes are
-those of ``json.dumps(indent=2, sort_keys=True, default=_plain)``.  json
-encodes an indented document with its pure-Python generator encoder, not
-its C one, and that took about a fifth of a ``protocol teleport`` run.
+The JSON is ``json.dumps(sort_keys=True, default=_plain)``, one line that
+json writes with its C encoder (indented, it would take the pure-Python
+one); ``python -m json.tool --indent 2 --sort-keys`` indents it.
 
 Every report comes from ``CheckRunner``: each suite, the equivalence theorem
 and teleportation are tables of checks, and the runner alone owns the random
@@ -43,7 +42,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -115,10 +113,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        out = []
-        _write_json(self.to_dict(), out.append, "\n")
-        out.append("\n")
-        return "".join(out)
+        """The canonical JSON form: one line of sorted keys and a newline."""
+        return json.dumps(self.to_dict(), sort_keys=True, default=_plain) + "\n"
 
     def to_text(self) -> str:
         width = max((len(r.check_name) for r in self.results), default=0)
@@ -548,76 +544,3 @@ def _plain(x):
         return x.tolist()
     raise TypeError(f"not JSON serializable: {type(x)!r}")
 
-
-# -- the JSON text of a report -------------------------------------------------
-#
-# json.dumps(indent=2, sort_keys=True, default=_plain), written directly: the
-# same type dispatch in the same order, separators "," and ": ", strings and
-# keys through json's own (C) string escaper, floats as float.__repr__ with
-# json's names for the non-finite ones, and non-str keys converted as json
-# converts them.  A witness is a tree: a cyclic one ends in RecursionError
-# where json raises ValueError.
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-def _key_text(key) -> str:
-    """A key that is not a str, as json converts it."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _write_json(value, put: Callable[[str], None], newline: str) -> None:
-    """Pass ``value``'s JSON text to ``put`` piece by piece; ``newline`` is a
-    line break followed by the indent of ``value``'s own line."""
-    if isinstance(value, str):
-        put(_quote(value))
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif isinstance(value, int):
-        put(int.__repr__(value))
-    elif isinstance(value, float):
-        put(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            put(sep)
-            sep = "," + inner
-            _write_json(item, put, inner)
-        put(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            put(sep + _quote(key if isinstance(key, str) else _key_text(key)) + ": ")
-            sep = "," + inner
-            _write_json(item, put, inner)
-        put(newline + "}")
-    else:
-        _write_json(_plain(value), put, newline)

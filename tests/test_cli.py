@@ -1,6 +1,7 @@
 """Report serialization and the command-line entry point."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -202,6 +203,31 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "suite=born" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("form", [[], ["--json", "-"], ["--json", "PATH"]],
+                         ids=["text", "json-stdout", "json-file"])
+def test_a_closed_stdout_keeps_the_verdict_and_the_json_file(tmp_path, unbuffered, form):
+    argv = ["verify", "prep-state", "--model", "weights", "--seed", "1", "--trials", "5"]
+    want = tmp_path / "want.json"
+    code = main(argv + ["--json", str(want)])
+    got = tmp_path / "got.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the run writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sccckit", *argv,
+             *[str(got) if a == "PATH" else a for a in form]],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr.decode()) == (code, "")
+    if "PATH" in form:
+        assert got.read_text() == want.read_text()
 
 
 def test_cli_teleport_refuses_non_complex_model(capsys):

@@ -5,10 +5,16 @@ it prints: every (suite, model selector) pair the CLI accepts, plus
 teleport and born at ``--nu 1/2`` and ``2``.  ``failing_report_digests.json``
 does the same for reports run with every model's ``equal`` answering False,
 so that each row deciding a law through ``model.equal`` fails at trial 0
-and prints its witness.  A change that keeps every verdict and every
+and prints its witness.  A report prints as one line of sorted JSON; the
+digest is taken over its indented form,
+``json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"``, and each
+test also holds the printed line to ``json.dumps(json.loads(out),
+sort_keys=True) + "\n"`` and to ``from_json(out).to_json()``, so the two
+pin every printed byte.  A change that keeps every verdict and every
 witness keeps every digest; a change that alters a report on purpose says
 so in CHANGES.md and rewrites both files with
-``PYTHONPATH=src python tests/test_report_digests.py``.
+``PYTHONPATH=src python tests/test_report_digests.py``, which prints each
+command line whose digest it adds, drops or changes.
 """
 
 import hashlib
@@ -22,6 +28,7 @@ import pytest
 
 from sccckit.cli import main
 from sccckit.models import ModelHandle
+from sccckit.report import from_json
 from sccckit.suites import SUITE_NAMES
 from sccckit.wproj import WProjModel
 from test_law_sink import ALLOWED
@@ -61,8 +68,20 @@ def _report(argv: str, exit_code: int = 0) -> str:
     return out.getvalue()
 
 
+def _digest(out: str) -> str:
+    """The sha256 of ``out``'s indented form, once ``out`` is held to the
+    canonical encoding: one line of sorted JSON that ``from_json`` reads back
+    to the same bytes."""
+    value = json.loads(out)
+    assert out == json.dumps(value, sort_keys=True) + "\n"
+    assert out.count("\n") == 1
+    assert from_json(out).to_json() == out
+    indented = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(indented.encode()).hexdigest()
+
+
 def report_digest(argv: str) -> str:
-    return hashlib.sha256(_report(argv).encode()).hexdigest()
+    return _digest(_report(argv))
 
 
 def _never_equal(self, f, g, rel=None) -> bool:
@@ -77,7 +96,7 @@ def _failing_report(argv: str) -> str:
 
 
 def failing_report_digest(argv: str) -> str:
-    return hashlib.sha256(_failing_report(argv).encode()).hexdigest()
+    return _digest(_failing_report(argv))
 
 
 def test_the_golden_file_covers_every_command_line():
@@ -103,9 +122,21 @@ def test_every_row_on_the_law_sink_fails_at_trial_zero(argv):
     assert held == []
 
 
+def _rewrite(path: Path, digests: dict) -> None:
+    """Write ``digests`` to ``path``, printing each command line whose digest
+    was added, dropped or changed."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    moved = [("dropped" if argv not in digests else "added" if argv not in old
+              else "changed", argv)
+             for argv in sorted(old.keys() | digests.keys())
+             if old.get(argv) != digests.get(argv)]
+    for what, argv in moved:
+        print(f"{path.name}: {what} {argv}")
+    if not moved:
+        print(f"{path.name}: no digest changed")
+    path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({a: report_digest(a) for a in ARGVS},
-                                  indent=2, sort_keys=True) + "\n")
-    FAILING_DIGESTS.write_text(json.dumps(
-        {a: failing_report_digest(a) for a in FAILING_ARGVS},
-        indent=2, sort_keys=True) + "\n")
+    _rewrite(DIGESTS, {a: report_digest(a) for a in ARGVS})
+    _rewrite(FAILING_DIGESTS, {a: failing_report_digest(a) for a in FAILING_ARGVS})
