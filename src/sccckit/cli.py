@@ -153,7 +153,7 @@ def _emit(report: VerificationReport, json_path: str | None) -> int:
     """Print the report, write its ``--json`` file, and return the verdict's
     exit code, also when the reader of stdout has gone."""
     try:
-        sys.stdout.write(report.to_json() if json_path == "-" else report.to_text() + "\n")
+        sys.stdout.write(report.to_json() if json_path == "-" else report.to_text())
         sys.stdout.flush()
     except BrokenPipeError:
         # what stdout still buffers goes to devnull, so the interpreter's

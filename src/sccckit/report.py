@@ -45,6 +45,7 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvariantViolation, SccckitError
 from .morphisms import Morphism, distance
@@ -332,9 +333,8 @@ class CheckRunner:
             chunk = range(start, min(start + _TRIAL_CHUNK, trials.stop))
             batched = chunk[:max(0, _WORD - start)] if fits else chunk[:0]
             if batched:
-                seed_words = _seed_words_class()
                 for words in _trial_words(seed, idx, batched):
-                    yield np.random.default_rng(np.random.PCG64(seed_words(words)))
+                    yield np.random.default_rng(np.random.PCG64(_SeedWords(words)))
             for trial in chunk[len(batched):]:
                 yield np.random.default_rng([seed, idx, trial])
 
@@ -457,6 +457,19 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
+class _SeedWords(ISeedSequence):
+    """An ``ISeedSequence`` over words computed in advance."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"only {len(self.words)} {self.words.dtype} "
+                             "words were computed")
+        return self.words
+
+
 def _trial_words(seed: int, idx: int, trials: range) -> np.ndarray:
     """``SeedSequence(uint32[seed, idx, t]).generate_state(4, uint64)`` for
     every t in ``trials``, one row of words per trial; seed, idx and each t
@@ -473,28 +486,6 @@ def _trial_words(seed: int, idx: int, trials: range) -> np.ndarray:
     state = _hash(words[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT)
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
         np.uint64, copy=False)
-
-
-@cache
-def _seed_words_class() -> type:
-    """An ``ISeedSequence`` over words computed in advance.
-
-    Defined on first use, so that importing sccckit does not load
-    ``numpy.random``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
-                raise ValueError(f"only {len(self.words)} {self.words.dtype} "
-                                 "words were computed")
-            return self.words
-
-    return SeedWords
 
 
 def from_json(text: str) -> VerificationReport:

@@ -21,6 +21,7 @@ sides are equal and otherwise ends the row, failed, with the witness.  A
 row that decides without ``model.equal`` (a sign threshold, an exception,
 a comparison of representatives, wequal's criteria) returns its witness
 itself; ``tests/test_law_sink.py`` lists those rows with their reasons.
+A row may also test a sign after its laws, as ``born-probability-loop`` does.
 """
 from __future__ import annotations
 
@@ -240,8 +241,10 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 
     def density(rng):
         psi = draw(rng, UNIT, _gen(rng, "A", 4))
-        if not core.state_density_identity_holds(psi, rel=tol):
-            return {"psi": serialize_morphism(psi)}
+        law(compose(psi, dagger(psi)),
+            compose(dagger(core.rho(psi.cod, s)),
+                    compose(tensor(psi, dagger(psi)), core.lam(psi.cod, s))),
+            lambda: {"psi": serialize_morphism(psi)})
 
     def born_loop(rng):
         parts = [_gen(rng, "A1", 2), _gen(rng, "A2", 2)]
@@ -250,7 +253,9 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         p = compose(ortho.pseudo_injection(decomp, i, s),
                     ortho.pseudo_projection(decomp, i, s))
         psi = draw(rng, UNIT, decomp.whole)
-        prob = core.born_prob(psi, p)  # cross-checks the trace route itself
+        prob = core.born_prob(psi, p)
+        law(prob, core.trace(compose(p, compose(psi, dagger(psi)))),
+            lambda: {"psi": serialize_morphism(psi)})
         if nonneg_value(scalar_value(prob)) is None:
             return {"probability": scalar_value(prob)}
 

@@ -61,6 +61,12 @@ def test_cli_verify_runs_green(capsys):
     assert "suite=sccc" in out and "fail" in out  # the counts line
 
 
+def test_cli_text_report_ends_with_one_newline(capsys):
+    main(["verify", "born", "--model", "rel", "--trials", "3", "--max-dim", "2"])
+    out = capsys.readouterr().out
+    assert out.endswith("expected-fail\n") and not out.endswith("\n\n")
+
+
 def test_cli_json_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "wproj", "--model", "fdhilb", "--trials", "5",

@@ -18,9 +18,6 @@ COMPARERS = {"equal", "wequal", "wequal_to"}
 ALLOWED = {
     "name-unfoldings-agree": "core.name raises when its two unfoldings disagree",
     "norm-scalar-positive": "a sign test of one scalar by semirings.nonneg_value",
-    "state-density-identity": "core.state_density_identity_holds compares "
-                              "representatives itself",
-    "born-probability-loop": "a sign test of one scalar by semirings.nonneg_value",
     "equality-criteria-agree": "compares through wequal_to itself: the row "
                                "states that wequal's three criteria agree",
     "canonical-representative-idempotent": "compares representatives with "

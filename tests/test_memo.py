@@ -240,7 +240,6 @@ UNCOMPARED = {
     "objects.normalize": "an immutable object expression, a function of another",
     "report._blas_threads": "two functions of the BLAS library numpy loaded, "
                             "which stays loaded for the life of the process",
-    "report._seed_words_class": "a class that holds no state of its own",
     "semirings.InvolutiveSemiring.approx_equal": "one of two module functions, "
                                                  "picked by the frozen field exact",
     "semirings.InvolutiveSemiring.idempotent": "a bool read off the frozen fields "

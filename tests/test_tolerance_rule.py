@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sccckit import Morphism, born, resolve_model, run_suite, suites
+from sccckit import Morphism, born, core, fdhilb, resolve_model, run_suite, suites
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sccckit"
 
@@ -120,3 +120,19 @@ def test_tolerance_reaches_one_plus_one(monkeypatch, model):
     loose = run_suite("born", resolve_model(model), trials=3, seed=0)
     tight = run_suite("born", resolve_model(model), trials=3, seed=0, tolerance=1e-13)
     assert (_status(loose, "one-plus-one"), _status(tight, "one-plus-one")) == ("pass", "fail")
+
+
+def test_tolerance_reaches_born_probability_loop(monkeypatch):
+    row = "born-probability-loop"
+    original = core.trace
+
+    def drifting(f):
+        r = original(f)
+        return Morphism(r.dom, r.cod, r.array * (1 + 1e-6), r.semiring)
+
+    monkeypatch.setattr(core, "trace", drifting)
+    loose = run_suite("sccc", fdhilb(), trials=3, seed=1, tolerance=1e-3)
+    tight = run_suite("sccc", fdhilb(), trials=3, seed=1)
+    assert _status(loose, row) == "pass"
+    failed = next(r for r in tight.results if r.check_name == row)
+    assert failed.status == "fail" and set(failed.witness) == {"psi", "trial"}
