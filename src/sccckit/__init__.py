@@ -15,9 +15,9 @@ cached here, so each reads its module's current binding.
 from importlib import import_module
 
 _EXPORTS = {
-    "errors": "AbsorptionMismatch CriterionDisagreement InvariantViolation "
-              "NotPhaseEquivalent NotProjector NotUnitary NumericRange "
-              "RootUnavailable SccckitError SemiringLawViolation TypeMismatch",
+    "errors": "CriterionDisagreement InvariantViolation NotPhaseEquivalent "
+              "NotProjector NotUnitary NumericRange RootUnavailable SccckitError "
+              "SemiringLawViolation TypeMismatch",
     "objects": "Dual Gen ObjectExpr Oplus Tensor UNIT Unit ZERO Zero dim dual "
                "format_object normalize parse_object",
     "semirings": "BOOLEAN COMPLEX NONNEG InvolutiveSemiring",

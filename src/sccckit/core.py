@@ -23,19 +23,20 @@ array and checks nothing, and returns a morphism whose array is frozen: a
 shared result is indistinguishable from a fresh one.  Each is built
 diagrammatically from the primitives, so a broken primitive is cached
 broken and every check that catches it still does.  Nothing that reads
-arrays or performs a check is memoized: ``name`` computes and compares both
-unfoldings on every call, and ``trace``, ``partial_trace``, ``scalar_mult``
-and ``double`` apply their argument afresh.  No call builds anything twice
-either: ``hs_norm_sq`` names its argument once, and ``phase_witnesses``
-forms both of its scalars from the one name of f.
+arrays or performs a check is memoized: ``name``, ``trace``,
+``partial_trace``, ``scalar_mult`` and ``double`` apply their argument
+afresh.  No call builds anything twice either: ``hs_norm_sq`` names its
+argument once, and ``phase_witnesses`` forms both of its scalars from the
+one name of f.
 
-``name`` is computed on matrices (``name_array``): both unfoldings run the
-semiring's kron and matmul kernels on plain arrays, with the transpose f*
-taken by ``star``, so the one dual it uses is the only arrow built before
-the name itself.  ``bipartite_projector`` is computed the same way
+``name`` is read in closed form (``name_array``), as f's stacked columns:
+it runs no kernel and builds no arrow but the name itself.  That both
+unfoldings, (1 (x) f) o eta_A and (f* (x) 1) o eta_B, equal it is the sccc
+row ``name-unfoldings-agree``, which builds them with the typed primitives.
+``bipartite_projector`` is computed from that column on matrices
 (``projector_array``), and the phase quotient's projector criterion reads
 that matrix.  ``trace`` reads its middle leg (1 (x) f) o eta, the name of
-f, in closed form as f's stacked columns, and builds only its 1 x 1 result.
+f, in the same closed form, and builds only its 1 x 1 result.
 """
 from __future__ import annotations
 
@@ -43,10 +44,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (AbsorptionMismatch, InvariantViolation, NotPhaseEquivalent,
-                     NotProjector, NumericRange, TypeMismatch)
+from .errors import (InvariantViolation, NotPhaseEquivalent, NotProjector,
+                     NumericRange, TypeMismatch)
 from .morphisms import (Morphism, _derived, adopt, compose, dagger, equal, eye,
-                        identity, kernel_array, star, tensor)
+                        identity, kernel_array, tensor)
 from .objects import ObjectExpr, Tensor, UNIT, dim, dual, format_object, normalize
 from .semirings import InvolutiveSemiring
 
@@ -107,36 +108,23 @@ def counit(a: ObjectExpr, s: InvolutiveSemiring) -> Morphism:
 
 
 def name_array(f: Morphism) -> np.ndarray:
-    """The matrix of name(f), a (dim(A*) dim(B)) x 1 column.
-
-    Both unfoldings are computed on matrices with the kernels ``tensor`` and
-    ``compose`` run, each result passed through ``kernel_array`` as theirs
-    are: (1 (x) f) o eta_A and the absorption unfolding (f* (x) 1) o eta_B,
-    whose transpose f* comes from ``star``.  They must agree within
-    tolerance on every call, or ``AbsorptionMismatch`` is raised; when they
-    disagree because an entry of f is not finite, ``NumericRange`` is.
+    """The matrix of name(f): f's stacked columns, plus the semiring's zero,
+    which makes -0.0 +0.0 as the composite's x . 1 + 0 does.  A non-finite
+    entry is refused with ``NumericRange`` before anything is built.
     """
-    s = f.semiring
-    m, n = f.array.shape
-    via_dom = kernel_array(s.kron(eye(n, s), f.array), s, (n * m, n * n))
-    via_dom = kernel_array(s.matmul(via_dom, unit(f.dom, s).array), s, (n * m, 1))
-    via_cod = kernel_array(s.kron(star(f).array, eye(m, s)), s, (n * m, m * m))
-    via_cod = kernel_array(s.matmul(via_cod, unit(f.cod, s).array), s, (n * m, 1))
-    if not s.approx_equal(via_dom, via_cod):
-        bad = np.flatnonzero(~np.isfinite(f.array))
-        if bad.size:
-            raise NumericRange(f"{f!r} has the non-finite entry "
-                               f"{f.array.flat[bad[0]]} at row-major index {bad[0]}")
-        raise AbsorptionMismatch(f"name unfoldings disagree for {f!r}")
-    return via_dom
+    finite = np.isfinite(f.array)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[0]
+        raise NumericRange(f"{f!r} has the non-finite entry "
+                           f"{f.array.flat[bad]} at row-major index {bad}")
+    return f.array.T.reshape(-1, 1) + f.semiring.zero
 
 
 def name(f: Morphism) -> Morphism:
     """The name of f: I -> A* @ B, i.e. (1 (x) f) o eta_A.
 
     With the fixed basis conventions this is the column-stacking vectorization
-    of the matrix of f.  Its matrix is ``name_array(f)``, which computes the
-    absorption unfolding (f* (x) 1) o eta_B independently every call.
+    of the matrix of f, ``name_array(f)``.
     """
     return adopt(UNIT, Tensor(dual(f.dom), f.cod), name_array(f), f.semiring)
 

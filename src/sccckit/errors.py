@@ -13,10 +13,6 @@ class InvariantViolation(SccckitError):
     """A law that must hold in every model failed numerically."""
 
 
-class AbsorptionMismatch(InvariantViolation):
-    """The two unfoldings of a name disagree beyond tolerance."""
-
-
 class NotPhaseEquivalent(SccckitError):
     """Phase witnesses requested for morphisms whose doubled forms differ."""
 

@@ -91,7 +91,7 @@ def kernel_array(array, s: InvolutiveSemiring, shape: tuple[int, int]) -> np.nda
     """A kernel's output coerced to ``s.dtype`` and checked against the shape
     its operands imply: the guard for user semirings whose kernels misbehave,
     run on every arrow ``_derived`` builds and on every plain-matrix
-    intermediate of ``core.name_array`` and ``wproj.wequal``."""
+    intermediate of ``core.projector_array`` and ``wproj.wequal``."""
     arr = np.asarray(array, dtype=s.dtype)
     if arr.shape != shape:
         raise TypeMismatch(

@@ -16,9 +16,8 @@ What a teleport computes without reading its input is built in two tiers:
   its corrections (``MeasurementSpec.from_unitary`` checks T), the
   corrections' adjoints beta_i(dagger), the ``cc_map`` legs
   1_Q (x) (p_i o T) of the outcome arms, the receiving unitor
-  rho_Q(dagger), the normalized Bell state (1/sqrt(2)) name(1_Q) (its
-  name's unfoldings are compared on that build) and the weighted-bit
-  collapse witness;
+  rho_Q(dagger), the normalized Bell state (1/sqrt(2)) name(1_Q) and the
+  weighted-bit collapse witness;
 * once per teleport, by the first branch row that compares with it: the
   criterion matrices of the rotated run's target (``wproj.wequal_to``).
 

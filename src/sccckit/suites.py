@@ -18,9 +18,9 @@ plain model ``model.equal`` compares the matrices themselves.
 Each table states its equations through one ``report.Law`` bound to the
 model and the run's tolerance: ``law(lhs, rhs, witness)`` returns when the
 sides are equal and otherwise ends the row, failed, with the witness.  A
-row that decides without ``model.equal`` (a sign threshold, an exception,
-a comparison of representatives, wequal's criteria) returns its witness
-itself; ``tests/test_law_sink.py`` lists those rows with their reasons.
+row that decides without ``model.equal`` (a sign threshold, a comparison
+of representatives, wequal's criteria) returns its witness itself;
+``tests/test_law_sink.py`` lists those rows with their reasons.
 A row may also test a sign after its laws, as ``born-probability-loop`` does.
 """
 from __future__ import annotations
@@ -132,7 +132,9 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
 
     def name_unfoldings(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)
-        core.name(draw(rng, a, b))  # raises on disagreement
+        f = draw(rng, a, b)
+        law(core.name(f), compose(tensor(identity(dual(a), s), f), core.unit(a, s)))
+        law(core.name(f), compose(tensor(star(f), identity(b, s)), core.unit(b, s)))
 
     def name_identity(_):
         for d in range(1, max_dim + 1):

@@ -23,8 +23,8 @@ two representatives and computes each criterion's matrices from them with
 the semiring's own kernels: the doubled form f(x)f(dagger) (``lift``, the
 semantic identity of the class), f(x)f(lower-star) and the name projector,
 each of N^2 entries for an arrow of N.  It builds no arrow beyond the lower
-star f_* (and the transpose f* inside ``core.name_array``, which
-``core.projector_array`` reads).  ``wequal_to(f, rel)`` decides the same as a
+star f_*; the projector's name column is f's stacked columns
+(``core.name_array``).  ``wequal_to(f, rel)`` decides the same as a
 predicate on g, for one f met by many g: it keeps f's matrices from its first call.
 """
 from __future__ import annotations
@@ -270,11 +270,13 @@ class WProjModel(ModelHandle):
 
     def scalar_value(self, s: Morphism):
         """The doubled value c c(dagger) of the scalar class of c, the one
-        product ``lift(s)`` forms, refused unless real by ``real_value``."""
+        product ``lift(s)`` forms, refused unless finite and real (``real_value``)."""
         if not s.is_scalar:
             raise TypeMismatch(f"not a scalar: {s!r}")
         c, sr = s.array[0, 0], s.semiring
         v = sr.mul(c, sr.involution(c))
+        if not np.isfinite(v):
+            raise NumericRange(f"the doubled value of the scalar {c} is not finite")
         # the semiring's own product as a python number (a bool stays one);
         # a complex one, numpy's included, is read by real_value directly
         r = (real_value(v) if isinstance(v, (complex, np.complexfloating))

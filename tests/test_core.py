@@ -5,6 +5,7 @@ frozen; they must not be regenerated from the code under test.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,13 +44,13 @@ from sccckit import (
     yanking_composite,
     zeros,
 )
-from sccckit import core
-from sccckit.errors import (AbsorptionMismatch, NotPhaseEquivalent, NotProjector,
-                            NumericRange, TypeMismatch)
+from sccckit import core, morphisms
+from sccckit.errors import NotPhaseEquivalent, NotProjector, NumericRange, TypeMismatch
 from sccckit.models import semiring_model
 from sccckit.semirings import (BOOLEAN, NONNEG, InvolutiveSemiring, corrupted_complex,
                                 real_value)
 from sccckit.wproj import lift, wequal
+from test_mutants import _everywhere, _failed
 
 Q = Gen("Q", 2)
 M = fdhilb()
@@ -105,31 +106,40 @@ def test_hs_norm_sq_is_hs_inner_with_itself(s):
         assert np.array_equal(got.array, want.array), (s.name, dom, cod)
 
 
-def test_name_still_compares_its_unfoldings(monkeypatch):
-    # a transpose that also conjugates spoils the absorption unfolding on
-    # any non-real f, and name must notice on every call
+def test_a_conjugating_star_fails_the_name_unfoldings_row():
+    # a transpose that also conjugates spoils the absorption unfolding
+    # (f* (x) 1) o eta_B on any non-real f, and the row's law notices
     def conjugating_star(f):
         return Morphism(dual(f.cod), dual(f.dom), f.array.T.conj(), f.semiring)
 
-    f = mor([[1, 2j], [3, 4]], Q, Q)
-    name(f)
-    monkeypatch.setattr(core, "star", conjugating_star)
-    with pytest.raises(AbsorptionMismatch):
-        name(f)
-    with pytest.raises(AbsorptionMismatch):
-        hs_norm_sq(f)
+    assert "name-unfoldings-agree" not in _failed("sccc", "fdhilb")
+    with _everywhere(morphisms, "star", conjugating_star):
+        assert "name-unfoldings-agree" in _failed("sccc", "fdhilb")
+
+
+def _non_finite_entry(f):
+    return rf"non-finite entry {re.escape(str(f.array[1, 0]))} at row-major index 2"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_a_non_finite_arrow_has_no_name_and_no_warning(bad):
+    # the refusal names the first such entry, before any arithmetic on it
+    f = mor([[1, 2j], [bad, 4]], Q, Q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRange, match=_non_finite_entry(f)):
+            name(f)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_a_non_finite_arrow_is_a_range_problem_not_a_broken_name(bad):
-    # its unfoldings disagree because an entry is outside the float range,
-    # not because name is broken; the refusal names the first such entry
+    # wequal's projector criterion names f, and refuses the same way; lift
+    # multiplies inf by 0 before that, hence the filter
     f = mor([[1, 2j], [bad, 4]], Q, Q)
     g = mor([[1, 2j], [3, 4]], Q, Q)
-    where = rf"non-finite entry {re.escape(str(f.array[1, 0]))} at row-major index 2"
-    for call in (lambda: name(f), lambda: wequal(f, g), lambda: wequal(g, f)):
-        with pytest.raises(NumericRange, match=where):
+    for call in (lambda: wequal(f, g), lambda: wequal(g, f)):
+        with pytest.raises(NumericRange, match=_non_finite_entry(f)):
             call()
 
 
@@ -362,6 +372,10 @@ def test_quotient_scalar_value_is_the_lifted_entry_bit_for_bit(s):
     with np.errstate(over="ignore", invalid="ignore"):
         for c in _scalars(s, np.random.default_rng(37)):
             want = lift(c).item()
+            if not np.isfinite(want):
+                with pytest.raises(NumericRange, match="is not finite"):
+                    model.scalar_value(c)
+                continue
             if isinstance(want, complex):
                 want = real_value(want)
             if want is None:
@@ -371,6 +385,19 @@ def test_quotient_scalar_value_is_the_lifted_entry_bit_for_bit(s):
             got = model.scalar_value(c)
             assert type(got) is type(want), c.array
             assert np.array(got).tobytes() == np.array(want).tobytes(), c.array
+
+
+@pytest.mark.parametrize("s", [COMPLEX, NONNEG], ids=lambda s: s.name)
+def test_a_quotient_scalar_past_the_float_range_is_refused_naming_it(s):
+    # its doubled value c c(dagger) = 1e400 overflows, and the refusal names
+    # c, as fdhilb's scalar_power names the value whose power overflows
+    c = scalar(1e200, s)
+    model = WProjModel(semiring_model(s))
+    entry = re.escape(str(c.array[0, 0]))
+    where = rf"the doubled value of the scalar {entry} is not finite"
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericRange, match=where):
+            model.scalar_value(c)
 
 
 def test_quotient_scalar_value_is_the_semirings_product():

@@ -8,6 +8,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -57,9 +58,10 @@ def test_each_submodule_is_an_attribute_without_a_prior_import():
     assert seen == [[m, False, f"sccckit.{m}"] for m in SUBMODULES]
 
 
-def _defining_module(name: str) -> str:
-    """The one module of the package that defines name at its top level."""
-    homes = []
+def _defining_modules() -> dict[str, list[str]]:
+    """Each name defined at the top level of a module of the package, with
+    the modules that define it, from one parse of each source."""
+    homes = defaultdict(list)
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -69,18 +71,19 @@ def _defining_module(name: str) -> str:
                 bound = {t.id for t in targets if isinstance(t, ast.Name)}
             else:
                 continue
-            if name in bound:
-                homes.append(path.stem)
-    assert len(homes) == 1, (name, homes)
-    return homes[0]
+            for name in bound:
+                homes[name].append(path.stem)
+    return homes
 
 
 def test_every_exported_name_is_its_defining_modules_object():
     star = {}
     exec("from sccckit import *", star)
     assert sorted(n for n in star if n != "__builtins__") == sorted(sccckit.__all__)
+    homes = _defining_modules()
     for name in sccckit.__all__:
-        module = sys.modules[f"sccckit.{_defining_module(name)}"]
+        assert len(homes[name]) == 1, (name, homes[name])
+        module = sys.modules[f"sccckit.{homes[name][0]}"]
         assert getattr(sccckit, name) is vars(module)[name], name
         assert star[name] is vars(module)[name], name
 

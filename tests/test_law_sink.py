@@ -16,7 +16,6 @@ COMPARERS = {"equal", "wequal", "wequal_to"}
 
 # rows that decide outside the sink, with the reason each does
 ALLOWED = {
-    "name-unfoldings-agree": "core.name raises when its two unfoldings disagree",
     "norm-scalar-positive": "a sign test of one scalar by semirings.nonneg_value",
     "equality-criteria-agree": "compares through wequal_to itself: the row "
                                "states that wequal's three criteria agree",

@@ -187,6 +187,16 @@ def _untransposed_dagger(f):
                     f.array.shape)
 
 
+_star = morphisms.star
+
+
+def _untransposed_star(f):
+    """Leaves a square arrow untransposed; the true star otherwise."""
+    if f.array.shape[0] != f.array.shape[1]:
+        return _star(f)
+    return _derived(dual(f.cod), dual(f.dom), f.array, f.semiring, f.array.shape)
+
+
 def _entrywise_max(f, g):
     return adopt(f.dom, f.cod, np.maximum(f.array, g.array), f.semiring)
 
@@ -232,6 +242,10 @@ BRANCH_ROWS = [f"branch-{i}" for i in range(4)]
     (morphisms, "dagger", _untransposed_dagger, {
         ("sccc", selector): ["dagger-factorization", "structural-isos-unitary"]
         for selector in ("fdhilb", "rel")}),
+    # the absorption unfolding (f* (x) 1) o eta_B is the one name built with star
+    (morphisms, "star", _untransposed_star, {
+        ("sccc", selector): ["name-unfoldings-agree", "dagger-factorization"]
+        for selector in ("fdhilb", "rel")}),
     # a commutative monoid with unit 0 on weights, so only the rows that
     # state the sum's formula, or read it through a trace, see it
     (ortho, "derived_sum", _entrywise_max, {
@@ -242,7 +256,7 @@ BRANCH_ROWS = [f"branch-{i}" for i in range(4)]
 ], ids=["lower-star-unconjugated", "tensor-factors-swapped",
         "scalar-mult-ignores-scalar", "name-conjugated", "derived-sum-is-f",
         "canonical-rep-unrotated", "sigma-retyped-identity",
-        "dagger-untransposed", "derived-sum-entrywise-max"])
+        "dagger-untransposed", "star-untransposed", "derived-sum-entrywise-max"])
 def test_a_broken_primitive_fails_its_rows(module, attr, mutant, catches):
     with _everywhere(module, attr, mutant):
         for (suite, selector), rows in catches.items():

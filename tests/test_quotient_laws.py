@@ -14,7 +14,7 @@ SCCC = {
     "yanking": ("pass", "the yanking composite is the identity matrix, so its class is 1_A"),
     "unit-coherence": ("pass", "both sides are the same column, a fortiori one class"),
     "structural-isos-unitary": ("pass", "the isos are unitary matrices; classes of equal matrices agree"),
-    "name-unfoldings-agree": ("pass", "stated on the representative, whose two unfoldings coincide"),
+    "name-unfoldings-agree": ("pass", "both unfoldings are the name's matrix, a fortiori one class"),
     "name-of-identity": ("pass", "name(1_A) and eta_A are one matrix"),
     "scalar-through-compose": ("pass", "the two sides are equal matrices of the representatives"),
     "scalar-through-tensor": ("pass", "the two sides are equal matrices of the representatives"),

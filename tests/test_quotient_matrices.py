@@ -1,7 +1,8 @@
 """Names and quotient equality on matrices, against the typed composites.
 
-``core.name_array``, ``core.projector_array`` and the criteria of
-``wproj.wequal`` run the semiring's kernels on plain arrays.  The typed
+``core.name_array`` reads f's stacked columns, and ``core.projector_array``
+and the criteria of ``wproj.wequal`` run the semiring's kernels on plain
+arrays.  The typed
 composites they stand for are written out below; every matrix must equal
 its typed twin byte for byte, so every verdict is the one the typed
 criteria give, near the tolerances too.
@@ -156,11 +157,9 @@ def test_a_kernel_of_the_wrong_shape_raises_type_mismatch(field):
     state["on"] = True
     with pytest.raises(TypeMismatch, match=f"short-{field} kernel returned shape"):
         wequal(f, g)
-    if field != "involution":  # names take transposes, never the involution
+    if field != "kron":  # the projector multiplies f's stacked columns, with no kron
         with pytest.raises(TypeMismatch, match=f"short-{field} kernel returned shape"):
-            core.name_array(f)
-    with pytest.raises(TypeMismatch, match=f"short-{field} kernel returned shape"):
-        core.bipartite_projector(f)
+            core.bipartite_projector(f)
 
 
 def test_kernel_output_is_coerced_to_the_semiring_dtype():
@@ -168,16 +167,16 @@ def test_kernel_output_is_coerced_to_the_semiring_dtype():
                 kron=lambda a, b: COMPLEX.kron(a, b).tolist())
     f = sample(s, np.random.default_rng(53), A, B)
     plain = Morphism(A, B, f.array, COMPLEX)
-    assert core.name_array(f).dtype == COMPLEX.dtype
-    assert core.name_array(f).tobytes() == core.name_array(plain).tobytes()
+    assert wproj.lift(f).dtype == COMPLEX.dtype
+    assert wproj.lift(f).tobytes() == wproj.lift(plain).tobytes()
     assert wproj._lowered(f).tobytes() == wproj._lowered(plain).tobytes()
 
 
 def test_quotient_equality_builds_only_the_arrows_it_reads(monkeypatch):
     # wequal compares matrices: the arrows built are the two lower stars of
-    # criterion 2 and the transpose f* each name takes through ``star``;
-    # the quotient's equal settles an independent pair by phase alignment,
-    # on the representatives' own arrays, and builds none
+    # criterion 2, since each name is f's stacked columns; the quotient's
+    # equal settles an independent pair by phase alignment, on the
+    # representatives' own arrays, and builds none
     model = WProjModel(fdhilb())
     rng = np.random.default_rng(59)
     f = model.sample_morphism(rng, A, B)
@@ -192,7 +191,7 @@ def test_quotient_equality_builds_only_the_arrows_it_reads(monkeypatch):
 
     monkeypatch.setattr(morphisms, "_derived", counting)
     assert wequal(f, g) is False
-    assert calls == {"lower_star": 2, "star": 2}
+    assert calls == {"lower_star": 2}
     calls.clear()
     assert model.equal(f, g) is False
     assert calls == {}

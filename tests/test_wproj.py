@@ -12,6 +12,7 @@ from sccckit import (
     ModelHandle,
     Morphism,
     NotPhaseEquivalent,
+    NumericRange,
     TypeMismatch,
     UNIT,
     WProjModel,
@@ -277,7 +278,7 @@ def _read(w, x):
     """w.scalar_value(x) bit for bit, or the refusal it raised."""
     try:
         return _bits(w.scalar_value(x))
-    except TypeMismatch as exc:
+    except (TypeMismatch, NumericRange) as exc:
         return str(exc)
 
 
@@ -293,6 +294,9 @@ def test_quotient_scalar_value_is_read_without_doubling(double_calls):
                 got = _read(w, x)
                 assert double_calls == [], (base.name, c)
                 doubled = morphisms.scalar_value(double(x))
+                if not np.isfinite(doubled):
+                    assert isinstance(got, str) and "not finite" in got, (base.name, c)
+                    continue
                 if s is COMPLEX:
                     # non-real past 1e-9 of the value's magnitude, or of 1
                     if abs(doubled.imag) > 1e-9 * max(1.0, abs(doubled)):
