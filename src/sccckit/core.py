@@ -229,8 +229,8 @@ def phase_witnesses(f: Morphism, g: Morphism) -> tuple[Morphism, Morphism]:
     s = compose(dagger(nf), nf)                # hs_norm_sq(f), on the one name of f
     t = compose(dagger(name(g)), nf)
     # these compare representatives, not classes: on the phase quotient they
-    # are what catches a conjugating name (the name-conjugated mutant), whose
-    # witnesses the row's law, deciding classes, still accepts
+    # are how this row catches a conjugating name (the name-conjugated
+    # mutant), whose witnesses the row's law, deciding classes, still accepts
     if not equal(scalar_mult(s, f), scalar_mult(t, g)):
         raise InvariantViolation("phase witnesses failed s . f = t . g")
     if not equal(compose(s, dagger(s)), compose(t, dagger(t))):

@@ -227,8 +227,9 @@ BRANCH_ROWS = [f"branch-{i}" for i in range(4)]
     # projector, so the quotient's criteria still agree, and the rows that
     # read names as vectors catch it
     (core, "name_array", lambda f: _name_array(f).conj(), {
-        ("sccc", "fdhilb"): ["inner-product-two-routes", "phase-witnesses"],
-        ("sccc", "wproj:fdhilb"): ["phase-witnesses"]}),
+        ("sccc", "fdhilb"): ["name-unfoldings-agree", "inner-product-two-routes",
+                             "phase-witnesses"],
+        ("sccc", "wproj:fdhilb"): ["name-unfoldings-agree", "phase-witnesses"]}),
     (ortho, "derived_sum", lambda f, g: f, {
         ("ortho", "fdhilb"): ["derived-sum-is-entrywise",
                               "derived-sum-matches-biproduct-sum",

@@ -2,10 +2,9 @@
 
 ``core.name_array`` reads f's stacked columns, and ``core.projector_array``
 and the criteria of ``wproj.wequal`` run the semiring's kernels on plain
-arrays.  The typed
-composites they stand for are written out below; every matrix must equal
-its typed twin byte for byte, so every verdict is the one the typed
-criteria give, near the tolerances too.
+arrays.  The typed composites they stand for are written out below; every
+matrix must equal its typed twin byte for byte, so every verdict is the one
+the typed criteria give, near the tolerances too.
 """
 import sys
 from collections import Counter
