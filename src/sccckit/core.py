@@ -217,13 +217,16 @@ def hs_norm_sq(f: Morphism) -> Morphism:
     return compose(dagger(n), n)
 
 
-def phase_witnesses(f: Morphism, g: Morphism) -> tuple[Morphism, Morphism]:
+def phase_witnesses(f: Morphism, g: Morphism,
+                    rel: float | None = None) -> tuple[Morphism, Morphism]:
     """Scalars (s, t) with s . f = t . g and s o s(dagger) = t o t(dagger).
 
     Defined whenever the doubled forms of f and g agree: s := <f|f>,
     t := <g|f>.  Both guarantees are re-checked numerically before returning.
+    The agreement and both re-checks are decided at relative tolerance rel
+    (default ``REL_TOL``), as ``equal`` reads it.
     """
-    if not equal(double(f), double(g)):
+    if not equal(double(f), double(g), rel):
         raise NotPhaseEquivalent("doubled forms differ; no phase witnesses exist")
     nf = name(f)
     s = compose(dagger(nf), nf)                # hs_norm_sq(f), on the one name of f
@@ -231,9 +234,9 @@ def phase_witnesses(f: Morphism, g: Morphism) -> tuple[Morphism, Morphism]:
     # these compare representatives, not classes: on the phase quotient they
     # are how this row catches a conjugating name (the name-conjugated
     # mutant), whose witnesses the row's law, deciding classes, still accepts
-    if not equal(scalar_mult(s, f), scalar_mult(t, g)):
+    if not equal(scalar_mult(s, f), scalar_mult(t, g), rel):
         raise InvariantViolation("phase witnesses failed s . f = t . g")
-    if not equal(compose(s, dagger(s)), compose(t, dagger(t))):
+    if not equal(compose(s, dagger(s)), compose(t, dagger(t)), rel):
         raise InvariantViolation("phase witnesses failed s s(dagger) = t t(dagger)")
     return s, t
 

@@ -234,7 +234,7 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
             f = draw(rng, _gen(rng, "A", 3), _gen(rng, "B", 3))
             u = model.sample_unit_scalar(rng)
             g = core.scalar_mult(u, f)
-            sw, tw = core.phase_witnesses(f, g)
+            sw, tw = core.phase_witnesses(f, g, tol)
 
             def pair():
                 return {"s": serialize_morphism(sw), "t": serialize_morphism(tw)}

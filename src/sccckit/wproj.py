@@ -29,6 +29,7 @@ predicate on g, for one f met by many g: it keeps f's matrices from its first ca
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -274,8 +275,12 @@ class WProjModel(ModelHandle):
         if not s.is_scalar:
             raise TypeMismatch(f"not a scalar: {s!r}")
         c, sr = s.array[0, 0], s.semiring
-        v = sr.mul(c, sr.involution(c))
-        if not np.isfinite(v):
+        if abs(c) < 2.0 ** 511:                # so |c|^2 < 2^1022 is finite
+            v = sr.mul(c, sr.involution(c))
+        else:                                  # an overflow is refused below, unwarned
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = sr.mul(c, sr.involution(c))
+        if not cmath.isfinite(v):
             raise NumericRange(f"the doubled value of the scalar {c} is not finite")
         # the semiring's own product as a python number (a bool stays one);
         # a complex one, numpy's included, is read by real_value directly

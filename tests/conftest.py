@@ -1,6 +1,6 @@
-"""Puts ``src/`` on the import path, requires every test to leave no child
-process behind, and collects acceptance-criterion outcomes to print after
-the run."""
+"""Puts ``src/`` on the import path, writes no bytecode cache, requires
+every test to leave no child process behind, and collects
+acceptance-criterion outcomes to print after the run."""
 
 import os
 import sys
@@ -16,6 +16,11 @@ if _SRC not in sys.path:
 _paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
 if _SRC not in _paths:
     os.environ["PYTHONPATH"] = os.pathsep.join([_SRC] + [p for p in _paths if p])
+
+# a run leaves no __pycache__ under src/: a cached package starts with less
+# to compile, so a benchmark run after the tests would measure less work
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 _LINES = []
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from sccckit import from_json, run_suite, fdhilb
+from sccckit import cli, from_json, run_suite, fdhilb, suites
 from sccckit.cli import build_parser, main
 from sccckit.report import CheckResult, VerificationReport
 from sccckit.errors import InvariantViolation
@@ -182,7 +182,7 @@ def test_cli_reports_failures_in_exit_code(monkeypatch, capsys):
     bad = VerificationReport(
         suite="born", model="fdhilb", seed=0, tolerance=1e-9, trials=1,
         results=[CheckResult("broken", "law", "fail", {"why": "forced"})])
-    monkeypatch.setattr("sccckit.cli.run_suite",
+    monkeypatch.setattr("sccckit.suites.run_suite",
                         lambda *a, **kw: bad)
     assert main(["verify", "born"]) == 1
 
@@ -209,6 +209,24 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "suite=born" in proc.stdout
+
+
+def test_module_entry_point_teleport_smoke():
+    # the protocol is imported only when the command runs, and only a fresh
+    # process runs that import for real
+    proc = subprocess.run(
+        [sys.executable, "-m", "sccckit", "protocol", "teleport", "--seed", "1",
+         "--json", "-"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rep = from_json(proc.stdout)
+    assert rep.suite == "teleport" and rep.ok
+
+
+def test_the_parsers_suite_names_are_the_tables():
+    assert cli._SUITES == suites.SUITE_NAMES
+    for name in suites.SUITE_NAMES:
+        assert build_parser().parse_args(["verify", name]).suite == name
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -252,7 +270,7 @@ def test_cli_runs_sccc_and_ortho_on_the_quotient(capsys, suite):
 def test_cli_library_error_inside_a_run_exits_one(monkeypatch, capsys):
     def broken(*a, **kw):
         raise InvariantViolation("forced defect")
-    monkeypatch.setattr("sccckit.cli.run_suite", broken)
+    monkeypatch.setattr("sccckit.suites.run_suite", broken)
     assert main(["verify", "born"]) == 1
     err = capsys.readouterr().err
     assert "InvariantViolation" in err and "forced defect" in err

@@ -395,9 +395,21 @@ def test_a_quotient_scalar_past_the_float_range_is_refused_naming_it(s):
     model = WProjModel(semiring_model(s))
     entry = re.escape(str(c.array[0, 0]))
     where = rf"the doubled value of the scalar {entry} is not finite"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")         # the refusal is all it says
         with pytest.raises(NumericRange, match=where):
             model.scalar_value(c)
+
+
+@pytest.mark.parametrize("s", [COMPLEX, NONNEG], ids=lambda s: s.name)
+def test_a_quotient_scalar_near_the_float_range_keeps_its_value(s):
+    # from |c| = 2^511 on the product is formed with overflow ignored, yet
+    # these squares still fit in a float and come back unchanged
+    model = WProjModel(semiring_model(s))
+    for v in (2.0 ** 511, 1.5 * 2.0 ** 511, 1.9 * 2.0 ** 511):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.scalar_value(scalar(v, s)) == v * v
 
 
 def test_quotient_scalar_value_is_the_semirings_product():

@@ -1,5 +1,6 @@
 """What set-up imports: ``import sccckit`` loads no submodule, resolving a
-model loads only the model layer, and every exported name still resolves.
+model loads only the model layer, each CLI command loads only its own layer,
+and every exported name still resolves.
 
 The footprint is read in a fresh interpreter, since this one has long
 imported the whole package.
@@ -46,6 +47,32 @@ def test_resolving_a_model_loads_only_the_model_layer(selector, extra):
     loaded = _fresh("import json\nfrom sccckit import resolve_model\n"
                     f"resolve_model({selector!r})\nprint(json.dumps({LOADED}))")
     assert set(loaded) == MODEL_LAYER | extra
+
+
+def _command_footprint(argv: list[str]) -> dict:
+    """The sccckit modules, and whether ``fractions`` is among all modules,
+    loaded by one CLI command in a fresh interpreter."""
+    return _fresh(
+        "import contextlib, io, json\nfrom sccckit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(json.dumps({{'code': code, 'loaded': {LOADED}, "
+        "'fractions': 'fractions' in sys.modules}))")
+
+
+def test_teleport_loads_the_protocol_and_no_suite_table():
+    seen = _command_footprint(["protocol", "teleport", "--seed", "1"])
+    assert seen == {"code": 0, "fractions": False, "loaded": sorted(
+        MODEL_LAYER | QUOTIENT | {"cli", "report", "ortho", "protocols"})}
+
+
+@pytest.mark.parametrize("suite", ["sccc", "wproj", "prep-state", "ortho",
+                                   "born", "equivalence"])
+def test_verify_loads_its_tables_and_no_protocol(suite):
+    seen = _command_footprint(["verify", suite, "--model", "fdhilb", "--seed", "1",
+                               "--trials", "2", "--max-dim", "2"])
+    assert seen["code"] == 0
+    assert "suites" in seen["loaded"] and "protocols" not in seen["loaded"]
 
 
 def test_each_submodule_is_an_attribute_without_a_prior_import():

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from sccckit import Morphism, born, core, fdhilb, resolve_model, run_suite, suites
+from sccckit.models import ModelHandle
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sccckit"
 
@@ -136,3 +137,19 @@ def test_tolerance_reaches_born_probability_loop(monkeypatch):
     assert _status(loose, row) == "pass"
     failed = next(r for r in tight.results if r.check_name == row)
     assert failed.status == "fail" and set(failed.witness) == {"psi", "trial"}
+
+
+def test_tolerance_reaches_phase_witnesses(monkeypatch):
+    # a unit scalar off by 1e-6 relative: g = u . f is phase equivalent to f
+    # at 1e-3, and neither its doubled form nor its witnesses are at the default
+    row = "phase-witnesses"
+    original = ModelHandle.sample_unit_scalar
+
+    def drifting(self, rng):
+        u = original(self, rng)
+        return Morphism(u.dom, u.cod, u.array * (1 + 1e-6), u.semiring)
+
+    monkeypatch.setattr(ModelHandle, "sample_unit_scalar", drifting)
+    loose = run_suite("sccc", fdhilb(), trials=3, seed=1, tolerance=1e-3)
+    tight = run_suite("sccc", fdhilb(), trials=3, seed=1)
+    assert (_status(loose, row), _status(tight, row)) == ("pass", "fail")
