@@ -25,9 +25,9 @@ diagrammatically from the primitives, so a broken primitive is cached
 broken and every check that catches it still does.  Nothing that reads
 arrays or performs a check is memoized: ``name``, ``trace``,
 ``partial_trace``, ``scalar_mult`` and ``double`` apply their argument
-afresh.  No call builds anything twice either: ``hs_norm_sq`` names its
-argument once, and ``phase_witnesses`` forms both of its scalars from the
-one name of f.
+afresh.  No call builds anything twice either: ``hs_norm_sq`` reads its
+argument's name once, and ``phase_witnesses`` forms both of its scalars from
+the one name of f.
 
 ``name`` is read in closed form (``name_array``), as f's stacked columns:
 it runs no kernel and builds no arrow but the name itself.  That both
@@ -36,7 +36,11 @@ row ``name-unfoldings-agree``, which builds them with the typed primitives.
 ``bipartite_projector`` is computed from that column on matrices
 (``projector_array``), and the phase quotient's projector criterion reads
 that matrix.  ``trace`` reads its middle leg (1 (x) f) o eta, the name of
-f, in the same closed form, and builds only its 1 x 1 result.
+f, in the same closed form, and builds only its 1 x 1 result.  So do the
+Hilbert-Schmidt scalars: ``hs_inner`` and ``hs_norm_sq`` form
+name(f)(dagger) o name(g) from the two name columns with the kernels
+``dagger`` and ``compose`` run, in the same order, so their bits are the
+arrows'.
 """
 from __future__ import annotations
 
@@ -204,17 +208,34 @@ def partial_trace(f: Morphism, traced: ObjectExpr) -> Morphism:
     return compose(_partial_trace_up(a, f.cod.right, s), mid)
 
 
+def _hs_scalar(nf: np.ndarray, ng: np.ndarray, s: InvolutiveSemiring) -> Morphism:
+    """name(f)(dagger) o name(g) from the two name columns, by the kernels
+    ``dagger`` and ``compose`` run, each result passed through
+    ``kernel_array``; only the 1 x 1 result is an arrow.  ``hs_norm_sq``
+    passes one column as both."""
+    k, same = nf.shape[0], ng is nf
+    nf = kernel_array(nf, s, (k, 1))
+    ng = nf if same else kernel_array(ng, s, (k, 1))
+    nf_dagger = kernel_array(s.involution(nf.T), s, (1, k))
+    return _derived(UNIT, UNIT, s.matmul(nf_dagger, ng), s, (1, 1))
+
+
 def hs_inner(f: Morphism, g: Morphism) -> Morphism:
-    """Hilbert-Schmidt inner product <f|g> := name(f)(dagger) o name(g)."""
+    """Hilbert-Schmidt inner product <f|g> := name(f)(dagger) o name(g),
+    read from the two names in closed form (``name_array``)."""
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeMismatch("inner product needs parallel morphisms")
-    return compose(dagger(name(f)), name(g))
+    nf, ng = name_array(f), name_array(g)
+    if f.semiring is not g.semiring:
+        raise TypeMismatch("cannot compose morphisms over different semirings")
+    return _hs_scalar(nf, ng, f.semiring)
 
 
 def hs_norm_sq(f: Morphism) -> Morphism:
-    """The squared Hilbert-Schmidt norm ||f|| := name(f)(dagger) o name(f)."""
-    n = name(f)
-    return compose(dagger(n), n)
+    """The squared Hilbert-Schmidt norm ||f|| := name(f)(dagger) o name(f),
+    read from f's one name in closed form."""
+    n = name_array(f)
+    return _hs_scalar(n, n, f.semiring)
 
 
 def phase_witnesses(f: Morphism, g: Morphism,

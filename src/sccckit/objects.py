@@ -15,8 +15,8 @@ node and the node keeps its children alive.  Equality is identity, and each
 node stores its hash, computed once from its class and arguments.  Nodes
 refuse attribute assignment, and copying or pickling goes through the
 constructor, so no second copy of a node can exist.  The table keeps every
-node for the life of the process; the ``normalize`` and ``dim`` caches below
-already kept every tree that reaches them.
+node for the life of the process; the ``normalize``, ``dim`` and
+``format_object`` caches below already kept every tree that reaches them.
 """
 from __future__ import annotations
 
@@ -267,8 +267,12 @@ def parse_object(text: str) -> ObjectExpr:
     return node
 
 
+@lru_cache(maxsize=None)
 def format_object(a: ObjectExpr) -> str:
-    """Render an object back into the textual syntax (minimal parentheses)."""
+    """Render an object back into the textual syntax (minimal parentheses).
+
+    Memoized like ``dim`` and ``normalize``: a str, a function of one
+    immutable object expression."""
 
     def go(x: ObjectExpr, level: int) -> str:
         # level: 0 = sum context, 1 = tensor context, 2 = atom context

@@ -27,6 +27,9 @@ REL_TOL = 1e-9
 # how far a value read off complex kernels may stray from the reals, relative
 # to max(1, |v|): its rounding residual grows with its magnitude
 REAL_TOL = 1e-9
+# the largest entry below which a sampled arrow is skipped as degenerate: its
+# doubled form holds products of two entries, about ABS_TOL, so no weight shows
+NEGLIGIBLE = 1e-6
 # the factor by which phase alignment's bounds must clear a quotient threshold
 # to settle a verdict; the rounding they leave out needs less than 1 + 1e-14
 ALIGN_MARGIN = 4.0
@@ -36,6 +39,11 @@ def max_abs(arr: np.ndarray) -> float:
     # the ufunc reduction skips ``ndarray.max``'s Python wrapper; a NaN
     # propagates, so a NaN gap is never within tolerance
     return 0.0 if arr.size == 0 else float(np.maximum.reduce(np.abs(arr), axis=None))
+
+
+def negligible(arr: np.ndarray) -> bool:
+    """Whether every entry of arr is below ``NEGLIGIBLE`` in magnitude."""
+    return max_abs(arr) < NEGLIGIBLE
 
 
 def real_value(v) -> float | None:

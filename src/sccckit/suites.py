@@ -41,12 +41,11 @@ from .ortho import copairing, pairing, random_unitary
 from .report import (EXPECTED_FAIL, PER_TRIAL, VACUOUS, WHOLE, Check,
                      CheckRunner, Held, Law, VerificationReport,
                      serialize_morphism)
-from .semirings import _within, max_abs, nonneg_value
+from .semirings import _within, negligible, nonneg_value
 from .wproj import WProjModel, canonical_rep, wequal_to
 
 
 SUITE_NAMES = ("sccc", "wproj", "prep-state", "ortho", "born", "equivalence")
-_NEGLIGIBLE = 1e-6  # a draw whose largest entry is below this is skipped as degenerate
 
 
 def run_suite(suite: str, model, trials: int = 100, seed: int = 0,
@@ -369,7 +368,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
             return {"pair": "phase-rotated", "verdicts": [False, False, False]}
         equal_to_f(g)
         if not s.idempotent:
-            if max_abs(f.array) < _NEGLIGIBLE:
+            if negligible(f.array):
                 return None  # degenerate draw, nothing to separate
             doubled_weight = core.scalar_mult(scalar(two, s), f)
             if equal_to_f(doubled_weight):
@@ -416,7 +415,7 @@ def _wproj_checks(w: WProjModel, tol, max_dim) -> list[Check]:
     if not s.idempotent:
         def separates(rng):
             f = sample(rng)
-            if max_abs(f.array) < _NEGLIGIBLE:
+            if negligible(f.array):
                 return None
             heavier = core.scalar_mult(scalar(two, s), f)
             if w.equal(f, heavier, tol):

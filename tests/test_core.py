@@ -106,6 +106,58 @@ def test_hs_norm_sq_is_hs_inner_with_itself(s):
         assert np.array_equal(got.array, want.array), (s.name, dom, cod)
 
 
+# entries the closed forms must carry through as the arrows do: signed
+# zeros, subnormals and exact zeros
+_SPECIAL = [-0.0, 0.0, 5e-324, -2.5e-310, complex(-0.0, 5e-324),
+            complex(2.5e-310, -0.0), complex(-0.0, -0.0)]
+_HS_TYPES = [(Q, Q), (UNIT, Q), (Q, Gen("B", 3)), (Tensor(Q, Q), UNIT),
+             (ZERO, Q), (Q, ZERO), (ZERO, ZERO), (UNIT, UNIT)]
+
+
+def _hs_sample(s, rng, dom, cod):
+    """A sampled arrow with some of its entries set to ``_SPECIAL`` values."""
+    arr = s.sample(rng, (dim(cod), dim(dom)))
+    if arr.dtype != np.bool_ and arr.size:
+        specials = np.array(_SPECIAL)
+        specials = specials if arr.dtype.kind == "c" else specials.real
+        hit = rng.random(arr.shape) < 0.5
+        arr[hit] = rng.choice(specials, size=int(hit.sum()))
+    return Morphism(dom, cod, arr, s)
+
+
+def _assert_bits(got, want):
+    assert got.dom == want.dom == UNIT and got.cod == want.cod == UNIT
+    assert got.semiring is want.semiring
+    assert got.array.dtype == want.array.dtype
+    assert got.array.tobytes() == want.array.tobytes()
+    assert not got.array.flags.writeable
+
+
+@pytest.mark.parametrize("s", [COMPLEX, BOOLEAN, NONNEG, corrupted_complex()],
+                         ids=lambda s: s.name)
+def test_the_closed_hs_scalars_give_the_arrows_bits(s):
+    # name(f)(dagger) o name(g), built with the typed primitives, is the
+    # reference, and the bytes must agree, signed zeros included
+    rng = np.random.default_rng(41)
+    for dom, cod in _HS_TYPES:
+        for _ in range(4):
+            f, g = _hs_sample(s, rng, dom, cod), _hs_sample(s, rng, dom, cod)
+            _assert_bits(hs_norm_sq(f), compose(dagger(name(f)), name(f)))
+            _assert_bits(hs_inner(f, g), compose(dagger(name(f)), name(g)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_the_closed_hs_scalars_refuse_a_non_finite_entry(bad):
+    f = mor([[1, 2j], [bad, 4]], Q, Q)
+    g = mor([[1, 2j], [3, 4]], Q, Q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: hs_norm_sq(f), lambda: hs_inner(f, g),
+                     lambda: hs_inner(g, f)):
+            with pytest.raises(NumericRange, match=_non_finite_entry(f)):
+                call()
+
+
 def test_a_conjugating_star_fails_the_name_unfoldings_row():
     # a transpose that also conjugates spoils the absorption unfolding
     # (f* (x) 1) o eta_B on any non-real f, and the row's law notices

@@ -24,6 +24,7 @@ from sccckit import (BOOLEAN, COMPLEX, NONNEG, UNIT, ZERO, Dual, Gen, Morphism,
                      scalar, tensor)
 from sccckit.cli import main
 from sccckit.morphisms import eye
+from sccckit.objects import format_object
 from sccckit.semirings import corrupted_complex
 
 SEMIRINGS = [COMPLEX, BOOLEAN, NONNEG, corrupted_complex()]
@@ -196,6 +197,17 @@ def test_eye_is_built_once_per_dimension_and_matches_a_fresh_build():
             assert not got.flags.writeable
 
 
+def test_format_object_is_rendered_once_and_matches_a_fresh_build():
+    r = Gen("R", 3)
+    nested = [Tensor(Q, Oplus(UNIT, r)), Dual(Tensor(Q, Dual(r))),
+              Oplus(Oplus(Q, ZERO), Tensor(Tensor(Q, r), UNIT)),
+              Dual(Oplus(Dual(Q), Tensor(ZERO, r)))]
+    for a in OBJECTS + nested + [dual(a) for a in nested]:
+        got = format_object(a)
+        assert format_object(a) is got
+        assert got == format_object.__wrapped__(a)
+
+
 # -- the legs of a teleport ---------------------------------------------------
 
 def chain_teleport_branches(psi, t):
@@ -227,7 +239,7 @@ def test_teleport_branches_give_the_per_call_chain_bit_for_bit():
 
 # memos compared with a fresh build (``__wrapped__``) in this file; the
 # collapse witness's per-caller copy is checked in test_protocols.py
-FRESH_BUILT = {fn for fn, _ in calls()} | {eye, protocols._bell_setup}
+FRESH_BUILT = {fn for fn, _ in calls()} | {eye, format_object, protocols._bell_setup}
 
 # memos compared with nothing, and why sharing one is sound
 UNCOMPARED = {

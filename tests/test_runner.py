@@ -403,6 +403,36 @@ def test_teleport_the_equivalence_legs_and_a_profiled_run_fork_nothing(forks):
     assert forks == []
 
 
+@pytest.mark.skipif(report._blas_threads() is None,
+                    reason="no OpenBLAS whose threads the runner can hold")
+def test_a_serial_table_runs_on_one_blas_thread_and_restores_the_count(forks):
+    get_threads, set_threads = report._blas_threads()
+    original = get_threads()
+    seen = []
+
+    def row(fails):
+        def whole(_):
+            seen.append(get_threads())
+            if fails:
+                raise ValueError("row broke")
+
+        return Check("row", "law", WHOLE, whole)
+
+    set_threads(2)
+    try:
+        before = get_threads()
+        table = [row(False), row(False)]
+        assert not report._forks(table, 1)
+        CheckRunner(trials=1, seed=1).run(table)
+        assert seen == [1, 1] and get_threads() == before
+        with pytest.raises(ValueError, match="row broke"):
+            CheckRunner(trials=1, seed=1).run([row(False), row(True)])
+        assert seen == [1, 1, 1, 1] and get_threads() == before
+        assert forks == []
+    finally:
+        set_threads(original)
+
+
 @two_processes
 def test_a_table_run_inside_a_forked_table_forks_nothing(forks):
     parent = os.getpid()

@@ -3,8 +3,9 @@
 ``semirings._within`` is the one statement of "a gap within ``ABS_TOL``, or
 finite and within rel times the scale", and ``nonneg_value`` the one sign
 test of a scalar against ``REAL_TOL``.  Nothing outside ``semirings.py``
-names the three constants, except the runner's default tolerance in
-``report.py``, nothing in the package hides a tolerance of its own in
+names the three constants, or ``NEGLIGIBLE``, below which a sampled arrow
+is skipped as degenerate (``semirings.negligible``), except the runner's
+default tolerance in ``report.py``, nothing in the package hides a tolerance of its own in
 numpy's ``allclose`` or ``isclose``, and no comparison outside
 ``semirings.py`` holds a float literal below 1e-3.  Every row a suite decides itself reads
 the run's tolerance, so a gap the default forgives fails at a tighter one.
@@ -20,7 +21,7 @@ from sccckit.models import ModelHandle
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sccckit"
 
-CONSTANTS = {"ABS_TOL", "REL_TOL", "REAL_TOL"}
+CONSTANTS = {"ABS_TOL", "REL_TOL", "REAL_TOL", "NEGLIGIBLE"}
 
 
 def _named(tree: ast.AST):
