@@ -40,7 +40,8 @@ f, in the same closed form, and builds only its 1 x 1 result.  So do the
 Hilbert-Schmidt scalars: ``hs_inner`` and ``hs_norm_sq`` form
 name(f)(dagger) o name(g) from the two name columns with the kernels
 ``dagger`` and ``compose`` run, in the same order, so their bits are the
-arrows'.
+arrows'.  ``scaled`` forms c . f with the semiring's ``scale`` kernel alone:
+the reference the scalar rows and a teleport compare ``scalar_mult`` with.
 """
 from __future__ import annotations
 
@@ -141,6 +142,13 @@ def scalar_mult(s_mor: Morphism, f: Morphism) -> Morphism:
     return compose(lam_inv(f.cod, s), compose(tensor(s_mor, f), lam(f.dom, s)))
 
 
+def scaled(c, f: Morphism) -> Morphism:
+    """c . f for a plain value c, from the semiring's ``scale`` kernel: the
+    reference a check compares ``scalar_mult`` with, built without it."""
+    s = f.semiring
+    return adopt(f.dom, f.cod, s.scale(c, f.array), s)
+
+
 def projector_array(f: Morphism) -> np.ndarray:
     """The matrix of P_f = name(f) o name(f)(dagger), from ``name_array``.
 
@@ -151,8 +159,13 @@ def projector_array(f: Morphism) -> np.ndarray:
     s = f.semiring
     n = name_array(f)
     k = n.shape[0]
-    n_dagger = kernel_array(s.involution(n.T), s, (1, k))
-    return kernel_array(s.matmul(n, n_dagger), s, (k, k))
+    return kernel_array(s.matmul(n, _column_dagger(n, s)), s, (k, k))
+
+
+def _column_dagger(n: np.ndarray, s: InvolutiveSemiring) -> np.ndarray:
+    """The adjoint of a name column: its involuted transpose, as ``dagger``
+    computes it, passed through ``kernel_array``."""
+    return kernel_array(s.involution(n.T), s, (1, n.shape[0]))
 
 
 def bipartite_projector(f: Morphism) -> Morphism:
@@ -211,13 +224,10 @@ def partial_trace(f: Morphism, traced: ObjectExpr) -> Morphism:
 def _hs_scalar(nf: np.ndarray, ng: np.ndarray, s: InvolutiveSemiring) -> Morphism:
     """name(f)(dagger) o name(g) from the two name columns, by the kernels
     ``dagger`` and ``compose`` run, each result passed through
-    ``kernel_array``; only the 1 x 1 result is an arrow.  ``hs_norm_sq``
-    passes one column as both."""
-    k, same = nf.shape[0], ng is nf
-    nf = kernel_array(nf, s, (k, 1))
-    ng = nf if same else kernel_array(ng, s, (k, 1))
-    nf_dagger = kernel_array(s.involution(nf.T), s, (1, k))
-    return _derived(UNIT, UNIT, s.matmul(nf_dagger, ng), s, (1, 1))
+    ``kernel_array``; only the 1 x 1 result is an arrow."""
+    k = nf.shape[0]
+    nf, ng = kernel_array(nf, s, (k, 1)), kernel_array(ng, s, (k, 1))
+    return _derived(UNIT, UNIT, s.matmul(_column_dagger(nf, s), ng), s, (1, 1))
 
 
 def hs_inner(f: Morphism, g: Morphism) -> Morphism:

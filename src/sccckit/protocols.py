@@ -25,10 +25,10 @@ What a teleport computes without reading its input is built in two tiers:
 ``_teleport_branches`` composes only the arrows that depend on the input.
 The input's multiples a teleport compares with or sends, (1/2) psi, the
 phase-rotated (i/||psi||) psi and the unit-weight target (1/(2||psi||)) psi,
-come from the semiring's ``scale`` kernel, so an expected value never comes
-from the scalar action under test; the Bell state's ``scalar_mult`` is what
-the branch rows test.  Weights are read with the closed-form
-``core.hs_norm_sq``.
+come from ``core.scaled``, the semiring's ``scale`` kernel, so an expected
+value never comes from the scalar action under test; the Bell state's
+``scalar_mult`` is what the branch rows test.  Weights are read with the
+closed-form ``core.hs_norm_sq``.
 Sharing is sound for the same reason as for the structure maps of ``core``
 and ``ortho``: the record is built from no argument, so one build serves
 every teleport, every morphism in it is frozen, and nothing downstream
@@ -48,8 +48,8 @@ import numpy as np
 from . import core, ortho
 from .errors import NotUnitary, TypeMismatch
 from .models import fdhilb
-from .morphisms import (Morphism, adopt, compose, dagger, distance, equal,
-                        identity, scalar, tensor)
+from .morphisms import (Morphism, compose, dagger, distance, equal, identity,
+                        scalar, tensor)
 from .objects import ObjectExpr, Oplus, UNIT
 from .report import (EXPECTED_FAIL, WHOLE, Check, CheckRunner, Held,
                      VerificationReport, serialize_morphism)
@@ -254,16 +254,11 @@ def run_teleportation(psi: Morphism | None = None,
     outs = _teleport_branches(psi, setup)
     norm = float(np.sqrt(total))
     probs = [float(core.hs_norm_sq(out).array[0, 0].real) for out in outs]
-
-    def scaled(c):
-        """c . psi from the ``scale`` kernel (see the module docstring)."""
-        return adopt(psi.dom, psi.cod, COMPLEX.scale(c, psi.array), COMPLEX)
-
-    target = scaled(0.5)
+    target = core.scaled(0.5, psi)
     # the phase-rotated run and its target at unit weight, where the
     # quotient's equality has no absolute floor to hide behind
-    shifted_outs = _teleport_branches(scaled(1.0j / norm), setup)
-    unit_target = scaled(0.5 / norm)
+    shifted_outs = _teleport_branches(core.scaled(1.0j / norm, psi), setup)
+    unit_target = core.scaled(0.5 / norm, psi)
     # computed when a row first asks, so an error fails that row; symmetric in f, g
     in_target_class = wequal_to(unit_target, tol)
 

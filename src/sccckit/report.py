@@ -28,9 +28,7 @@ CPUs for the process, when numpy's BLAS is not an OpenBLAS it can hold to
 one thread, under a profiler or tracer, beside a second thread, and inside
 a worker or while one runs.  Memo entries a worker fills (``cache``d
 functions, kept criteria) are not returned to the parent, which fills its
-own when it needs them.  Every table, serial or forked, runs with that
-OpenBLAS held to one thread: a table's products are too small to gain from
-a second one.
+own when it needs them.
 """
 from __future__ import annotations
 
@@ -40,7 +38,7 @@ import pickle
 import signal
 import sys
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -249,9 +247,7 @@ class CheckRunner:
     ``os.fork`` and an OpenBLAS it can hold to one thread
     (``_blas_threads``), no profiler or tracer is set, one thread runs and
     no table runs in two processes already.  Memo entries filled in the
-    worker are not returned to the parent.  Serial or forked, ``run`` holds
-    numpy's OpenBLAS to one thread while the table runs and then restores
-    its count, also when a row raises (``_one_blas_thread``).
+    worker are not returned to the parent.
     """
 
     def __init__(self, trials: int, seed: int, tolerance: float | None = None):
@@ -261,10 +257,9 @@ class CheckRunner:
 
     def run(self, checks) -> list[CheckResult]:
         checks = list(checks)
-        with _one_blas_thread():
-            if _forks(checks, self.trials):
-                return self._run_forked(checks)
-            return [self._run(idx, check) for idx, check in enumerate(checks)]
+        if _forks(checks, self.trials):
+            return self._run_forked(checks)
+        return [self._run(idx, check) for idx, check in enumerate(checks)]
 
     def _run_forked(self, checks: list) -> list[CheckResult]:
         """``run`` in this process and one forked worker.
@@ -283,6 +278,9 @@ class CheckRunner:
                                       for idx in range(len(checks))))
         os.close(claim_rows)
         returned, worker_out = os.pipe()
+        get_threads, set_threads = _blas_threads()
+        threads = get_threads()
+        set_threads(1)
         _forked = True
         try:
             pid = os.fork()
@@ -309,6 +307,7 @@ class CheckRunner:
             if pid:
                 os.waitpid(pid, 0)
             _forked = False
+            set_threads(threads)
         return [done[idx] if idx in done else self._run(idx, check)
                 for idx, check in enumerate(checks)]
 
@@ -387,9 +386,7 @@ def _blas_threads():
     """The (get, set) thread-count functions of the OpenBLAS numpy loaded,
     or None.  An OpenBLAS helper thread spins while it waits for work, so
     two processes that each keep one run slower on two CPUs than one
-    process, and the small products of a table gain nothing from a second
-    thread even in one: every table runs with one BLAS thread
-    (``_one_blas_thread``)."""
+    process: a forked table holds both to one BLAS thread."""
     import ctypes
 
     try:
@@ -407,23 +404,6 @@ def _blas_threads():
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread for the block, when it can be
-    held, and give back the count it had, also when the block raises."""
-    blas = _blas_threads()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
 
 
 def _outcome(fn: Callable, rng):

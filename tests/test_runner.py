@@ -5,6 +5,7 @@ import ast
 import cProfile
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -404,32 +405,29 @@ def test_teleport_the_equivalence_legs_and_a_profiled_run_fork_nothing(forks):
 
 
 @pytest.mark.skipif(report._blas_threads() is None,
-                    reason="no OpenBLAS whose threads the runner can hold")
-def test_a_serial_table_runs_on_one_blas_thread_and_restores_the_count(forks):
+                    reason="no OpenBLAS whose threads a table could hold")
+def test_a_table_beside_a_second_thread_leaves_the_blas_threads_alone(forks):
+    # the BLAS thread count is the whole process's: only a forked table,
+    # which runs with no second thread, holds it
     get_threads, set_threads = report._blas_threads()
     original = get_threads()
     seen = []
-
-    def row(fails):
-        def whole(_):
-            seen.append(get_threads())
-            if fails:
-                raise ValueError("row broke")
-
-        return Check("row", "law", WHOLE, whole)
-
+    table = _cheap_rows(1) + [
+        Check("reads", "law", WHOLE, lambda _: seen.append(get_threads()))]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
     set_threads(2)
+    threads = get_threads()
+    other.start()
     try:
-        before = get_threads()
-        table = [row(False), row(False)]
-        assert not report._forks(table, 1)
+        assert not report._forks(table, report._FORK_MIN_WORK)
+        CheckRunner(trials=report._FORK_MIN_WORK, seed=1).run(table)
         CheckRunner(trials=1, seed=1).run(table)
-        assert seen == [1, 1] and get_threads() == before
-        with pytest.raises(ValueError, match="row broke"):
-            CheckRunner(trials=1, seed=1).run([row(False), row(True)])
-        assert seen == [1, 1, 1, 1] and get_threads() == before
+        assert seen == [threads, threads] and get_threads() == threads
         assert forks == []
     finally:
+        release.set()
+        other.join()
         set_threads(original)
 
 
