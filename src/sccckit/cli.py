@@ -14,7 +14,9 @@ library raised an error, and 2 when an input was refused before anything ran.
 
 Each command loads only its own layer: ``verify`` imports the suite tables
 and ``protocol teleport`` the protocol, when it runs, so neither process
-compiles the other's code.
+compiles the other's code.  Each is also parsed by its own parser alone,
+not by the tree's two routing levels above it; an argv that names no
+command goes to the whole tree, which prints usage or help.
 """
 from __future__ import annotations
 
@@ -49,9 +51,11 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing never changes
-    it, and each ``parse_args`` call returns a fresh ``Namespace``."""
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The parser tree and each command's own parser in it, keyed by the
+    words that route to it; built once per process: parsing never changes
+    them, and each ``parse_args`` call returns a fresh ``Namespace``."""
     parser = argparse.ArgumentParser(
         prog="sccckit",
         description="Verify compact closed structure, phase quotients, "
@@ -77,7 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
     teleport.add_argument("--state", default=None, metavar="PAIRS",
                           help='input state as row-major [re, im] pairs, '
                                'e.g. "[[1,0],[0,0]]"')
-    return parser
+    return parser, {("verify",): verify, ("protocol", "teleport"): teleport}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree: usage and help for every command."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read by the named command's own
+    parser alone: the levels above it only route, yet each re-scans every word."""
+    for words, parser in _parsers()[1].items():
+        if tuple(argv[:len(words)]) == words:
+            # the routing levels' dests, as the tree would set them
+            routed = argparse.Namespace(**dict(zip(("command", "protocol"), words)))
+            return parser.parse_args(argv[len(words):], routed)
+    return build_parser().parse_args(argv)
 
 
 def _parse_state(text: str) -> Morphism:
@@ -107,6 +127,8 @@ def _check_json_path(path: str | None) -> None:
     """Refuse a ``--json`` PATH the report could not be written to."""
     if path is None or path == "-":
         return
+    if not path:
+        raise ValueError("--json: PATH is empty")
     if os.path.isdir(path):
         raise ValueError(f"--json {path}: is a directory")
     parent = os.path.dirname(os.path.abspath(path))
@@ -170,7 +192,7 @@ def _emit(report: VerificationReport, json_path: str | None) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         seed, psi, model = _checked_inputs(args)
     except ValueError as exc:

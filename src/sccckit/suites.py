@@ -126,8 +126,9 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                          ("alpha", core.alpha(a, b, c, s)),
                          ("sigma", core.sigma(a, b, s))):
             witness = {"iso": tag, "object": obj}
-            law(compose(dagger(iso), iso), identity(iso.dom, s), witness)
-            law(compose(iso, dagger(iso)), identity(iso.cod, s), witness)
+            inverse = dagger(iso)
+            law(compose(inverse, iso), identity(iso.dom, s), witness)
+            law(compose(iso, inverse), identity(iso.cod, s), witness)
 
     def name_unfoldings(rng):
         a, b = _gen(rng, "A", 3), _gen(rng, "B", 3)

@@ -295,7 +295,11 @@ def test_cli_teleport_has_no_verify_only_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["protocol", "teleport"] + flag)
     assert exc.value.code == 2
-    assert flag[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag[0] in err
+    # the teleport parser refuses them under its own usage line
+    assert err.startswith("usage: sccckit protocol teleport ")
+    assert "sccckit protocol teleport: error: unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("selector", ["wproj:nope", "wproj:"])
@@ -338,6 +342,18 @@ def test_cli_refuses_a_directory_as_json_path(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_refuses_an_empty_json_path(tmp_path, monkeypatch, capsys):
+    # an empty PATH once ran the whole table, printed the text report and
+    # then died opening "" (exit 1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "equivalence", "--model", "fdhilb", "--trials", "2",
+                 "--json", ""]) == 2
+    captured = capsys.readouterr()
+    assert "--json" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_refuses_a_json_path_in_a_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "r.json"
     assert main(["protocol", "teleport", "--json", str(target)]) == 2
@@ -366,3 +382,94 @@ def test_cli_parser_is_reused_without_carrying_state(capsys):
         main(["protocol", "teleport", "--trials", "3"])
     assert exc.value.code == 2
     assert "--trials" in capsys.readouterr().err
+
+
+# -- each command is parsed by its own parser --------------------------------
+
+PARSED = [
+    ["verify", "sccc"],
+    ["verify", "wproj", "--model", "wproj:rel", "--seed", "3"],
+    ["verify", "prep-state", "--trials", "3", "--json"],
+    ["verify", "ortho", "--max-dim", "2", "--json", "-"],
+    ["verify", "born", "--nu", "1/2", "--tolerance", "1e-6"],
+    ["verify", "equivalence", "--json", "r.json"],
+    ["verify", "--model", "rel", "--trials", "3", "sccc"],
+    ["verify", "sccc", "--mod", "rel", "--tri", "2", "--js"],
+    ["verify", "sccc", "--seed=4", "--model=weights", "--json=-"],
+    ["verify", "--", "born"],
+    ["verify", "sccc", "--seed", "-1"],
+    ["protocol", "teleport"],
+    ["protocol", "teleport", "--state", "[[1,0],[0,0]]", "--seed", "5", "--json", "-"],
+    ["protocol", "teleport", "--st", "[[0,0],[1,0]]", "--mod", "wproj:fdhilb"],
+    ["protocol", "teleport", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_a_command_parses_as_the_tree_does(argv):
+    assert cli._parse(list(argv)) == build_parser().parse_args(argv)
+
+
+def _exit_of(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"], ["protocol", "-h"],
+                                  ["protocol", "teleport", "-h"],
+                                  ["verify", "sccc", "--help"]], ids=" ".join)
+def test_help_at_every_level_is_the_trees(capsys, argv):
+    code, out, err = _exit_of(capsys, main, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: sccckit")
+    assert (code, out, err) == _exit_of(capsys, build_parser().parse_args, argv)
+
+
+REFUSED = [
+    ([], "command"),
+    (["nope"], "nope"),
+    (["verif", "sccc"], "verif"),
+    (["--model", "rel", "verify", "sccc"], "rel"),
+    (["protocol"], "protocol"),
+    (["protocol", "tele"], "tele"),
+    (["verify"], "suite"),
+    (["verify", "nope"], "nope"),
+    (["verify", "sccc", "--trials", "x"], "x"),
+    (["verify", "sccc", "--trials"], "--trials"),
+    (["verify", "born", "--nu", "3"], "3"),
+    (["protocol", "teleport", "--seed", "x"], "x"),
+    (["protocol", "teleport", "--model"], "--model"),
+    (["verify", "sccc", "--bogus"], "--bogus"),
+    (["verify", "sccc", "extra"], "extra"),
+    (["protocol", "teleport", "--", "x"], "x"),
+]
+
+
+@pytest.mark.parametrize("argv,word", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+def test_a_refusal_exits_two_and_names_the_word(capsys, argv, word):
+    code, out, err = _exit_of(capsys, main, argv)
+    assert (code, out) == (2, "")
+    assert word in err.splitlines()[-1]
+    tree = _exit_of(capsys, build_parser().parse_args, argv)
+    if "unrecognized arguments" in err:
+        # the command's own parser reports them, under its own usage line
+        prog = "sccckit " + " ".join(argv[:1 if argv[0] == "verify" else 2])
+        assert err.startswith(f"usage: {prog} ")
+        assert err.splitlines()[-1] == tree[2].splitlines()[-1].replace(
+            "sccckit:", f"{prog}:")
+    else:
+        assert (code, out, err) == tree
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["sccckit", "verify", "born", "--model", "rel",
+                                      "--trials", "2", "--max-dim", "2", "--json"])
+    assert main() == 0
+    assert from_json(capsys.readouterr().out).model == "rel"
+    monkeypatch.setattr(sys, "argv", ["sccckit", "protocol", "teleport", "--seed", "x"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

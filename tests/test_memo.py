@@ -243,8 +243,8 @@ FRESH_BUILT = {fn for fn, _ in calls()} | {eye, format_object, protocols._bell_s
 
 # memos compared with nothing, and why sharing one is sound
 UNCOMPARED = {
-    "cli.build_parser": "parsing never changes the parser; test_cli replays a "
-                        "warm parser against a fresh process",
+    "cli._parsers": "parsing never changes the parsers; test_cli replays a "
+                    "warm parser against a fresh process",
     "models.fdhilb": "a frozen handle of a name and a shipped semiring",
     "models.rel_model": "a frozen handle of a name and a shipped semiring",
     "models.weight_model": "a frozen handle of a name and a shipped semiring",
