@@ -26,8 +26,8 @@ broken and every check that catches it still does.  Nothing that reads
 arrays or performs a check is memoized: ``name``, ``trace``,
 ``partial_trace``, ``scalar_mult`` and ``double`` apply their argument
 afresh.  No call builds anything twice either: ``hs_norm_sq`` reads its
-argument's name once, and ``phase_witnesses`` forms both of its scalars from
-the one name of f.
+argument's name once, and ``phase_witnesses`` reads both of its scalars,
+<f|f> and <g|f>, from ``hs_norm_sq`` and ``hs_inner``.
 
 ``name`` is read in closed form (``name_array``), as f's stacked columns:
 it runs no kernel and builds no arrow but the name itself.  That both
@@ -259,9 +259,7 @@ def phase_witnesses(f: Morphism, g: Morphism,
     """
     if not equal(double(f), double(g), rel):
         raise NotPhaseEquivalent("doubled forms differ; no phase witnesses exist")
-    nf = name(f)
-    s = compose(dagger(nf), nf)                # hs_norm_sq(f), on the one name of f
-    t = compose(dagger(name(g)), nf)
+    s, t = hs_norm_sq(f), hs_inner(g, f)
     # these compare representatives, not classes: on the phase quotient they
     # are how this row catches a conjugating name (the name-conjugated
     # mutant), whose witnesses the row's law, deciding classes, still accepts

@@ -9,8 +9,8 @@ matrices are one arrow (``equal``) and reads scalars (``scalar``,
 matrix.  The phase quotient (``wproj.WProjModel``) keeps the matrices of its
 base and overrides only ``equal``, ``scalar`` and ``scalar_value``: which
 matrices count as one arrow, and what value a scalar has.  Three models
-ship: ``fdhilb`` (complex matrices), ``rel`` (boolean matrices, i.e.
-relations) and ``weights`` (nonnegative reals, a phase-free toy model).
+ship, built by ``semiring_model``: ``fdhilb`` (complex matrices), ``rel``
+(boolean matrices, i.e. relations) and ``weights`` (nonnegative reals).
 
 ``scalar_power`` takes its exponent as a rational (a Fraction or an int),
 reads it with ``float()`` and never builds a Fraction.  The exponents the
@@ -104,31 +104,28 @@ class ModelHandle:
         return scalar(u, self.semiring)
 
 
+def semiring_model(s: InvolutiveSemiring, name: str | None = None) -> ModelHandle:
+    """Wrap any involutive semiring, a shipped one too, after spot-checking its laws."""
+    check_semiring_laws(s, np.random.default_rng(7))
+    return ModelHandle(name or s.name, s)
+
+
 @lru_cache(maxsize=None)
 def fdhilb() -> ModelHandle:
     """Complex matrices with conjugate-transpose adjoint."""
-    check_semiring_laws(COMPLEX, np.random.default_rng(7))
-    return ModelHandle("fdhilb", COMPLEX)
+    return semiring_model(COMPLEX, "fdhilb")
 
 
 @lru_cache(maxsize=None)
 def rel_model() -> ModelHandle:
     """Boolean matrices: relations with relational converse as adjoint."""
-    check_semiring_laws(BOOLEAN, np.random.default_rng(7))
-    return ModelHandle("rel", BOOLEAN)
+    return semiring_model(BOOLEAN, "rel")
 
 
 @lru_cache(maxsize=None)
 def weight_model() -> ModelHandle:
     """Nonnegative real matrices: a phase-free model with identity involution."""
-    check_semiring_laws(NONNEG, np.random.default_rng(7))
-    return ModelHandle("weights", NONNEG)
-
-
-def semiring_model(s: InvolutiveSemiring, name: str | None = None) -> ModelHandle:
-    """Wrap an arbitrary involutive semiring after spot-checking its laws."""
-    check_semiring_laws(s, np.random.default_rng(7))
-    return ModelHandle(name or s.name, s)
+    return semiring_model(NONNEG, "weights")
 
 
 def resolve_model(selector: str):

@@ -185,16 +185,8 @@ def pseudo_projection(decomp: OplusDecomposition, i: int, s: InvolutiveSemiring)
 @lru_cache(maxsize=4096)
 def _pseudo_projection(decomp: OplusDecomposition, i: int,
                        s: InvolutiveSemiring) -> Morphism:
-    n = len(decomp)
-    if not 0 <= i < n:
-        raise IndexError(f"block index {i} out of range for {n} parts")
-    if n == 1:
-        return identity(decomp.parts[0], s)
-    left = OplusDecomposition.from_parts(decomp.parts[:-1])
-    last = decomp.parts[-1]
-    if i == n - 1:
-        return _proj_right(left.whole, last, s)
-    return compose(_pseudo_projection(left, i, s), _proj_left(left.whole, last, s))
+    return _block_map(decomp, i, s, _proj_right, lambda left, last: compose(
+        _pseudo_projection(left, i, s), _proj_left(left.whole, last, s)))
 
 
 def pseudo_injection(decomp: OplusDecomposition, i: int, s: InvolutiveSemiring) -> Morphism:
@@ -205,16 +197,23 @@ def pseudo_injection(decomp: OplusDecomposition, i: int, s: InvolutiveSemiring) 
 @lru_cache(maxsize=4096)
 def _pseudo_injection(decomp: OplusDecomposition, i: int,
                       s: InvolutiveSemiring) -> Morphism:
+    return _block_map(decomp, i, s, _inj_right, lambda left, last: compose(
+        _inj_left(left.whole, last, s), _pseudo_injection(left, i, s)))
+
+
+def _block_map(decomp: OplusDecomposition, i: int, s: InvolutiveSemiring,
+               at_last, earlier) -> Morphism:
+    """The recursion p_i and q_i share: the identity on one part, else the
+    last part split off, ``at_last`` its block's map and ``earlier`` the rest's."""
     n = len(decomp)
     if not 0 <= i < n:
         raise IndexError(f"block index {i} out of range for {n} parts")
     if n == 1:
         return identity(decomp.parts[0], s)
     left = OplusDecomposition.from_parts(decomp.parts[:-1])
-    last = decomp.parts[-1]
     if i == n - 1:
-        return _inj_right(left.whole, last, s)
-    return compose(_inj_left(left.whole, last, s), _pseudo_injection(left, i, s))
+        return at_last(left.whole, decomp.parts[-1], s)
+    return earlier(left, decomp.parts[-1])
 
 
 def pseudo_component(f: Morphism, dom_decomp: OplusDecomposition,

@@ -93,8 +93,9 @@ class MeasurementSpec:
             raise TypeMismatch("unitary codomain does not match the decomposition")
         one_dom = identity(u.dom, u.semiring)
         one_cod = identity(u.cod, u.semiring)
-        if not (equal(compose(dagger(u), u), one_dom)
-                and equal(compose(u, dagger(u)), one_cod)):
+        inverse = dagger(u)
+        if not (equal(compose(inverse, u), one_dom)
+                and equal(compose(u, inverse), one_cod)):
             raise NotUnitary("u(dagger) o u and u o u(dagger) must both be identities")
         return MeasurementSpec(u, decomp)
 

@@ -6,9 +6,9 @@ reals with the identity involution (``weights``).  A semiring carries both the
 scalar operations (used to spot-check the laws) and vectorized numpy kernels
 (used for all matrix work): matmul, kron, elementwise scaling, conjugation and
 a scale-aware approximate equality.  ``exact`` alone decides how values
-compare: entry by entry in the law spot checks, whole arrays for arrows, and
-one array against a stack of arrays (``equal_to_each``, the batched
-``approx_equal`` that exhaustive grids decide with).
+compare: whole arrays for arrows, and by ``equal_to_each``, the batched
+``approx_equal``, one array against a stack (the exhaustive grids) or a
+stack pair by pair (the law spot checks, one-entry arrays each).
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ class InvolutiveSemiring:
     equality is ``exact``, and ``phase``: a sampler ``rng -> unit scalar``
     drawing u with u o u(dagger) = 1, or None when the model has no phases
     worth drawing.  ``exact`` is the only equality contract: it picks both
-    ``entrywise_equal`` (the law spot checks) and ``approx_equal`` (arrows).
+    ``approx_equal`` (arrows) and the rule ``equal_to_each`` batches.
     ``sample(rng, shape)`` returns a fresh array that the caller owns:
     ``ModelHandle.sample_morphism`` freezes it in place as the arrow's
     matrix instead of copying it.  Everything else the suites branch on is
@@ -112,33 +112,20 @@ class InvolutiveSemiring:
         """Whole-array equality of two matrices, as ``morphisms.equal`` asks it."""
         return _exact_equal if self.exact else _tolerant_equal
 
-    def entrywise_equal(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-entry verdicts of two same-shape arrays of ``dtype``.
-
-        Entry k reads what ``approx_equal`` decides on the one-entry arrays
-        ``a[k:k+1]`` and ``b[k:k+1]``: ``a == b`` when ``exact``, else a gap
-        within ``ABS_TOL`` or within ``REL_TOL`` times the larger magnitude
-        of that entry alone, never a scale shared across entries; an
-        infinite gap is never within it.
-        """
-        if self.exact:
-            return a == b
-        gap, ma, mb = np.abs(a - b), np.abs(a), np.abs(b)
-        # python's max(ma, mb), NaN included, as _tolerant_equal reads it
-        return _within(gap, np.where(mb > ma, mb, ma), None)
-
     def equal_to_each(self, a: np.ndarray, stack: np.ndarray,
                       rel: float | None = None) -> np.ndarray:
         """``approx_equal`` of a against every array of a stack, in one pass.
 
-        Entry j of the result is ``approx_equal(a, stack[j], rel)``: over
-        all entries ``a == stack[j]`` when ``exact``, else the gap
-        max|a - stack[j]| within ``ABS_TOL``, or within ``rel`` (default
-        ``REL_TOL``) times python's ``max`` of the two arrays' largest
-        magnitudes.  A NaN or infinite gap decides False, as in ``_tolerant_equal``.
+        a is one array, or a stack of ``stack``'s shape compared pair by pair.
+        Entry j is ``approx_equal(a, stack[j], rel)`` (``a[j]`` for a stack):
+        equal entries when ``exact``, else the gap max|a - stack[j]| within
+        ``ABS_TOL`` or ``rel`` (default ``REL_TOL``) times python's ``max`` of
+        the two arrays' largest magnitudes.  A NaN or infinite gap decides
+        False, as in ``_tolerant_equal``; other shapes are all False.
         """
         k = len(stack)
-        if stack.shape[1:] != a.shape:
+        paired = a.shape == stack.shape
+        if not paired and stack.shape[1:] != a.shape:
             return np.zeros(k, dtype=bool)
         axes = tuple(range(1, stack.ndim))
         if self.exact:
@@ -146,7 +133,8 @@ class InvolutiveSemiring:
         if a.size == 0:
             return np.ones(k, dtype=bool)
         gap = np.abs(a - stack).max(axis=axes)
-        ma, mb = max_abs(a), np.abs(stack).max(axis=axes)
+        ma = np.abs(a).max(axis=axes) if paired else max_abs(a)
+        mb = np.abs(stack).max(axis=axes)
         # python's 0.0 * inf is a silent NaN; numpy's warns
         with np.errstate(invalid="ignore"):
             return _within(gap, np.where(mb > ma, mb, ma), rel)
@@ -310,8 +298,8 @@ def check_semiring_laws(s: InvolutiveSemiring, rng: np.random.Generator, samples
     checked on every element or pair, associativity and distributivity on
     every triple of the first eight: 4,344 laws at the default 24 samples.
     Both sides of every law are computed with the scalar ``add``, ``mul``
-    and ``involution``, then cast to ``dtype`` and decided in one
-    ``entrywise_equal`` pass, so a tolerant semiring scales each law by its
+    and ``involution``, then cast to ``dtype`` and decided pair by pair in
+    one ``equal_to_each`` pass, so a tolerant semiring scales each law by its
     own magnitudes.  The first law that fails, in the order above, raises
     ``SemiringLawViolation`` naming it and its witnesses.
     """
@@ -319,7 +307,7 @@ def check_semiring_laws(s: InvolutiveSemiring, rng: np.random.Generator, samples
     # both sides of each law, interleaved and cast as they come, so no
     # python value outlives its law
     sides = np.fromiter((v for law in _laws(s, elems) for v in law[:2]), dtype=s.dtype)
-    ok = s.entrywise_equal(sides[0::2], sides[1::2])
+    ok = s.equal_to_each(sides[0::2, None], sides[1::2, None])
     if not ok.all():
         # text and witnesses depend only on the position and the elements
         _, _, text, wit = next(islice(_laws(s, elems), int(np.argmin(ok)), None))

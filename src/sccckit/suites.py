@@ -267,17 +267,13 @@ def _sccc_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
         # takes a doubled value), so the quotient compares it as a class
         for d in range(1, max_dim + 1):
             a = Gen("A", d)
-            acc = s.zero
-            for _ in range(d):
-                acc = s.add(acc, s.one)
+            acc = reduce(s.add, [s.one] * d, s.zero)
             law(core.trace(identity(a, s)), scalar(acc, s), lambda: _obj_witness(a))
 
     def traced_factor(rng):
         a = _gen(rng, "A", 3)
         g = draw(rng, _gen(rng, "B", 3), _gen(rng, "C", 3))
-        acc = s.zero
-        for _ in range(dim(a)):
-            acc = s.add(acc, s.one)
+        acc = reduce(s.add, [s.one] * dim(a), s.zero)
         law(core.partial_trace(tensor(identity(a, s), g), a),
             core.scalar_mult(scalar(acc, s), g), lambda: _obj_witness(a))
 
@@ -602,8 +598,9 @@ def _ortho_checks(model: ModelHandle, tol, max_dim) -> list[Check]:
                          ("a", ortho.oplus_assoc(a, b, c, s)),
                          ("dist-left", ortho.dist_left(a, b, c, s)),
                          ("dist-right", ortho.dist_right(b, c, a, s))):
-            law(compose(dagger(iso), iso), identity(iso.dom, s), {"iso": tag})
-            law(compose(iso, dagger(iso)), identity(iso.cod, s), {"iso": tag})
+            inverse = dagger(iso)
+            law(compose(inverse, iso), identity(iso.dom, s), {"iso": tag})
+            law(compose(iso, inverse), identity(iso.cod, s), {"iso": tag})
 
     def dist_natural(rng):
         a, b, c = _gen(rng, "A", 2), _gen(rng, "B", 2), _gen(rng, "C", 2)

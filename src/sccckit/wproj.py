@@ -15,8 +15,8 @@ them, and it refuses ones that are not finite with ``NumericRange``.
 and refuses to answer when they split; equality does not restate that
 agreement, which the ``equality-criteria-agree`` row checks.
 And what value a scalar has: the value of the class of c is its doubled
-value c c(dagger), one product in the semiring, and the scalar constructor
-picks the nonnegative root as representative.
+value c c(dagger), one product in the semiring (``_doubled_value``), and the
+scalar constructor picks the nonnegative root as representative.
 
 A class is its representative; nothing travels with it.  ``wequal`` reads
 two representatives and computes each criterion's matrices from them with
@@ -157,6 +157,15 @@ def phase_align(f: Morphism, g: Morphism) -> tuple:
     return c, max_abs(b - c * a), float(m)
 
 
+def _doubled_value(c, s):
+    """c c(dagger), the value of the class of c: the one product ``lift``
+    forms of a 1 x 1 arrow.  An overflow is left to the caller, unwarned."""
+    if abs(c) < 2.0 ** 511:                    # so |c|^2 < 2^1022 is finite
+        return s.mul(c, s.involution(c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return s.mul(c, s.involution(c))
+
+
 def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
     """The verdict of ``wequal``'s criterion 1, approx_equal(lift(f),
     lift(g), rel), when it is settled without the doubled forms; else None.
@@ -168,10 +177,10 @@ def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
     f (x) f^T = g (x) g^T iff f = g and nothing is left open.
 
     A 1 x 1 pair over a tolerant semiring is settled in closed form: its
-    doubled forms hold the doubled values c c(dagger) and d d(dagger), the
-    product ``scalar_value`` forms, and criterion 1 compares the two by
-    ``approx_equal``'s rule (``semirings._within``).  A non-finite doubled
-    value returns None.
+    doubled forms hold the doubled values c c(dagger) and d d(dagger)
+    (``_doubled_value``, as ``scalar_value`` reads them), and criterion 1
+    compares the two by ``approx_equal``'s rule (``semirings._within``).
+    A non-finite doubled value, or modulus, returns None.
 
     A larger pair is settled when phase alignment's bounds allow.  With
     (c, eps, m) from ``phase_align``, M_g = max|g|, e = g - c.f and an
@@ -205,13 +214,13 @@ def _settled(f: Morphism, g: Morphism, rel: float | None) -> bool | None:
             return False
         return True if a.size == 1 else None
     if a.shape == (1, 1):
-        c, d = a[0, 0], b[0, 0]
-        da, db = s.mul(c, s.involution(c)), s.mul(d, s.involution(d))
+        da, db = _doubled_value(a[0, 0], s), _doubled_value(b[0, 0], s)
+        if not (cmath.isfinite(da) and cmath.isfinite(db)):
+            return None
         # moduli by numpy's kernel, as approx_equal takes them: python's
         # abs of a complex can differ from it in the last bit
         gap, ma, mb = np.abs((da - db, da, db)).tolist()
-        finite = ma < math.inf and mb < math.inf
-        return _within(gap, max(ma, mb), rel) if finite else None
+        return _within(gap, max(ma, mb), rel) if max(ma, mb) < math.inf else None
     c, eps, m = phase_align(f, g)
     if not abs(c * s.involution(c) - 1) <= _ROUNDING:
         return None
@@ -258,7 +267,8 @@ class WProjModel(ModelHandle):
         verdict = _settled(f, g, rel)
         if verdict is not None:
             return verdict
-        doubled_f, doubled_g = lift(f), lift(g)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, unwarned
+            doubled_f, doubled_g = lift(f), lift(g)
         if not (np.isfinite(doubled_f).all() and np.isfinite(doubled_g).all()):
             raise NumericRange(f"the doubled forms of {f!r} are not finite")
         return f.semiring.approx_equal(doubled_f, doubled_g, rel)
@@ -274,12 +284,8 @@ class WProjModel(ModelHandle):
         product ``lift(s)`` forms, refused unless finite and real (``real_value``)."""
         if not s.is_scalar:
             raise TypeMismatch(f"not a scalar: {s!r}")
-        c, sr = s.array[0, 0], s.semiring
-        if abs(c) < 2.0 ** 511:                # so |c|^2 < 2^1022 is finite
-            v = sr.mul(c, sr.involution(c))
-        else:                                  # an overflow is refused below, unwarned
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = sr.mul(c, sr.involution(c))
+        c = s.array[0, 0]
+        v = _doubled_value(c, s.semiring)
         if not cmath.isfinite(v):
             raise NumericRange(f"the doubled value of the scalar {c} is not finite")
         # the semiring's own product as a python number (a bool stays one);

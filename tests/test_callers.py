@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "sccckit"
 
 # public names the program itself need not call, with the reason each stays
 ALLOWED = {
-    "semiring_model": "the documented way to check a user's own semiring",
     "from_json": "reads a saved report back; the inverse of the CLI's --json",
     "deserialize_morphism": "reads a morphism witness back out of a saved report",
     "corrupted_complex": "the negative-control semiring the semiring-law tests run",
@@ -87,7 +86,6 @@ def test_the_allow_list_names_only_uncalled_definitions():
 ALLOWED_DEFAULTS = {
     "check_semiring_laws.samples": "README documents the default of 24, and a "
                                    "user may draw more",
-    "semiring_model.name": "it names a user's own model",
 }
 
 

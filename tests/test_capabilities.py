@@ -111,14 +111,39 @@ def _enclosing_functions(tree):
     return where
 
 
-def test_semiring_switches_stay_in_semirings_module():
+def _sites(pattern, skip=()):
+    """(file, enclosing def) of each line of the package that pattern matches."""
     found = Counter()
     for path in sorted(Path(sccckit.__file__).parent.glob("*.py")):
-        if path.name == "semirings.py":
+        if path.name in skip:
             continue
         text = path.read_text()
         where = _enclosing_functions(ast.parse(text))
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if SWITCH.search(line):
+            if pattern.search(line):
                 found[(path.name, where.get(lineno, "<module>"))] += 1
-    assert found == ALLOWED_SWITCHES
+    return found
+
+
+def test_semiring_switches_stay_in_semirings_module():
+    assert _sites(SWITCH, skip=("semirings.py",)) == ALLOWED_SWITCHES
+
+
+# Each read of a model's ``quotient`` flag is a route the quotient needs and a
+# plain model cannot declare; every other difference lives in the model's
+# own ``equal``, ``scalar`` and ``scalar_value``.
+ALLOWED_QUOTIENT_READS = Counter({
+    # the wproj suite runs on the quotient of a plain model it is given
+    ("suites.py", "run_suite"): 1,
+    # prep-state's verdict flips on the quotient: the axiom holds there, and
+    # an expected failure with a phase witness is shown only off it
+    ("suites.py", "prep_state_checks"): 1,
+    # one-plus-one's expected value: a quotient scalar c has the value c c(dagger)
+    ("suites.py", "_born_checks.two"): 1,
+    # the quotient of a quotient is refused, not nested
+    ("wproj.py", "WProjModel.__init__"): 1,
+})
+
+
+def test_quotient_reads_stay_at_their_pinned_sites():
+    assert _sites(re.compile(r"\.quotient\b")) == ALLOWED_QUOTIENT_READS

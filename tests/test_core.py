@@ -34,6 +34,7 @@ from sccckit import (
     name,
     partial_trace,
     phase_witnesses,
+    resolve_model,
     scalar,
     scalar_mult,
     scalar_value,
@@ -485,3 +486,20 @@ def test_scalar_action_scales_entries():
     sf = scalar_mult(scalar(2j, COMPLEX), f)
     assert np.allclose(sf.array, 2j * f.array)
     assert scalar_value(scalar(2j, COMPLEX)) == 2j
+
+
+@pytest.mark.parametrize("selector", ["fdhilb", "rel", "weights"])
+def test_phase_witnesses_are_the_closed_hs_scalars(selector):
+    # s = <f|f> and t = <g|f>, byte for byte as hs_norm_sq and hs_inner read
+    # them and as the arrows name(f)(dagger) o name(f), name(g)(dagger) o
+    # name(f) give them
+    model = resolve_model(selector)
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        f = model.sample_morphism(rng, Gen("A", 2), Gen("B", 3))
+        g = scalar_mult(model.sample_unit_scalar(rng), f)
+        s, t = phase_witnesses(f, g)
+        _assert_bits(s, hs_norm_sq(f))
+        _assert_bits(t, hs_inner(g, f))
+        _assert_bits(s, compose(dagger(name(f)), name(f)))
+        _assert_bits(t, compose(dagger(name(g)), name(f)))

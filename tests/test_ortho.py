@@ -8,6 +8,7 @@ from sccckit import (
     BOOLEAN,
     COMPLEX,
     Gen,
+    MeasurementSpec,
     Morphism,
     Oplus,
     UNIT,
@@ -28,10 +29,12 @@ from sccckit import (
     pseudo_component,
     pseudo_injection,
     pseudo_projection,
+    random_unitary,
     rel_model,
     tensor,
     zeros,
 )
+from sccckit import protocols, suites
 
 M = fdhilb()
 A, B, C = Gen("A", 2), Gen("B", 3), Gen("C", 2)
@@ -197,3 +200,24 @@ def test_block_sum_breaks_on_phase_classes():
     w0 = oplus_illdefined_witness(0.0)
     assert w0["oplus_gap"] <= 1e-9
     assert w0["pairing_gap"] <= 1e-9
+
+
+def test_each_unitarity_check_takes_one_dagger_per_map(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return dagger(f)
+
+    # additive-isos-unitary: u(dagger) o u and u o u(dagger) for six isos
+    monkeypatch.setattr(suites, "dagger", counted)
+    row = next(c for c in suites._ortho_checks(M, 1e-9, 3)
+               if c.name == "additive-isos-unitary")
+    assert row.fn(np.random.default_rng(5)) is None
+    assert len(calls) == 6 and len({id(u) for u in calls}) == 6
+    # MeasurementSpec.from_unitary: the same two composites for one u
+    calls.clear()
+    monkeypatch.setattr(protocols, "dagger", counted)
+    u = random_unitary(M, [2, 2], seed=3)
+    MeasurementSpec.from_unitary(u, decomposition(Gen("A0", 2), Gen("A1", 2)))
+    assert calls == [u]

@@ -1,12 +1,12 @@
 """The semiring law spot checks: how many laws, decided by which contract.
 
 ``check_semiring_laws`` computes both sides of every law with the scalar
-operations and decides them all in one ``entrywise_equal`` pass.  These tests
-pin the law count, tie the entrywise criterion to the matrix-level
-``approx_equal`` on one-entry arrays and the batched ``equal_to_each`` to it
-pair by pair, pin the first violation's message for
-four broken semirings, refuse an infinite gap, and show that set-up makes
-no matrix equality call.
+operations and decides them all in one ``equal_to_each`` pass, pair by pair
+over one-entry arrays.  These tests pin the law count, tie the batched
+``equal_to_each`` to the matrix-level ``approx_equal``, both pair by pair
+(two stacks) and one against each (one array and a stack), pin the first
+violation's message for four broken semirings, refuse infinite and NaN
+gaps, and show that set-up makes no matrix equality call.
 """
 import dataclasses
 from itertools import product
@@ -77,15 +77,21 @@ PAIRS = pytest.mark.parametrize("s, pairs", [
 
 
 @PAIRS
-def test_entrywise_equal_agrees_with_approx_equal_per_entry(s, pairs):
-    with np.errstate(invalid="ignore", over="ignore"):
-        a = np.array([p for p, _ in pairs], dtype=s.dtype)
-        b = np.array([q for _, q in pairs], dtype=s.dtype)
-        got = s.entrywise_equal(a, b)
-        want = [s.approx_equal(a[k:k + 1], b[k:k + 1]) for k in range(len(pairs))]
-    assert got.dtype == np.bool_ and got.shape == a.shape
-    assert got.tolist() == want
-    assert set(want) == {True, False}
+@pytest.mark.parametrize("rel", [None, 0.0, 1e3])
+def test_equal_to_each_pair_by_pair_agrees_with_approx_equal_per_entry(s, pairs, rel):
+    # two stacks compared pair by pair: of one-entry arrays, as the law spot
+    # checks stack them, and of two-entry ones, a zero beside each value
+    # moving neither operand's scale
+    for width in (1, 2):
+        pad = [s.zero] * (width - 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            a = np.array([[p, *pad] for p, _ in pairs], dtype=s.dtype)
+            b = np.array([[q, *pad] for _, q in pairs], dtype=s.dtype)
+            got = s.equal_to_each(a, b, rel)
+            want = [s.approx_equal(a[k], b[k], rel) for k in range(len(pairs))]
+        assert got.dtype == np.bool_ and got.shape == (len(pairs),)
+        assert got.tolist() == want, width
+        assert set(want) == {True, False}
 
 
 @PAIRS
@@ -124,8 +130,11 @@ def test_an_infinite_entry_does_not_make_every_gap_small(s, rel):
         assert s.approx_equal(b, a, rel) is False
         assert s.equal_to_each(a, np.stack([b, a, b]), rel).tolist() == [False, True, False]
         assert s.equal_to_each(b, np.stack([a, b]), rel).tolist() == [False, False]
-        assert not s.entrywise_equal(np.array([1.0, np.inf], s.dtype),
-                                     np.array([np.inf, 1.0], s.dtype)).any()
+        # pair by pair: an infinite gap, and the NaN gaps of inf - inf and NaN
+        left = np.array([[1.0], [np.inf], [np.inf], [np.nan]], s.dtype)
+        right = np.array([[np.inf], [1.0], [np.inf], [np.nan]], s.dtype)
+        assert not s.equal_to_each(left, right, rel).any()
+        assert [s.approx_equal(x, y, rel) for x, y in zip(left, right)] == [False] * 4
 
 
 def test_an_overflowing_modulus_still_scales_a_finite_gap():
@@ -137,8 +146,11 @@ def test_an_overflowing_modulus_still_scales_a_finite_gap():
         assert COMPLEX.approx_equal(a, near) is True
         assert COMPLEX.approx_equal(a, far) is False
         assert COMPLEX.equal_to_each(a, np.stack([near, far, a])).tolist() == [True, False, True]
-        assert COMPLEX.entrywise_equal(a, near).tolist() == [[True, True]]
-        assert COMPLEX.entrywise_equal(a, far).tolist() == [[False, False]]
+        assert COMPLEX.equal_to_each(np.stack([a, a]), np.stack([near, far])).tolist() == [
+            True, False]
+        # entry by entry, each entry its own scale
+        assert COMPLEX.equal_to_each(a.reshape(2, 1), near.reshape(2, 1)).tolist() == [True] * 2
+        assert COMPLEX.equal_to_each(a.reshape(2, 1), far.reshape(2, 1)).tolist() == [False] * 2
 
 
 @pytest.mark.parametrize("s", SHIPPED, ids=lambda s: s.name)
@@ -151,6 +163,14 @@ def test_equal_to_each_on_empty_arrays_and_other_shapes(s):
     empty = np.zeros((0, 3), s.dtype)
     assert s.equal_to_each(empty, np.zeros((2, 0, 3), s.dtype)).tolist() == [True] * 2
     assert s.approx_equal(empty, empty)
+    # two stacks, pair by pair: empty arrays are equal, no pairs give no
+    # verdicts, and a stack of another shape is all False
+    assert s.equal_to_each(np.zeros((3, 0), s.dtype), np.zeros((3, 0), s.dtype)).tolist() == [
+        True] * 3
+    assert s.equal_to_each(np.zeros((0, 1), s.dtype), np.zeros((0, 1), s.dtype)).shape == (0,)
+    for other in (np.zeros((3, 2), s.dtype), np.zeros((2, 1), s.dtype),
+                  np.zeros((3, 1, 1), s.dtype)):
+        assert s.equal_to_each(other, np.zeros((3, 1), s.dtype)).tolist() == [False] * 3
 
 
 def test_approx_equal_follows_exact_alone():

@@ -1,6 +1,7 @@
 """Global-phase quotient: classes, canonical forms, the prep-state axiom."""
 
 from itertools import product
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sccckit import (
     equal,
     fdhilb,
     rel_model,
+    resolve_model,
     run_suite,
     scalar,
     scalar_mult,
@@ -481,3 +483,16 @@ def test_a_target_that_cannot_be_lifted_fails_each_branch_row(monkeypatch):
     assert failed == {f"branch-{i}": {"error": "the target has no doubled form",
                                       "trial": 0} for i in range(4)}
     assert len(attempts) == 4
+
+
+def test_quotient_equality_refuses_overflowing_doubled_forms_unwarned():
+    # the doubled value of 1e200 overflows: equality refuses it with
+    # NumericRange and no RuntimeWarning, as a 1 x 1 pair and inside a 2 x 2 one
+    w = resolve_model("wproj:fdhilb")
+    pairs = [(scalar(1e200, COMPLEX), scalar(1e200, COMPLEX)),
+             (cmor([[1e200, 0], [0, 1]]), cmor([[1e200, 0], [0, 1]]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, g in pairs:
+            with pytest.raises(NumericRange, match="the doubled forms of .* are not finite"):
+                w.equal(f, g)
